@@ -153,14 +153,32 @@ def is_doubly_two_connected(graph: CriteriaGraph) -> bool:
 
 
 def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex, Vertex]]:
-    """First vertex pair (one per block) whose deletion disconnects, if any."""
+    """First vertex pair (one per block) whose deletion disconnects, if any.
+
+    Pairs are ordered by the first block's vertex, then the second's, and
+    the search makes one scan of G - a per vertex a of the first block.  If
+    G - a is connected, (a, b) disconnects exactly when b is a cut point of
+    G - a.  If G - a is disconnected, every b keeps it disconnected except a
+    b that is, on its own, one of exactly two parts.
+    """
     if graph.partition is None:
         raise DiagramError("doubly-2-connected test needs a partition")
     adj = graph.neighbors()
     lo, hi = graph.partition
+    hi_sorted = sorted(hi)
     for a in sorted(lo):
-        for b in sorted(hi):
-            if not _is_connected(adj, frozenset((a, b))):
+        rest = {v: nbrs - {a} for v, nbrs in adj.items() if v != a}
+        parts = _connected_parts(rest, frozenset())
+        if len(parts) <= 1:
+            cut = articulation_points(rest) & hi
+            if cut:
+                return (a, min(cut))
+            continue
+        alone = set()
+        if len(parts) == 2:
+            alone = {v for part in parts if len(part) == 1 for v in part}
+        for b in hi_sorted:
+            if b not in alone:
                 return (a, b)
     return None
 
@@ -169,7 +187,16 @@ def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex,
 
 
 class CriteriaContext:
-    """Cut components and rectangle indexes of one diagram, computed once."""
+    """Cut components, rectangle indexes and pair verdicts of one diagram.
+
+    A pair verdict says whether the detail graph is 2-connected for every
+    l.  It is computed on first use, once per label pair (k, p, q) and once
+    per composed-rectangle pair (disk, end_minus, end_plus), and kept in
+    `pair_verdicts` and `cross_verdicts` as the first failing l (None when
+    it holds).  The component graphs, the disk graphs and the missing-type
+    search all read these.  `swapped` is the context of the diagram with
+    the families exchanged, built on first use and then kept.
+    """
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
@@ -179,30 +206,47 @@ class CriteriaContext:
         self.m_star = len(self.comps_b)
         self.n = len(diagram.a_words)
         self.n_star = len(diagram.b_words)
+        self.pair_verdicts: dict = {}
+        self.cross_verdicts: dict = {}
+        self._swapped: Optional[CriteriaContext] = None
 
         face_to_l = {}
         for comp in self.comps_b:
             for fi in comp.faces:
                 face_to_l[fi] = comp.index
 
-        # a-side pair -> l -> set of b-side pairs
+        # a-side pair -> l -> set of b-side pairs that are not loops
         self.rect_index: dict = {}
         for face, rtype in rectangle_faces(diagram):
             l = face_to_l[face.index]
+            u, v = rtype.b_sides
+            if u == v:
+                continue
+            if not {u, v} <= self.a_star_set(l):
+                raise DiagramError("rectangle crosses its own cut component")
             self.rect_index.setdefault(rtype.a_sides, {}).setdefault(l, set()).add(
                 rtype.b_sides
             )
 
-        # (axis, end_minus, end_plus) -> l -> set of b-side pairs
+        # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not loops
         self.composed_index: dict = {}
         for ctype, f_minus, f_plus in composed_rectangles(diagram, FAMILY_A):
             l = face_to_l[f_minus.index]
             if face_to_l[f_plus.index] != l:
                 raise DiagramError("composed rectangle straddles cut components")
+            if ctype.b_sides[0] == ctype.b_sides[1]:
+                continue
             key = (ctype.axis, ctype.end_minus, ctype.end_plus)
             self.composed_index.setdefault(key, {}).setdefault(l, set()).add(
                 ctype.b_sides
             )
+
+    @property
+    def swapped(self) -> "CriteriaContext":
+        """Context of the diagram with the families exchanged, built once."""
+        if self._swapped is None:
+            self._swapped = CriteriaContext(self.diagram.swap_roles())
+        return self._swapped
 
     def a_set(self, k: int) -> frozenset:
         if not 1 <= k <= self.m:
@@ -227,40 +271,37 @@ class CriteriaContext:
     # -- graph builders ----------------------------------------------------
 
     def detail_graph(self, k: int, l: int, p: Vertex, q: Vertex) -> CriteriaGraph:
+        self._check_detail_pair(k, p, q)
+        vertices = self.a_star_set(l)
+        edges = self.rect_index.get((p, q) if p <= q else (q, p), {}).get(l, ())
+        return graph_from_edges(edges, vertices=vertices)
+
+    def _check_detail_pair(self, k: int, p: Vertex, q: Vertex) -> None:
         a_k = self.a_set(k)
         if p not in a_k or q not in a_k:
             raise DiagramError(f"{p} or {q} is not in A_{k}")
-        vertices = self.a_star_set(l)
-        pairs = self.rect_index.get((p, q) if p <= q else (q, p), {}).get(l, ())
-        edges = [bp for bp in pairs if bp[0] != bp[1]]
-        for u, v in edges:
-            if u not in vertices or v not in vertices:
-                raise DiagramError("rectangle crosses its own cut component")
-        return graph_from_edges(edges, vertices=vertices)
 
     def component_graph(self, k: int) -> CriteriaGraph:
         a_k = sorted(self.a_set(k))
         edges = []
         for i, p in enumerate(a_k):
             for q in a_k[i + 1:]:
-                if all(
-                    is_two_connected(self.detail_graph(k, l, p, q))
-                    for l in range(1, self.m_star + 1)
-                ):
+                if self.first_failing_l_detail(k, p, q) is None:
                     edges.append((p, q))
         return graph_from_edges(edges, vertices=a_k)
 
     def cross_detail_graph(
         self, l: int, disk: int, end_minus: Vertex, end_plus: Vertex
     ) -> CriteriaGraph:
-        if end_minus not in self.lambda_of(disk, MINUS):
-            raise DiagramError(f"{end_minus} is not in Lambda_({disk},-)")
-        if end_plus not in self.lambda_of(disk, PLUS):
-            raise DiagramError(f"{end_plus} is not in Lambda_({disk},+)")
+        self._check_cross_pair(disk, end_minus, end_plus)
         vertices = self.a_star_set(l)
-        pairs = self.composed_index.get((disk, end_minus, end_plus), {}).get(l, ())
-        edges = [bp for bp in pairs if bp[0] != bp[1]]
+        edges = self.composed_index.get((disk, end_minus, end_plus), {}).get(l, ())
         return graph_from_edges(edges, vertices=vertices)
+
+    def _check_cross_pair(self, disk: int, end_minus: Vertex, end_plus: Vertex) -> None:
+        for end, side in ((end_minus, MINUS), (end_plus, PLUS)):
+            if end == (disk, side) or end not in self.a_set(self.k_of(disk, side)):
+                raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
 
     def disk_graph(self, disk: int) -> CriteriaGraph:
         if not 1 <= disk <= self.n:
@@ -274,17 +315,11 @@ class CriteriaContext:
             k = self.k_of(disk, kappa)
             for i, p in enumerate(lam):
                 for q in lam[i + 1:]:
-                    if all(
-                        is_two_connected(self.detail_graph(k, l, p, q))
-                        for l in range(1, self.m_star + 1)
-                    ):
+                    if self.first_failing_l_detail(k, p, q) is None:
                         edges.append(((kappa,) + p, (kappa,) + q))
         for p in lam_minus:
             for q in lam_plus:
-                if all(
-                    is_two_connected(self.cross_detail_graph(l, disk, p, q))
-                    for l in range(1, self.m_star + 1)
-                ):
+                if self.first_failing_l_cross(disk, p, q) is None:
                     edges.append(((MINUS,) + p, (PLUS,) + q))
         return graph_from_edges(
             edges,
@@ -292,18 +327,44 @@ class CriteriaContext:
             partition=(block_minus, block_plus),
         )
 
+    # -- pair verdicts -----------------------------------------------------
+
     def first_failing_l_detail(self, k: int, p: Vertex, q: Vertex) -> Optional[int]:
-        for l in range(1, self.m_star + 1):
-            if not is_two_connected(self.detail_graph(k, l, p, q)):
-                return l
-        return None
+        """First l whose detail graph G(k, l, p, q) is not 2-connected, or None."""
+        key = (k, p, q) if p <= q else (k, q, p)
+        if key not in self.pair_verdicts:
+            self._check_detail_pair(k, p, q)
+            self.pair_verdicts[key] = self._first_failing_l(
+                self.rect_index.get(key[1:], {}),
+                lambda l: self.detail_graph(k, l, p, q),
+            )
+        return self.pair_verdicts[key]
 
     def first_failing_l_cross(
         self, disk: int, end_minus: Vertex, end_plus: Vertex
     ) -> Optional[int]:
-        for l in range(1, self.m_star + 1):
-            if not is_two_connected(self.cross_detail_graph(l, disk, end_minus, end_plus)):
-                return l
+        """First l whose composed-rectangle detail graph is not 2-connected, or None."""
+        key = (disk, end_minus, end_plus)
+        if key not in self.cross_verdicts:
+            self._check_cross_pair(disk, end_minus, end_plus)
+            self.cross_verdicts[key] = self._first_failing_l(
+                self.composed_index.get(key, {}),
+                lambda l: self.cross_detail_graph(l, disk, end_minus, end_plus),
+            )
+        return self.cross_verdicts[key]
+
+    def _first_failing_l(self, edges_by_l: dict, graph) -> Optional[int]:
+        """First l whose detail graph `graph(l)` is not 2-connected, or None.
+
+        A 2-connected graph on n >= 3 vertices has at least n edges, so an l
+        with fewer edges in `edges_by_l` fails without its graph being built.
+        """
+        for comp in self.comps_b:
+            n = len(comp.a_set)
+            if n >= 3 and len(edges_by_l.get(comp.index, ())) < n:
+                return comp.index
+            if not is_two_connected(graph(comp.index)):
+                return comp.index
         return None
 
 
@@ -474,27 +535,32 @@ def _connected_parts(adj, removed):
     return parts
 
 
-def double_rectangle_condition(diagram: Diagram) -> Verdict:
+def double_rectangle_condition(
+    diagram: Diagram, ctx: Optional[CriteriaContext] = None
+) -> Verdict:
     """Holds iff every disk graph H_d is doubly 2-connected, both ways round.
 
     The condition is checked on the diagram as given and on the diagram with
-    the families exchanged; witnesses record which direction failed.  Disk
-    graphs that pass the pairwise-deletion test without being connected are
-    flagged in the note, since stronger readings would reject them.
+    the families exchanged; witnesses record which direction failed.  A
+    given `ctx` must be the context of `diagram`; the exchanged direction
+    then uses `ctx.swapped`, so a caller that also checks RC on both sides
+    builds each context once.  Disk graphs that pass the pairwise-deletion
+    test without being connected are flagged in the note, since stronger
+    readings would reject them.
     """
+    ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     borderline = []
-    for swapped, d in ((False, diagram), (True, diagram.swap_roles())):
-        ctx = CriteriaContext(d)
-        for disk in range(1, ctx.n + 1):
-            hd = ctx.disk_graph(disk)
+    for swapped, octx in ((False, ctx), (True, ctx.swapped)):
+        for disk in range(1, octx.n + 1):
+            hd = octx.disk_graph(disk)
             pair = doubly_two_connected_witness(hd)
             if pair is None:
                 if not _is_connected(hd.neighbors()):
                     tag = "families switched, " if swapped else ""
                     borderline.append(f"{tag}H_{disk}")
                 continue
-            missing = _missing_drc_types(ctx, disk, hd, pair)
+            missing = _missing_drc_types(octx, disk, hd, pair)
             witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
     holds = not witnesses
     note = NOTE_DRC if holds else ""

@@ -36,10 +36,12 @@ def parse_diagram(text: str) -> Diagram:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DiagramError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DiagramError("top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DiagramError(f"unsupported format_version {version!r}")
     d_curves = doc.get("d_curves")
     if not isinstance(d_curves, dict) or not d_curves:
@@ -61,7 +63,7 @@ def parse_diagram(text: str) -> Diagram:
             raise DiagramError(f"curve {curve}: word must be a non-empty list")
         toks = []
         for tok in word:
-            m = _TOKEN.match(str(tok))
+            m = _TOKEN.match(tok) if isinstance(tok, str) else None
             if not m:
                 raise DiagramError(f"curve {curve}: bad signed token {tok!r}")
             x, s = m.group(1), m.group(2)
@@ -76,7 +78,7 @@ def parse_diagram(text: str) -> Diagram:
         if not isinstance(word, list) or not word:
             raise DiagramError(f"curve {curve}: word must be a non-empty list")
         for tok in word:
-            if not _BARE.match(str(tok)):
+            if not isinstance(tok, str) or not _BARE.match(tok):
                 raise DiagramError(f"curve {curve}: bad token {tok!r}")
             if tok in seen:
                 raise DiagramError(f"crossing {tok} occurs twice in the second family")
@@ -175,14 +177,14 @@ def build_report(
     if condition in ("rc", "both"):
         report["rc"] = _verdict_json(rectangle_condition(diagram, ctx))
         report["rc_swapped"] = _verdict_json(
-            rectangle_condition(diagram.swap_roles())
+            rectangle_condition(ctx.swapped.diagram, ctx.swapped)
         )
         report["rc_swapped"]["note"] = (
             "informational: the rectangle condition after switching the families; "
             "whether the general condition is symmetric is not asserted"
         )
     if condition in ("drc", "both"):
-        report["drc"] = _verdict_json(double_rectangle_condition(diagram))
+        report["drc"] = _verdict_json(double_rectangle_condition(diagram, ctx))
     annotations = []
     if report.get("rc", {}).get("holds"):
         annotations.append("rectangle condition holds: " +

@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heegaardrect.criteria import (
+    CriteriaContext,
     CriteriaGraph,
     Verdict,
     Witness,
     double_rectangle_condition,
+    doubly_two_connected_witness,
     graph_from_edges,
     graph_G,
     graph_Gk,
@@ -21,7 +23,7 @@ from heegaardrect.criteria import (
 from heegaardrect.diagram import DiagramError, MINUS, PLUS
 from heegaardrect.rectangles import composed_rectangles, rectangle_faces
 
-from conftest import hexagon_diagram
+from conftest import hexagon_diagram, random_twisted_diagrams
 
 
 def calibration_graph() -> CriteriaGraph:
@@ -134,26 +136,22 @@ def _brute_two_connected(graph: CriteriaGraph) -> bool:
     return connected_after(set()) and all(connected_after({v}) for v in adj)
 
 
-def _brute_doubly(graph: CriteriaGraph) -> bool:
-    adj = graph.neighbors()
+def _brute_doubly_witness(graph: CriteriaGraph):
+    """First pair of sorted(lo) x sorted(hi) whose deletion disconnects."""
     lo, hi = graph.partition
+    for a in sorted(lo):
+        for b in sorted(hi):
+            if not _brute_connected_after(graph, {a, b}):
+                return (a, b)
+    return None
 
-    def connected_after(removed):
-        nodes = [v for v in adj if v not in removed]
-        if not nodes:
-            return True
-        seen = set()
 
-        def dfs(v):
-            seen.add(v)
-            for w in adj[v]:
-                if w not in removed and w not in seen:
-                    dfs(w)
-
-        dfs(nodes[0])
-        return len(seen) == len(nodes)
-
-    return all(connected_after({a, b}) for a in lo for b in hi)
+def _blocked(edges, n, lo):
+    vertices = range(n)
+    return (
+        graph_from_edges(edges, vertices=vertices),
+        (frozenset(lo), frozenset(vertices) - frozenset(lo)),
+    )
 
 
 @st.composite
@@ -172,14 +170,58 @@ def random_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(random_graphs())
+@example(_blocked([], 0, []))
+@example(_blocked([], 1, [0]))
+@example(_blocked([], 2, [0]))
+@example(_blocked([(0, 1)], 2, [0]))
+@example(_blocked([(0, 1), (1, 2), (2, 0)], 3, []))
+@example(_blocked([(0, 1), (1, 2)], 3, [0, 1, 2]))
+# G - 0 splits into {1} and {2, 3}: deleting 1 leaves it connected, 2 does not
+@example(_blocked([(0, 1), (0, 2), (2, 3)], 4, [0]))
+# G - 0 splits into {1} and {2}: no pair disconnects
+@example(_blocked([(0, 1), (0, 2)], 3, [0]))
 def test_connectivity_matches_brute_force(data):
     graph, partition = data
     assert is_two_connected(graph) == _brute_two_connected(graph)
     blocked = CriteriaGraph(graph.vertices, graph.edges, partition)
-    assert is_doubly_two_connected(blocked) == _brute_doubly(blocked)
+    witness = _brute_doubly_witness(blocked)
+    assert doubly_two_connected_witness(blocked) == witness
+    assert is_doubly_two_connected(blocked) == (witness is None)
 
 
 # -- graph builders ------------------------------------------------------------
+
+
+def _first_failing_l(graphs):
+    return next((l for l, g in enumerate(graphs, 1) if not is_two_connected(g)), None)
+
+
+def test_pair_verdicts_match_definition(example_32_maximal):
+    """Each memoised verdict is the first l whose detail graph is not
+    2-connected, so None exactly when all of them are; pre-check included."""
+    prechecked = built = 0
+    diagrams = list(random_twisted_diagrams(100)) + [example_32_maximal]
+    for d in diagrams:
+        ctx = CriteriaContext(d)
+        rectangle_condition(d, ctx)
+        double_rectangle_condition(d, ctx)
+        for c in (ctx, ctx.swapped):
+            assert c.pair_verdicts and c.cross_verdicts
+            for (k, p, q), l_fail in c.pair_verdicts.items():
+                graphs = [c.detail_graph(k, l, p, q) for l in range(1, c.m_star + 1)]
+                assert l_fail == _first_failing_l(graphs)
+                if l_fail is not None:
+                    g = graphs[l_fail - 1]
+                    if len(g.vertices) >= 3 and len(g.edges) < len(g.vertices):
+                        prechecked += 1
+                    else:
+                        built += 1
+            for (disk, em, ep), l_fail in c.cross_verdicts.items():
+                graphs = [
+                    c.cross_detail_graph(l, disk, em, ep) for l in range(1, c.m_star + 1)
+                ]
+                assert l_fail == _first_failing_l(graphs)
+    assert prechecked and built
 
 
 HEXAGON = [

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from heegaardrect.cli import main
-from heegaardrect.diagram import DiagramError
+from heegaardrect.criteria import CriteriaContext
+from heegaardrect.diagram import Diagram, DiagramError
 from heegaardrect.diagramio import (
     build_report,
     parse_diagram,
@@ -100,6 +101,24 @@ def test_failing_report_matches_golden(example_32_maximal):
     assert got == (GOLDEN / "report_3_2_maximal.json").read_text()
 
 
+def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
+    counts = {"contexts": 0, "swaps": 0}
+    init, swap_roles = CriteriaContext.__init__, Diagram.swap_roles
+
+    def counting_init(self, diagram):
+        counts["contexts"] += 1
+        init(self, diagram)
+
+    def counting_swap_roles(self):
+        counts["swaps"] += 1
+        return swap_roles(self)
+
+    monkeypatch.setattr(CriteriaContext, "__init__", counting_init)
+    monkeypatch.setattr(Diagram, "swap_roles", counting_swap_roles)
+    build_report(example_32, "both")
+    assert counts == {"contexts": 2, "swaps": 1}
+
+
 def test_report_witnesses_serialize(example_32_maximal):
     report = build_report(example_32_maximal, condition="drc")
     assert not report["drc"]["holds"]
@@ -159,6 +178,34 @@ def test_cli_check_invalid_file(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run_cli("check", str(bad)) == 2
     assert run_cli("validate", str(bad)) == 2
+
+
+def _torus_doc_with(mangle) -> str:
+    doc = json.loads(serialize_diagram(torus_one()))
+    mangle(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _torus_doc_with(lambda doc: doc["dstar_curves"].update(b=[1])),
+        _torus_doc_with(lambda doc: doc["dstar_curves"].update(b=[True])),
+        _torus_doc_with(lambda doc: doc["d_curves"].update(a=[1])),
+        _torus_doc_with(lambda doc: doc.update(format_version=True)),
+        _torus_doc_with(lambda doc: doc.update(format_version=1.0)),
+        "[" * 100000,
+    ],
+    ids=["int-token", "bool-token", "int-signed-token", "version-true",
+         "version-float", "deep-nesting"],
+)
+def test_cli_rejects_hostile_input(tmp_path, capsys, text):
+    f = tmp_path / "hostile.json"
+    f.write_text(text)
+    for command in (["check"], ["validate"], ["export-graph", "--which", "Gk:1"]):
+        assert run_cli(*command[:1], str(f), *command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_check_invalid_diagram_exits_2(tmp_path):
