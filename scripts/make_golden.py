@@ -16,9 +16,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
 from heegaardrect.criteria import CriteriaContext, double_rectangle_condition, rectangle_condition
-from heegaardrect.diagramio import build_report, graph_to_dot, report_to_json, serialize_diagram
+from heegaardrect.diagramio import (
+    build_report,
+    graph_to_dot,
+    report_to_json,
+    report_to_text,
+    serialize_diagram,
+)
 from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
+from conftest import split_components_diagram
 from shear_oracle import oracle_intersections
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -63,6 +70,10 @@ def main():
     (GOLDEN / "report_3_2_maximal.json").write_text(
         report_to_json(build_report(dm))
     )
+
+    invalid = build_report(split_components_diagram())
+    (GOLDEN / "report_split_invalid.txt").write_text(report_to_text(invalid))
+    (GOLDEN / "report_split_invalid.json").write_text(report_to_json(invalid))
 
     ctx = CriteriaContext(d32)
     (GOLDEN / "gk1.dot").write_text(graph_to_dot(ctx.component_graph(1), "Gk:1"))

@@ -14,10 +14,6 @@ from .criteria import (
     Verdict,
     Witness,
     double_rectangle_condition,
-    graph_G,
-    graph_Gk,
-    graph_H,
-    graph_Hd,
     is_doubly_two_connected,
     is_two_connected,
     rectangle_condition,
@@ -50,7 +46,6 @@ from .systems import (
     CutComponent,
     ValidationReport,
     cut_components,
-    lambda_set,
     validate_disk_systems,
 )
 from .twist import (
@@ -70,9 +65,8 @@ __all__ = [
     "ComposedRectangleType", "TwistSpec", "ValidationReport", "Verdict",
     "Witness", "build_report", "chain_base", "composed_rectangles",
     "cut_components", "dehn_twist", "dehn_twist_iterated",
-    "double_rectangle_condition", "example_diagram", "graph_G", "graph_Gk",
-    "graph_H", "graph_Hd", "graph_to_dot", "intersection_number",
-    "is_doubly_two_connected", "is_two_connected", "lambda_set",
+    "double_rectangle_condition", "example_diagram", "graph_to_dot",
+    "intersection_number", "is_doubly_two_connected", "is_two_connected",
     "maximal_chain_base", "multicurve_map", "parse_diagram",
     "rectangle_condition", "rectangle_faces", "report_to_json",
     "report_to_text", "serialize_diagram", "twist_multicurve",

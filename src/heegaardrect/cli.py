@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .criteria import CriteriaContext
 from .diagram import Diagram, DiagramError, MINUS, PLUS
@@ -27,76 +28,41 @@ from .twist import example_diagram
 
 def _load(path: str) -> Diagram:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
     return parse_diagram(text)
 
 
-def cmd_check(args) -> int:
+def _write(text: str, output: Optional[str]) -> None:
+    """Write a command's output to the `-o` file, or to stdout without one."""
+    if not output:
+        sys.stdout.write(text)
+        return
     try:
-        diagram = _load(args.file)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise DiagramError(f"cannot write {output}: {exc}") from exc
+
+
+def cmd_check(args) -> int:
+    report = build_report(_load(args.file), args.condition)
+    _write(report_to_json(report) if args.structured else report_to_text(report),
+           args.output)
+    if not report["validation"]["passed"]:
         return 2
-    validation = validate_disk_systems(diagram)
-    if not validation.passed:
-        report = {
-            "input": {
-                "genus": diagram.genus,
-                "n": len(diagram.a_words),
-                "n_star": len(diagram.b_words),
-                "m": None,
-                "m_star": None,
-                "crossings": diagram.num_crossings,
-            },
-            "validation": {
-                "passed": False,
-                "entries": [{"code": c, "detail": t} for c, t in validation],
-            },
-            "annotations": [],
-        }
-        _emit(args, report)
-        return 2
-    report = build_report(diagram, condition=args.condition, validation=validation)
-    _emit(args, report)
-    requested = []
-    if args.condition in ("rc", "both"):
-        requested.append(report["rc"]["holds"])
-    if args.condition in ("drc", "both"):
-        requested.append(report["drc"]["holds"])
+    requested = [report[key]["holds"] for key in ("rc", "drc") if key in report]
     return 0 if all(requested) else 1
 
 
-def _emit(args, report):
-    text = report_to_json(report) if args.structured else report_to_text(report)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_generate(args) -> int:
-    try:
-        diagram = example_diagram(args.genus, args.power, maximal=args.maximal)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = serialize_diagram(diagram)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    diagram = example_diagram(args.genus, args.power, maximal=args.maximal)
+    _write(serialize_diagram(diagram), args.output)
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        diagram = _load(args.file)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    validation = validate_disk_systems(diagram)
+    validation = validate_disk_systems(_load(args.file))
     if validation.passed:
         print("validation: passed")
         return 0
@@ -104,6 +70,13 @@ def cmd_validate(args) -> int:
     for code, detail in validation:
         print(f"  - [{code}] {detail}")
     return 1
+
+
+def _parse_index(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise DiagramError(f"bad index {s!r} in the selector") from None
 
 
 def _parse_side(s: str) -> int:
@@ -115,32 +88,26 @@ def _parse_side(s: str) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    try:
-        diagram = _load(args.file)
-        ctx = CriteriaContext(diagram)
-        kind, _, rest = args.which.partition(":")
-        if kind == "Gk":
-            graph = ctx.component_graph(int(rest))
-        elif kind == "Hd":
-            graph = ctx.disk_graph(int(rest))
-        elif kind == "Gdetail":
-            parts = rest.split(",")
-            if len(parts) != 6:
-                raise DiagramError("Gdetail selector needs k,l,i,eps,j,delta")
-            k, l, i = int(parts[0]), int(parts[1]), int(parts[2])
-            eps = _parse_side(parts[3])
-            j, delta = int(parts[4]), _parse_side(parts[5])
-            graph = ctx.detail_graph(k, l, (i, eps), (j, delta))
-        else:
-            raise DiagramError(f"unknown selector kind {kind!r}")
-    except (DiagramError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = graph_to_dot(graph, name=args.which)
-    if args.output:
-        Path(args.output).write_text(text)
+    ctx = CriteriaContext(_load(args.file))
+    if not ctx.validation.passed:
+        codes = ", ".join(dict.fromkeys(code for code, _ in ctx.validation))
+        raise DiagramError(f"diagram fails validation: {codes}")
+    kind, _, rest = args.which.partition(":")
+    if kind == "Gk":
+        graph = ctx.component_graph(_parse_index(rest))
+    elif kind == "Hd":
+        graph = ctx.disk_graph(_parse_index(rest))
+    elif kind == "Gdetail":
+        parts = rest.split(",")
+        if len(parts) != 6:
+            raise DiagramError("Gdetail selector needs k,l,i,eps,j,delta")
+        k, l, i, j = (_parse_index(parts[t]) for t in (0, 1, 2, 4))
+        p = (i, _parse_side(parts[3]))
+        q = (j, _parse_side(parts[5]))
+        graph = ctx.detail_graph(k, l, p, q)
     else:
-        sys.stdout.write(text)
+        raise DiagramError(f"unknown selector kind {kind!r}")
+    _write(graph_to_dot(graph, name=args.which), args.output)
     return 0
 
 
@@ -182,7 +149,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_export_graph)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiagramError as exc:
+        # one line even when a path or a curve id in the message holds a line break
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .diagram import FAMILY_A, FAMILY_B, Diagram, DiagramError, MINUS, PLUS, side_str
 from .rectangles import composed_rectangles, rectangle_faces
-from .systems import cut_components
+from .systems import cut_components, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
@@ -65,19 +65,25 @@ def graph_from_edges(edges: Sequence[Edge], vertices=(), partition=None) -> Crit
     return CriteriaGraph(frozenset(vs), frozenset(es), partition)
 
 
-def _is_connected(adj: dict, removed: frozenset = frozenset()) -> bool:
-    nodes = [v for v in adj if v not in removed]
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+def _connected_parts(adj: dict, removed: frozenset = frozenset()) -> list:
+    """Vertex sets of the components of the graph minus `removed`, by least vertex."""
+    seen = set(removed)
+    parts = []
+    for v in sorted(adj):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        parts.append(comp)
+    return parts
 
 
 def is_two_connected(graph: CriteriaGraph) -> bool:
@@ -86,12 +92,7 @@ def is_two_connected(graph: CriteriaGraph) -> bool:
     Implemented through articulation points (iterative lowlink); graphs on
     at most one vertex are 2-connected under this reading.
     """
-    adj = graph.neighbors()
-    if len(adj) <= 1:
-        return True
-    if not _is_connected(adj):
-        return False
-    return not articulation_points(adj)
+    return two_connected_witness(graph) is None
 
 
 def articulation_points(adj: dict) -> set:
@@ -137,7 +138,7 @@ def two_connected_witness(graph: CriteriaGraph) -> Optional[tuple]:
     adj = graph.neighbors()
     if len(adj) <= 1:
         return None
-    if not _is_connected(adj):
+    if len(_connected_parts(adj)) > 1:
         return ("disconnected",)
     pts = articulation_points(adj)
     if pts:
@@ -147,8 +148,6 @@ def two_connected_witness(graph: CriteriaGraph) -> Optional[tuple]:
 
 def is_doubly_two_connected(graph: CriteriaGraph) -> bool:
     """Connected after deleting any one vertex from each partition block."""
-    if graph.partition is None:
-        raise DiagramError("doubly-2-connected test needs a partition")
     return doubly_two_connected_witness(graph) is None
 
 
@@ -168,7 +167,7 @@ def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex,
     hi_sorted = sorted(hi)
     for a in sorted(lo):
         rest = {v: nbrs - {a} for v, nbrs in adj.items() if v != a}
-        parts = _connected_parts(rest, frozenset())
+        parts = _connected_parts(rest)
         if len(parts) <= 1:
             cut = articulation_points(rest) & hi
             if cut:
@@ -187,7 +186,10 @@ def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex,
 
 
 class CriteriaContext:
-    """Cut components, rectangle indexes and pair verdicts of one diagram.
+    """The analysis of one diagram orientation, shared by every criterion.
+
+    It cuts each family once; the disk-system `validation`, the rectangle
+    indexes and the pair verdicts are all derived from those components.
 
     A pair verdict says whether the detail graph is 2-connected for every
     l.  It is computed on first use, once per label pair (k, p, q) and once
@@ -202,6 +204,7 @@ class CriteriaContext:
         self.diagram = diagram
         self.comps_a = cut_components(diagram, FAMILY_A)
         self.comps_b = cut_components(diagram, FAMILY_B)
+        self.validation = validate_components(diagram, self.comps_a, self.comps_b)
         self.m = len(self.comps_a)
         self.m_star = len(self.comps_b)
         self.n = len(diagram.a_words)
@@ -259,12 +262,18 @@ class CriteriaContext:
         return self.comps_b[l - 1].a_set
 
     def k_of(self, disk: int, side: int) -> int:
+        """Index k of the first-family component whose labels A_k hold (disk, side)."""
+        if not 1 <= disk <= self.n:
+            raise DiagramError(f"disk index {disk} out of range 1..{self.n}")
+        if side not in (MINUS, PLUS):
+            raise DiagramError("side must be +1 or -1")
         for comp in self.comps_a:
             if (disk, side) in comp.a_set:
                 return comp.index
         raise DiagramError(f"({disk},{side_str(side)}) not on any component")
 
     def lambda_of(self, disk: int, side: int) -> frozenset:
+        """The punctured label set A_k minus (disk, side), k = `k_of(disk, side)`."""
         k = self.k_of(disk, side)
         return frozenset(self.a_set(k) - {(disk, side)})
 
@@ -304,8 +313,6 @@ class CriteriaContext:
                 raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
 
     def disk_graph(self, disk: int) -> CriteriaGraph:
-        if not 1 <= disk <= self.n:
-            raise DiagramError(f"disk index {disk} out of range 1..{self.n}")
         lam_minus = sorted(self.lambda_of(disk, MINUS))
         lam_plus = sorted(self.lambda_of(disk, PLUS))
         block_minus = frozenset((MINUS,) + p for p in lam_minus)
@@ -366,29 +373,6 @@ class CriteriaContext:
             if not is_two_connected(graph(comp.index)):
                 return comp.index
         return None
-
-
-# -- public graph builders ----------------------------------------------------
-
-
-def graph_G(diagram: Diagram, k: int, l: int, p: Vertex, q: Vertex) -> CriteriaGraph:
-    """Edges = b-side pairs of rectangles with a-sides {p, q} in component l."""
-    return CriteriaContext(diagram).detail_graph(k, l, p, q)
-
-
-def graph_Gk(diagram: Diagram, k: int) -> CriteriaGraph:
-    """Graph on A_k; an edge needs a 2-connected detail graph for every l."""
-    return CriteriaContext(diagram).component_graph(k)
-
-
-def graph_H(diagram: Diagram, l: int, disk: int, end_minus: Vertex, end_plus: Vertex) -> CriteriaGraph:
-    """Edges = b-side pairs of composed rectangles with the given axis data."""
-    return CriteriaContext(diagram).cross_detail_graph(l, disk, end_minus, end_plus)
-
-
-def graph_Hd(diagram: Diagram, disk: int) -> CriteriaGraph:
-    """Side-tagged graph over both punctured label sets of one disk."""
-    return CriteriaContext(diagram).disk_graph(disk)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -515,26 +499,6 @@ def _missing_rc_types(ctx, k, gk, deleted, cap=6):
     return tuple(missing)
 
 
-def _connected_parts(adj, removed):
-    seen = set(removed)
-    parts = []
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        parts.append(comp)
-    return parts
-
-
 def double_rectangle_condition(
     diagram: Diagram, ctx: Optional[CriteriaContext] = None
 ) -> Verdict:
@@ -556,7 +520,7 @@ def double_rectangle_condition(
             hd = octx.disk_graph(disk)
             pair = doubly_two_connected_witness(hd)
             if pair is None:
-                if not _is_connected(hd.neighbors()):
+                if len(_connected_parts(hd.neighbors())) > 1:
                     tag = "families switched, " if swapped else ""
                     borderline.append(f"{tag}H_{disk}")
                 continue

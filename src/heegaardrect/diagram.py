@@ -38,7 +38,7 @@ PLUS = 1
 FAMILY_A = "A"
 FAMILY_B = "B"
 
-_A_OUT, _B_OUT, _A_IN, _B_IN = 0, 1, 2, 3
+A_OUT, B_OUT, A_IN, B_IN = 0, 1, 2, 3
 
 
 class DiagramError(ValueError):
@@ -171,9 +171,9 @@ class Diagram:
         for x, ci in self._cindex.items():
             base = 4 * ci
             if self.crossings[x].sign == PLUS:
-                order = (_A_OUT, _B_OUT, _A_IN, _B_IN)
+                order = (A_OUT, B_OUT, A_IN, B_IN)
             else:
-                order = (_A_OUT, _B_IN, _A_IN, _B_OUT)
+                order = (A_OUT, B_IN, A_IN, B_OUT)
             for j in range(4):
                 d = base + order[j]
                 e = base + order[(j + 1) % 4]
@@ -184,14 +184,14 @@ class Diagram:
             m = len(word)
             for t in range(m):
                 x, y = word[t], word[(t + 1) % m]
-                alpha[4 * self._cindex[x] + _A_OUT] = 4 * self._cindex[y] + _A_IN
-                alpha[4 * self._cindex[y] + _A_IN] = 4 * self._cindex[x] + _A_OUT
+                alpha[4 * self._cindex[x] + A_OUT] = 4 * self._cindex[y] + A_IN
+                alpha[4 * self._cindex[y] + A_IN] = 4 * self._cindex[x] + A_OUT
         for word in self.b_words.values():
             m = len(word)
             for t in range(m):
                 x, y = word[t], word[(t + 1) % m]
-                alpha[4 * self._cindex[x] + _B_OUT] = 4 * self._cindex[y] + _B_IN
-                alpha[4 * self._cindex[y] + _B_IN] = 4 * self._cindex[x] + _B_OUT
+                alpha[4 * self._cindex[x] + B_OUT] = 4 * self._cindex[y] + B_IN
+                alpha[4 * self._cindex[y] + B_IN] = 4 * self._cindex[x] + B_OUT
         self._sigma = sigma
         self._sigma_inv = sigma_inv
         self._alpha = alpha
@@ -247,11 +247,11 @@ class Diagram:
         x = self._crossing_ids[d // 4]
         port = d % 4
         cr = self.crossings[x]
-        if port in (_A_OUT, _A_IN):
+        if port in (A_OUT, A_IN):
             family, curve = FAMILY_A, cr.a_curve
         else:
             family, curve = FAMILY_B, cr.b_curve
-        side = PLUS if port in (_A_OUT, _B_OUT) else MINUS
+        side = PLUS if port in (A_OUT, B_OUT) else MINUS
         return FaceSide(family, curve, side)
 
     # -- basic queries -----------------------------------------------------
@@ -291,12 +291,6 @@ class Diagram:
     def b_curve_ids(self) -> tuple[str, ...]:
         return tuple(self.b_words)
 
-    def curve_index(self, curve: str) -> int:
-        """1-based index of a curve within its own family (sorted by id)."""
-        fam = self.curve_family(curve)
-        ids = self.a_curve_ids() if fam == FAMILY_A else self.b_curve_ids()
-        return ids.index(curve) + 1
-
     def face_of_dart(self, d: int) -> int:
         return self._face_of_dart[d]
 
@@ -309,9 +303,6 @@ class Diagram:
 
     def dart_crossing(self, d: int) -> str:
         return self._crossing_ids[d // 4]
-
-    def dart_side(self, d: int) -> FaceSide:
-        return self._dart_side(d)
 
     def a_edges(self) -> Iterator[tuple[str, str, str]]:
         """Yield (curve, x, y) for every edge of the first family, x -> y."""

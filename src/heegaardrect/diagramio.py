@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Optional
 
 from .criteria import (
     CriteriaContext,
     CriteriaGraph,
     Verdict,
+    _fmt_vertex,
     double_rectangle_condition,
     rectangle_condition,
 )
-from .diagram import Diagram, DiagramError, MINUS, PLUS, side_str
-from .systems import ValidationReport, validate_disk_systems
+from .diagram import Diagram, DiagramError, MINUS, PLUS
 
 FORMAT_VERSION = 1
 
@@ -151,22 +150,21 @@ def _missing_data(m) -> list:
     return [list(m.a_data[0]), m.a_data[1], list(m.a_data[2])]
 
 
-def build_report(
-    diagram: Diagram,
-    condition: str = "both",
-    validation: Optional[ValidationReport] = None,
-) -> dict:
-    """Structured report with input summary, validation and verdicts."""
-    if validation is None:
-        validation = validate_disk_systems(diagram)
+def build_report(diagram: Diagram, condition: str = "both") -> dict:
+    """Structured report with input summary, validation and verdicts.
+
+    A diagram that fails validation gets no verdicts: its report gives the
+    failing checks, with m and m* left null.
+    """
     ctx = CriteriaContext(diagram)
+    validation = ctx.validation
     report = {
         "input": {
             "genus": diagram.genus,
             "n": len(diagram.a_words),
             "n_star": len(diagram.b_words),
-            "m": ctx.m,
-            "m_star": ctx.m_star,
+            "m": ctx.m if validation.passed else None,
+            "m_star": ctx.m_star if validation.passed else None,
             "crossings": diagram.num_crossings,
         },
         "validation": {
@@ -174,6 +172,9 @@ def build_report(
             "entries": [{"code": c, "detail": t} for c, t in validation],
         },
     }
+    if not validation.passed:
+        report["annotations"] = []
+        return report
     if condition in ("rc", "both"):
         report["rc"] = _verdict_json(rectangle_condition(diagram, ctx))
         report["rc_swapped"] = _verdict_json(
@@ -239,12 +240,6 @@ def report_to_text(report: dict) -> str:
 # -- graph export ---------------------------------------------------------------
 
 
-def _vertex_name(v: tuple) -> str:
-    if len(v) == 2:
-        return f"({v[0]},{side_str(v[1])})"
-    return f"({side_str(v[0])};{v[1]},{side_str(v[2])})"
-
-
 def graph_to_dot(graph: CriteriaGraph, name: str = "G") -> str:
     """DOT text for a criteria graph; partition blocks become clusters."""
     lines = [f'graph "{name}" {{']
@@ -253,12 +248,12 @@ def graph_to_dot(graph: CriteriaGraph, name: str = "G") -> str:
             lines.append(f"  subgraph cluster_{tag} {{")
             lines.append(f'    label="{tag} block";')
             for v in sorted(block):
-                lines.append(f'    "{_vertex_name(v)}";')
+                lines.append(f'    "{_fmt_vertex(v)}";')
             lines.append("  }")
     else:
         for v in sorted(graph.vertices):
-            lines.append(f'  "{_vertex_name(v)}";')
+            lines.append(f'  "{_fmt_vertex(v)}";')
     for u, v in sorted(graph.edges):
-        lines.append(f'  "{_vertex_name(u)}" -- "{_vertex_name(v)}";')
+        lines.append(f'  "{_fmt_vertex(u)}" -- "{_fmt_vertex(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .diagram import FAMILY_A, FAMILY_B, Diagram, DiagramError, Face
+
+from .diagram import A_OUT, B_OUT, FAMILY_A, FAMILY_B, Diagram, DiagramError, Face
 
 SidePair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -81,18 +82,17 @@ def composed_rectangles(
         axis_index = {c: i + 1 for i, c in enumerate(diagram.a_curve_ids())}
         other_index = {c: i + 1 for i, c in enumerate(diagram.b_curve_ids())}
         edges = diagram.a_edges()
-        out_port = 0  # a_out
+        out_port = A_OUT
         axis_tag, other_tag = FAMILY_A, FAMILY_B
     elif axis_family == FAMILY_B:
         axis_index = {c: i + 1 for i, c in enumerate(diagram.b_curve_ids())}
         other_index = {c: i + 1 for i, c in enumerate(diagram.a_curve_ids())}
         edges = diagram.b_edges()
-        out_port = 1  # b_out
+        out_port = B_OUT
         axis_tag, other_tag = FAMILY_B, FAMILY_A
     else:
         raise DiagramError(f"unknown family {axis_family!r}")
 
-    rect_faces = {f.index: (f, t) for f, t in rectangle_faces(diagram)}
     out = []
     for curve, x, _y in edges:
         d_out = diagram.dart(x, out_port)
@@ -101,10 +101,9 @@ def composed_rectangles(
         f_minus_i = diagram.face_of_dart(diagram.mate(d_out))
         if f_plus_i == f_minus_i:
             continue
-        if f_plus_i not in rect_faces or f_minus_i not in rect_faces:
+        f_plus, f_minus = diagram.faces[f_plus_i], diagram.faces[f_minus_i]
+        if f_plus.degree != 4 or f_minus.degree != 4:
             continue
-        f_plus, _ = rect_faces[f_plus_i]
-        f_minus, _ = rect_faces[f_minus_i]
         if _face_shared_edge_count(diagram, f_minus, f_plus) != 1:
             continue
         axis = axis_index[curve]

@@ -10,17 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import (
-    FAMILY_A,
-    FAMILY_B,
-    Diagram,
-    DiagramError,
-    MINUS,
-    PLUS,
-    side_str,
-)
-
-_A_OUT, _B_OUT, _A_IN, _B_IN = 0, 1, 2, 3
+from .diagram import A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, Diagram, DiagramError
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,7 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    out_port = _B_OUT if cut_a else _A_OUT
+    out_port = B_OUT if cut_a else A_OUT
     edges = diagram.b_edges() if cut_a else diagram.a_edges()
     interior_edges = []
     for _, x, _y in edges:
@@ -98,8 +88,8 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     # split vertices: each crossing contributes one vertex per side of its
     # cut-family strand, assigned to the component of the adjacent quadrant
     vertex_count: dict[int, int] = {r: 0 for r in groups}
-    plus_port = _A_OUT if cut_a else _B_OUT
-    minus_port = _A_IN if cut_a else _B_IN
+    plus_port = A_OUT if cut_a else B_OUT
+    minus_port = A_IN if cut_a else B_IN
     for x in diagram.crossing_ids():
         for port in (plus_port, minus_port):
             r = find(diagram.face_of_dart(diagram.dart(x, port)))
@@ -132,24 +122,6 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     return tuple(components)
 
 
-def lambda_set(
-    diagram: Diagram, disk: int, side: int, family: str = FAMILY_A
-) -> tuple[int, frozenset[tuple[int, int]]]:
-    """The component index holding (disk, side) and its punctured label set.
-
-    Returns ``(k, A_k \\ {(disk, side)})`` for the cut along `family`.
-    """
-    ids = diagram.a_curve_ids() if family == FAMILY_A else diagram.b_curve_ids()
-    if not 1 <= disk <= len(ids):
-        raise DiagramError(f"disk index {disk} out of range 1..{len(ids)}")
-    if side not in (MINUS, PLUS):
-        raise DiagramError("side must be +1 or -1")
-    for comp in cut_components(diagram, family):
-        if (disk, side) in comp.a_set:
-            return comp.index, frozenset(comp.a_set - {(disk, side)})
-    raise DiagramError(f"({disk},{side_str(side)}) not on any component")
-
-
 @dataclass
 class ValidationReport:
     """Outcome of the disk-system checks, with one entry per failure."""
@@ -174,6 +146,20 @@ def validate_disk_systems(diagram: Diagram) -> ValidationReport:
     component of either family is planar, none is a disk or an annulus
     between two distinct curves, and both curve counts lie in [g, 3g-3].
     """
+    comps_b = () if diagram.aux else cut_components(diagram, FAMILY_B)
+    return validate_components(diagram, cut_components(diagram, FAMILY_A), comps_b)
+
+
+def validate_components(
+    diagram: Diagram,
+    comps_a: tuple[CutComponent, ...],
+    comps_b: tuple[CutComponent, ...],
+) -> ValidationReport:
+    """`validate_disk_systems` on the diagram's already cut components.
+
+    The second family of a multicurve map is not checked, so `comps_b` is
+    ignored there.
+    """
     report = ValidationReport()
     g = diagram.genus
     if g < 2:
@@ -182,8 +168,8 @@ def validate_disk_systems(diagram: Diagram) -> ValidationReport:
         report.add("bigon", f"bigon face {f.index} between "
                    f"{f.sides[0].curve} and {f.sides[1].curve}")
 
-    for family, count in ((FAMILY_A, len(diagram.a_words)),
-                          (FAMILY_B, len(diagram.b_words))):
+    for family, count, comps in ((FAMILY_A, len(diagram.a_words), comps_a),
+                                 (FAMILY_B, len(diagram.b_words), comps_b)):
         if diagram.aux and family == FAMILY_B:
             report.add("aux", "multicurve maps carry no second disk system")
             continue
@@ -192,7 +178,7 @@ def validate_disk_systems(diagram: Diagram) -> ValidationReport:
                 "count",
                 f"family {family} has {count} curves, outside [{g}, {3 * g - 3}]",
             )
-        for comp in cut_components(diagram, family):
+        for comp in comps:
             where = f"family {family} component {comp.index}"
             if not comp.planar:
                 report.add("nonplanar", f"{where} is not planar (euler {comp.euler}, "

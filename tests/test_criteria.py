@@ -12,10 +12,6 @@ from heegaardrect.criteria import (
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
-    graph_G,
-    graph_Gk,
-    graph_H,
-    graph_Hd,
     is_doubly_two_connected,
     is_two_connected,
     rectangle_condition,
@@ -246,15 +242,16 @@ H1_EDGES = {
 
 
 def test_component_graph_is_hexagon(example_32):
-    gk = graph_Gk(example_32, 1)
+    gk = CriteriaContext(example_32).component_graph(1)
     assert len(gk.vertices) == 6
     assert gk.edges == frozenset(HEXAGON)
     assert is_two_connected(gk)
 
 
 def test_detail_graphs_two_connected_on_hexagon_pairs(example_32):
+    ctx = CriteriaContext(example_32)
     for p, q in HEXAGON:
-        g = graph_G(example_32, 1, 1, p, q)
+        g = ctx.detail_graph(1, 1, p, q)
         assert is_two_connected(g)
         assert g.vertices == frozenset(
             (v, s) for v in (1, 2, 3) for s in (MINUS, PLUS)
@@ -262,24 +259,25 @@ def test_detail_graphs_two_connected_on_hexagon_pairs(example_32):
 
 
 def test_detail_graph_precondition(example_32):
+    ctx = CriteriaContext(example_32)
     with pytest.raises(DiagramError, match="not in A_1"):
-        graph_G(example_32, 1, 1, (99, PLUS), (1, MINUS))
+        ctx.detail_graph(1, 1, (99, PLUS), (1, MINUS))
     with pytest.raises(DiagramError, match="out of range"):
-        graph_G(example_32, 7, 1, (1, PLUS), (1, MINUS))
+        ctx.detail_graph(7, 1, (1, PLUS), (1, MINUS))
     with pytest.raises(DiagramError, match="out of range"):
-        graph_Gk(example_32, 99)
+        ctx.component_graph(99)
 
 
 def test_hexagon_fixture_graphs_edgeless():
-    d = hexagon_diagram()
-    gk = graph_Gk(d, 1)
+    ctx = CriteriaContext(hexagon_diagram())
+    gk = ctx.component_graph(1)
     assert gk.edges == frozenset()
-    g = graph_G(d, 1, 1, (1, MINUS), (1, PLUS))
+    g = ctx.detail_graph(1, 1, (1, MINUS), (1, PLUS))
     assert g.edges == frozenset()
 
 
 def test_disk_graph_structure(example_32):
-    hd = graph_Hd(example_32, 1)
+    hd = CriteriaContext(example_32).disk_graph(1)
     assert len(hd.vertices) == 10
     lo, hi = hd.partition
     assert len(lo) == len(hi) == 5
@@ -290,20 +288,22 @@ def test_disk_graph_structure(example_32):
 
 
 def test_disk_graph_all_disks(example_32):
+    ctx = CriteriaContext(example_32)
     for disk in (1, 2, 3):
-        assert is_doubly_two_connected(graph_Hd(example_32, disk))
+        assert is_doubly_two_connected(ctx.disk_graph(disk))
 
 
 def test_disk_graph_out_of_range(example_32):
+    ctx = CriteriaContext(example_32)
     with pytest.raises(DiagramError, match="out of range"):
-        graph_Hd(example_32, 0)
+        ctx.disk_graph(0)
     with pytest.raises(DiagramError, match="out of range"):
-        graph_Hd(example_32, 4)
+        ctx.disk_graph(4)
 
 
 def test_cross_detail_precondition(example_32):
     with pytest.raises(DiagramError, match="Lambda"):
-        graph_H(example_32, 1, 1, (1, MINUS), (2, MINUS))
+        CriteriaContext(example_32).cross_detail_graph(1, 1, (1, MINUS), (2, MINUS))
 
 
 def test_minimal_case_matches_flat_definitions(example_32, example_22):
@@ -323,7 +323,8 @@ def test_minimal_case_matches_flat_definitions(example_32, example_22):
             ]
             return graph_from_edges(edges, vertices=all_labels)
 
-        gk = graph_Gk(d, 1)
+        ctx = CriteriaContext(d)
+        gk = ctx.component_graph(1)
         expected = [
             (p, q)
             for p, q in itertools.combinations(sorted(all_labels), 2)
@@ -333,7 +334,7 @@ def test_minimal_case_matches_flat_definitions(example_32, example_22):
         assert gk.vertices == frozenset(all_labels)
 
         for disk in range(1, n + 1):
-            hd = graph_Hd(d, disk)
+            hd = ctx.disk_graph(disk)
             lam = [p for p in all_labels if p != (disk, MINUS)]
             lam_plus = [p for p in all_labels if p != (disk, PLUS)]
             cross = []
@@ -372,13 +373,14 @@ def test_rectangle_condition_hexagon_fixture():
 
 def test_maximal_component_graphs_have_three_vertices(example_32_maximal):
     """Pants pieces have three boundary sides, so each G_k sits on three."""
+    ctx = CriteriaContext(example_32_maximal)
     for k in (1, 2, 3, 4):
-        assert len(graph_Gk(example_32_maximal, k).vertices) == 3
+        assert len(ctx.component_graph(k).vertices) == 3
 
 
 def test_disk_graph_vertex_count_minimal(example_22):
     """Minimal genus-g systems give 2(2g-1) vertices per disk graph."""
-    assert len(graph_Hd(example_22, 1).vertices) == 6
+    assert len(CriteriaContext(example_22).disk_graph(1).vertices) == 6
 
 
 def test_verdicts_invariant_under_crossing_relabeling(example_22):

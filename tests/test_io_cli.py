@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import heegaardrect
 from heegaardrect.cli import main
 from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import Diagram, DiagramError
@@ -13,9 +19,9 @@ from heegaardrect.diagramio import (
     report_to_text,
     serialize_diagram,
 )
-from heegaardrect.twist import chain_base
+from heegaardrect.twist import chain_base, example_diagram
 
-from conftest import hexagon_diagram, split_components_diagram, torus_one
+from conftest import hexagon_diagram, split_components_diagram, torus_one, torus_two
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,7 +108,7 @@ def test_failing_report_matches_golden(example_32_maximal):
 
 
 def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
-    counts = {"contexts": 0, "swaps": 0}
+    counts = {"contexts": 0, "swaps": 0, "cut_components": 0, "rectangle_faces": 0}
     init, swap_roles = CriteriaContext.__init__, Diagram.swap_roles
 
     def counting_init(self, diagram):
@@ -113,10 +119,25 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
         counts["swaps"] += 1
         return swap_roles(self)
 
+    def count_calls(name):
+        """Count calls of the package function `name` from every module that holds it."""
+        original = getattr(heegaardrect, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("heegaardrect") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
     monkeypatch.setattr(CriteriaContext, "__init__", counting_init)
     monkeypatch.setattr(Diagram, "swap_roles", counting_swap_roles)
+    count_calls("cut_components")
+    count_calls("rectangle_faces")
     build_report(example_32, "both")
-    assert counts == {"contexts": 2, "swaps": 1}
+    # each orientation cuts each family once and lists its rectangles once
+    assert counts == {"contexts": 2, "swaps": 1, "cut_components": 4, "rectangle_faces": 2}
 
 
 def test_report_witnesses_serialize(example_32_maximal):
@@ -195,13 +216,14 @@ def _torus_doc_with(mangle) -> str:
         _torus_doc_with(lambda doc: doc.update(format_version=True)),
         _torus_doc_with(lambda doc: doc.update(format_version=1.0)),
         "[" * 100000,
+        b"\xff\xfe{",
     ],
     ids=["int-token", "bool-token", "int-signed-token", "version-true",
-         "version-float", "deep-nesting"],
+         "version-float", "deep-nesting", "non-utf8"],
 )
 def test_cli_rejects_hostile_input(tmp_path, capsys, text):
     f = tmp_path / "hostile.json"
-    f.write_text(text)
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
     for command in (["check"], ["validate"], ["export-graph", "--which", "Gk:1"]):
         assert run_cli(*command[:1], str(f), *command[1:]) == 2
         err = capsys.readouterr().err
@@ -212,6 +234,37 @@ def test_cli_check_invalid_diagram_exits_2(tmp_path):
     f = tmp_path / "torus.json"
     f.write_text(serialize_diagram(torus_one()))
     assert run_cli("check", str(f)) == 2  # fails validation: genus 1
+
+
+def test_cli_check_validation_report_matches_golden(tmp_path, capsys):
+    f = tmp_path / "split.json"
+    f.write_text(serialize_diagram(split_components_diagram()))
+    for extra, golden in (([], "report_split_invalid.txt"),
+                          (["--structured"], "report_split_invalid.json")):
+        assert run_cli("check", str(f), *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / golden).read_text()
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "{file}"],
+        ["generate", "--genus", "2", "--power", "2"],
+        ["export-graph", "{file}", "--which", "Gk:1"],
+    ],
+    ids=["check", "generate", "export-graph"],
+)
+def test_cli_rejects_unwritable_output(tmp_path, capsys, example_22, command):
+    f = tmp_path / "d.json"
+    f.write_text(serialize_diagram(example_22))
+    out = tmp_path / "missing" / "out.txt"
+    argv = [str(f) if arg == "{file}" else arg for arg in command]
+    assert run_cli(*argv, "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -247,6 +300,22 @@ def test_cli_export_graph(tmp_path, capsys):
     assert "--" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "make,code",
+    [(torus_one, "genus"), (lambda: chain_base(3), "aux")],
+    ids=["genus-1", "aux-curve"],
+)
+def test_cli_export_graph_rejects_invalid_diagram(tmp_path, capsys, make, code):
+    f = tmp_path / "d.json"
+    f.write_text(serialize_diagram(make()))
+    for which in ("Gk:1", "Hd:1"):
+        assert run_cli("export-graph", str(f), "--which", which, "--dot") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: diagram fails validation: ")
+        assert captured.err.count("\n") == 1 and code in captured.err
+
+
 def test_cli_export_graph_bad_selector(tmp_path, capsys):
     f = tmp_path / "d.json"
     run_cli("generate", "--genus", "2", "--power", "2", "-o", str(f))
@@ -261,3 +330,78 @@ def test_cli_output_is_plain_text(tmp_path, capsys):
     run_cli("check", str(f))
     out = capsys.readouterr().out
     assert "\x1b[" not in out  # no ANSI escapes regardless of NO_COLOR
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+# The two families draw curve ids from alphabets that share one id, so some
+# diagrams use an id in both families; the shared id holds a line break.
+FIRST_IDS, SECOND_IDS = ("a", "b", "s\n"), ("e", "f", "s\n")
+CROSSING_IDS = ("p", "q", "r", "s", "t", "u")
+JUNK_TOKENS = (1, True, None, "", "p", "p+", "q-", "p\n", ["p"])
+# valid (RC holds or fails), invalid, and multicurve-map files to start from
+FIXTURE_DOCS = tuple(
+    json.loads(serialize_diagram(d))
+    for d in (example_diagram(2, 2), hexagon_diagram(), torus_two(),
+              split_components_diagram(), chain_base(2))
+)
+
+
+@st.composite
+def diagram_files(draw):
+    """JSON text of small diagrams, from random words or a fixture, some with a defect."""
+
+    def curves(tokens, alphabet, most=3):
+        order = draw(st.permutations(tokens))
+        count = draw(st.integers(1, min(most, len(order))))
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(order) - 1)),
+                                   min_size=count - 1, max_size=count - 1)))
+        ids = draw(st.lists(st.sampled_from(alphabet), min_size=count,
+                            max_size=count, unique=True))
+        bounds = [0, *cuts, len(order)]
+        return {c: list(order[i:j]) for c, i, j in zip(ids, bounds, bounds[1:])}
+
+    if draw(st.booleans()):
+        doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
+    else:
+        crossings = draw(st.lists(st.sampled_from(CROSSING_IDS), min_size=1,
+                                  max_size=len(CROSSING_IDS), unique=True))
+        second = draw(st.sampled_from(("dstar_curves", "dstar_curves", "aux_curve")))
+        doc = {
+            "format_version": 1,
+            "d_curves": curves([x + draw(st.sampled_from("+-")) for x in crossings],
+                               FIRST_IDS),
+            second: curves(crossings, SECOND_IDS, 1 if second == "aux_curve" else 3),
+        }
+    defect = draw(st.sampled_from((None, None, "version", "rename", "sign", "junk")))
+    family = doc[draw(st.sampled_from([k for k in doc if k != "format_version"]))]
+    word = family[draw(st.sampled_from(sorted(family)))]
+    if defect == "version":
+        doc["format_version"] = draw(st.sampled_from((2, "1", 1.0, True, None)))
+    elif defect == "rename":
+        family[draw(st.sampled_from(FIRST_IDS + SECOND_IDS))] = word
+    elif defect == "sign":
+        signed = doc["d_curves"][draw(st.sampled_from(sorted(doc["d_curves"])))]
+        i = draw(st.integers(0, len(signed) - 1))
+        signed[i] = signed[i][:-1] + ("-" if signed[i].endswith("+") else "+")
+    elif defect == "junk":
+        word.insert(draw(st.integers(0, len(word))), draw(st.sampled_from(JUNK_TOKENS)))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=diagram_files())
+def test_cli_fuzz_exit_codes(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "fuzz.json"
+    f.write_text(text)
+    for command in (["check"], ["validate"], ["export-graph", "--which", "Gk:1"],
+                    ["export-graph", "--which", "Hd:1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(f), *command[1:]])
+        assert code in (0, 1, 2)
+        stderr = err.getvalue()
+        if code == 2 and not (command == ["check"] and stderr == ""):
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        elif code != 2:
+            assert stderr == ""

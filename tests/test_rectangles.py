@@ -53,11 +53,12 @@ def test_composed_rectangles_share_cross_sides(example_32):
 
 
 def test_composed_axis_ends_in_punctured_sets(example_32):
-    from heegaardrect.systems import lambda_set
+    from heegaardrect.criteria import CriteriaContext
 
+    ctx = CriteriaContext(example_32)
     for ctype, _, _ in composed_rectangles(example_32, FAMILY_A):
-        _, lam_minus = lambda_set(example_32, ctype.axis, MINUS)
-        _, lam_plus = lambda_set(example_32, ctype.axis, PLUS)
+        lam_minus = ctx.lambda_of(ctype.axis, MINUS)
+        lam_plus = ctx.lambda_of(ctype.axis, PLUS)
         assert ctype.end_minus in lam_minus
         assert ctype.end_plus in lam_plus
 

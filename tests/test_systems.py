@@ -1,7 +1,8 @@
 import pytest
 
+from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import DiagramError, FAMILY_A, FAMILY_B, MINUS, PLUS
-from heegaardrect.systems import cut_components, lambda_set, validate_disk_systems
+from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import chain_base
 
 from conftest import (
@@ -83,7 +84,8 @@ def test_cut_components_bad_family():
 
 
 def test_lambda_set_minimal(example_32):
-    k, lam = lambda_set(example_32, 1, MINUS)
+    ctx = CriteriaContext(example_32)
+    k, lam = ctx.k_of(1, MINUS), ctx.lambda_of(1, MINUS)
     assert k == 1
     assert len(lam) == 5
     assert (1, MINUS) not in lam and (1, PLUS) in lam
@@ -91,17 +93,18 @@ def test_lambda_set_minimal(example_32):
 
 def test_lambda_set_split_fixture():
     d = split_components_diagram()
-    k, lam = lambda_set(d, 3, MINUS)
+    lam = CriteriaContext(d).lambda_of(3, MINUS)
     assert lam == frozenset({(1, MINUS), (2, PLUS), (3, PLUS)})
 
 
 def test_lambda_set_out_of_range(example_32):
+    ctx = CriteriaContext(example_32)
     with pytest.raises(DiagramError, match="out of range"):
-        lambda_set(example_32, 99, MINUS)
+        ctx.lambda_of(99, MINUS)
     with pytest.raises(DiagramError, match="out of range"):
-        lambda_set(example_32, 0, PLUS)
+        ctx.lambda_of(0, PLUS)
     with pytest.raises(DiagramError, match="side"):
-        lambda_set(example_32, 1, 0)
+        ctx.lambda_of(1, 0)
 
 
 def test_validation_rejects_low_genus():
