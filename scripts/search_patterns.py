@@ -86,24 +86,12 @@ def search_maximal(power):
     embedding; this reproduces that uniqueness and its failing verdict.
     """
     from heegaardrect.systems import cut_components
-    from heegaardrect.twist import chain_base
+    from heegaardrect.twist import maximal_chain_base
 
-    base3 = chain_base(3)
-    merid_words = {c: base3.a_words[c] for c in base3.a_curve_ids()}
-    c0, c1, c2, c7 = base3.a_words["d1"]
-    c3, c8, c9, c10 = base3.a_words["d2"]
-    c4, c5, c6, c11 = base3.a_words["d3"]
-    gamma = (
-        c0, "q4_0", "q5_0", c1, "q4_1", "q5_1", c2, c3,
-        c4, "q5_2", "q6_0", c5, "q5_3", "q6_1", c6, c7,
-        c8, "q6_2", "q4_2", c9, "q6_3", "q4_3", c10, c11,
-    )
-    signs = {x: base3.crossings[x].sign for x in base3.crossings}
-    signs.update({
-        "q4_0": -1, "q4_1": -1, "q4_2": 1, "q4_3": 1,
-        "q5_0": 1, "q5_1": 1, "q5_2": -1, "q5_3": -1,
-        "q6_0": 1, "q6_1": 1, "q6_2": -1, "q6_3": -1,
-    })
+    maximal = maximal_chain_base()
+    merid_words = {c: maximal.a_words[c] for c in ("d1", "d2", "d3")}
+    (gamma,) = maximal.b_words.values()
+    signs = {x: cr.sign for x, cr in maximal.crossings.items()}
     perms = [(0,) + p for p in itertools.permutations((1, 2, 3))]
     embeddable = 0
     for o4 in perms:

@@ -468,7 +468,7 @@ def rectangle_condition(diagram: Diagram, ctx: Optional[CriteriaContext] = None)
             reason, verts = "disconnected", ()
         else:
             reason, verts = "cut-vertex", (failure[1],)
-        missing = _missing_rc_types(ctx, k, gk, verts)
+        missing = _missing_types(gk, verts, lambda p, q: _missing_rectangle(ctx, k, p, q))
         witnesses.append(
             Witness("rc", False, k, reason, verts, missing)
         )
@@ -476,27 +476,46 @@ def rectangle_condition(diagram: Diagram, ctx: Optional[CriteriaContext] = None)
     return Verdict(holds, tuple(witnesses), NOTE_RC if holds else "")
 
 
-def _missing_rc_types(ctx, k, gk, deleted, cap=6):
-    """Absent edges of G_k that would reconnect it, as missing rectangle types."""
-    adj = gk.neighbors()
-    removed = frozenset(deleted)
-    comps = _connected_parts(adj, removed)
+def _missing_types(graph, deleted, explain, cap=6) -> tuple:
+    """Absent edges between the parts of `graph` minus `deleted` that would
+    reconnect it, each explained by `explain(u, v)` as a `MissingType`."""
+    parts = _connected_parts(graph.neighbors(), frozenset(deleted))
     missing = []
-    for ci in range(len(comps)):
-        for cj in range(ci + 1, len(comps)):
-            for p in sorted(comps[ci]):
-                for q in sorted(comps[cj]):
-                    l_fail = ctx.first_failing_l_detail(k, *sorted((p, q)))
-                    vert = None
-                    if l_fail is not None:
-                        w = two_connected_witness(ctx.detail_graph(k, l_fail, p, q))
-                        vert = w[1] if w and len(w) > 1 else None
-                    missing.append(
-                        MissingType("rectangle", tuple(sorted((p, q))), l_fail, vert)
-                    )
+    for i, part in enumerate(parts):
+        for other in parts[i + 1:]:
+            for u in sorted(part):
+                for v in sorted(other):
+                    missing.append(explain(u, v))
                     if len(missing) >= cap:
                         return tuple(missing)
     return tuple(missing)
+
+
+def _missing_type(kind, a_data, l_fail, graph_of_l) -> MissingType:
+    """The missing type, with the vertex where the detail graph at `l_fail` breaks."""
+    vert = None
+    if l_fail is not None:
+        w = two_connected_witness(graph_of_l(l_fail))
+        vert = w[1] if w and len(w) > 1 else None
+    return MissingType(kind, a_data, l_fail, vert)
+
+
+def _missing_rectangle(ctx, k, p, q) -> MissingType:
+    """The rectangle type for the absent edge p-q of G_k."""
+    p, q = sorted((p, q))
+    return _missing_type("rectangle", (p, q), ctx.first_failing_l_detail(k, p, q),
+                         lambda l: ctx.detail_graph(k, l, p, q))
+
+
+def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
+    """The type for the absent edge u-v of H_d: a rectangle inside one block,
+    a composed rectangle across the blocks."""
+    if u[0] == v[0]:
+        return _missing_rectangle(ctx, ctx.k_of(disk, u[0]), u[1:], v[1:])
+    em, ep = (u[1:], v[1:]) if u[0] == MINUS else (v[1:], u[1:])
+    return _missing_type("composed-rectangle", (em, disk, ep),
+                         ctx.first_failing_l_cross(disk, em, ep),
+                         lambda l: ctx.cross_detail_graph(l, disk, em, ep))
 
 
 def double_rectangle_condition(
@@ -524,7 +543,9 @@ def double_rectangle_condition(
                     tag = "families switched, " if swapped else ""
                     borderline.append(f"{tag}H_{disk}")
                 continue
-            missing = _missing_drc_types(octx, disk, hd, pair)
+            missing = _missing_types(
+                hd, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
+            )
             witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
     holds = not witnesses
     note = NOTE_DRC if holds else ""
@@ -535,43 +556,3 @@ def double_rectangle_condition(
         )
         note = f"{note} ({flag})" if note else flag
     return Verdict(holds, tuple(witnesses), note)
-
-
-def _missing_drc_types(ctx, disk, hd, pair, cap=6):
-    """Absent edges of H_d - pair that would reconnect it, typed per block."""
-    adj = hd.neighbors()
-    comps = _connected_parts(adj, frozenset(pair))
-    missing = []
-    for ci in range(len(comps)):
-        for cj in range(ci + 1, len(comps)):
-            for u in sorted(comps[ci]):
-                for v in sorted(comps[cj]):
-                    if u[0] == v[0]:
-                        k = ctx.k_of(disk, u[0])
-                        p, q = sorted((u[1:], v[1:]))
-                        l_fail = ctx.first_failing_l_detail(k, p, q)
-                        vert = None
-                        if l_fail is not None:
-                            w = two_connected_witness(ctx.detail_graph(k, l_fail, p, q))
-                            vert = w[1] if w and len(w) > 1 else None
-                        missing.append(MissingType("rectangle", (p, q), l_fail, vert))
-                    else:
-                        em, ep = (u, v) if u[0] == MINUS else (v, u)
-                        l_fail = ctx.first_failing_l_cross(disk, em[1:], ep[1:])
-                        vert = None
-                        if l_fail is not None:
-                            w = two_connected_witness(
-                                ctx.cross_detail_graph(l_fail, disk, em[1:], ep[1:])
-                            )
-                            vert = w[1] if w and len(w) > 1 else None
-                        missing.append(
-                            MissingType(
-                                "composed-rectangle",
-                                (em[1:], disk, ep[1:]),
-                                l_fail,
-                                vert,
-                            )
-                        )
-                    if len(missing) >= cap:
-                        return tuple(missing)
-    return tuple(missing)

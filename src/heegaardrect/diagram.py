@@ -40,6 +40,10 @@ FAMILY_B = "B"
 
 A_OUT, B_OUT, A_IN, B_IN = 0, 1, 2, 3
 
+# the (out, in) ports of each family's strand, and the family it crosses
+PORTS = {FAMILY_A: (A_OUT, A_IN), FAMILY_B: (B_OUT, B_IN)}
+OTHER_FAMILY = {FAMILY_A: FAMILY_B, FAMILY_B: FAMILY_A}
+
 
 class DiagramError(ValueError):
     """Raised for malformed diagram data."""
@@ -134,33 +138,28 @@ class Diagram:
     # -- construction ------------------------------------------------------
 
     def _check_words(self):
-        if not self.a_words:
-            raise DiagramError("empty first curve family")
-        if not self.b_words:
-            raise DiagramError("empty second curve family")
+        families = ((self.a_words, "first"), (self.b_words, "second"))
+        for words, which in families:
+            if not words:
+                raise DiagramError(f"empty {which} curve family")
         if self.aux and len(self.b_words) != 1:
             raise DiagramError("a multicurve map has exactly one auxiliary curve")
         dup = set(self.a_words) & set(self.b_words)
         if dup:
             raise DiagramError(f"curve ids used in both families: {sorted(dup)}")
-        seen_a: set[str] = set()
-        for curve, word in self.a_words.items():
-            if not word:
-                raise DiagramError(f"curve {curve} has an empty word")
-            for x in word:
-                if x in seen_a:
-                    raise DiagramError(f"crossing {x} occurs twice in the first family")
-                seen_a.add(x)
-        seen_b: set[str] = set()
-        for curve, word in self.b_words.items():
-            if not word:
-                raise DiagramError(f"curve {curve} has an empty word")
-            for x in word:
-                if x in seen_b:
-                    raise DiagramError(f"crossing {x} occurs twice in the second family")
-                seen_b.add(x)
-        if seen_a != seen_b:
-            missing = seen_a ^ seen_b
+        seen = []
+        for words, which in families:
+            crossings = set()
+            for curve, word in words.items():
+                if not word:
+                    raise DiagramError(f"curve {curve} has an empty word")
+                for x in word:
+                    if x in crossings:
+                        raise DiagramError(f"crossing {x} occurs twice in the {which} family")
+                    crossings.add(x)
+            seen.append(crossings)
+        if seen[0] != seen[1]:
+            missing = seen[0] ^ seen[1]
             raise DiagramError(f"crossing occurrences do not match up: {sorted(missing)}")
 
     def _build_map(self):
@@ -180,18 +179,10 @@ class Diagram:
                 sigma[d] = e
                 sigma_inv[e] = d
         alpha = [0] * nd
-        for word in self.a_words.values():
-            m = len(word)
-            for t in range(m):
-                x, y = word[t], word[(t + 1) % m]
-                alpha[4 * self._cindex[x] + A_OUT] = 4 * self._cindex[y] + A_IN
-                alpha[4 * self._cindex[y] + A_IN] = 4 * self._cindex[x] + A_OUT
-        for word in self.b_words.values():
-            m = len(word)
-            for t in range(m):
-                x, y = word[t], word[(t + 1) % m]
-                alpha[4 * self._cindex[x] + B_OUT] = 4 * self._cindex[y] + B_IN
-                alpha[4 * self._cindex[y] + B_IN] = 4 * self._cindex[x] + B_OUT
+        for family, (out_port, in_port) in PORTS.items():
+            for _, x, y in self.edges(family):
+                alpha[4 * self._cindex[x] + out_port] = 4 * self._cindex[y] + in_port
+                alpha[4 * self._cindex[y] + in_port] = 4 * self._cindex[x] + out_port
         self._sigma = sigma
         self._sigma_inv = sigma_inv
         self._alpha = alpha
@@ -278,13 +269,6 @@ class Diagram:
             return FAMILY_B
         raise DiagramError(f"unknown curve id {curve!r}")
 
-    def word(self, curve: str) -> tuple[str, ...]:
-        if curve in self.a_words:
-            return self.a_words[curve]
-        if curve in self.b_words:
-            return self.b_words[curve]
-        raise DiagramError(f"unknown curve id {curve!r}")
-
     def a_curve_ids(self) -> tuple[str, ...]:
         return tuple(self.a_words)
 
@@ -304,15 +288,10 @@ class Diagram:
     def dart_crossing(self, d: int) -> str:
         return self._crossing_ids[d // 4]
 
-    def a_edges(self) -> Iterator[tuple[str, str, str]]:
-        """Yield (curve, x, y) for every edge of the first family, x -> y."""
-        for curve, word in self.a_words.items():
-            m = len(word)
-            for t in range(m):
-                yield curve, word[t], word[(t + 1) % m]
-
-    def b_edges(self) -> Iterator[tuple[str, str, str]]:
-        for curve, word in self.b_words.items():
+    def edges(self, family: str) -> Iterator[tuple[str, str, str]]:
+        """Yield (curve, x, y) for every edge of `family`, x -> y."""
+        words = self.a_words if family == FAMILY_A else self.b_words
+        for curve, word in words.items():
             m = len(word)
             for t in range(m):
                 yield curve, word[t], word[(t + 1) % m]
@@ -376,18 +355,13 @@ class Diagram:
         if len(corners) != 2:
             raise DiagramError("degenerate bigon with identified corners")
         x, y = sorted(corners)
-        a_words = {}
-        for c, w in self.a_words.items():
-            nw = tuple(z for z in w if z not in (x, y))
-            if not nw:
-                raise DiagramError(f"curve eliminated: {c} meets the rest only in a bigon")
-            a_words[c] = nw
-        b_words = {}
-        for c, w in self.b_words.items():
-            nw = tuple(z for z in w if z not in (x, y))
-            if not nw:
-                raise DiagramError(f"curve eliminated: {c} meets the rest only in a bigon")
-            b_words[c] = nw
+        a_words, b_words = {}, {}
+        for words, out in ((self.a_words, a_words), (self.b_words, b_words)):
+            for c, w in words.items():
+                nw = tuple(z for z in w if z not in (x, y))
+                if not nw:
+                    raise DiagramError(f"curve eliminated: {c} meets the rest only in a bigon")
+                out[c] = nw
         signs = {z: cr.sign for z, cr in self.crossings.items() if z not in (x, y)}
         out = Diagram(a_words, b_words, signs, aux=self.aux)
         if out.genus != self.genus:

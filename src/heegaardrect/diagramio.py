@@ -25,8 +25,8 @@ from .diagram import Diagram, DiagramError, MINUS, PLUS
 
 FORMAT_VERSION = 1
 
-_TOKEN = re.compile(r"^([A-Za-z0-9_]+)([+-])$")
-_BARE = re.compile(r"^[A-Za-z0-9_]+$")
+_TOKEN = re.compile(r"([A-Za-z0-9_]+)([+-])")
+_BARE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -62,30 +62,21 @@ def parse_diagram(text: str) -> Diagram:
             raise DiagramError(f"curve {curve}: word must be a non-empty list")
         toks = []
         for tok in word:
-            m = _TOKEN.match(tok) if isinstance(tok, str) else None
+            m = _TOKEN.fullmatch(tok) if isinstance(tok, str) else None
             if not m:
                 raise DiagramError(f"curve {curve}: bad signed token {tok!r}")
             x, s = m.group(1), m.group(2)
-            if x in signs:
-                raise DiagramError(f"crossing {x} occurs twice in d_curves")
             signs[x] = PLUS if s == "+" else MINUS
             toks.append(x)
         a_words[curve] = tuple(toks)
     b_words = {}
-    seen = set()
     for curve, word in second.items():
         if not isinstance(word, list) or not word:
             raise DiagramError(f"curve {curve}: word must be a non-empty list")
         for tok in word:
-            if not isinstance(tok, str) or not _BARE.match(tok):
+            if not isinstance(tok, str) or not _BARE.fullmatch(tok):
                 raise DiagramError(f"curve {curve}: bad token {tok!r}")
-            if tok in seen:
-                raise DiagramError(f"crossing {tok} occurs twice in the second family")
-            seen.add(tok)
         b_words[curve] = tuple(word)
-    if set(signs) != seen:
-        missing = set(signs) ^ seen
-        raise DiagramError(f"crossing occurrences do not match up: {sorted(missing)}")
     return Diagram(a_words, b_words, signs, aux=aux is not None)
 
 

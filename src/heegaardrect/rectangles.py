@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import A_OUT, B_OUT, FAMILY_A, FAMILY_B, Diagram, DiagramError, Face
+from .diagram import (
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, Face,
+)
 
 SidePair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -45,27 +47,30 @@ class ComposedRectangleType:
     b_sides: SidePair
 
 
-def rectangle_faces(diagram: Diagram) -> tuple[tuple[Face, RectangleType], ...]:
-    """All degree-4 faces with their types, in face order."""
-    a_index = {c: i + 1 for i, c in enumerate(diagram.a_curve_ids())}
-    b_index = {c: i + 1 for i, c in enumerate(diagram.b_curve_ids())}
-    out = []
+def _side_types(diagram: Diagram) -> dict[str, dict[int, SidePair]]:
+    """Family -> face index -> side pair on that family, for every degree-4
+    face in face order."""
+    index = {c: i + 1 for ids in (diagram.a_curve_ids(), diagram.b_curve_ids())
+             for i, c in enumerate(ids)}
+    types: dict[str, dict[int, SidePair]] = {FAMILY_A: {}, FAMILY_B: {}}
     for f in diagram.faces:
         if f.degree != 4:
             continue
-        a_sides = [(a_index[s.curve], s.side) for s in f.sides if s.family == FAMILY_A]
-        b_sides = [(b_index[s.curve], s.side) for s in f.sides if s.family == FAMILY_B]
-        if len(a_sides) != 2 or len(b_sides) != 2:
+        sides: dict[str, list] = {FAMILY_A: [], FAMILY_B: []}
+        for s in f.sides:
+            sides[s.family].append((index[s.curve], s.side))
+        if len(sides[FAMILY_A]) != 2 or len(sides[FAMILY_B]) != 2:
             raise DiagramError(f"face {f.index} does not alternate families")
-        out.append((f, RectangleType(_pair(*a_sides), _pair(*b_sides))))
-    return tuple(out)
+        for family, pair in sides.items():
+            types[family][f.index] = _pair(*pair)
+    return types
 
 
-def _face_shared_edge_count(diagram: Diagram, f1: Face, f2: Face) -> int:
-    """Number of edges shared by two distinct faces."""
-    edges1 = {frozenset((d, diagram.mate(d))) for d in f1.darts}
-    edges2 = {frozenset((d, diagram.mate(d))) for d in f2.darts}
-    return len(edges1 & edges2)
+def rectangle_faces(diagram: Diagram) -> tuple[tuple[Face, RectangleType], ...]:
+    """All degree-4 faces with their types, in face order."""
+    types = _side_types(diagram)
+    return tuple((diagram.faces[i], RectangleType(a_sides, types[FAMILY_B][i]))
+                 for i, a_sides in types[FAMILY_A].items())
 
 
 def composed_rectangles(
@@ -78,60 +83,33 @@ def composed_rectangles(
     the edge contributes the minus end and the plus-side face the plus end.
     The b-side pairs of the two constituents always agree.
     """
-    if axis_family == FAMILY_A:
-        axis_index = {c: i + 1 for i, c in enumerate(diagram.a_curve_ids())}
-        other_index = {c: i + 1 for i, c in enumerate(diagram.b_curve_ids())}
-        edges = diagram.a_edges()
-        out_port = A_OUT
-        axis_tag, other_tag = FAMILY_A, FAMILY_B
-    elif axis_family == FAMILY_B:
-        axis_index = {c: i + 1 for i, c in enumerate(diagram.b_curve_ids())}
-        other_index = {c: i + 1 for i, c in enumerate(diagram.a_curve_ids())}
-        edges = diagram.b_edges()
-        out_port = B_OUT
-        axis_tag, other_tag = FAMILY_B, FAMILY_A
-    else:
+    if axis_family not in OTHER_FAMILY:
         raise DiagramError(f"unknown family {axis_family!r}")
+    out_port = PORTS[axis_family][0]
+    axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
+    axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
+    types = _side_types(diagram)
+    axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
+    faces, face_of, mate = diagram.faces, diagram.face_of_dart, diagram.mate
 
     out = []
-    for curve, x, _y in edges:
+    for curve, x, _y in diagram.edges(axis_family):
         d_out = diagram.dart(x, out_port)
         # the face left of the forward arc is on the plus side of the edge
-        f_plus_i = diagram.face_of_dart(d_out)
-        f_minus_i = diagram.face_of_dart(diagram.mate(d_out))
-        if f_plus_i == f_minus_i:
+        f_plus, f_minus = face_of(d_out), face_of(mate(d_out))
+        if f_plus == f_minus or f_plus not in axis_types or f_minus not in axis_types:
             continue
-        f_plus, f_minus = diagram.faces[f_plus_i], diagram.faces[f_minus_i]
-        if f_plus.degree != 4 or f_minus.degree != 4:
-            continue
-        if _face_shared_edge_count(diagram, f_minus, f_plus) != 1:
+        if sum(face_of(mate(d)) == f_plus for d in faces[f_minus].darts) != 1:
             continue
         axis = axis_index[curve]
-        end_minus = _outer_axis_side(f_minus, curve, -1, axis_index, axis_tag)
-        end_plus = _outer_axis_side(f_plus, curve, 1, axis_index, axis_tag)
-        b_minus = _pair(*[(other_index[s.curve], s.side)
-                          for s in f_minus.sides if s.family == other_tag])
-        b_plus = _pair(*[(other_index[s.curve], s.side)
-                         for s in f_plus.sides if s.family == other_tag])
-        if b_minus != b_plus:
+        ends = []
+        for f, inner in ((f_minus, (axis, MINUS)), (f_plus, (axis, PLUS))):
+            sides = axis_types[f]
+            if inner not in sides:
+                raise DiagramError("rectangle does not lie on the expected side of its axis")
+            ends.append(sides[1 - sides.index(inner)])
+        cross = cross_types[f_minus]
+        if cross_types[f_plus] != cross:
             raise DiagramError("composed rectangle with mismatched cross sides")
-        out.append(
-            (
-                ComposedRectangleType(axis, end_minus, end_plus, b_minus),
-                f_minus,
-                f_plus,
-            )
-        )
+        out.append((ComposedRectangleType(axis, *ends, cross), faces[f_minus], faces[f_plus]))
     return tuple(out)
-
-
-def _outer_axis_side(
-    face: Face, axis_curve: str, inner_side: int, axis_index: dict, axis_tag: str
-) -> tuple[int, int]:
-    """The axis-family side of `face` other than (axis_curve, inner_side)."""
-    sides = [(axis_index[s.curve], s.side) for s in face.sides if s.family == axis_tag]
-    inner = (axis_index[axis_curve], inner_side)
-    if inner not in sides:
-        raise DiagramError("rectangle does not lie on the expected side of its axis")
-    sides.remove(inner)
-    return sides[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, Diagram, DiagramError
+from .diagram import FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,8 @@ class CutComponent:
 
     `a_set` lists the boundary circles as (curve index, side) pairs, indices
     1-based within the cut family.  `euler` is the Euler characteristic of
-    the compact component; it is planar iff ``euler == 2 - len(a_set)``.
+    the compact component, read off its face degrees (see `cut_components`);
+    it is planar iff ``euler == 2 - len(a_set)``.
     """
 
     index: int
@@ -35,16 +36,18 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     """Components of the surface cut along `family`, ordered by smallest face.
 
     Faces belong to the same component iff they are connected across edges
-    of the *other* family (those edges are not cut).  The per-component
-    Euler characteristic counts faces, interior other-family edges, cut-side
-    boundary arcs and split crossing vertices.
+    of the *other* family (those edges are not cut); the boundary circles
+    are the cut family's sides of those faces.  Faces alternate the two
+    families, so a face of degree f accounts for f/2 split crossings (each
+    corner is shared by two faces), f/4 interior edges and f/2 boundary
+    arcs, and a component's Euler characteristic is the sum of (4 - f)/4
+    over its faces.
     """
-    if family not in (FAMILY_A, FAMILY_B):
+    if family not in OTHER_FAMILY:
         raise DiagramError(f"unknown family {family!r}")
-    cut_a = family == FAMILY_A
+    other = OTHER_FAMILY[family]
 
-    nf = len(diagram.faces)
-    parent = list(range(nf))
+    parent = list(range(len(diagram.faces)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -52,71 +55,33 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
             i = parent[i]
         return i
 
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    out_port = B_OUT if cut_a else A_OUT
-    edges = diagram.b_edges() if cut_a else diagram.a_edges()
-    interior_edges = []
-    for _, x, _y in edges:
+    out_port = PORTS[other][0]
+    for _, x, _y in diagram.edges(other):
         d = diagram.dart(x, out_port)
-        f1 = diagram.face_of_dart(d)
-        f2 = diagram.face_of_dart(diagram.mate(d))
-        union(f1, f2)
-        interior_edges.append(d)
+        ri, rj = find(diagram.face_of_dart(d)), find(diagram.face_of_dart(diagram.mate(d)))
+        parent[max(ri, rj)] = min(ri, rj)
 
-    groups: dict[int, list[int]] = {}
-    for i in range(nf):
-        groups.setdefault(find(i), []).append(i)
-
-    cut_ids = diagram.a_curve_ids() if cut_a else diagram.b_curve_ids()
-    index_of_curve = {c: i + 1 for i, c in enumerate(cut_ids)}
-    cut_family_tag = FAMILY_A if cut_a else FAMILY_B
-
-    # boundary arcs of the cut family, grouped per component
-    boundary_arcs: dict[int, list[tuple[str, int]]] = {r: [] for r in groups}
-    boundary_arc_count: dict[int, int] = {r: 0 for r in groups}
+    # every root is its group's smallest face, so groups arrive in face order
+    groups: dict[int, list] = {}
     for f in diagram.faces:
-        r = find(f.index)
-        for s in f.sides:
-            if s.family == cut_family_tag:
-                boundary_arcs[r].append((s.curve, s.side))
-                boundary_arc_count[r] += 1
+        groups.setdefault(find(f.index), []).append(f)
 
-    # split vertices: each crossing contributes one vertex per side of its
-    # cut-family strand, assigned to the component of the adjacent quadrant
-    vertex_count: dict[int, int] = {r: 0 for r in groups}
-    plus_port = A_OUT if cut_a else B_OUT
-    minus_port = A_IN if cut_a else B_IN
-    for x in diagram.crossing_ids():
-        for port in (plus_port, minus_port):
-            r = find(diagram.face_of_dart(diagram.dart(x, port)))
-            vertex_count[r] += 1
-
-    interior_count: dict[int, int] = {r: 0 for r in groups}
-    for d in interior_edges:
-        interior_count[find(diagram.face_of_dart(d))] += 1
-
+    cut_ids = diagram.a_curve_ids() if family == FAMILY_A else diagram.b_curve_ids()
+    index_of_curve = {c: i + 1 for i, c in enumerate(cut_ids)}
     components = []
-    for r in sorted(groups, key=lambda r: min(groups[r])):
-        faces = tuple(sorted(groups[r]))
-        circles = sorted({(c, s) for c, s in boundary_arcs[r]})
-        a_set = frozenset((index_of_curve[c], s) for c, s in circles)
-        if len(a_set) != len(circles):
-            raise DiagramError("inconsistent boundary circle labels")
-        euler = vertex_count[r] - (interior_count[r] + boundary_arc_count[r]) + len(faces)
-        planar = euler == 2 - len(circles)
+    for faces in groups.values():
+        circles = sorted({(s.curve, s.side) for f in faces for s in f.sides
+                          if s.family == family})
+        euler = sum(4 - f.degree for f in faces) // 4
         components.append(
             CutComponent(
                 index=len(components) + 1,
                 family=family,
-                faces=faces,
+                faces=tuple(f.index for f in faces),
                 boundary=tuple(circles),
-                a_set=a_set,
+                a_set=frozenset((index_of_curve[c], s) for c, s in circles),
                 euler=euler,
-                planar=planar,
+                planar=euler == 2 - len(circles),
             )
         )
     return tuple(components)

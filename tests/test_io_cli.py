@@ -217,9 +217,12 @@ def _torus_doc_with(mangle) -> str:
         _torus_doc_with(lambda doc: doc.update(format_version=1.0)),
         "[" * 100000,
         b"\xff\xfe{",
+        _torus_doc_with(lambda doc: doc["d_curves"].update(a=["x+\n"])),
+        (GOLDEN / "example_3_2.json").read_text().replace('"x001-"', '"x001-\\n"', 1),
     ],
     ids=["int-token", "bool-token", "int-signed-token", "version-true",
-         "version-float", "deep-nesting", "non-utf8"],
+         "version-float", "deep-nesting", "non-utf8", "newline-signed-token",
+         "newline-token-in-example"],
 )
 def test_cli_rejects_hostile_input(tmp_path, capsys, text):
     f = tmp_path / "hostile.json"

@@ -63,6 +63,27 @@ def test_composed_axis_ends_in_punctured_sets(example_32):
         assert ctype.end_plus in lam_plus
 
 
+@pytest.mark.parametrize(
+    "make,family,expected",
+    [
+        (torus_one, FAMILY_A, []),
+        (torus_one, FAMILY_B, []),
+        (torus_two, FAMILY_A, []),
+        (torus_two, FAMILY_B, []),
+        (split_components_diagram, FAMILY_A,
+         [(ComposedRectangleType(2, (1, PLUS), (3, PLUS), ((1, PLUS), (2, MINUS))), 2, 1)]),
+        (split_components_diagram, FAMILY_B, []),
+    ],
+)
+def test_composed_rectangles_on_small_fixtures(make, family, expected):
+    """Fixed types on the fixtures that reach the skips: the one square of
+    torus_one meets itself across its axis edges, and the two squares of
+    torus_two share more than one edge."""
+    got = [(t, f_minus.index, f_plus.index)
+           for t, f_minus, f_plus in composed_rectangles(make(), family)]
+    assert got == expected
+
+
 @pytest.mark.parametrize("make", [torus_two, hexagon_diagram,
                                   split_components_diagram])
 def test_swap_consistency(make):

@@ -1,12 +1,18 @@
+from collections import Counter
+
 import pytest
 
 from heegaardrect.criteria import CriteriaContext
-from heegaardrect.diagram import DiagramError, FAMILY_A, FAMILY_B, MINUS, PLUS
+from heegaardrect.diagram import (
+    DiagramError, FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS,
+)
 from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import chain_base
 
 from conftest import (
     hexagon_diagram,
+    random_twisted_diagrams,
+    reducible_torus,
     split_components_diagram,
     sphere_bigons,
     torus_one,
@@ -76,6 +82,39 @@ def test_component_euler_sum(make):
     for family in (FAMILY_A, FAMILY_B):
         comps = cut_components(d, family)
         assert sum(c.euler for c in comps) == 2 - 2 * d.genus
+
+
+def _euler_from_darts(d, family):
+    """V - E + F of each cut piece, counted cell by cell from the darts.
+
+    One split vertex per crossing and side of the cut strand, one interior
+    edge per other-family edge and two boundary arcs per cut-family edge;
+    each cell goes to the piece holding the face of its dart.
+    """
+    comps = cut_components(d, family)
+    piece = {fi: c.index for c in comps for fi in c.faces}
+    chi = Counter({c.index: len(c.faces) for c in comps})
+    other = OTHER_FAMILY[family]
+    for x in d.crossing_ids():
+        for port in PORTS[family]:
+            chi[piece[d.face_of_dart(d.dart(x, port))]] += 1
+    for _, x, _y in d.edges(other):
+        chi[piece[d.face_of_dart(d.dart(x, PORTS[other][0]))]] -= 1
+    for _, x, _y in d.edges(family):
+        dart = d.dart(x, PORTS[family][0])
+        for p in (dart, d.mate(dart)):
+            chi[piece[d.face_of_dart(p)]] -= 1
+    return chi
+
+
+def test_component_euler_matches_cell_count(example_32, example_32_maximal):
+    """Each piece's Euler characteristic, read off face degrees, is V - E + F."""
+    fixtures = [make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
+                                    hexagon_diagram, split_components_diagram)]
+    for d in fixtures + [example_32, example_32_maximal] + list(random_twisted_diagrams(200)):
+        for family in (FAMILY_A, FAMILY_B):
+            expected = _euler_from_darts(d, family)
+            assert {c.index: c.euler for c in cut_components(d, family)} == expected
 
 
 def test_cut_components_bad_family():
