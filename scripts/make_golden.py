@@ -6,6 +6,8 @@ not from the splice implementation, so the committed numbers stay an
 independent reference.  Run from the repository root:
 
     python3 scripts/make_golden.py
+
+`main(out)` writes the same files into another directory.
 """
 
 import json
@@ -33,8 +35,8 @@ GOLDEN = ROOT / "tests" / "golden"
 SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
 
 
-def main():
-    GOLDEN.mkdir(exist_ok=True)
+def main(out: Path = GOLDEN):
+    out.mkdir(exist_ok=True)
 
     sweep = {}
     for g, l in SWEEP:
@@ -52,7 +54,7 @@ def main():
         "rc": rectangle_condition(dm).holds,
         "drc": double_rectangle_condition(dm).holds,
     }
-    (GOLDEN / "sweep.json").write_text(json.dumps(sweep, indent=2) + "\n")
+    (out / "sweep.json").write_text(json.dumps(sweep, indent=2) + "\n")
 
     tables = {}
     for g, l in SWEEP:
@@ -62,23 +64,23 @@ def main():
     counts, removed = oracle_intersections(maximal_chain_base(), 2)
     assert removed == 0
     tables["3,2,maximal"] = {f"{a}:{b}": n for (a, b), n in sorted(counts.items())}
-    (GOLDEN / "intersections.json").write_text(json.dumps(tables, indent=2) + "\n")
+    (out / "intersections.json").write_text(json.dumps(tables, indent=2) + "\n")
 
     d32 = example_diagram(3, 2)
-    (GOLDEN / "example_3_2.json").write_text(serialize_diagram(d32))
-    (GOLDEN / "report_3_2.json").write_text(report_to_json(build_report(d32)))
-    (GOLDEN / "report_3_2_maximal.json").write_text(
+    (out / "example_3_2.json").write_text(serialize_diagram(d32))
+    (out / "report_3_2.json").write_text(report_to_json(build_report(d32)))
+    (out / "report_3_2_maximal.json").write_text(
         report_to_json(build_report(dm))
     )
 
     invalid = build_report(split_components_diagram())
-    (GOLDEN / "report_split_invalid.txt").write_text(report_to_text(invalid))
-    (GOLDEN / "report_split_invalid.json").write_text(report_to_json(invalid))
+    (out / "report_split_invalid.txt").write_text(report_to_text(invalid))
+    (out / "report_split_invalid.json").write_text(report_to_json(invalid))
 
     ctx = CriteriaContext(d32)
-    (GOLDEN / "gk1.dot").write_text(graph_to_dot(ctx.component_graph(1), "Gk:1"))
-    (GOLDEN / "hd1.dot").write_text(graph_to_dot(ctx.disk_graph(1), "Hd:1"))
-    print(f"wrote golden files to {GOLDEN}")
+    (out / "gk1.dot").write_text(graph_to_dot(ctx.component_graph(1), "Gk:1"))
+    (out / "hd1.dot").write_text(graph_to_dot(ctx.disk_graph(1), "Hd:1"))
+    print(f"wrote golden files to {out}")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import FAMILY_A, FAMILY_B, Diagram, DiagramError, MINUS, PLUS, side_str
-from .rectangles import composed_rectangles, rectangle_faces
-from .systems import cut_components, validate_components
+from .rectangles import _composed, _side_types, _swapped_types
+from .systems import _swapped_components, cut_components, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
@@ -196,17 +196,27 @@ class CriteriaContext:
     per composed-rectangle pair (disk, end_minus, end_plus), and kept in
     `pair_verdicts` and `cross_verdicts` as the first failing l (None when
     it holds).  The component graphs, the disk graphs and the missing-type
-    search all read these.  `swapped` is the context of the diagram with
-    the families exchanged, built on first use and then kept.
+    search all read these.
+
+    `swapped`, the context of the diagram with the families exchanged, is
+    built on first use and kept (its own `swapped` is this context).  It
+    builds the swapped `Diagram` but reuses this context's cut components
+    and rectangle side types, renumbered through the face correspondence.
     """
 
     def __init__(self, diagram: Diagram):
+        self._analyse(diagram, cut_components(diagram, FAMILY_A),
+                      cut_components(diagram, FAMILY_B), _side_types(diagram))
+
+    def _analyse(self, diagram: Diagram, comps_a, comps_b, types) -> None:
+        """Validation and indexes from the cut components and `_side_types`."""
         self.diagram = diagram
-        self.comps_a = cut_components(diagram, FAMILY_A)
-        self.comps_b = cut_components(diagram, FAMILY_B)
-        self.validation = validate_components(diagram, self.comps_a, self.comps_b)
-        self.m = len(self.comps_a)
-        self.m_star = len(self.comps_b)
+        self.comps_a = comps_a
+        self.comps_b = comps_b
+        self._types = types
+        self.validation = validate_components(diagram, comps_a, comps_b)
+        self.m = len(comps_a)
+        self.m_star = len(comps_b)
         self.n = len(diagram.a_words)
         self.n_star = len(diagram.b_words)
         self.pair_verdicts: dict = {}
@@ -214,41 +224,48 @@ class CriteriaContext:
         self._swapped: Optional[CriteriaContext] = None
 
         face_to_l = {}
-        for comp in self.comps_b:
+        for comp in comps_b:
             for fi in comp.faces:
                 face_to_l[fi] = comp.index
 
         # a-side pair -> l -> set of b-side pairs that are not loops
         self.rect_index: dict = {}
-        for face, rtype in rectangle_faces(diagram):
-            l = face_to_l[face.index]
-            u, v = rtype.b_sides
+        for fi, a_sides in types[FAMILY_A].items():
+            u, v = b_sides = types[FAMILY_B][fi]
             if u == v:
                 continue
+            l = face_to_l[fi]
             if not {u, v} <= self.a_star_set(l):
                 raise DiagramError("rectangle crosses its own cut component")
-            self.rect_index.setdefault(rtype.a_sides, {}).setdefault(l, set()).add(
-                rtype.b_sides
-            )
+            self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
 
         # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not loops
         self.composed_index: dict = {}
-        for ctype, f_minus, f_plus in composed_rectangles(diagram, FAMILY_A):
+        for ctype, f_minus, f_plus in _composed(diagram, FAMILY_A, types):
             l = face_to_l[f_minus.index]
             if face_to_l[f_plus.index] != l:
                 raise DiagramError("composed rectangle straddles cut components")
             if ctype.b_sides[0] == ctype.b_sides[1]:
                 continue
             key = (ctype.axis, ctype.end_minus, ctype.end_plus)
-            self.composed_index.setdefault(key, {}).setdefault(l, set()).add(
-                ctype.b_sides
-            )
+            self.composed_index.setdefault(key, {}).setdefault(l, set()).add(ctype.b_sides)
 
     @property
     def swapped(self) -> "CriteriaContext":
-        """Context of the diagram with the families exchanged, built once."""
+        """Context of the diagram with the families exchanged, built once.
+
+        Dart d is dart d ^ 1 of the swap (see `diagram`), so face f is face
+        perm[f] there; the components and side types are mapped through it.
+        """
         if self._swapped is None:
-            self._swapped = CriteriaContext(self.diagram.swap_roles())
+            diagram = self.diagram.swap_roles()
+            perm = [diagram.face_of_dart(f.darts[0] ^ 1) for f in self.diagram.faces]
+            ctx = CriteriaContext.__new__(CriteriaContext)
+            ctx._analyse(diagram, _swapped_components(self.comps_b, perm),
+                         _swapped_components(self.comps_a, perm),
+                         _swapped_types(self._types, perm))
+            ctx._swapped = self
+            self._swapped = ctx
         return self._swapped
 
     def a_set(self, k: int) -> frozenset:

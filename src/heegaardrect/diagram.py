@@ -25,6 +25,13 @@ Conventions (fixed once, everything else follows):
   convention, the face on the left of a boundary arc starting at an "out"
   port lies on the plus side of the strand, and on the minus side for an
   "in" port.
+
+* Exchanging the families (`Diagram.swap_roles`) keeps the crossings and
+  flips every sign: the ports are renamed by a_out <-> b_out, a_in <-> b_in
+  (dart ``d`` becomes ``d ^ 1``) and the rotation at each crossing stays.
+  So each face is a face of the swap, with darts ``d ^ 1`` in the same
+  cyclic order and the same (curve, side) sides; only the family of each
+  side and the face numbering change.
 """
 
 from __future__ import annotations
@@ -218,7 +225,18 @@ class Diagram:
         return all(seen)
 
     def _trace_faces(self) -> tuple[Face, ...]:
-        nd = 4 * len(self._crossing_ids)
+        # one FaceSide per (family, curve, side), shared by every dart it labels
+        curve_sides = {
+            c: (FaceSide(family, c, PLUS), FaceSide(family, c, MINUS))
+            for family, words in ((FAMILY_A, self.a_words), (FAMILY_B, self.b_words))
+            for c in words
+        }
+        dart_side = []
+        for x in self._crossing_ids:
+            cr = self.crossings[x]
+            (a_plus, a_minus), (b_plus, b_minus) = curve_sides[cr.a_curve], curve_sides[cr.b_curve]
+            dart_side += (a_plus, b_plus, a_minus, b_minus)  # ports A_OUT, B_OUT, A_IN, B_IN
+        nd = len(dart_side)
         seen = [False] * nd
         faces = []
         for start in range(nd):
@@ -230,20 +248,8 @@ class Diagram:
                 seen[d] = True
                 orbit.append(d)
                 d = self._sigma_inv[self._alpha[d]]
-            sides = tuple(self._dart_side(p) for p in orbit)
-            faces.append(Face(len(faces), tuple(orbit), sides))
+            faces.append(Face(len(faces), tuple(orbit), tuple(dart_side[p] for p in orbit)))
         return tuple(faces)
-
-    def _dart_side(self, d: int) -> FaceSide:
-        x = self._crossing_ids[d // 4]
-        port = d % 4
-        cr = self.crossings[x]
-        if port in (A_OUT, A_IN):
-            family, curve = FAMILY_A, cr.a_curve
-        else:
-            family, curve = FAMILY_B, cr.b_curve
-        side = PLUS if port in (A_OUT, B_OUT) else MINUS
-        return FaceSide(family, curve, side)
 
     # -- basic queries -----------------------------------------------------
 

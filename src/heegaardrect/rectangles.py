@@ -66,6 +66,14 @@ def _side_types(diagram: Diagram) -> dict[str, dict[int, SidePair]]:
     return types
 
 
+def _swapped_types(types: dict[str, dict[int, SidePair]], perm: list[int]):
+    """`_side_types` of the diagram with the families exchanged, where face f
+    of the diagram is face perm[f] of the swap: each family takes the other's
+    types, re-indexed and kept in face order."""
+    return {family: dict(sorted((perm[f], pair) for f, pair in types[other].items()))
+            for family, other in OTHER_FAMILY.items()}
+
+
 def rectangle_faces(diagram: Diagram) -> tuple[tuple[Face, RectangleType], ...]:
     """All degree-4 faces with their types, in face order."""
     types = _side_types(diagram)
@@ -85,10 +93,14 @@ def composed_rectangles(
     """
     if axis_family not in OTHER_FAMILY:
         raise DiagramError(f"unknown family {axis_family!r}")
+    return _composed(diagram, axis_family, _side_types(diagram))
+
+
+def _composed(diagram: Diagram, axis_family: str, types: dict[str, dict[int, SidePair]]):
+    """`composed_rectangles` read off the diagram's `_side_types`."""
     out_port = PORTS[axis_family][0]
     axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
     axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
-    types = _side_types(diagram)
     axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
     faces, face_of, mate = diagram.faces, diagram.face_of_dart, diagram.mate
 

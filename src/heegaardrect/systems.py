@@ -8,7 +8,7 @@ labels (curve index, side) that the criteria modules quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagram import FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError
 
@@ -87,6 +87,15 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     return tuple(components)
 
 
+def _swapped_components(comps: tuple[CutComponent, ...], perm: list[int]):
+    """`comps` as `cut_components` gives them on the diagram with the families
+    exchanged, where face f is face perm[f]: the sides stay, the family, face
+    indices and order by smallest face change."""
+    mapped = sorted((tuple(sorted(perm[f] for f in c.faces)), c) for c in comps)
+    return tuple(replace(c, index=i, family=OTHER_FAMILY[c.family], faces=faces)
+                 for i, (faces, c) in enumerate(mapped, 1))
+
+
 @dataclass
 class ValidationReport:
     """Outcome of the disk-system checks, with one entry per failure."""
@@ -138,11 +147,9 @@ def validate_components(
         if diagram.aux and family == FAMILY_B:
             report.add("aux", "multicurve maps carry no second disk system")
             continue
-        if not (g <= count <= max(3 * g - 3, 0)):
-            report.add(
-                "count",
-                f"family {family} has {count} curves, outside [{g}, {3 * g - 3}]",
-            )
+        hi = max(3 * g - 3, 0)
+        if not g <= count <= hi:
+            report.add("count", f"family {family} has {count} curves, outside [{g}, {hi}]")
         for comp in comps:
             where = f"family {family} component {comp.index}"
             if not comp.planar:

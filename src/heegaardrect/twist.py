@@ -193,26 +193,18 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
 
 def _drop_gamma(state: _TwistState) -> Diagram:
     """Forget gamma; the disks and their twisted images form the diagram."""
-    a_words = {}
-    for curve, word in state.a_words.items():
-        nw = tuple(x for x in word if state.kinds[x] == _AF)
-        if not nw:
-            raise DiagramError(
-                f"disk {curve} is disjoint from the twisted family; "
-                "the result would be a disconnected diagram"
-            )
-        a_words[curve] = nw
-    b_words = {}
-    for curve, word in state.f_words.items():
-        nw = tuple(x for x in word if state.kinds[x] == _AF)
-        if not nw:
-            raise DiagramError(
-                f"twisted curve {curve} is disjoint from the disks; "
-                "the result would be a disconnected diagram"
-            )
-        b_words[curve] = nw
+    families = []
+    for words, what, other in ((state.a_words, "disk", "the twisted family"),
+                               (state.f_words, "twisted curve", "the disks")):
+        kept = {}
+        for curve, word in words.items():
+            kept[curve] = tuple(x for x in word if state.kinds[x] == _AF)
+            if not kept[curve]:
+                raise DiagramError(f"{what} {curve} is disjoint from {other}; "
+                                   "the result would be a disconnected diagram")
+        families.append(kept)
     signs = {x: s for x, s in state.signs.items() if state.kinds[x] == _AF}
-    return Diagram(a_words, b_words, signs)
+    return Diagram(*families, signs)
 
 
 def _drop_disks(state: _TwistState) -> Diagram:
@@ -384,10 +376,5 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
 
 def _canonical_crossing_names(d: Diagram) -> Diagram:
     width = len(str(d.num_crossings))
-    mapping = {}
-    counter = 1
-    for curve in d.a_curve_ids():
-        for x in d.a_words[curve]:
-            mapping[x] = f"x{counter:0{width}d}"
-            counter += 1
-    return d.relabel_crossings(mapping)
+    order = (x for curve in d.a_curve_ids() for x in d.a_words[curve])
+    return d.relabel_crossings({x: f"x{i:0{width}d}" for i, x in enumerate(order, 1)})

@@ -5,7 +5,6 @@ import pytest
 from heegaardrect.diagram import Diagram, DiagramError
 from heegaardrect.twist import (
     TwistSpec,
-    chain_base,
     dehn_twist,
     example_diagram,
     multicurve_map,

@@ -8,8 +8,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from heegaardrect.cli import main as cli_main
 from heegaardrect.criteria import (
     CriteriaGraph,

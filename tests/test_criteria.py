@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,10 +15,21 @@ from heegaardrect.criteria import (
     is_two_connected,
     rectangle_condition,
 )
-from heegaardrect.diagram import DiagramError, MINUS, PLUS
+from heegaardrect.diagram import DiagramError, MINUS, OTHER_FAMILY, PLUS
 from heegaardrect.rectangles import composed_rectangles, rectangle_faces
+from heegaardrect.twist import example_diagram
 
-from conftest import hexagon_diagram, random_twisted_diagrams
+from conftest import (
+    hexagon_diagram,
+    random_twisted_diagrams,
+    reducible_torus,
+    sphere_bigons,
+    split_components_diagram,
+    torus_one,
+    torus_two,
+)
+
+SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
 
 
 def calibration_graph() -> CriteriaGraph:
@@ -454,3 +464,45 @@ def test_orientation_invariance_smoke(example_22):
 def test_verdict_invariant():
     with pytest.raises(DiagramError, match="witness"):
         Verdict(True, (Witness("rc", False, 1, "disconnected", ()),))
+
+
+# -- the swapped orientation ----------------------------------------------------
+
+
+def _swap_cases(example_32_maximal):
+    """The six small fixtures, the sweep, the maximal example and 200 random
+    twisted diagrams."""
+    yield from (make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
+                                    hexagon_diagram, split_components_diagram))
+    yield from (example_diagram(g, l) for g, l in SWEEP)
+    yield example_32_maximal
+    yield from random_twisted_diagrams(200)
+
+
+def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
+    for d in _swap_cases(example_32_maximal):
+        swapped = d.swap_roles()
+        perm = [swapped.face_of_dart(f.darts[0] ^ 1) for f in d.faces]
+        assert sorted(perm) == list(range(len(swapped.faces)))
+        for f in d.faces:
+            image = swapped.faces[perm[f.index]]
+            start = image.darts.index(f.darts[0] ^ 1)
+            assert image.darts[start:] + image.darts[:start] == tuple(p ^ 1 for p in f.darts)
+            sides = image.sides[start:] + image.sides[:start]
+            assert [(s.family, s.curve, s.side) for s in sides] == [
+                (OTHER_FAMILY[s.family], s.curve, s.side) for s in f.sides
+            ]
+
+
+def test_swapped_context_matches_a_fresh_build(example_32_maximal):
+    """`ctx.swapped` maps this context's analysis; building the swap's context
+    from scratch is the oracle."""
+    for d in _swap_cases(example_32_maximal):
+        ctx = CriteriaContext(d)
+        fresh = CriteriaContext(d.swap_roles())
+        swapped = ctx.swapped
+        for attr in ("comps_a", "comps_b", "rect_index", "composed_index", "m", "m_star"):
+            assert getattr(swapped, attr) == getattr(fresh, attr), attr
+        assert swapped.validation.passed == fresh.validation.passed
+        assert swapped.validation.entries == fresh.validation.entries
+        assert swapped.swapped is ctx

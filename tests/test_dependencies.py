@@ -1,10 +1,12 @@
-"""The package needs nothing at run time beyond the standard library."""
+"""The package needs nothing at run time beyond the standard library, and
+no module imports a name it does not use."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heegaardrect"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "heegaardrect"
 
 
 def test_package_imports_only_the_standard_library():
@@ -23,3 +25,32 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.setdefault(path.name, []).append(name)
     assert outside == {}
+
+
+def _unused_imports(path: Path) -> list:
+    """Names `path` imports but never reads; `__future__` imports and the
+    `__all__` re-exports of an `__init__.py` are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    sources = [p for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(sources) > 10
+    unused = {str(p.relative_to(ROOT)): names for p in sources if (names := _unused_imports(p))}
+    assert unused == {}

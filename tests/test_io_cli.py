@@ -108,20 +108,21 @@ def test_failing_report_matches_golden(example_32_maximal):
 
 
 def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
-    counts = {"contexts": 0, "swaps": 0, "cut_components": 0, "rectangle_faces": 0}
-    init, swap_roles = CriteriaContext.__init__, Diagram.swap_roles
+    counts = {"contexts": 0, "swaps": 0, "cut_components": 0, "_side_types": 0}
+    analyse, swap_roles = CriteriaContext._analyse, Diagram.swap_roles
 
-    def counting_init(self, diagram):
+    def counting_analyse(self, *args):
+        # the swapped context bypasses __init__; every context is analysed once
         counts["contexts"] += 1
-        init(self, diagram)
+        analyse(self, *args)
 
     def counting_swap_roles(self):
         counts["swaps"] += 1
         return swap_roles(self)
 
-    def count_calls(name):
-        """Count calls of the package function `name` from every module that holds it."""
-        original = getattr(heegaardrect, name)
+    def count_calls(home, name):
+        """Count calls of `home.name` from every package module that holds it."""
+        original = getattr(home, name)
 
         def counting(*args, **kwargs):
             counts[name] += 1
@@ -131,13 +132,14 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
             if module_name.startswith("heegaardrect") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
 
-    monkeypatch.setattr(CriteriaContext, "__init__", counting_init)
+    monkeypatch.setattr(CriteriaContext, "_analyse", counting_analyse)
     monkeypatch.setattr(Diagram, "swap_roles", counting_swap_roles)
-    count_calls("cut_components")
-    count_calls("rectangle_faces")
+    count_calls(heegaardrect, "cut_components")
+    count_calls(heegaardrect.rectangles, "_side_types")
     build_report(example_32, "both")
-    # each orientation cuts each family once and lists its rectangles once
-    assert counts == {"contexts": 2, "swaps": 1, "cut_components": 4, "rectangle_faces": 2}
+    # the diagram is cut and its rectangles typed once; the swapped
+    # orientation maps that analysis instead of repeating it
+    assert counts == {"contexts": 2, "swaps": 1, "cut_components": 2, "_side_types": 1}
 
 
 def test_report_witnesses_serialize(example_32_maximal):
@@ -248,6 +250,18 @@ def test_cli_check_validation_report_matches_golden(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == (GOLDEN / golden).read_text()
         assert captured.err == ""
+
+
+def test_cli_check_count_message_prints_the_checked_interval(tmp_path, capsys):
+    # genus 0: the curve count must lie in [g, max(3g-3, 0)] = [0, 0]
+    f = tmp_path / "sphere.json"
+    f.write_text('{"format_version":1,"d_curves":{"a":["x+","y-"]},'
+                 '"dstar_curves":{"b":["x","y"]}}')
+    assert run_cli("check", str(f)) == 2
+    out = capsys.readouterr().out
+    for family in "AB":
+        assert f"  - [count] family {family} has 1 curves, outside [0, 0]\n" in out
+    assert "-3]" not in out
 
 
 @pytest.mark.parametrize(

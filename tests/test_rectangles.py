@@ -5,7 +5,6 @@ import pytest
 from heegaardrect.diagram import FAMILY_A, FAMILY_B, MINUS, PLUS
 from heegaardrect.rectangles import (
     ComposedRectangleType,
-    RectangleType,
     composed_rectangles,
     rectangle_faces,
 )
