@@ -15,6 +15,8 @@ each block simultaneously and asks nothing else.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -135,7 +137,10 @@ def articulation_points(adj: dict) -> set:
 
 def two_connected_witness(graph: CriteriaGraph) -> Optional[tuple]:
     """None if 2-connected, else ('disconnected',) or ('cut-vertex', v)."""
-    adj = graph.neighbors()
+    return _two_connected_failure(graph.neighbors())
+
+
+def _two_connected_failure(adj: dict) -> Optional[tuple]:
     if len(adj) <= 1:
         return None
     if len(_connected_parts(adj)) > 1:
@@ -154,16 +159,27 @@ def is_doubly_two_connected(graph: CriteriaGraph) -> bool:
 def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex, Vertex]]:
     """First vertex pair (one per block) whose deletion disconnects, if any.
 
-    Pairs are ordered by the first block's vertex, then the second's, and
-    the search makes one scan of G - a per vertex a of the first block.  If
-    G - a is connected, (a, b) disconnects exactly when b is a cut point of
-    G - a.  If G - a is disconnected, every b keeps it disconnected except a
-    b that is, on its own, one of exactly two parts.
+    Pairs are ordered by the first block's vertex, then the second's.  A
+    2-connected graph on three or more vertices is searched in one pass over
+    its skeleton (`_skeleton_witness`); any other graph by one scan of G - a
+    per vertex a of the first block (`_scan_witness`).
     """
     if graph.partition is None:
         raise DiagramError("doubly-2-connected test needs a partition")
     adj = graph.neighbors()
     lo, hi = graph.partition
+    if len(adj) >= 3 and _two_connected_failure(adj) is None:
+        return _skeleton_witness(adj, lo, hi)
+    return _scan_witness(adj, lo, hi)
+
+
+def _scan_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
+    """`doubly_two_connected_witness` by one scan of G - a per a in `lo`.
+
+    If G - a is connected, (a, b) disconnects exactly when b is a cut point
+    of G - a.  If G - a is disconnected, every b keeps it disconnected
+    except a b that is, on its own, one of exactly two parts.
+    """
     hi_sorted = sorted(hi)
     for a in sorted(lo):
         rest = {v: nbrs - {a} for v, nbrs in adj.items() if v != a}
@@ -182,6 +198,67 @@ def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex,
     return None
 
 
+def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
+    """`doubly_two_connected_witness` of a 2-connected graph on >= 3 vertices.
+
+    A chain is a maximal path of degree-2 vertices (a cycle is one chain);
+    its ends are the branch vertices (degree >= 3) it runs between.  The
+    skeleton K has a node per branch vertex and per chain, a chain node
+    joined to its two ends, and the edges between branch vertices; K is
+    2-connected too.  Deleting a and b disconnects the graph exactly when
+
+    - a and b are not adjacent and lie on one chain (inside it or at its
+      ends), which leaves a piece of that chain cut off, or
+    - a and b lie on different nodes x, y of K and y is a cut point of K - x.
+
+    So every pair is decided on the nodes of K, once per node, plus a look
+    at the first few vertices of `hi` on each chain that a lies on.
+    """
+    node = {v: i for i, v in enumerate(v for v in adj if len(adj[v]) > 2)}
+    skeleton: dict = {i: set() for i in node.values()}
+    on_chain: dict = {}  # chain node -> the vertices inside it and its ends
+    for v in adj:
+        if len(adj[v]) > 2:
+            skeleton[node[v]].update(node[w] for w in adj[v] if len(adj[w]) > 2)
+            continue
+        if v in node:
+            continue
+        c = len(skeleton)
+        skeleton[c] = set()
+        on_chain[c] = {v}
+        node[v] = c
+        for w in adj[v]:
+            prev = v
+            while w not in node:
+                node[w] = c
+                on_chain[c].add(w)
+                prev, w = w, next(u for u in adj[w] if u != prev)
+            if node[w] != c:
+                on_chain[c].add(w)
+                skeleton[c].add(node[w])
+                skeleton[node[w]].add(c)
+
+    least_hi: dict = {}  # K node -> its least vertex in `hi`
+    for b in sorted(hi, reverse=True):
+        least_hi[node[b]] = b
+    hi_on = {c: sorted(vs & hi) for c, vs in on_chain.items()}
+    cut_least: dict = {}  # K node x -> least `hi` vertex on a cut point of K - x
+    for a in sorted(lo):
+        x = node[a]
+        if x not in cut_least:
+            rest = {y: nbrs - {x} for y, nbrs in skeleton.items() if y != x}
+            cut_least[x] = min((least_hi[y] for y in articulation_points(rest)
+                                if y in least_hi), default=None)
+        found = [] if cut_least[x] is None else [cut_least[x]]
+        for c in (x,) if x in on_chain else (y for y in skeleton[x] if y in on_chain):
+            b = next((b for b in hi_on[c] if b not in adj[a]), None)
+            if b is not None:
+                found.append(b)
+        if found:
+            return (a, min(found))
+    return None
+
+
 # -- analysis context --------------------------------------------------------
 
 
@@ -195,13 +272,21 @@ class CriteriaContext:
     l.  It is computed on first use, once per label pair (k, p, q) and once
     per composed-rectangle pair (disk, end_minus, end_plus), and kept in
     `pair_verdicts` and `cross_verdicts` as the first failing l (None when
-    it holds).  The component graphs, the disk graphs and the missing-type
-    search all read these.
+    it holds).  A pair that is not a key of `rect_index` or
+    `composed_index` has an edgeless detail graph at every l, so it fails
+    at the first l with two or more labels.  The criteria graphs therefore
+    ask for the verdicts of index keys only, unless no A*_l has two labels
+    (a diagram that fails validation), where every keyless pair holds and
+    every pair is asked.  `component_graph` keeps each G_k, and a disk
+    graph takes its block edges from it.  The missing-type search asks for
+    the verdicts of the absent edges it explains, keys or not.
 
     `swapped`, the context of the diagram with the families exchanged, is
-    built on first use and kept (its own `swapped` is this context).  It
-    builds the swapped `Diagram` but reuses this context's cut components
-    and rectangle side types, renumbered through the face correspondence.
+    built on first use and kept.  Its own `swapped` is this context while
+    this context is alive; it refers back weakly, so the two form no
+    reference cycle.  It builds the swapped `Diagram` but reuses this
+    context's cut components and rectangle side types, renumbered through
+    the face correspondence.
     """
 
     def __init__(self, diagram: Diagram):
@@ -221,7 +306,9 @@ class CriteriaContext:
         self.n_star = len(diagram.b_words)
         self.pair_verdicts: dict = {}
         self.cross_verdicts: dict = {}
-        self._swapped: Optional[CriteriaContext] = None
+        self._component_graphs: dict = {}
+        self._keyless_pairs_hold = all(len(comp.a_set) <= 1 for comp in comps_b)
+        self._swapped = None  # a callable that returns the swapped context, or None
 
         face_to_l = {}
         for comp in comps_b:
@@ -256,17 +343,20 @@ class CriteriaContext:
 
         Dart d is dart d ^ 1 of the swap (see `diagram`), so face f is face
         perm[f] there; the components and side types are mapped through it.
+        This context holds it strongly and it refers back weakly; when the
+        context it refers back to is gone, a new one is built.
         """
-        if self._swapped is None:
+        ctx = None if self._swapped is None else self._swapped()
+        if ctx is None:
             diagram = self.diagram.swap_roles()
             perm = [diagram.face_of_dart(f.darts[0] ^ 1) for f in self.diagram.faces]
             ctx = CriteriaContext.__new__(CriteriaContext)
             ctx._analyse(diagram, _swapped_components(self.comps_b, perm),
                          _swapped_components(self.comps_a, perm),
                          _swapped_types(self._types, perm))
-            ctx._swapped = self
-            self._swapped = ctx
-        return self._swapped
+            ctx._swapped = weakref.ref(self)
+            self._swapped = lambda: ctx
+        return ctx
 
     def a_set(self, k: int) -> frozenset:
         if not 1 <= k <= self.m:
@@ -308,13 +398,23 @@ class CriteriaContext:
             raise DiagramError(f"{p} or {q} is not in A_{k}")
 
     def component_graph(self, k: int) -> CriteriaGraph:
-        a_k = sorted(self.a_set(k))
-        edges = []
-        for i, p in enumerate(a_k):
-            for q in a_k[i + 1:]:
-                if self.first_failing_l_detail(k, p, q) is None:
-                    edges.append((p, q))
-        return graph_from_edges(edges, vertices=a_k)
+        """G_k: the labels A_k, with p-q an edge when every detail graph
+        G(k, l, p, q) is 2-connected; built once per k.
+
+        A pair with no `rect_index` key has edgeless detail graphs, so it is
+        an edge only when no A*_l has two labels (`_keyless_pairs_hold`);
+        otherwise only the keys are tested.
+        """
+        if k not in self._component_graphs:
+            a_k = self.a_set(k)
+            if self._keyless_pairs_hold:
+                pairs = itertools.combinations(sorted(a_k), 2)
+            else:
+                pairs = (key for key in self.rect_index
+                         if key[0] != key[1] and key[0] in a_k and key[1] in a_k)
+            edges = [(p, q) for p, q in pairs if self.first_failing_l_detail(k, p, q) is None]
+            self._component_graphs[k] = graph_from_edges(edges, vertices=a_k)
+        return self._component_graphs[k]
 
     def cross_detail_graph(
         self, l: int, disk: int, end_minus: Vertex, end_plus: Vertex
@@ -330,21 +430,33 @@ class CriteriaContext:
                 raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
 
     def disk_graph(self, disk: int) -> CriteriaGraph:
-        lam_minus = sorted(self.lambda_of(disk, MINUS))
-        lam_plus = sorted(self.lambda_of(disk, PLUS))
+        """H_d: the labels of Lambda_{d,-} and Lambda_{d,+}, each tagged by its
+        side of D_d, with the two tagged copies as the partition blocks.
+
+        The edges inside a block are the edges of G_k on Lambda_{d,kappa},
+        k = `k_of(d, kappa)`.  A cross edge p-q holds when every
+        composed-rectangle detail graph of (d, p, q) is 2-connected; only the
+        `composed_index` keys with axis d are tested, unless keyless pairs
+        hold (see `component_graph`).
+        """
+        lam_minus = self.lambda_of(disk, MINUS)
+        lam_plus = self.lambda_of(disk, PLUS)
+        edges = []
+        for kappa in (MINUS, PLUS):
+            own = (disk, kappa)
+            for p, q in self.component_graph(self.k_of(disk, kappa)).edges:
+                if own != p and own != q:
+                    edges.append(((kappa,) + p, (kappa,) + q))
+        if self._keyless_pairs_hold:
+            pairs = itertools.product(sorted(lam_minus), sorted(lam_plus))
+        else:
+            pairs = (key[1:] for key in self.composed_index
+                     if key[0] == disk and key[1] in lam_minus and key[2] in lam_plus)
+        for p, q in pairs:
+            if self.first_failing_l_cross(disk, p, q) is None:
+                edges.append(((MINUS,) + p, (PLUS,) + q))
         block_minus = frozenset((MINUS,) + p for p in lam_minus)
         block_plus = frozenset((PLUS,) + p for p in lam_plus)
-        edges = []
-        for kappa, lam in ((MINUS, lam_minus), (PLUS, lam_plus)):
-            k = self.k_of(disk, kappa)
-            for i, p in enumerate(lam):
-                for q in lam[i + 1:]:
-                    if self.first_failing_l_detail(k, p, q) is None:
-                        edges.append(((kappa,) + p, (kappa,) + q))
-        for p in lam_minus:
-            for q in lam_plus:
-                if self.first_failing_l_cross(disk, p, q) is None:
-                    edges.append(((MINUS,) + p, (PLUS,) + q))
         return graph_from_edges(
             edges,
             vertices=block_minus | block_plus,

@@ -33,7 +33,7 @@ def parse_diagram(text: str) -> Diagram:
     """Parse a diagram file; inverse of `serialize_diagram` up to rotation."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise DiagramError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DiagramError("not valid JSON: nested too deeply") from exc

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,8 @@ from heegaardrect.criteria import (
     CriteriaGraph,
     Verdict,
     Witness,
+    _connected_parts,
+    articulation_points,
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
@@ -15,7 +19,8 @@ from heegaardrect.criteria import (
     is_two_connected,
     rectangle_condition,
 )
-from heegaardrect.diagram import DiagramError, MINUS, OTHER_FAMILY, PLUS
+from heegaardrect.diagram import Diagram, DiagramError, MINUS, OTHER_FAMILY, PLUS
+from heegaardrect.diagramio import build_report
 from heegaardrect.rectangles import composed_rectangles, rectangle_faces
 from heegaardrect.twist import example_diagram
 
@@ -195,6 +200,111 @@ def test_connectivity_matches_brute_force(data):
     assert is_doubly_two_connected(blocked) == (witness is None)
 
 
+def _scan_doubly_witness(graph: CriteriaGraph):
+    """The witness by one scan of G - a per a: the oracle of the one-pass search.
+
+    Pairs are ordered by the first block's vertex, then the second's, and
+    the search makes one scan of G - a per vertex a of the first block.  If
+    G - a is connected, (a, b) disconnects exactly when b is a cut point of
+    G - a.  If G - a is disconnected, every b keeps it disconnected except a
+    b that is, on its own, one of exactly two parts.
+    """
+    if graph.partition is None:
+        raise DiagramError("doubly-2-connected test needs a partition")
+    adj = graph.neighbors()
+    lo, hi = graph.partition
+    hi_sorted = sorted(hi)
+    for a in sorted(lo):
+        rest = {v: nbrs - {a} for v, nbrs in adj.items() if v != a}
+        parts = _connected_parts(rest)
+        if len(parts) <= 1:
+            cut = articulation_points(rest) & hi
+            if cut:
+                return (a, min(cut))
+            continue
+        alone = set()
+        if len(parts) == 2:
+            alone = {v for part in parts if len(part) == 1 for v in part}
+        for b in hi_sorted:
+            if b not in alone:
+                return (a, b)
+    return None
+
+
+NEAR_CYCLE_SKELETONS = {
+    "cycle": (3, [(0, 1), (1, 2), (2, 0)]),
+    "theta": (2, [(0, 1), (0, 1), (0, 1)]),
+    "k4": (4, list(itertools.combinations(range(4), 2))),
+}
+
+
+def _subdivided(skeleton: str, spread, chords=(), order=None):
+    """`skeleton`'s edges subdivided (spread[i] = the edge holding new vertex
+    i), plus `chords`, with vertex v renamed order[v]."""
+    branch, edges = NEAR_CYCLE_SKELETONS[skeleton]
+    paths = [[u] for u, _ in edges]
+    for i, e in enumerate(spread):
+        paths[e].append(branch + i)
+    for path, (_, v) in zip(paths, edges):
+        path.append(v)
+    n = branch + len(spread)
+    order = order or list(range(n))
+    pairs = [e for path in paths for e in zip(path, path[1:])] + list(chords)
+    return graph_from_edges([(order[u], order[v]) for u, v in pairs], vertices=range(n))
+
+
+@st.composite
+def near_cycle_graphs(draw):
+    """A cycle, theta or K4 subdivided to 3-60 vertices, plus 0-4 chords,
+    with random blocks (either may be empty)."""
+    skeleton = draw(st.sampled_from(sorted(NEAR_CYCLE_SKELETONS)))
+    branch, edges = NEAR_CYCLE_SKELETONS[skeleton]
+    extra = draw(st.integers(max(0, 3 - branch), 60 - branch))
+    spread = draw(st.lists(st.integers(0, len(edges) - 1), min_size=extra, max_size=extra))
+    n = branch + extra
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=4))
+    graph = _subdivided(skeleton, spread, chords, draw(st.permutations(range(n))))
+    in_lo = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lo = frozenset(v for v in range(n) if in_lo[v])
+    return graph, (lo, frozenset(range(n)) - lo)
+
+
+def _split(graph, lo):
+    return graph, (frozenset(lo), graph.vertices - frozenset(lo))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(near_cycle_graphs(), random_graphs()))
+@example(_split(_subdivided("cycle", [0, 1, 2, 2]), [0, 2, 5]))
+@example(_split(_subdivided("theta", [0, 1, 1, 2, 2, 2]), [1, 3, 6]))
+@example(_split(_subdivided("k4", [0, 5, 5]), []))
+@example(_split(_subdivided("k4", [0, 5, 5]), range(7)))
+# three triangles in a row: the cut vertex 2 is in the first block, 4 in the second
+@example(_blocked([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 4)],
+                  7, [0, 2, 5]))
+# two disjoint triangles
+@example(_blocked([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6, [1, 3]))
+def test_witness_matches_the_scan(data):
+    graph, partition = data
+    blocked = CriteriaGraph(graph.vertices, graph.edges, partition)
+    witness = doubly_two_connected_witness(blocked)
+    assert witness == _scan_doubly_witness(blocked)
+    if len(graph.vertices) <= 12:
+        assert witness == _brute_doubly_witness(blocked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(near_cycle_graphs(), random_graphs()))
+def test_articulation_points_match_networkx(data):
+    nx = pytest.importorskip("networkx")
+    graph, _ = data
+    g = nx.Graph()
+    g.add_nodes_from(graph.vertices)
+    g.add_edges_from(graph.edges)
+    assert articulation_points(graph.neighbors()) == set(nx.articulation_points(g))
+
+
 # -- graph builders ------------------------------------------------------------
 
 
@@ -228,6 +338,94 @@ def test_pair_verdicts_match_definition(example_32_maximal):
                 ]
                 assert l_fail == _first_failing_l(graphs)
     assert prechecked and built
+
+
+def three_circles_sphere() -> Diagram:
+    """Genus 0: one b-circle through three disjoint a-circles.
+
+    Each side of the b-circle is a disk, so every A*_l has one label, and
+    the a-cut has a pants piece whose two faces are hexagons: G_2 is a
+    triangle of pairs with no rectangle at all.  Not a valid diagram.
+    """
+    xs = ["x1", "x2", "x3", "x4", "x5", "x6"]
+    return Diagram({"a1": xs[:2], "a2": xs[2:4], "a3": xs[4:]}, {"b": xs},
+                   dict(zip(xs, (1, -1) * 3)))
+
+
+def _dense_graphs(ctx):
+    """G_k for every k and H_d for every disk, testing every label pair."""
+    gks = []
+    for k in range(1, ctx.m + 1):
+        a_k = sorted(ctx.a_set(k))
+        edges = [(p, q) for p, q in itertools.combinations(a_k, 2)
+                 if ctx.first_failing_l_detail(k, p, q) is None]
+        gks.append(graph_from_edges(edges, vertices=a_k))
+    hds = []
+    for disk in range(1, ctx.n + 1):
+        lam = {s: sorted(ctx.lambda_of(disk, s)) for s in (MINUS, PLUS)}
+        edges = [((s,) + p, (s,) + q) for s in (MINUS, PLUS)
+                 for p, q in itertools.combinations(lam[s], 2)
+                 if ctx.first_failing_l_detail(ctx.k_of(disk, s), p, q) is None]
+        edges += [((MINUS,) + p, (PLUS,) + q)
+                  for p, q in itertools.product(lam[MINUS], lam[PLUS])
+                  if ctx.first_failing_l_cross(disk, p, q) is None]
+        blocks = tuple(frozenset((s,) + p for p in lam[s]) for s in (MINUS, PLUS))
+        hds.append(graph_from_edges(edges, vertices=blocks[0] | blocks[1], partition=blocks))
+    return gks, hds
+
+
+def test_key_driven_graphs_match_every_pair(example_32_maximal):
+    """G_k and H_d read off the index keys equal the graphs that test every
+    pair, including where pairs with no key are edges."""
+    corner = CriteriaContext(three_circles_sphere())
+    assert not corner.rect_index and len(corner.component_graph(2).edges) == 3
+    cases = [three_circles_sphere(), *_swap_cases(example_32_maximal)]
+    for d in cases:
+        for swapped in (False, True):
+            ctx, fresh = CriteriaContext(d), CriteriaContext(d)
+            if swapped:
+                ctx, fresh = ctx.swapped, fresh.swapped
+            gks, hds = _dense_graphs(fresh)
+            assert [ctx.component_graph(k) for k in range(1, ctx.m + 1)] == gks
+            assert [ctx.disk_graph(disk) for disk in range(1, ctx.n + 1)] == hds
+
+
+def test_verdicts_are_computed_only_for_index_keys(monkeypatch):
+    """Where both conditions hold, no pair without an index key is tested."""
+    contexts = []
+    analyse = CriteriaContext._analyse
+
+    def recording(ctx, *args):
+        contexts.append(ctx)
+        return analyse(ctx, *args)
+
+    monkeypatch.setattr(CriteriaContext, "_analyse", recording)
+    report = build_report(example_diagram(5, 2), "both")
+    assert report["rc"]["holds"] and report["drc"]["holds"]
+    assert len(contexts) == 2
+    for ctx in contexts:
+        assert ctx.cross_verdicts and len(ctx.cross_verdicts) <= len(ctx.composed_index)
+        assert ctx.pair_verdicts and len(ctx.pair_verdicts) <= len(ctx.rect_index)
+
+
+def test_report_contexts_die_without_the_cycle_collector(example_32, monkeypatch):
+    """The swapped context refers back weakly, so a report's two contexts are
+    freed by reference counting alone."""
+    refs = []
+    analyse = CriteriaContext._analyse
+
+    def recording(ctx, *args):
+        refs.append(weakref.ref(ctx))
+        return analyse(ctx, *args)
+
+    monkeypatch.setattr(CriteriaContext, "_analyse", recording)
+    gc.disable()
+    try:
+        build_report(example_32, "both")
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
 
 
 HEXAGON = [

@@ -221,10 +221,11 @@ def _torus_doc_with(mangle) -> str:
         b"\xff\xfe{",
         _torus_doc_with(lambda doc: doc["d_curves"].update(a=["x+\n"])),
         (GOLDEN / "example_3_2.json").read_text().replace('"x001-"', '"x001-\\n"', 1),
+        '{"format_version": ' + "1" * 5000 + "}",
     ],
     ids=["int-token", "bool-token", "int-signed-token", "version-true",
          "version-float", "deep-nesting", "non-utf8", "newline-signed-token",
-         "newline-token-in-example"],
+         "newline-token-in-example", "huge-int"],
 )
 def test_cli_rejects_hostile_input(tmp_path, capsys, text):
     f = tmp_path / "hostile.json"

@@ -1,6 +1,9 @@
-"""Smoke tests of the scripts: pattern search and golden regeneration."""
+"""Smoke tests of the scripts: pattern search, golden regeneration, and the
+benchmark's names for the functions it traces."""
 
+import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,3 +33,21 @@ def test_make_golden_regenerates_every_golden_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_benchmark_traces_only_functions_the_package_has():
+    """Every dotted path the benchmark's trace counts or replays resolves to
+    an attribute of the package, so a refactor cannot drop a traced stage
+    unnoticed.  The module is run from its source, so nothing is written
+    beside it."""
+    path = ROOT / "perfbench" / "replay.py"
+    replay = types.ModuleType("replay")
+    exec(compile(path.read_text(), str(path), "exec"), replay.__dict__)
+    paths = [*replay.COUNTED.values(), *replay.STAGED_REPORT]
+    assert len(paths) >= 12
+    for dotted in paths:
+        module, _, rest = dotted.partition(".")
+        obj = importlib.import_module(f"heegaardrect.{module}")
+        for part in rest.split("."):
+            assert hasattr(obj, part), dotted
+            obj = getattr(obj, part)
