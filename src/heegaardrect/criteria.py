@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .diagram import FAMILY_A, FAMILY_B, Diagram, DiagramError, MINUS, PLUS, side_str
-from .rectangles import _composed, _side_types, _swapped_types
-from .systems import _swapped_components, cut_components, validate_components
+from .diagram import FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, Diagram, DiagramError, side_str
+from .rectangles import _composed, _side_types
+from .systems import ValidationReport, cut_components, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
@@ -262,8 +263,15 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
 # -- analysis context --------------------------------------------------------
 
 
+def _numbered(surface: Diagram, comps: tuple, flip: int, family: str) -> tuple:
+    """`comps` renumbered by their least dart d ^ flip, as cut components of `family`."""
+    faces = surface.faces
+    order = sorted(comps, key=lambda c: min(d ^ flip for f in c.faces for d in faces[f].darts))
+    return tuple(replace(c, index=i, family=family) for i, c in enumerate(order, 1))
+
+
 class CriteriaContext:
-    """The analysis of one diagram orientation, shared by every criterion.
+    """The analysis of one orientation of a diagram, shared by every criterion.
 
     It cuts each family once; the disk-system `validation`, the rectangle
     indexes and the pair verdicts are all derived from those components.
@@ -281,44 +289,44 @@ class CriteriaContext:
     graph takes its block edges from it.  The missing-type search asks for
     the verdicts of the absent edges it explains, keys or not.
 
-    `swapped`, the context of the diagram with the families exchanged, is
-    built on first use and kept.  Its own `swapped` is this context while
-    this context is alive; it refers back weakly, so the two form no
-    reference cycle.  It builds the swapped `Diagram` but reuses this
-    context's cut components and rectangle side types, renumbered through
-    the face correspondence.
+    The two orientations are two views of one surface: `swapped`, the view
+    with the families exchanged, is built on first use by the same
+    `_analyse` from this view's cut components and side types, read with
+    the families exchanged, and keeps this diagram's face numbers.  The swap
+    renames dart d to d ^ 1 (see the `diagram` module), so each view numbers
+    its cut components (the k and l of its witnesses) by their least dart
+    d ^ flip, flip 1 when swapped, as a context of `swap_roles()` would.
+    The swapped view builds its `diagram` and `validation` only when read.
+    Its own `swapped` is this context while this context is alive; it
+    refers back weakly, so the two form no reference cycle.
     """
 
     def __init__(self, diagram: Diagram):
-        self._analyse(diagram, cut_components(diagram, FAMILY_A),
-                      cut_components(diagram, FAMILY_B), _side_types(diagram))
+        cuts = {family: cut_components(diagram, family) for family in OTHER_FAMILY}
+        self._analyse(diagram, FAMILY_A, cuts, _side_types(diagram))
 
-    def _analyse(self, diagram: Diagram, comps_a, comps_b, types) -> None:
-        """Validation and indexes from the cut components and `_side_types`."""
-        self.diagram = diagram
-        self.comps_a = comps_a
-        self.comps_b = comps_b
-        self._types = types
-        self.validation = validate_components(diagram, comps_a, comps_b)
-        self.m = len(comps_a)
-        self.m_star = len(comps_b)
-        self.n = len(diagram.a_words)
-        self.n_star = len(diagram.b_words)
+    def _analyse(self, surface: Diagram, first: str, cuts: dict, types: dict) -> None:
+        """Indexes of the view of `surface` whose first family is `first`,
+        from its cut components and `_side_types`, both keyed by family."""
+        second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
+        self._surface, self._first, self._cuts, self._types = surface, first, cuts, types
+        self.comps_a = comps_a = _numbered(surface, cuts[first], flip, FAMILY_A)
+        self.comps_b = comps_b = _numbered(surface, cuts[second], flip, FAMILY_B)
+        self.m, self.m_star = len(comps_a), len(comps_b)
+        counts = (len(surface.a_words), len(surface.b_words))
+        self.n, self.n_star = counts[::-1] if flip else counts
         self.pair_verdicts: dict = {}
         self.cross_verdicts: dict = {}
         self._component_graphs: dict = {}
         self._keyless_pairs_hold = all(len(comp.a_set) <= 1 for comp in comps_b)
         self._swapped = None  # a callable that returns the swapped context, or None
 
-        face_to_l = {}
-        for comp in comps_b:
-            for fi in comp.faces:
-                face_to_l[fi] = comp.index
+        face_to_l = {fi: comp.index for comp in comps_b for fi in comp.faces}
 
         # a-side pair -> l -> set of b-side pairs that are not loops
         self.rect_index: dict = {}
-        for fi, a_sides in types[FAMILY_A].items():
-            u, v = b_sides = types[FAMILY_B][fi]
+        for fi, a_sides in types[first].items():
+            u, v = b_sides = types[second][fi]
             if u == v:
                 continue
             l = face_to_l[fi]
@@ -328,7 +336,7 @@ class CriteriaContext:
 
         # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not loops
         self.composed_index: dict = {}
-        for ctype, f_minus, f_plus in _composed(diagram, FAMILY_A, types):
+        for ctype, f_minus, f_plus in _composed(surface, first, types):
             l = face_to_l[f_minus.index]
             if face_to_l[f_plus.index] != l:
                 raise DiagramError("composed rectangle straddles cut components")
@@ -337,23 +345,29 @@ class CriteriaContext:
             key = (ctype.axis, ctype.end_minus, ctype.end_plus)
             self.composed_index.setdefault(key, {}).setdefault(l, set()).add(ctype.b_sides)
 
+    @cached_property
+    def diagram(self) -> Diagram:
+        """The diagram of this orientation; the swapped view builds it on first read."""
+        return self._surface if self._first == FAMILY_A else self._surface.swap_roles()
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The disk-system checks of this orientation, on its own cut components."""
+        return validate_components(self.diagram, self.comps_a, self.comps_b)
+
     @property
     def swapped(self) -> "CriteriaContext":
-        """Context of the diagram with the families exchanged, built once.
+        """The view with the families exchanged, built once by `_analyse`.
 
-        Dart d is dart d ^ 1 of the swap (see `diagram`), so face f is face
-        perm[f] there; the components and side types are mapped through it.
         This context holds it strongly and it refers back weakly; when the
         context it refers back to is gone, a new one is built.
         """
         ctx = None if self._swapped is None else self._swapped()
         if ctx is None:
-            diagram = self.diagram.swap_roles()
-            perm = [diagram.face_of_dart(f.darts[0] ^ 1) for f in self.diagram.faces]
+            if self._surface.aux:
+                raise DiagramError("cannot swap the families of a multicurve map")
             ctx = CriteriaContext.__new__(CriteriaContext)
-            ctx._analyse(diagram, _swapped_components(self.comps_b, perm),
-                         _swapped_components(self.comps_a, perm),
-                         _swapped_types(self._types, perm))
+            ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._cuts, self._types)
             ctx._swapped = weakref.ref(self)
             self._swapped = lambda: ctx
         return ctx
@@ -584,8 +598,11 @@ NOTE_RC = "the Heegaard splitting is strongly irreducible"
 NOTE_DRC = "the Goeritz group of the Heegaard splitting is finite"
 
 
-def rectangle_condition(diagram: Diagram, ctx: Optional[CriteriaContext] = None) -> Verdict:
-    """Holds iff the component graph G_k is 2-connected for every k."""
+def rectangle_condition(
+    diagram: Optional[Diagram], ctx: Optional[CriteriaContext] = None
+) -> Verdict:
+    """Holds iff the component graph G_k is 2-connected for every k; `diagram`
+    is read only when no `ctx` is given, so `ctx` may be a swapped view."""
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     for k in range(1, ctx.m + 1):
@@ -648,17 +665,17 @@ def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
 
 
 def double_rectangle_condition(
-    diagram: Diagram, ctx: Optional[CriteriaContext] = None
+    diagram: Optional[Diagram], ctx: Optional[CriteriaContext] = None
 ) -> Verdict:
     """Holds iff every disk graph H_d is doubly 2-connected, both ways round.
 
     The condition is checked on the diagram as given and on the diagram with
-    the families exchanged; witnesses record which direction failed.  A
-    given `ctx` must be the context of `diagram`; the exchanged direction
-    then uses `ctx.swapped`, so a caller that also checks RC on both sides
-    builds each context once.  Disk graphs that pass the pairwise-deletion
-    test without being connected are flagged in the note, since stronger
-    readings would reject them.
+    the families exchanged; witnesses record which direction failed.
+    `diagram` is read only when no `ctx` is given; the exchanged direction
+    uses `ctx.swapped`, so a caller that also checks RC on both sides
+    analyses each orientation once.  Disk graphs that pass the
+    pairwise-deletion test without being connected are flagged in the note,
+    since stronger readings would reject them.
     """
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
@@ -667,15 +684,16 @@ def double_rectangle_condition(
         for disk in range(1, octx.n + 1):
             hd = octx.disk_graph(disk)
             pair = doubly_two_connected_witness(hd)
-            if pair is None:
-                if len(_connected_parts(hd.neighbors())) > 1:
-                    tag = "families switched, " if swapped else ""
-                    borderline.append(f"{tag}H_{disk}")
-                continue
-            missing = _missing_types(
-                hd, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
-            )
-            witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
+            if pair is not None:
+                missing = _missing_types(
+                    hd, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
+                )
+                witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
+            # only a block of <= 1 vertex lets a disconnected graph pass: for a != a'
+            # and b != b', all parts but one lie in {a, b} and all but one in {a', b'},
+            # so the parts are {a, b}, {a', b'}, and likewise {a, b'}, {a', b}: absurd
+            elif min(map(len, hd.partition)) <= 1 and len(_connected_parts(hd.neighbors())) > 1:
+                borderline.append(f"{'families switched, ' if swapped else ''}H_{disk}")
     holds = not witnesses
     note = NOTE_DRC if holds else ""
     if borderline:

@@ -26,12 +26,12 @@ Conventions (fixed once, everything else follows):
   port lies on the plus side of the strand, and on the minus side for an
   "in" port.
 
-* Exchanging the families (`Diagram.swap_roles`) keeps the crossings and
-  flips every sign: the ports are renamed by a_out <-> b_out, a_in <-> b_in
-  (dart ``d`` becomes ``d ^ 1``) and the rotation at each crossing stays.
-  So each face is a face of the swap, with darts ``d ^ 1`` in the same
-  cyclic order and the same (curve, side) sides; only the family of each
-  side and the face numbering change.
+* Exchanging the families keeps the surface: the ports are renamed by
+  a_out <-> b_out, a_in <-> b_in (dart ``d`` becomes ``d ^ 1``), every sign
+  flips, and each face stays a face, its darts ``d ^ 1`` in the same cyclic
+  order with the same (curve, side) sides; only the family of each side and
+  the numbering by least dart change.  The criteria analyse both orientations
+  as two views of one map; `Diagram.swap_roles` builds the swap on its own.
 """
 
 from __future__ import annotations

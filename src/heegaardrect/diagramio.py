@@ -168,9 +168,7 @@ def build_report(diagram: Diagram, condition: str = "both") -> dict:
         return report
     if condition in ("rc", "both"):
         report["rc"] = _verdict_json(rectangle_condition(diagram, ctx))
-        report["rc_swapped"] = _verdict_json(
-            rectangle_condition(ctx.swapped.diagram, ctx.swapped)
-        )
+        report["rc_swapped"] = _verdict_json(rectangle_condition(None, ctx.swapped))
         report["rc_swapped"]["note"] = (
             "informational: the rectangle condition after switching the families; "
             "whether the general condition is symmetric is not asserted"

@@ -66,14 +66,6 @@ def _side_types(diagram: Diagram) -> dict[str, dict[int, SidePair]]:
     return types
 
 
-def _swapped_types(types: dict[str, dict[int, SidePair]], perm: list[int]):
-    """`_side_types` of the diagram with the families exchanged, where face f
-    of the diagram is face perm[f] of the swap: each family takes the other's
-    types, re-indexed and kept in face order."""
-    return {family: dict(sorted((perm[f], pair) for f, pair in types[other].items()))
-            for family, other in OTHER_FAMILY.items()}
-
-
 def rectangle_faces(diagram: Diagram) -> tuple[tuple[Face, RectangleType], ...]:
     """All degree-4 faces with their types, in face order."""
     types = _side_types(diagram)

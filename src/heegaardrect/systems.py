@@ -8,7 +8,7 @@ labels (curve index, side) that the criteria modules quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .diagram import FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError
 
@@ -85,15 +85,6 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
             )
         )
     return tuple(components)
-
-
-def _swapped_components(comps: tuple[CutComponent, ...], perm: list[int]):
-    """`comps` as `cut_components` gives them on the diagram with the families
-    exchanged, where face f is face perm[f]: the sides stay, the family, face
-    indices and order by smallest face change."""
-    mapped = sorted((tuple(sorted(perm[f] for f in c.faces)), c) for c in comps)
-    return tuple(replace(c, index=i, family=OTHER_FAMILY[c.family], faces=faces)
-                 for i, (faces, c) in enumerate(mapped, 1))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,9 +20,12 @@ from heegaardrect.criteria import (
     is_two_connected,
     rectangle_condition,
 )
-from heegaardrect.diagram import Diagram, DiagramError, MINUS, OTHER_FAMILY, PLUS
+from heegaardrect.diagram import (
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, Diagram, DiagramError,
+)
 from heegaardrect.diagramio import build_report
 from heegaardrect.rectangles import composed_rectangles, rectangle_faces
+from heegaardrect.systems import CutComponent, cut_components
 from heegaardrect.twist import example_diagram
 
 from conftest import (
@@ -198,6 +202,28 @@ def test_connectivity_matches_brute_force(data):
     witness = _brute_doubly_witness(blocked)
     assert doubly_two_connected_witness(blocked) == witness
     assert is_doubly_two_connected(blocked) == (witness is None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+# two edges {a, b} and {a', b'}: deleting a and b' leaves b and a' apart
+@example(_blocked([(0, 2), (1, 3)], 4, [0, 1]))
+def test_passing_graph_with_two_big_blocks_is_connected(data):
+    """With two or more vertices in each block, a graph no pair disconnects is
+    connected, so `double_rectangle_condition` tests connectivity only when a
+    block has at most one vertex."""
+    graph, partition = data
+    blocked = CriteriaGraph(graph.vertices, graph.edges, partition)
+    if min(map(len, partition)) >= 2 and _brute_doubly_witness(blocked) is None:
+        assert _brute_connected_after(blocked, set())
+
+
+def test_drc_flags_a_disconnected_disk_graph_that_passes():
+    """On the torus square each block of H_1 is one label and no edge joins
+    them: the pairwise-deletion reading holds, and the note says so."""
+    v = double_rectangle_condition(torus_one())
+    assert v.holds
+    assert v.note.endswith("disconnected graph for H_1; families switched, H_1)")
 
 
 def _scan_doubly_witness(graph: CriteriaGraph):
@@ -569,8 +595,6 @@ def test_rectangle_condition_example(example_32):
 
 
 def test_rectangle_condition_hexagon_fixture():
-    from heegaardrect.systems import cut_components
-
     v = rectangle_condition(hexagon_diagram())
     assert not v.holds
     failing = {w.index for w in v.witnesses}
@@ -693,14 +717,34 @@ def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
 
 
 def test_swapped_context_matches_a_fresh_build(example_32_maximal):
-    """`ctx.swapped` maps this context's analysis; building the swap's context
-    from scratch is the oracle."""
+    """`ctx.swapped` is the view of this diagram with the families exchanged;
+    the context built from scratch on the swap is the oracle.  The view keeps
+    this diagram's face numbers, so only those are mapped, through d -> d ^ 1
+    (see `test_swap_maps_every_face_through_the_port_involution`)."""
     for d in _swap_cases(example_32_maximal):
         ctx = CriteriaContext(d)
-        fresh = CriteriaContext(d.swap_roles())
+        swap = d.swap_roles()
+        fresh = CriteriaContext(swap)
         swapped = ctx.swapped
-        for attr in ("comps_a", "comps_b", "rect_index", "composed_index", "m", "m_star"):
+        assert ctx.comps_a == cut_components(d, FAMILY_A)
+        assert ctx.comps_b == cut_components(d, FAMILY_B)
+        perm = [swap.face_of_dart(f.darts[0] ^ 1) for f in d.faces]
+        for attr in ("comps_a", "comps_b"):
+            mine, theirs = getattr(swapped, attr), getattr(fresh, attr)
+            assert len(mine) == len(theirs), attr
+            for comp, oracle in zip(mine, theirs):
+                for field in fields(CutComponent):
+                    value = getattr(comp, field.name)
+                    if field.name == "faces":
+                        value = tuple(sorted(perm[f] for f in value))
+                    assert value == getattr(oracle, field.name), (attr, field.name)
+        for attr in ("rect_index", "composed_index", "m", "m_star", "n", "n_star"):
             assert getattr(swapped, attr) == getattr(fresh, attr), attr
         assert swapped.validation.passed == fresh.validation.passed
         assert swapped.validation.entries == fresh.validation.entries
+        assert swapped.diagram.a_words == swap.a_words == d.b_words
+        assert swapped.diagram.b_words == swap.b_words == d.a_words
+        assert {x: cr.sign for x, cr in swapped.diagram.crossings.items()} == {
+            x: -cr.sign for x, cr in d.crossings.items()
+        }
         assert swapped.swapped is ctx

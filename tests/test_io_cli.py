@@ -138,8 +138,9 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
     count_calls(heegaardrect.rectangles, "_side_types")
     build_report(example_32, "both")
     # the diagram is cut and its rectangles typed once; the swapped
-    # orientation maps that analysis instead of repeating it
-    assert counts == {"contexts": 2, "swaps": 1, "cut_components": 2, "_side_types": 1}
+    # orientation reads that analysis with the families exchanged and
+    # builds no swapped diagram
+    assert counts == {"contexts": 2, "swaps": 0, "cut_components": 2, "_side_types": 1}
 
 
 def test_report_witnesses_serialize(example_32_maximal):
