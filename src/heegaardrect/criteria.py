@@ -264,7 +264,10 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
 
 
 def _numbered(surface: Diagram, comps: tuple, flip: int, family: str) -> tuple:
-    """`comps` renumbered by their least dart d ^ flip, as cut components of `family`."""
+    """`comps` renumbered by their least dart d ^ flip, as cut components of `family`;
+    with flip 0 they already are, being ordered by least face."""
+    if not flip:
+        return comps
     faces = surface.faces
     order = sorted(comps, key=lambda c: min(d ^ flip for f in c.faces for d in faces[f].darts))
     return tuple(replace(c, index=i, family=family) for i, c in enumerate(order, 1))
@@ -322,6 +325,7 @@ class CriteriaContext:
         self._swapped = None  # a callable that returns the swapped context, or None
 
         face_to_l = {fi: comp.index for comp in comps_b for fi in comp.faces}
+        a_star = [None] + [comp.a_set for comp in comps_b]
 
         # a-side pair -> l -> set of b-side pairs that are not loops
         self.rect_index: dict = {}
@@ -330,20 +334,20 @@ class CriteriaContext:
             if u == v:
                 continue
             l = face_to_l[fi]
-            if not {u, v} <= self.a_star_set(l):
+            if u not in a_star[l] or v not in a_star[l]:
                 raise DiagramError("rectangle crosses its own cut component")
             self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
 
         # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not loops
         self.composed_index: dict = {}
-        for ctype, f_minus, f_plus in _composed(surface, first, types):
-            l = face_to_l[f_minus.index]
-            if face_to_l[f_plus.index] != l:
+        for axis, end_minus, end_plus, b_sides, f_minus, f_plus in _composed(surface, first, types):
+            l = face_to_l[f_minus]
+            if face_to_l[f_plus] != l:
                 raise DiagramError("composed rectangle straddles cut components")
-            if ctype.b_sides[0] == ctype.b_sides[1]:
+            if b_sides[0] == b_sides[1]:
                 continue
-            key = (ctype.axis, ctype.end_minus, ctype.end_plus)
-            self.composed_index.setdefault(key, {}).setdefault(l, set()).add(ctype.b_sides)
+            key = (axis, end_minus, end_plus)
+            self.composed_index.setdefault(key, {}).setdefault(l, set()).add(b_sides)
 
     @cached_property
     def diagram(self) -> Diagram:

@@ -134,6 +134,8 @@ class Diagram:
         for curve, word in self.b_words.items():
             for x in word:
                 b_of[x] = curve
+        if not a_of.keys() <= signs.keys():
+            raise DiagramError(f"crossing {min(a_of.keys() - signs.keys())} has no sign")
         self.crossings: dict[str, Crossing] = {
             x: Crossing(x, a_of[x], b_of[x], signs[x]) for x in sorted(a_of)
         }
@@ -172,24 +174,20 @@ class Diagram:
     def _build_map(self):
         n = len(self._crossing_ids)
         nd = 4 * n
-        sigma = [0] * nd
-        sigma_inv = [0] * nd
-        for x, ci in self._cindex.items():
-            base = 4 * ci
-            if self.crossings[x].sign == PLUS:
-                order = (A_OUT, B_OUT, A_IN, B_IN)
-            else:
-                order = (A_OUT, B_IN, A_IN, B_OUT)
-            for j in range(4):
-                d = base + order[j]
-                e = base + order[(j + 1) % 4]
-                sigma[d] = e
-                sigma_inv[e] = d
+        # sigma turns each dart to the next counterclockwise at its crossing:
+        # ports 0, 1, 2, 3 in turn at sign +1, and in reverse at sign -1
+        sigma, sigma_inv = [], []
+        for base, cr in zip(range(0, nd, 4), self.crossings.values()):
+            ccw, cw = (base + 1, base + 2, base + 3, base), (base + 3, base, base + 1, base + 2)
+            sigma += ccw if cr.sign == PLUS else cw
+            sigma_inv += cw if cr.sign == PLUS else ccw
         alpha = [0] * nd
         for family, (out_port, in_port) in PORTS.items():
-            for _, x, y in self.edges(family):
-                alpha[4 * self._cindex[x] + out_port] = 4 * self._cindex[y] + in_port
-                alpha[4 * self._cindex[y] + in_port] = 4 * self._cindex[x] + out_port
+            for word in (self.a_words if family == FAMILY_A else self.b_words).values():
+                darts = [4 * self._cindex[x] for x in word]
+                for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
+                    alpha[s + out_port] = t + in_port
+                    alpha[t + in_port] = s + out_port
         self._sigma = sigma
         self._sigma_inv = sigma_inv
         self._alpha = alpha
@@ -197,12 +195,7 @@ class Diagram:
         if not self._connected():
             raise DiagramError("disconnected diagram unsupported")
 
-        self._faces = self._trace_faces()
-        self._face_of_dart = [0] * nd
-        for f in self._faces:
-            for d in f.darts:
-                self._face_of_dart[d] = f.index
-
+        self._faces, self._face_of_dart = self._trace_faces()
         v, e, f = n, 2 * n, len(self._faces)
         chi = v - e + f
         if chi % 2 != 0 or chi > 2:
@@ -210,21 +203,24 @@ class Diagram:
         self._genus = (2 - chi) // 2
 
     def _connected(self) -> bool:
-        nd = 4 * len(self._crossing_ids)
-        if nd == 0:
-            return False
-        seen = [False] * nd
-        stack = [0]
-        seen[0] = True
-        while stack:
-            d = stack.pop()
-            for e in (self._sigma[d], self._alpha[d]):
-                if not seen[e]:
-                    seen[e] = True
-                    stack.append(e)
-        return all(seen)
+        # sigma joins the four darts of a crossing and alpha runs along each
+        # curve, so the map is connected iff the curves are, joined at the
+        # crossings they share
+        parent = {c: c for c in (*self.a_words, *self.b_words)}
+        parts = len(parent)
+        for cr in self.crossings.values():
+            a, b = cr.a_curve, cr.b_curve
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                parts -= 1
+        return parts == 1
 
-    def _trace_faces(self) -> tuple[Face, ...]:
+    def _trace_faces(self) -> tuple[tuple[Face, ...], list[int]]:
+        """The faces, numbered by least dart, and the face of every dart."""
         # one FaceSide per (family, curve, side), shared by every dart it labels
         curve_sides = {
             c: (FaceSide(family, c, PLUS), FaceSide(family, c, MINUS))
@@ -236,20 +232,19 @@ class Diagram:
             cr = self.crossings[x]
             (a_plus, a_minus), (b_plus, b_minus) = curve_sides[cr.a_curve], curve_sides[cr.b_curve]
             dart_side += (a_plus, b_plus, a_minus, b_minus)  # ports A_OUT, B_OUT, A_IN, B_IN
-        nd = len(dart_side)
-        seen = [False] * nd
+        sigma_inv, alpha = self._sigma_inv, self._alpha
+        face_of = [None] * len(dart_side)
         faces = []
-        for start in range(nd):
-            if seen[start]:
+        for start in range(len(dart_side)):
+            if face_of[start] is not None:
                 continue
-            orbit = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
+            i, orbit, d = len(faces), [], start
+            while face_of[d] is None:
+                face_of[d] = i
                 orbit.append(d)
-                d = self._sigma_inv[self._alpha[d]]
-            faces.append(Face(len(faces), tuple(orbit), tuple(dart_side[p] for p in orbit)))
-        return tuple(faces)
+                d = sigma_inv[alpha[d]]
+            faces.append(Face(i, tuple(orbit), tuple(dart_side[p] for p in orbit)))
+        return tuple(faces), face_of
 
     # -- basic queries -----------------------------------------------------
 
@@ -333,7 +328,7 @@ class Diagram:
         return Diagram(a_words, b_words, signs, aux=self.aux)
 
     def relabel_crossings(self, mapping: Mapping[str, str]) -> "Diagram":
-        if len(set(mapping.values())) != len(mapping):
+        if self.crossings.keys() - mapping.keys() or len(set(mapping.values())) != len(mapping):
             raise DiagramError("crossing relabeling is not a bijection")
         a_words = {c: tuple(mapping[x] for x in w) for c, w in self.a_words.items()}
         b_words = {c: tuple(mapping[x] for x in w) for c, w in self.b_words.items()}

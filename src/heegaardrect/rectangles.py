@@ -85,35 +85,41 @@ def composed_rectangles(
     """
     if axis_family not in OTHER_FAMILY:
         raise DiagramError(f"unknown family {axis_family!r}")
-    return _composed(diagram, axis_family, _side_types(diagram))
+    faces = diagram.faces
+    return tuple((ComposedRectangleType(*t[:4]), faces[t[4]], faces[t[5]])
+                 for t in _composed(diagram, axis_family, _side_types(diagram)))
 
 
 def _composed(diagram: Diagram, axis_family: str, types: dict[str, dict[int, SidePair]]):
-    """`composed_rectangles` read off the diagram's `_side_types`."""
+    """`composed_rectangles` read off the diagram's `_side_types`, in the same
+    order, yielded as plain tuples (axis, end_minus, end_plus, b_sides,
+    face_minus, face_plus) with face indices."""
     out_port = PORTS[axis_family][0]
-    axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
-    axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
+    words = diagram.a_words if axis_family == FAMILY_A else diagram.b_words
     axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
-    faces, face_of, mate = diagram.faces, diagram.face_of_dart, diagram.mate
+    faces, fod, alpha, cindex = diagram.faces, diagram._face_of_dart, diagram._alpha, diagram._cindex
 
-    out = []
-    for curve, x, _y in diagram.edges(axis_family):
-        d_out = diagram.dart(x, out_port)
-        # the face left of the forward arc is on the plus side of the edge
-        f_plus, f_minus = face_of(d_out), face_of(mate(d_out))
-        if f_plus == f_minus or f_plus not in axis_types or f_minus not in axis_types:
-            continue
-        if sum(face_of(mate(d)) == f_plus for d in faces[f_minus].darts) != 1:
-            continue
-        axis = axis_index[curve]
-        ends = []
-        for f, inner in ((f_minus, (axis, MINUS)), (f_plus, (axis, PLUS))):
-            sides = axis_types[f]
-            if inner not in sides:
+    for axis, word in enumerate(words.values(), 1):
+        minus, plus = (axis, MINUS), (axis, PLUS)
+        for x in word:
+            d = 4 * cindex[x] + out_port
+            # the face left of the forward arc is on the plus side of the edge
+            f_plus, f_minus = fod[d], fod[alpha[d]]
+            if f_plus == f_minus or f_plus not in axis_types or f_minus not in axis_types:
+                continue
+            glued = 0
+            for e in faces[f_minus].darts:
+                if fod[alpha[e]] == f_plus:
+                    glued += 1
+            if glued != 1:
+                continue
+            # the outer side of each end: the one that is not its axis side
+            (s, t), (u, v) = axis_types[f_minus], axis_types[f_plus]
+            end_minus = t if s == minus else s if t == minus else None
+            end_plus = v if u == plus else u if v == plus else None
+            if end_minus is None or end_plus is None:
                 raise DiagramError("rectangle does not lie on the expected side of its axis")
-            ends.append(sides[1 - sides.index(inner)])
-        cross = cross_types[f_minus]
-        if cross_types[f_plus] != cross:
-            raise DiagramError("composed rectangle with mismatched cross sides")
-        out.append((ComposedRectangleType(axis, *ends, cross), faces[f_minus], faces[f_plus]))
-    return tuple(out)
+            cross = cross_types[f_minus]
+            if cross_types[f_plus] != cross:
+                raise DiagramError("composed rectangle with mismatched cross sides")
+            yield axis, end_minus, end_plus, cross, f_minus, f_plus

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError
+from .diagram import FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError
 
 
 @dataclass(frozen=True)
@@ -47,41 +47,48 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
         raise DiagramError(f"unknown family {family!r}")
     other = OTHER_FAMILY[family]
 
+    # union the faces across the other family's edges, each crossing starting
+    # one at its out port; a parent is never above its child, so every root
+    # is its group's least face
     parent = list(range(len(diagram.faces)))
-
-    def find(i: int) -> int:
+    fod, alpha = diagram._face_of_dart, diagram._alpha
+    for d in range(PORTS[other][0], len(fod), 4):
+        i, j = fod[d], fod[alpha[d]]
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        parent[max(i, j)] = min(i, j)
 
-    out_port = PORTS[other][0]
-    for _, x, _y in diagram.edges(other):
-        d = diagram.dart(x, out_port)
-        ri, rj = find(diagram.face_of_dart(d)), find(diagram.face_of_dart(diagram.mate(d)))
-        parent[max(ri, rj)] = min(ri, rj)
-
-    # every root is its group's smallest face, so groups arrive in face order
+    # one pass in face order points every face at its root, and the groups
+    # arrive in face order
     groups: dict[int, list] = {}
     for f in diagram.faces:
-        groups.setdefault(find(f.index), []).append(f)
+        parent[f.index] = root = parent[parent[f.index]]
+        groups.setdefault(root, []).append(f)
 
-    cut_ids = diagram.a_curve_ids() if family == FAMILY_A else diagram.b_curve_ids()
-    index_of_curve = {c: i + 1 for i, c in enumerate(cut_ids)}
+    # each side of a cut curve is one boundary circle, on the face left of
+    # its out dart (plus) or in dart (minus) at any of its crossings
+    out_port, in_port = PORTS[family]
+    words = diagram.a_words if family == FAMILY_A else diagram.b_words
+    circles: dict[int, list] = {root: [] for root in groups}
+    for i, (c, word) in enumerate(words.items(), 1):
+        d = 4 * diagram._cindex[word[0]]
+        circles[parent[fod[d + in_port]]].append((i, c, MINUS))
+        circles[parent[fod[d + out_port]]].append((i, c, PLUS))
+
     components = []
-    for faces in groups.values():
-        circles = sorted({(s.curve, s.side) for f in faces for s in f.sides
-                          if s.family == family})
-        euler = sum(4 - f.degree for f in faces) // 4
+    for root, faces in groups.items():
+        euler = sum(4 - len(f.darts) for f in faces) // 4
         components.append(
             CutComponent(
                 index=len(components) + 1,
                 family=family,
                 faces=tuple(f.index for f in faces),
-                boundary=tuple(circles),
-                a_set=frozenset((index_of_curve[c], s) for c, s in circles),
+                boundary=tuple((c, s) for _, c, s in circles[root]),
+                a_set=frozenset((i, s) for i, _, s in circles[root]),
                 euler=euler,
-                planar=euler == 2 - len(circles),
+                planar=euler == 2 - len(circles[root]),
             )
         )
     return tuple(components)

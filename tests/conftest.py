@@ -84,6 +84,19 @@ def valid_fixture_diagrams(example_32, example_32_maximal, example_22):
     }
 
 
+SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
+
+
+def fixture_cases(maximal: Diagram):
+    """The six small fixtures, the nine sweep members, the maximal example
+    `maximal` and 200 random twisted diagrams."""
+    yield from (make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
+                                    hexagon_diagram, split_components_diagram))
+    yield from (example_diagram(g, l) for g, l in SWEEP)
+    yield maximal
+    yield from random_twisted_diagrams(200)
+
+
 def random_twisted_diagrams(count: int, seed: int = 20240809):
     """Valid twisted diagrams from random multicurve bases, deterministically.
 

@@ -28,17 +28,7 @@ from heegaardrect.rectangles import composed_rectangles, rectangle_faces
 from heegaardrect.systems import CutComponent, cut_components
 from heegaardrect.twist import example_diagram
 
-from conftest import (
-    hexagon_diagram,
-    random_twisted_diagrams,
-    reducible_torus,
-    sphere_bigons,
-    split_components_diagram,
-    torus_one,
-    torus_two,
-)
-
-SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
+from conftest import fixture_cases, hexagon_diagram, random_twisted_diagrams, torus_one
 
 
 def calibration_graph() -> CriteriaGraph:
@@ -405,7 +395,7 @@ def test_key_driven_graphs_match_every_pair(example_32_maximal):
     pair, including where pairs with no key are edges."""
     corner = CriteriaContext(three_circles_sphere())
     assert not corner.rect_index and len(corner.component_graph(2).edges) == 3
-    cases = [three_circles_sphere(), *_swap_cases(example_32_maximal)]
+    cases = [three_circles_sphere(), *fixture_cases(example_32_maximal)]
     for d in cases:
         for swapped in (False, True):
             ctx, fresh = CriteriaContext(d), CriteriaContext(d)
@@ -691,18 +681,8 @@ def test_verdict_invariant():
 # -- the swapped orientation ----------------------------------------------------
 
 
-def _swap_cases(example_32_maximal):
-    """The six small fixtures, the sweep, the maximal example and 200 random
-    twisted diagrams."""
-    yield from (make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
-                                    hexagon_diagram, split_components_diagram))
-    yield from (example_diagram(g, l) for g, l in SWEEP)
-    yield example_32_maximal
-    yield from random_twisted_diagrams(200)
-
-
 def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
-    for d in _swap_cases(example_32_maximal):
+    for d in fixture_cases(example_32_maximal):
         swapped = d.swap_roles()
         perm = [swapped.face_of_dart(f.darts[0] ^ 1) for f in d.faces]
         assert sorted(perm) == list(range(len(swapped.faces)))
@@ -721,7 +701,7 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
     the context built from scratch on the swap is the oracle.  The view keeps
     this diagram's face numbers, so only those are mapped, through d -> d ^ 1
     (see `test_swap_maps_every_face_through_the_port_involution`)."""
-    for d in _swap_cases(example_32_maximal):
+    for d in fixture_cases(example_32_maximal):
         ctx = CriteriaContext(d)
         swap = d.swap_roles()
         fresh = CriteriaContext(swap)

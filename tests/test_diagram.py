@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heegaardrect.diagram import Diagram, DiagramError, intersection_number
 
 from conftest import (
+    fixture_cases,
     hexagon_diagram,
+    random_twisted_diagrams,
     reducible_torus,
     split_components_diagram,
     sphere_bigons,
@@ -54,6 +56,75 @@ def test_disconnected_rejected():
             {"b1": ["x"], "b2": ["y"]},
             {"x": 1, "y": 1},
         )
+
+
+def _darts_connected(a_words, b_words, signs) -> bool:
+    """Whether the darts form one orbit of sigma and alpha, by a DFS over all
+    4n darts built from the words and signs alone (ports and rotations as in
+    the `diagram` module); the oracle of `Diagram`'s curve-level test."""
+    index = {x: i for i, x in enumerate(sorted(x for w in a_words.values() for x in w))}
+    sigma = [0] * (4 * len(index))
+    for x, i in index.items():
+        order = (0, 1, 2, 3) if signs[x] == 1 else (0, 3, 2, 1)
+        for j in range(4):
+            sigma[4 * i + order[j]] = 4 * i + order[(j + 1) % 4]
+    alpha = [0] * len(sigma)
+    for words, (out_port, in_port) in ((a_words, (0, 2)), (b_words, (1, 3))):
+        for word in words.values():
+            for x, y in zip(word, (*word[1:], word[0])):
+                alpha[4 * index[x] + out_port] = 4 * index[y] + in_port
+                alpha[4 * index[y] + in_port] = 4 * index[x] + out_port
+    seen = {0}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for e in (sigma[d], alpha[d]):
+            if e not in seen:
+                seen.add(e)
+                stack.append(e)
+    return len(seen) == len(sigma)
+
+
+def _parts(d: Diagram, tag: str) -> tuple:
+    """The words and signs of `d`, with every curve and crossing id prefixed by `tag`."""
+    def rename(words):
+        return {tag + c: tuple(tag + x for x in w) for c, w in words.items()}
+
+    return rename(d.a_words), rename(d.b_words), {tag + x: c.sign for x, c in d.crossings.items()}
+
+
+def test_dart_dfs_accepts_every_diagram_that_builds(example_32_maximal):
+    for d in fixture_cases(example_32_maximal):
+        assert _darts_connected(*_parts(d, ""))
+    assert not _darts_connected({"a1": ["x"], "a2": ["y"]}, {"b1": ["x"], "b2": ["y"]},
+                                {"x": 1, "y": 1})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_disjoint_union_of_diagrams_is_disconnected(seed_p, seed_q):
+    """Two diagrams side by side, renamed apart, share no dart orbit."""
+    parts = [_parts(next(random_twisted_diagrams(1, seed)), tag)
+             for seed, tag in ((seed_p, "p."), (seed_q, "q."))]
+    for part in parts:
+        Diagram(*part)
+        assert _darts_connected(*part)
+    union = [{**p, **q} for p, q in zip(*parts)]
+    assert not _darts_connected(*union)
+    with pytest.raises(DiagramError, match="disconnected"):
+        Diagram(*union)
+
+
+def test_unsigned_crossing_rejected():
+    with pytest.raises(DiagramError, match="crossing x has no sign"):
+        Diagram({"a": ["x"]}, {"b": ["x"]}, {})
+
+
+def test_relabeling_must_cover_every_crossing():
+    with pytest.raises(DiagramError, match="not a bijection"):
+        hexagon_diagram().relabel_crossings({})
+    with pytest.raises(DiagramError, match="not a bijection"):
+        hexagon_diagram().relabel_crossings({"x0": "y0"})
 
 
 def test_empty_family_rejected():

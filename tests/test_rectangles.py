@@ -2,14 +2,20 @@ from collections import Counter
 
 import pytest
 
-from heegaardrect.diagram import FAMILY_A, FAMILY_B, MINUS, PLUS
+from heegaardrect.diagram import (
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError,
+)
 from heegaardrect.rectangles import (
     ComposedRectangleType,
+    SidePair,
+    _side_types,
     composed_rectangles,
     rectangle_faces,
 )
 
-from conftest import hexagon_diagram, split_components_diagram, torus_one, torus_two
+from conftest import (
+    fixture_cases, hexagon_diagram, split_components_diagram, torus_one, torus_two,
+)
 
 
 def test_torus_rectangle_type():
@@ -103,8 +109,6 @@ def test_swap_consistency_example(example_32):
 
 def test_rectangle_types_equivariant_under_curve_renaming():
     """Renaming curves permutes the indices in every type, nothing else."""
-    from heegaardrect.diagram import Diagram
-
     d = hexagon_diagram()
     renamed = Diagram(  # a1 -> a9 makes the old a2 the new first curve
         {"a9": d.a_words["a1"], "a2": d.a_words["a2"]},
@@ -136,3 +140,45 @@ def test_rectangle_types_equivariant_under_reversal(example_22):
         (t.a_sides, t.b_sides) for _, t in rectangle_faces(d.reverse_curve(curve))
     )
     assert before == after
+
+
+def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict[int, SidePair]]):
+    """The per-edge `composed_rectangles`, kept as the oracle of the index
+    loops: it walks `Diagram.edges` through the public dart queries and
+    counts the glued edges with a generator."""
+    out_port = PORTS[axis_family][0]
+    axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
+    axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
+    axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
+    faces, face_of, mate = diagram.faces, diagram.face_of_dart, diagram.mate
+
+    out = []
+    for curve, x, _y in diagram.edges(axis_family):
+        d_out = diagram.dart(x, out_port)
+        # the face left of the forward arc is on the plus side of the edge
+        f_plus, f_minus = face_of(d_out), face_of(mate(d_out))
+        if f_plus == f_minus or f_plus not in axis_types or f_minus not in axis_types:
+            continue
+        if sum(face_of(mate(d)) == f_plus for d in faces[f_minus].darts) != 1:
+            continue
+        axis = axis_index[curve]
+        ends = []
+        for f, inner in ((f_minus, (axis, MINUS)), (f_plus, (axis, PLUS))):
+            sides = axis_types[f]
+            if inner not in sides:
+                raise DiagramError("rectangle does not lie on the expected side of its axis")
+            ends.append(sides[1 - sides.index(inner)])
+        cross = cross_types[f_minus]
+        if cross_types[f_plus] != cross:
+            raise DiagramError("composed rectangle with mismatched cross sides")
+        out.append((ComposedRectangleType(axis, *ends, cross), faces[f_minus], faces[f_plus]))
+    return tuple(out)
+
+
+def test_composed_rectangles_match_the_per_edge_oracle(example_32_maximal):
+    """The index loops give the per-edge scan's composed rectangles, in its
+    order, for both axis families."""
+    for d in fixture_cases(example_32_maximal):
+        types = _side_types(d)
+        for family in (FAMILY_A, FAMILY_B):
+            assert composed_rectangles(d, family) == _composed_by_edges(d, family, types)
