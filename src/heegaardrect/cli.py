@@ -35,13 +35,15 @@ def _load(path: str) -> Diagram:
 
 
 def _write(text: str, output: Optional[str]) -> None:
-    """Write a command's output to the `-o` file, or to stdout without one."""
+    """Write a command's output to the `-o` file as UTF-8, or to stdout without
+    one, backslash-escaping what stdout cannot encode."""
     if not output:
-        sys.stdout.write(text)
+        encoding = sys.stdout.encoding or "utf-8"
+        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
         return
     try:
-        Path(output).write_text(text)
-    except OSError as exc:
+        Path(output).write_bytes(text.encode("utf-8"))
+    except (OSError, UnicodeEncodeError) as exc:
         raise DiagramError(f"cannot write {output}: {exc}") from exc
 
 
@@ -63,13 +65,10 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     validation = validate_disk_systems(_load(args.file))
-    if validation.passed:
-        print("validation: passed")
-        return 0
-    print("validation: FAILED")
-    for code, detail in validation:
-        print(f"  - [{code}] {detail}")
-    return 1
+    lines = [f"validation: {'passed' if validation.passed else 'FAILED'}\n"]
+    lines += (f"  - [{code}] {detail}\n" for code, detail in validation)
+    _write("".join(lines), None)
+    return 0 if validation.passed else 1
 
 
 def _parse_index(s: str) -> int:

@@ -32,6 +32,9 @@ Conventions (fixed once, everything else follows):
   order with the same (curve, side) sides; only the family of each side and
   the numbering by least dart change.  The criteria analyse both orientations
   as two views of one map; `Diagram.swap_roles` builds the swap on its own.
+
+* One rotation table is kept, ``sigma_inv``: the next dart clockwise at a
+  crossing.  Face tracing and the isomorphism certificate both walk it.
 """
 
 from __future__ import annotations
@@ -124,29 +127,21 @@ class Diagram:
             c: tuple(w) for c, w in sorted(b_words.items())
         }
         self.aux = aux
-        self._check_words()
-
-        a_of: dict[str, str] = {}
-        b_of: dict[str, str] = {}
-        for curve, word in self.a_words.items():
-            for x in word:
-                a_of[x] = curve
-        for curve, word in self.b_words.items():
-            for x in word:
-                b_of[x] = curve
+        a_of, b_of = self._check_words()
         if not a_of.keys() <= signs.keys():
             raise DiagramError(f"crossing {min(a_of.keys() - signs.keys())} has no sign")
         self.crossings: dict[str, Crossing] = {
             x: Crossing(x, a_of[x], b_of[x], signs[x]) for x in sorted(a_of)
         }
 
-        self._crossing_ids: tuple[str, ...] = tuple(sorted(self.crossings))
+        self._crossing_ids: tuple[str, ...] = tuple(self.crossings)
         self._cindex = {x: i for i, x in enumerate(self._crossing_ids)}
         self._build_map()
 
     # -- construction ------------------------------------------------------
 
-    def _check_words(self):
+    def _check_words(self) -> list[dict[str, str]]:
+        """The crossing -> curve map of each family, checked to match up."""
         families = ((self.a_words, "first"), (self.b_words, "second"))
         for words, which in families:
             if not words:
@@ -156,30 +151,31 @@ class Diagram:
         dup = set(self.a_words) & set(self.b_words)
         if dup:
             raise DiagramError(f"curve ids used in both families: {sorted(dup)}")
-        seen = []
+        curve_of = []
         for words, which in families:
-            crossings = set()
+            of: dict[str, str] = {}
             for curve, word in words.items():
                 if not word:
                     raise DiagramError(f"curve {curve} has an empty word")
                 for x in word:
-                    if x in crossings:
+                    if x in of:
                         raise DiagramError(f"crossing {x} occurs twice in the {which} family")
-                    crossings.add(x)
-            seen.append(crossings)
-        if seen[0] != seen[1]:
-            missing = seen[0] ^ seen[1]
+                    of[x] = curve
+            curve_of.append(of)
+        if curve_of[0].keys() != curve_of[1].keys():
+            missing = curve_of[0].keys() ^ curve_of[1].keys()
             raise DiagramError(f"crossing occurrences do not match up: {sorted(missing)}")
+        return curve_of
 
     def _build_map(self):
         n = len(self._crossing_ids)
         nd = 4 * n
-        # sigma turns each dart to the next counterclockwise at its crossing:
-        # ports 0, 1, 2, 3 in turn at sign +1, and in reverse at sign -1
-        sigma, sigma_inv = [], []
+        # the one rotation table: sigma_inv turns each dart to the next
+        # clockwise at its crossing, ports 0, 3, 2, 1 in turn at sign +1 and
+        # 0, 1, 2, 3 at sign -1 (sigma, counterclockwise, is its inverse)
+        sigma_inv = []
         for base, cr in zip(range(0, nd, 4), self.crossings.values()):
-            ccw, cw = (base + 1, base + 2, base + 3, base), (base + 3, base, base + 1, base + 2)
-            sigma += ccw if cr.sign == PLUS else cw
+            cw, ccw = (base + 3, base, base + 1, base + 2), (base + 1, base + 2, base + 3, base)
             sigma_inv += cw if cr.sign == PLUS else ccw
         alpha = [0] * nd
         for family, (out_port, in_port) in PORTS.items():
@@ -188,7 +184,6 @@ class Diagram:
                 for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
                     alpha[s + out_port] = t + in_port
                     alpha[t + in_port] = s + out_port
-        self._sigma = sigma
         self._sigma_inv = sigma_inv
         self._alpha = alpha
 
@@ -228,8 +223,7 @@ class Diagram:
             for c in words
         }
         dart_side = []
-        for x in self._crossing_ids:
-            cr = self.crossings[x]
+        for cr in self.crossings.values():
             (a_plus, a_minus), (b_plus, b_minus) = curve_sides[cr.a_curve], curve_sides[cr.b_curve]
             dart_side += (a_plus, b_plus, a_minus, b_minus)  # ports A_OUT, B_OUT, A_IN, B_IN
         sigma_inv, alpha = self._sigma_inv, self._alpha
@@ -405,8 +399,8 @@ class Diagram:
             number[d] = len(order)
             order.append(d)
             stack.append(self._alpha[d])
-            stack.append(self._sigma[d])
-        sig = tuple(number[self._sigma[d]] for d in order)
+            stack.append(self._sigma_inv[d])
+        sig = tuple(number[self._sigma_inv[d]] for d in order)
         alp = tuple(number[self._alpha[d]] for d in order)
         colors = []
         for d in order:

@@ -57,18 +57,15 @@ _FG = "fg"  # twisted-family strand crossing gamma
 _AF = "af"  # disk-family strand crossing twisted-family strand
 
 
+@dataclass
 class _TwistState:
     """Disks, their twisted copies, and gamma, with all mutual crossings."""
 
-    def __init__(self, a_words, f_words, gamma_word, signs, kinds, af_pairs,
-                 disk_of):
-        self.a_words = a_words  # disk curve -> tuple of crossing ids
-        self.f_words = f_words  # twisted curve -> tuple of crossing ids
-        self.gamma_word = gamma_word  # cyclic tuple, kinds ag and fg only
-        self.signs = signs
-        self.kinds = kinds
-        self.af_pairs = af_pairs  # af crossing -> (a_curve, f_curve)
-        self.disk_of = disk_of  # twisted curve -> its parent disk
+    a_words: dict  # disk curve -> tuple of crossing ids
+    f_words: dict  # twisted curve `_dual_name(disk)` -> tuple of crossing ids
+    gamma_word: tuple  # cyclic, kinds ag and fg only
+    signs: dict
+    kinds: dict
 
 
 def _lift(base: Diagram) -> _TwistState:
@@ -81,6 +78,9 @@ def _lift(base: Diagram) -> _TwistState:
     positions = [(Fraction(i), x) for i, x in enumerate(gamma0)]
     for disk, word in base.a_words.items():
         f_curve = _dual_name(disk)
+        if f_curve in f_words:
+            other = next(d for d in base.a_words if _dual_name(d) == f_curve)
+            raise DiagramError(f"disks {other} and {disk} both twist to the curve {f_curve}")
         f_word = []
         for x in word:
             germ = f"l_{x}"
@@ -92,13 +92,11 @@ def _lift(base: Diagram) -> _TwistState:
         f_words[f_curve] = tuple(f_word)
     positions.sort()
     gamma_word = tuple(x for _, x in positions)
-    disk_of = {_dual_name(d): d for d in base.a_words}
-    return _TwistState(
-        dict(base.a_words), f_words, gamma_word, signs, kinds, {}, disk_of
-    )
+    return _TwistState(dict(base.a_words), f_words, gamma_word, signs, kinds)
 
 
 def _dual_name(disk: str) -> str:
+    """The twisted curve of a disk; `_lift` rejects two disks with one name."""
     return "e" + disk[1:] if disk.startswith("d") else disk + "*"
 
 
@@ -116,20 +114,16 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
 
     signs = dict(state.signs)
     kinds = dict(state.kinds)
-    af_pairs = dict(state.af_pairs)
-    a_curve_of_germ = {}
-    for curve, word in state.a_words.items():
-        for x in word:
-            if state.kinds[x] == _AG:
-                a_curve_of_germ[x] = curve
 
-    detour_events: dict[str, list] = {}  # fg germ -> [(t, crossing id)]
     strand_events: dict[str, list] = {x: [] for x in a_germs}
     core_positions = []
 
+    f_words = {}
     for f_curve, word in state.f_words.items():
+        out = []
         for y in word:
-            if kinds[y] != _FG:
+            if state.kinds[y] != _FG:
+                out.append(y)
                 continue
             x0 = slot[y]
             events = []
@@ -139,34 +133,24 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
                     t = Fraction(base_t) + Fraction(1, 4) + r * w
                     c = f"{tag}_{y}_{a}_{r}"
                     if drift == PLUS:
-                        sign = PLUS if signs[y] != signs[a] else MINUS
+                        sign = PLUS if state.signs[y] != state.signs[a] else MINUS
                     else:
-                        sign = MINUS if signs[y] != signs[a] else PLUS
+                        sign = MINUS if state.signs[y] != state.signs[a] else PLUS
                     signs[c] = sign
                     kinds[c] = _AF
-                    af_pairs[c] = (a_curve_of_germ[a], f_curve)
                     events.append((t, c))
                     strand_events[a].append((t, c))
             core = f"{tag}_{y}_core"
-            signs[core] = signs[y]
+            signs[core] = state.signs[y]
             kinds[core] = _FG
             events.append((Fraction(span, 2), core))
-            detour_events[y] = sorted(events)
-            core_pos = (Fraction(x0) - Fraction(drift, 4) + Fraction(drift * span, 2)) % w
-            core_positions.append((core_pos, core))
-
-    f_words = {}
-    for f_curve, word in state.f_words.items():
-        out = []
-        for y in word:
-            if kinds[y] != _FG or y not in detour_events:
-                out.append(y)
-                continue
-            seq = [c for _, c in detour_events[y]]
+            seq = [c for _, c in sorted(events)]
             if state.signs[y] == PLUS:  # strand runs downward: reverse the climb
                 seq.reverse()
             out.extend(seq)
             del signs[y], kinds[y]
+            core_pos = (Fraction(x0) - Fraction(drift, 4) + Fraction(drift * span, 2)) % w
+            core_positions.append((core_pos, core))
         f_words[f_curve] = tuple(out)
 
     a_words = {}
@@ -187,8 +171,7 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
     positions = [(Fraction(slot[a]), a) for a in a_germs] + core_positions
     positions.sort()
     gamma_word = tuple(x for _, x in positions)
-    return _TwistState(a_words, f_words, gamma_word, signs, kinds, af_pairs,
-                       dict(state.disk_of))
+    return _TwistState(a_words, f_words, gamma_word, signs, kinds)
 
 
 def _drop_gamma(state: _TwistState) -> Diagram:
@@ -210,9 +193,9 @@ def _drop_gamma(state: _TwistState) -> Diagram:
 def _drop_disks(state: _TwistState) -> Diagram:
     """Forget the untwisted disks; the twisted family plus gamma remain."""
     disk_words = {}
-    for curve, word in state.f_words.items():
-        nw = tuple(x for x in word if state.kinds[x] == _FG)
-        disk_words[state.disk_of[curve]] = nw
+    for disk in state.a_words:
+        word = state.f_words[_dual_name(disk)]
+        disk_words[disk] = tuple(x for x in word if state.kinds[x] == _FG)
     gamma_word = tuple(x for x in state.gamma_word if state.kinds[x] == _FG)
     signs = {x: s for x, s in state.signs.items() if state.kinds[x] == _FG}
     return multicurve_map(disk_words, gamma_word, signs)
@@ -227,11 +210,7 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     The raw spliced map is passed through bigon reduction, so the output is
     bigon-free with the genus of the base.
     """
-    _check_base(base)
-    state = _lift(base)
-    state = _splice(state, abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
-    raw = _drop_gamma(state)
-    out = raw.reduce_bigons()
+    out = _drop_gamma(_twisted(base, spec)).reduce_bigons()
     if out.genus != base.genus:
         raise DiagramError(
             f"twisted diagram has genus {out.genus}, base has {base.genus}"
@@ -251,10 +230,13 @@ def dehn_twist_iterated(base: Diagram, spec: TwistSpec) -> Diagram:
 
 def twist_multicurve(base: Diagram, spec: TwistSpec) -> Diagram:
     """The multicurve map of the twisted disks, with gamma retained."""
+    return _drop_disks(_twisted(base, spec))
+
+
+def _twisted(base: Diagram, spec: TwistSpec) -> _TwistState:
+    """The lifted base, spliced with every lap of the twist at once."""
     _check_base(base)
-    state = _lift(base)
-    state = _splice(state, abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
-    return _drop_disks(state)
+    return _splice(_lift(base), abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
 
 
 def _check_base(base: Diagram):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +136,29 @@ def test_empty_family_rejected():
         Diagram({"a": []}, {"b": []}, {})
 
 
+@pytest.mark.parametrize("a_words, b_words, aux, message", [
+    ({}, {"b": ["x"]}, False, "empty first curve family"),
+    ({"a": ["x"]}, {}, False, "empty second curve family"),
+    ({"a": ["x", "y"]}, {"b1": ["x"], "b2": ["y"]}, True,
+     "a multicurve map has exactly one auxiliary curve"),
+    ({"a": ["x"], "c": ["y"]}, {"a": ["x"], "b": ["y"]}, False,
+     "curve ids used in both families: ['a']"),
+    ({"a": ["x"], "c": []}, {"b": ["x"]}, False, "curve c has an empty word"),
+    ({"a": ["x"], "c": ["x"]}, {"b": ["x"]}, False,
+     "crossing x occurs twice in the first family"),
+    ({"a": ["x"]}, {"b": ["x", "x"]}, False,
+     "crossing x occurs twice in the second family"),
+    ({"a": ["x", "y", "z"]}, {"b": ["x", "w"]}, False,
+     "crossing occurrences do not match up: ['w', 'y', 'z']"),
+])
+def test_word_check_messages(a_words, b_words, aux, message):
+    """Each malformed pair of families is named by its own exact message."""
+    signs = dict.fromkeys("wxyz", 1)
+    with pytest.raises(DiagramError) as exc:
+        Diagram(a_words, b_words, signs, aux=aux)
+    assert str(exc.value) == message
+
+
 ALL_FIXTURES = [
     torus_one,
     torus_two,
@@ -239,6 +264,31 @@ def test_certificate_distinguishes_sign_change():
     d = torus_two()
     other = Diagram({"a": ["x", "y"]}, {"b": ["x", "y"]}, {"x": 1, "y": -1})
     assert not d.is_isomorphic(other)
+
+
+def test_certificate_on_random_diagrams():
+    """A crossing relabeling keeps the certificate; a sign flip that changes
+    the genus or the sorted face degrees, both isomorphism invariants,
+    changes it."""
+    rng = random.Random(7)
+    changed = 0
+    for d in random_twisted_diagrams(50):
+        ids = list(d.crossings)
+        shuffled = rng.sample(ids, len(ids))
+        cert = d.canonical_certificate()
+        assert d.relabel_crossings(dict(zip(ids, shuffled))).canonical_certificate() == cert
+        signs = {x: cr.sign for x, cr in d.crossings.items()}
+        x = rng.choice(ids)
+        signs[x] = -signs[x]
+        flipped = Diagram(d.a_words, d.b_words, signs)
+        if _invariants(flipped) != _invariants(d):
+            changed += 1
+            assert flipped.canonical_certificate() != cert
+    assert changed
+
+
+def _invariants(d):
+    return d.genus, sorted(f.degree for f in d.faces)
 
 
 @given(st.integers(0, 2), st.integers(0, 2))

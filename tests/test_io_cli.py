@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,7 +23,13 @@ from heegaardrect.diagramio import (
 )
 from heegaardrect.twist import chain_base, example_diagram
 
-from conftest import hexagon_diagram, split_components_diagram, torus_one, torus_two
+from conftest import (
+    hexagon_diagram,
+    split_components_diagram,
+    sphere_bigons,
+    torus_one,
+    torus_two,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -349,6 +357,55 @@ def test_cli_output_is_plain_text(tmp_path, capsys):
     run_cli("check", str(f))
     out = capsys.readouterr().out
     assert "\x1b[" not in out  # no ANSI escapes regardless of NO_COLOR
+
+
+def _bigons_file(path: Path, a: str, b: str) -> Path:
+    """`sphere_bigons` with curve ids `a` and `b`; its bigon entries name them."""
+    d = sphere_bigons()
+    path.write_text(serialize_diagram(Diagram({a: d.a_words["a"]}, {b: d.b_words["b"]},
+                                              {x: cr.sign for x, cr in d.crossings.items()})))
+    return path
+
+
+def _cli_under_ascii_locale(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter whose stdout encoding is ASCII."""
+    src = str(Path(heegaardrect.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    return subprocess.run([sys.executable, "-m", "heegaardrect.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+
+
+def test_cli_non_ascii_ids_under_an_ascii_locale(tmp_path):
+    """Non-ASCII curve ids exit as ASCII ones do: stdout escapes them, `-o`
+    files hold them as UTF-8, and no run ends in a traceback."""
+    codes = {}
+    for tag, (a, b) in (("ascii", ("a", "b")), ("snowman", ("a\u2603", "b\u2603"))):
+        f = _bigons_file(tmp_path / f"{tag}.json", a, b)
+        out = tmp_path / f"{tag}.txt"
+        runs = [_cli_under_ascii_locale("check", str(f), "-o", str(out)),
+                _cli_under_ascii_locale("check", str(f)),
+                _cli_under_ascii_locale("validate", str(f))]
+        assert all(run.stderr == b"" for run in runs)
+        for run in runs[1:]:
+            assert f"between {a} and {b}".encode("ascii", "backslashreplace") in run.stdout
+        assert f"between {a} and {b}" in out.read_text(encoding="utf-8")
+        codes[tag] = [run.returncode for run in runs]
+    assert codes["snowman"] == codes["ascii"] == [2, 2, 1]
+
+
+def test_cli_lone_surrogate_id(tmp_path, capsys):
+    """A JSON curve id that is no valid text is escaped on stdout, and a file
+    that cannot hold it is an error, not a traceback."""
+    f = tmp_path / "d.json"
+    f.write_text(serialize_diagram(sphere_bigons()).replace('"a"', '"a\\ud800"'))
+    assert run_cli("check", str(f)) == 2
+    assert "between a\\ud800 and b" in capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert run_cli("check", str(f), "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- fuzzing ---------------------------------------------------------------------

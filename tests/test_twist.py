@@ -62,6 +62,17 @@ def test_dehn_twist_rejects_inessential_base():
         dehn_twist(base, TwistSpec(2))
 
 
+def test_disks_with_one_twisted_name_rejected():
+    """`d1*` and `e1` both name their twisted curve `e1*`; neither may be lost."""
+    base = chain_base(2)
+    renamed = multicurve_map({"d1*": base.a_words["d1"], "e1": base.a_words["d2"]},
+                             base.b_words["gamma"],
+                             {x: cr.sign for x, cr in base.crossings.items()})
+    for twist in (dehn_twist, twist_multicurve, dehn_twist_iterated):
+        with pytest.raises(DiagramError, match=r"disks d1\* and e1 both twist to the curve e1\*"):
+            twist(renamed, TwistSpec(2))
+
+
 def test_disjoint_disk_is_unrepresentable():
     """A disk missing gamma leaves the union disconnected at construction."""
     with pytest.raises(DiagramError, match="empty|disconnected"):
