@@ -4,8 +4,8 @@ The generator starts from a multicurve map: the disk boundaries together
 with one transversal curve gamma.  Twisting replaces every strand through
 an annulus neighborhood of gamma by a detour that winds around the annulus,
 one lap per twist power.  All bookkeeping is exact: positions around the
-annulus are tracked as rationals, so strand bundles stay consistently
-ordered and no two events ever tie.
+annulus are integers in quarter-slot units, so strand bundles stay
+consistently ordered and no two events ever tie.
 
 The built-in example family places the disks of a genus-g handlebody in a
 row and runs gamma four times across every handle; crossing the resulting
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import Diagram, DiagramError, MINUS, PLUS
 from .systems import validate_disk_systems
@@ -32,6 +31,8 @@ class TwistSpec:
     power: int
 
     def __post_init__(self):
+        if not isinstance(self.power, int) or isinstance(self.power, bool):
+            raise DiagramError("twist power must be an integer")
         if self.power == 0:
             raise DiagramError("twist power must be nonzero")
         if abs(self.power) == 1:
@@ -75,7 +76,7 @@ def _lift(base: Diagram) -> _TwistState:
     signs = {x: base.crossings[x].sign for x in base.crossings}
     kinds = {x: _AG for x in base.crossings}
     f_words = {}
-    positions = [(Fraction(i), x) for i, x in enumerate(gamma0)]
+    positions = [(4 * i, x) for i, x in enumerate(gamma0)]
     for disk, word in base.a_words.items():
         f_curve = _dual_name(disk)
         if f_curve in f_words:
@@ -87,8 +88,7 @@ def _lift(base: Diagram) -> _TwistState:
             f_word.append(germ)
             signs[germ] = signs[x]
             kinds[germ] = _FG
-            offset = Fraction(1, 4) if signs[x] == PLUS else Fraction(-1, 4)
-            positions.append((Fraction(slot[x]) + offset, germ))
+            positions.append((4 * slot[x] + signs[x], germ))  # +-1: a quarter slot aside
         f_words[f_curve] = tuple(f_word)
     positions.sort()
     gamma_word = tuple(x for _, x in positions)
@@ -103,14 +103,17 @@ def _dual_name(disk: str) -> str:
 def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
     """Replace every twisted-family strand through gamma by a winding detour.
 
-    Each detour enters just behind its old position (offset -drift/4), runs
-    `laps` full turns in the `drift` direction while climbing from the minus
-    to the plus boundary of the annulus, and crosses gamma once halfway.
+    Each detour enters a quarter slot behind its old position, runs `laps`
+    full turns in the `drift` direction while climbing from the minus to
+    the plus boundary of the annulus, and crosses gamma once halfway.  Every
+    position is a multiple of a quarter slot, kept as an integer (slot i is
+    4*i): scaling by 4 keeps every comparison, and 4v % 4w == 4 * (v % w).
     """
     w = len(state.gamma_word)
     slot = {x: i for i, x in enumerate(state.gamma_word)}
     a_germs = [x for x in state.gamma_word if state.kinds[x] == _AG]
     span = w * laps
+    half = 2 * span  # span/2 slots, where every detour crosses gamma
 
     signs = dict(state.signs)
     kinds = dict(state.kinds)
@@ -129,13 +132,13 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
             events = []
             for a in a_germs:
                 base_t = ((slot[a] - x0) * drift) % w
+                if drift == PLUS:
+                    sign = PLUS if state.signs[y] != state.signs[a] else MINUS
+                else:
+                    sign = MINUS if state.signs[y] != state.signs[a] else PLUS
                 for r in range(laps):
-                    t = Fraction(base_t) + Fraction(1, 4) + r * w
+                    t = 4 * (base_t + r * w) + 1  # a quarter slot past the lap's start
                     c = f"{tag}_{y}_{a}_{r}"
-                    if drift == PLUS:
-                        sign = PLUS if state.signs[y] != state.signs[a] else MINUS
-                    else:
-                        sign = MINUS if state.signs[y] != state.signs[a] else PLUS
                     signs[c] = sign
                     kinds[c] = _AF
                     events.append((t, c))
@@ -143,13 +146,13 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
             core = f"{tag}_{y}_core"
             signs[core] = state.signs[y]
             kinds[core] = _FG
-            events.append((Fraction(span, 2), core))
+            events.append((half, core))
             seq = [c for _, c in sorted(events)]
             if state.signs[y] == PLUS:  # strand runs downward: reverse the climb
                 seq.reverse()
             out.extend(seq)
             del signs[y], kinds[y]
-            core_pos = (Fraction(x0) - Fraction(drift, 4) + Fraction(drift * span, 2)) % w
+            core_pos = (4 * x0 - drift + 2 * drift * span) % (4 * w)
             core_positions.append((core_pos, core))
         f_words[f_curve] = tuple(out)
 
@@ -160,7 +163,6 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
             if state.kinds[x] != _AG:
                 out.append(x)
                 continue
-            half = Fraction(span, 2)
             cluster = sorted(strand_events[x] + [(half, x)])
             seq = [c for _, c in cluster]
             if state.signs[x] == PLUS:  # downward strand meets high laps first
@@ -168,7 +170,7 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
             out.extend(seq)
         a_words[curve] = tuple(out)
 
-    positions = [(Fraction(slot[a]), a) for a in a_germs] + core_positions
+    positions = [(4 * slot[a], a) for a in a_germs] + core_positions
     positions.sort()
     gamma_word = tuple(x for _, x in positions)
     return _TwistState(a_words, f_words, gamma_word, signs, kinds)
@@ -210,7 +212,7 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     The raw spliced map is passed through bigon reduction, so the output is
     bigon-free with the genus of the base.
     """
-    out = _drop_gamma(_twisted(base, spec)).reduce_bigons()
+    out = _drop_gamma(_twisted(base, spec, keep_disks=True)).reduce_bigons()
     if out.genus != base.genus:
         raise DiagramError(
             f"twisted diagram has genus {out.genus}, base has {base.genus}"
@@ -220,7 +222,7 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
 
 def dehn_twist_iterated(base: Diagram, spec: TwistSpec) -> Diagram:
     """Same curves as `dehn_twist`, spliced one lap at a time."""
-    _check_base(base)
+    _check_base(base, keep_disks=True)
     drift = PLUS if spec.power > 0 else MINUS
     state = _lift(base)
     for step in range(abs(spec.power)):
@@ -230,20 +232,26 @@ def dehn_twist_iterated(base: Diagram, spec: TwistSpec) -> Diagram:
 
 def twist_multicurve(base: Diagram, spec: TwistSpec) -> Diagram:
     """The multicurve map of the twisted disks, with gamma retained."""
-    return _drop_disks(_twisted(base, spec))
+    return _drop_disks(_twisted(base, spec, keep_disks=False))
 
 
-def _twisted(base: Diagram, spec: TwistSpec) -> _TwistState:
+def _twisted(base: Diagram, spec: TwistSpec, keep_disks: bool) -> _TwistState:
     """The lifted base, spliced with every lap of the twist at once."""
-    _check_base(base)
+    _check_base(base, keep_disks)
     return _splice(_lift(base), abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
 
 
-def _check_base(base: Diagram):
+def _check_base(base: Diagram, keep_disks: bool):
+    """With `keep_disks` the disks and their twisted curves share one diagram."""
     if not base.aux:
         raise DiagramError("twisting needs a multicurve map with an auxiliary curve")
     if not base.is_bigon_free():
         raise DiagramError("gamma does not meet the disks essentially: bigon present")
+    if keep_disks:
+        for disk in base.a_words:
+            if _dual_name(disk) in base.a_words:
+                raise DiagramError(f"disk {_dual_name(disk)} has the name of the "
+                                   f"twisted curve of disk {disk}")
 
 
 # -- the built-in example family ------------------------------------------------

@@ -2,7 +2,9 @@
 
 The oracle recomputes the twisted diagram from line geometry over the
 annulus universal cover and counts crossings after its own bigon sweep;
-the committed golden tables were produced from the oracle.
+the committed golden tables were produced from the oracle.  Where the
+oracle's map needs no bigon removal, the whole map is compared too: the
+order of the crossings along every word, up to relabeling the crossings.
 """
 
 import json
@@ -10,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from heegaardrect.diagram import intersection_number
+from heegaardrect.diagram import Diagram, intersection_number
 from heegaardrect.twist import (
     TwistSpec,
     chain_base,
     dehn_twist,
+    dehn_twist_iterated,
     maximal_chain_base,
     multicurve_map,
 )
@@ -49,16 +52,41 @@ def test_oracle_matches_splice_on_maximal():
     assert counts == _main_counts(base, 2)
 
 
-def test_oracle_matches_splice_on_asymmetric_base():
+def _asymmetric_base():
     words = {"d1": ("u", "v"), "d2": ("w", "x", "y", "z")}
     gamma = ("u", "w", "x", "v", "y", "z")
     signs = {c: 1 for c in gamma}
     signs["v"] = -1
-    base = multicurve_map(words, gamma, signs)
+    return multicurve_map(words, gamma, signs)
+
+
+def test_oracle_matches_splice_on_asymmetric_base():
+    base = _asymmetric_base()
     for power in (2, -2, 3, -3):
         counts, removed = oracle_intersections(base, power)
         assert removed == 0
         assert counts == _main_counts(base, power)
+
+
+# chain(4) at power +-3 would double the time of these cases
+MAP_CASES = (
+    [(f"chain({g})", p) for g in (2, 3) for p in (2, 3, -2, -3)]
+    + [("chain(4)", p) for p in (2, -2)]
+    + [("asymmetric", p) for p in (2, 3, -2, -3)]
+    + [("maximal", p) for p in (2, -2)]
+)
+BASES = {"chain(2)": lambda: chain_base(2), "chain(3)": lambda: chain_base(3),
+         "chain(4)": lambda: chain_base(4), "asymmetric": _asymmetric_base,
+         "maximal": maximal_chain_base}
+
+
+@pytest.mark.parametrize("base_name,power", MAP_CASES)
+def test_oracle_map_matches_splice(base_name, power):
+    """Same words, crossing order and signs as the oracle, up to relabeling."""
+    base = BASES[base_name]()
+    oracle = Diagram(*shear_model(base, power))
+    assert oracle.is_isomorphic(dehn_twist(base, TwistSpec(power)))
+    assert oracle.is_isomorphic(dehn_twist_iterated(base, TwistSpec(power)))
 
 
 def test_tables_match_golden():

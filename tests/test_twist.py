@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import pytest
@@ -49,6 +50,12 @@ def test_twist_spec_validation():
         TwistSpec(-3)
 
 
+@pytest.mark.parametrize("power", [2.5, 2.0, "2", True, False, None])
+def test_twist_power_must_be_an_integer(power):
+    with pytest.raises(DiagramError, match="^twist power must be an integer$"):
+        TwistSpec(power)
+
+
 def test_dehn_twist_requires_multicurve(example_32):
     with pytest.raises(DiagramError, match="auxiliary"):
         dehn_twist(example_32, TwistSpec(2))
@@ -71,6 +78,22 @@ def test_disks_with_one_twisted_name_rejected():
     for twist in (dehn_twist, twist_multicurve, dehn_twist_iterated):
         with pytest.raises(DiagramError, match=r"disks d1\* and e1 both twist to the curve e1\*"):
             twist(renamed, TwistSpec(2))
+
+
+@pytest.mark.parametrize("first,second", [("d1", "e1"), ("x", "x*")])
+def test_disk_named_like_a_twisted_curve_rejected(first, second):
+    """The twisted curve of `first` is named `second`, which is also a disk."""
+    base = chain_base(2)
+    renamed = multicurve_map({first: base.a_words["d1"], second: base.a_words["d2"]},
+                             base.b_words["gamma"],
+                             {x: cr.sign for x, cr in base.crossings.items()})
+    message = f"disk {second} has the name of the twisted curve of disk {first}"
+    for twist in (dehn_twist, dehn_twist_iterated):
+        with pytest.raises(DiagramError, match=f"^{re.escape(message)}$"):
+            twist(renamed, TwistSpec(2))
+    # the twisted multicurve map keeps the disk names, so nothing collides
+    twisted = twist_multicurve(renamed, TwistSpec(2))
+    assert twisted.a_curve_ids() == (first, second)
 
 
 def test_disjoint_disk_is_unrepresentable():
