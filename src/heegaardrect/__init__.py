@@ -52,11 +52,9 @@ from .twist import (
     TwistSpec,
     chain_base,
     dehn_twist,
-    dehn_twist_iterated,
     example_diagram,
     maximal_chain_base,
     multicurve_map,
-    twist_multicurve,
 )
 
 __all__ = [
@@ -64,13 +62,11 @@ __all__ = [
     "DiagramError", "Face", "FaceSide", "MINUS", "PLUS", "RectangleType",
     "ComposedRectangleType", "TwistSpec", "ValidationReport", "Verdict",
     "Witness", "build_report", "chain_base", "composed_rectangles",
-    "cut_components", "dehn_twist", "dehn_twist_iterated",
-    "double_rectangle_condition", "example_diagram", "graph_to_dot",
-    "intersection_number", "is_doubly_two_connected", "is_two_connected",
-    "maximal_chain_base", "multicurve_map", "parse_diagram",
+    "cut_components", "dehn_twist", "double_rectangle_condition",
+    "example_diagram", "graph_to_dot", "intersection_number",
+    "is_doubly_two_connected", "is_two_connected", "maximal_chain_base", "multicurve_map", "parse_diagram",
     "rectangle_condition", "rectangle_faces", "report_to_json",
-    "report_to_text", "serialize_diagram", "twist_multicurve",
-    "validate_disk_systems",
+    "report_to_text", "serialize_diagram", "validate_disk_systems",
 ]
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ Conventions (fixed once, everything else follows):
   as two views of one map; `Diagram.swap_roles` builds the swap on its own.
 
 * One rotation table is kept, ``sigma_inv``: the next dart clockwise at a
-  crossing.  Face tracing and the isomorphism certificate both walk it.
+  crossing.  Face tracing walks it.
 """
 
 from __future__ import annotations
@@ -321,14 +321,6 @@ class Diagram:
         }
         return Diagram(a_words, b_words, signs, aux=self.aux)
 
-    def relabel_crossings(self, mapping: Mapping[str, str]) -> "Diagram":
-        if self.crossings.keys() - mapping.keys() or len(set(mapping.values())) != len(mapping):
-            raise DiagramError("crossing relabeling is not a bijection")
-        a_words = {c: tuple(mapping[x] for x in w) for c, w in self.a_words.items()}
-        b_words = {c: tuple(mapping[x] for x in w) for c, w in self.b_words.items()}
-        signs = {mapping[x]: cr.sign for x, cr in self.crossings.items()}
-        return Diagram(a_words, b_words, signs, aux=self.aux)
-
     # -- bigon reduction ----------------------------------------------------
 
     def reduce_bigons(self) -> "Diagram":
@@ -362,69 +354,6 @@ class Diagram:
         if out.genus != self.genus:
             raise DiagramError("bigon removal changed the genus; corrupted map")
         return out
-
-    # -- isomorphism --------------------------------------------------------
-
-    def canonical_certificate(self) -> tuple:
-        """A relabeling-invariant certificate of the diagram.
-
-        Two diagrams with the same curve ids are isomorphic (equal up to a
-        bijection of crossing ids) iff their certificates are equal.  The
-        certificate is the lexicographic minimum of a deterministic
-        traversal normal form recording signs, curve ids and port
-        structure, over all roots in the rarest dart color class (a class
-        chosen the same way in any isomorphic diagram).
-        """
-        nd = 4 * len(self._crossing_ids)
-        colors: dict[tuple, list[int]] = {}
-        for d in range(nd):
-            cr = self.crossings[self.dart_crossing(d)]
-            colors.setdefault((d % 4, cr.sign, cr.a_curve, cr.b_curve), []).append(d)
-        roots = colors[min(colors, key=lambda c: (len(colors[c]), c))]
-        best = None
-        for root in roots:
-            cert = self._rooted_certificate(root)
-            if best is None or cert < best:
-                best = cert
-        return best
-
-    def _rooted_certificate(self, root: int) -> tuple:
-        order: list[int] = []
-        number: dict[int, int] = {}
-        stack = [root]
-        while stack:
-            d = stack.pop()
-            if d in number:
-                continue
-            number[d] = len(order)
-            order.append(d)
-            stack.append(self._alpha[d])
-            stack.append(self._sigma_inv[d])
-        sig = tuple(number[self._sigma_inv[d]] for d in order)
-        alp = tuple(number[self._alpha[d]] for d in order)
-        colors = []
-        for d in order:
-            cr = self.crossings[self.dart_crossing(d)]
-            colors.append((d % 4, cr.sign, cr.a_curve, cr.b_curve))
-        return (sig, alp, tuple(colors))
-
-    def is_isomorphic(self, other: "Diagram") -> bool:
-        if self.a_curve_ids() != other.a_curve_ids():
-            return False
-        if self.b_curve_ids() != other.b_curve_ids():
-            return False
-        if self.num_crossings != other.num_crossings:
-            return False
-        if (
-            self.a_words == other.a_words
-            and self.b_words == other.b_words
-            and all(
-                self.crossings[x].sign == other.crossings[x].sign
-                for x in self.crossings
-            )
-        ):
-            return True
-        return self.canonical_certificate() == other.canonical_certificate()
 
     def __repr__(self):
         kind = "MulticurveMap" if self.aux else "Diagram"

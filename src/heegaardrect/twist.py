@@ -10,7 +10,11 @@ consistently ordered and no two events ever tie.
 The built-in example family places the disks of a genus-g handlebody in a
 row and runs gamma four times across every handle; crossing the resulting
 diagrams against an independent annulus model and the expected verdicts is
-what pins the pattern constants down.
+what pins the pattern constants down.  An example's crossings get their
+canonical names on the spliced words, before its one map build, with no
+bigon reduction: each twisted curve meets each disk in exactly as many
+crossings as their geometric intersection number, so no bigon face is
+expected, and validation, which rejects bigons, remains the guard.
 """
 
 from __future__ import annotations
@@ -176,8 +180,8 @@ def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
     return _TwistState(a_words, f_words, gamma_word, signs, kinds)
 
 
-def _drop_gamma(state: _TwistState) -> Diagram:
-    """Forget gamma; the disks and their twisted images form the diagram."""
+def _drop_gamma(state: _TwistState) -> tuple[dict, dict, dict]:
+    """Forget gamma; the disks and their twisted images, with their signs."""
     families = []
     for words, what, other in ((state.a_words, "disk", "the twisted family"),
                                (state.f_words, "twisted curve", "the disks")):
@@ -189,18 +193,7 @@ def _drop_gamma(state: _TwistState) -> Diagram:
                                    "the result would be a disconnected diagram")
         families.append(kept)
     signs = {x: s for x, s in state.signs.items() if state.kinds[x] == _AF}
-    return Diagram(*families, signs)
-
-
-def _drop_disks(state: _TwistState) -> Diagram:
-    """Forget the untwisted disks; the twisted family plus gamma remain."""
-    disk_words = {}
-    for disk in state.a_words:
-        word = state.f_words[_dual_name(disk)]
-        disk_words[disk] = tuple(x for x in word if state.kinds[x] == _FG)
-    gamma_word = tuple(x for x in state.gamma_word if state.kinds[x] == _FG)
-    signs = {x: s for x, s in state.signs.items() if state.kinds[x] == _FG}
-    return multicurve_map(disk_words, gamma_word, signs)
+    return (*families, signs)
 
 
 # -- public operations ---------------------------------------------------------
@@ -212,46 +205,34 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     The raw spliced map is passed through bigon reduction, so the output is
     bigon-free with the genus of the base.
     """
-    out = _drop_gamma(_twisted(base, spec, keep_disks=True)).reduce_bigons()
+    out = Diagram(*_drop_gamma(_twisted(base, spec))).reduce_bigons()
+    return _with_genus_of(base, out)
+
+
+def _twisted(base: Diagram, spec: TwistSpec) -> _TwistState:
+    """The lifted base, spliced with every lap of the twist at once."""
+    _check_base(base)
+    return _splice(_lift(base), abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
+
+
+def _check_base(base: Diagram):
+    """The disks and their twisted curves will share one diagram."""
+    if not base.aux:
+        raise DiagramError("twisting needs a multicurve map with an auxiliary curve")
+    if not base.is_bigon_free():
+        raise DiagramError("gamma does not meet the disks essentially: bigon present")
+    for disk in base.a_words:
+        if _dual_name(disk) in base.a_words:
+            raise DiagramError(f"disk {_dual_name(disk)} has the name of the "
+                               f"twisted curve of disk {disk}")
+
+
+def _with_genus_of(base: Diagram, out: Diagram) -> Diagram:
     if out.genus != base.genus:
         raise DiagramError(
             f"twisted diagram has genus {out.genus}, base has {base.genus}"
         )
     return out
-
-
-def dehn_twist_iterated(base: Diagram, spec: TwistSpec) -> Diagram:
-    """Same curves as `dehn_twist`, spliced one lap at a time."""
-    _check_base(base, keep_disks=True)
-    drift = PLUS if spec.power > 0 else MINUS
-    state = _lift(base)
-    for step in range(abs(spec.power)):
-        state = _splice(state, 1, drift, f"s{step}")
-    return _drop_gamma(state).reduce_bigons()
-
-
-def twist_multicurve(base: Diagram, spec: TwistSpec) -> Diagram:
-    """The multicurve map of the twisted disks, with gamma retained."""
-    return _drop_disks(_twisted(base, spec, keep_disks=False))
-
-
-def _twisted(base: Diagram, spec: TwistSpec, keep_disks: bool) -> _TwistState:
-    """The lifted base, spliced with every lap of the twist at once."""
-    _check_base(base, keep_disks)
-    return _splice(_lift(base), abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
-
-
-def _check_base(base: Diagram, keep_disks: bool):
-    """With `keep_disks` the disks and their twisted curves share one diagram."""
-    if not base.aux:
-        raise DiagramError("twisting needs a multicurve map with an auxiliary curve")
-    if not base.is_bigon_free():
-        raise DiagramError("gamma does not meet the disks essentially: bigon present")
-    if keep_disks:
-        for disk in base.a_words:
-            if _dual_name(disk) in base.a_words:
-                raise DiagramError(f"disk {_dual_name(disk)} has the name of the "
-                                   f"twisted curve of disk {disk}")
 
 
 # -- the built-in example family ------------------------------------------------
@@ -273,8 +254,7 @@ def chain_base(genus: int) -> Diagram:
     double rectangle condition holds at odd genus; at even genus the
     exceptional disk costs it (the rectangle condition is unaffected).
     """
-    if genus < 2:
-        raise DiagramError("genus must be at least 2")
+    _check_genus(genus)
     visits: dict[int, list[list[str]]] = {d: [] for d in range(1, genus + 1)}
     gamma_word: list[str] = []
     for t in range(2 * genus):
@@ -345,9 +325,16 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     With `maximal` the genus-3 disk systems are extended to maximal ones
     (six disks a side).  Requires ``|power| >= 2``; the resulting diagram is
     validated before it is returned.
+
+    The crossings are named ``x1, x2, ...`` in first-family word order, over
+    the sorted disk ids, on the spliced words, so the map is built once.
+    That needs no bigon reduction: the splice makes exactly
+    ``|power| * i(gamma, D_i) * i(gamma, D_j)`` crossings between the twisted
+    curve of ``D_j`` and the disk ``D_i``, which is their geometric
+    intersection number, so no face is a bigon.  Validation, which rejects
+    bigon faces, still guards the result.
     """
-    if genus < 2:
-        raise DiagramError("genus must be at least 2")
+    _check_genus(genus)
     if abs(power) < 2:
         raise DiagramError("twist power must have magnitude at least 2")
     if maximal:
@@ -356,15 +343,23 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
         base = maximal_chain_base()
     else:
         base = chain_base(genus)
-    out = dehn_twist(base, TwistSpec(power))
-    out = _canonical_crossing_names(out)
+    a_words, b_words, signs = _drop_gamma(_twisted(base, TwistSpec(power)))
+    width = len(str(len(signs)))
+    order = (x for curve in sorted(a_words) for x in a_words[curve])
+    name = {x: f"x{i:0{width}d}" for i, x in enumerate(order, 1)}
+    out = _with_genus_of(base, Diagram(
+        {c: tuple(name[x] for x in w) for c, w in a_words.items()},
+        {c: tuple(name[x] for x in w) for c, w in b_words.items()},
+        {name[x]: s for x, s in signs.items()},
+    ))
     report = validate_disk_systems(out)
     if not report.passed:
         raise DiagramError(f"generated diagram fails validation: {report.entries}")
     return out
 
 
-def _canonical_crossing_names(d: Diagram) -> Diagram:
-    width = len(str(d.num_crossings))
-    order = (x for curve in d.a_curve_ids() for x in d.a_words[curve])
-    return d.relabel_crossings({x: f"x{i:0{width}d}" for i, x in enumerate(order, 1)})
+def _check_genus(genus):
+    if not isinstance(genus, int) or isinstance(genus, bool):
+        raise DiagramError("genus must be an integer")
+    if genus < 2:
+        raise DiagramError("genus must be at least 2")

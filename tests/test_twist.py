@@ -7,15 +7,17 @@ from heegaardrect.diagram import Diagram, DiagramError, FAMILY_A, intersection_n
 from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import (
     TwistSpec,
+    _drop_gamma,
+    _twisted,
     chain_base,
     dehn_twist,
-    dehn_twist_iterated,
     example_diagram,
     maximal_chain_base,
     multicurve_map,
-    twist_multicurve,
 )
 from heegaardrect.diagramio import serialize_diagram
+
+from map_oracles import dehn_twist_iterated, is_isomorphic, relabel_crossings, twist_multicurve
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
@@ -54,6 +56,13 @@ def test_twist_spec_validation():
 def test_twist_power_must_be_an_integer(power):
     with pytest.raises(DiagramError, match="^twist power must be an integer$"):
         TwistSpec(power)
+
+
+@pytest.mark.parametrize("genus", [3.0, 2.5, "3", True, False, None])
+def test_genus_must_be_an_integer(genus):
+    for make in (chain_base, lambda g: example_diagram(g, 2)):
+        with pytest.raises(DiagramError, match="^genus must be an integer$"):
+            make(genus)
 
 
 def test_dehn_twist_requires_multicurve(example_32):
@@ -145,7 +154,7 @@ def test_single_lap_splices_compose(genus, power):
     base = chain_base(genus)
     one_shot = dehn_twist(base, TwistSpec(power))
     stepped = dehn_twist_iterated(base, TwistSpec(power))
-    assert one_shot.is_isomorphic(stepped)
+    assert is_isomorphic(one_shot, stepped)
 
 
 @pytest.mark.parametrize("genus,power", [(2, 2), (3, 2), (3, -2)])
@@ -164,6 +173,52 @@ def test_example_diagram_validates_and_is_deterministic():
     d2 = example_diagram(3, 2)
     assert serialize_diagram(d1) == serialize_diagram(d2)
     assert validate_disk_systems(d1).passed
+
+
+@pytest.mark.parametrize("maximal", [False, True])
+def test_example_diagram_builds_one_diagram(monkeypatch, maximal):
+    """The crossings are named before the map is built, not after."""
+    built = []
+    init = Diagram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not self.aux:
+            built.append(self)
+
+    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    example_diagram(3, 2, maximal=maximal)
+    assert len(built) == 1
+
+
+def _canonical_names(d):
+    """x1, x2, ... in first-family word order over the sorted curve ids."""
+    width = len(str(d.num_crossings))
+    order = (x for curve in d.a_curve_ids() for x in d.a_words[curve])
+    return {x: f"x{i:0{width}d}" for i, x in enumerate(order, 1)}
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6, 7, "maximal"])
+def test_example_diagram_is_the_renamed_reduced_twist(genus):
+    """Naming the spliced words equals twisting, reducing, then renaming."""
+    maximal = genus == "maximal"
+    base = maximal_chain_base() if maximal else chain_base(genus)
+    for power in (2, -2) if maximal else (2, 3, -2, -3):
+        twisted = dehn_twist(base, TwistSpec(power))
+        want = serialize_diagram(relabel_crossings(twisted, _canonical_names(twisted)))
+        got = serialize_diagram(example_diagram(3 if maximal else genus, power, maximal))
+        assert got == want
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6, 7, "maximal"])
+def test_raw_splice_has_no_bigon(genus):
+    """Each twisted curve meets each disk minimally, before any reduction."""
+    base = maximal_chain_base() if genus == "maximal" else chain_base(genus)
+    for power in (1, -1, 2, -2, 3, -3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = TwistSpec(power)
+        assert Diagram(*_drop_gamma(_twisted(base, spec))).is_bigon_free()
 
 
 def test_example_diagram_parameter_errors():
