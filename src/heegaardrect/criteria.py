@@ -265,11 +265,15 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
 
 def _numbered(surface: Diagram, comps: tuple, flip: int, family: str) -> tuple:
     """`comps` renumbered by their least dart d ^ flip, as cut components of `family`;
-    with flip 0 they already are, being ordered by least face."""
+    with flip 0 they already are, being ordered by least face (flip is 0 or 1)."""
     if not flip:
         return comps
-    faces = surface.faces
-    order = sorted(comps, key=lambda c: min(d ^ flip for f in c.faces for d in faces[f].darts))
+    # a face's least d ^ 1, from its least dart m (its orbit's first): m - 1
+    # if m is odd, m if m + 1 lies in the face too, else m + 1
+    fod = surface._face_of_dart
+    least = [m - 1 if m & 1 else m if fod[m + 1] == f else m + 1
+             for f, m in enumerate(map(surface._face_darts.__getitem__, surface._face_start[:-1]))]
+    order = sorted(comps, key=lambda c: min(map(least.__getitem__, c.faces)))
     return tuple(replace(c, index=i, family=family) for i, c in enumerate(order, 1))
 
 
@@ -324,29 +328,36 @@ class CriteriaContext:
         self._keyless_pairs_hold = all(len(comp.a_set) <= 1 for comp in comps_b)
         self._swapped = None  # a callable that returns the swapped context, or None
 
-        face_to_l = {fi: comp.index for comp in comps_b for fi in comp.faces}
+        face_to_l = [0] * (len(surface._face_start) - 1)
+        for comp in comps_b:
+            for fi in comp.faces:
+                face_to_l[fi] = comp.index
         a_star = [None] + [comp.a_set for comp in comps_b]
 
-        # a-side pair -> l -> set of b-side pairs that are not loops
+        # a-side pair -> l -> set of b-side pairs that are not loops; most
+        # rectangles repeat a few (type, l, b-sides) triples, so each distinct
+        # triple is indexed once, in order of first occurrence
         self.rect_index: dict = {}
-        for fi, a_sides in types[first].items():
-            u, v = b_sides = types[second][fi]
+        for a_sides, l, b_sides in dict.fromkeys(zip(types[first], face_to_l, types[second])):
+            if a_sides is None:  # not a rectangle
+                continue
+            u, v = b_sides
             if u == v:
                 continue
-            l = face_to_l[fi]
             if u not in a_star[l] or v not in a_star[l]:
                 raise DiagramError("rectangle crosses its own cut component")
             self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
 
         # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not loops
         self.composed_index: dict = {}
-        for axis, end_minus, end_plus, b_sides, f_minus, f_plus in _composed(surface, first, types):
-            l = face_to_l[f_minus]
-            if face_to_l[f_plus] != l:
+        for key, b_sides, l, l_plus in dict.fromkeys(
+                ((axis, end_minus, end_plus), b_sides, face_to_l[f_minus], face_to_l[f_plus])
+                for axis, end_minus, end_plus, b_sides, f_minus, f_plus
+                in _composed(surface, first, types)):
+            if l_plus != l:
                 raise DiagramError("composed rectangle straddles cut components")
             if b_sides[0] == b_sides[1]:
                 continue
-            key = (axis, end_minus, end_plus)
             self.composed_index.setdefault(key, {}).setdefault(l, set()).add(b_sides)
 
     @cached_property

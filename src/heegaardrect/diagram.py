@@ -35,11 +35,20 @@ Conventions (fixed once, everything else follows):
 
 * One rotation table is kept, ``sigma_inv``: the next dart clockwise at a
   crossing.  Face tracing walks it.
+
+* Faces and crossings are flat integer tables, and a check reads only
+  those: face ``i`` is ``_face_darts[_face_start[i]:_face_start[i + 1]]``,
+  its orbit from its least dart; ``_dart_curve[d]`` is dart ``d``'s 1-based
+  curve index in its family ``d & 1``, its side ``1 - (d & 2)``; ``_signs``
+  follows the sorted crossing ids.  `faces` and `crossings` build their
+  `Face`, `FaceSide` and `Crossing` objects on first read, `bigon_faces`
+  only the bigons'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 MINUS = -1
@@ -71,10 +80,6 @@ class Crossing:
     a_curve: str
     b_curve: str
     sign: int
-
-    def __post_init__(self):
-        if self.sign not in (MINUS, PLUS):
-            raise DiagramError(f"crossing {self.id}: sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -127,21 +132,22 @@ class Diagram:
             c: tuple(w) for c, w in sorted(b_words.items())
         }
         self.aux = aux
-        a_of, b_of = self._check_words()
-        if not a_of.keys() <= signs.keys():
-            raise DiagramError(f"crossing {min(a_of.keys() - signs.keys())} has no sign")
-        self.crossings: dict[str, Crossing] = {
-            x: Crossing(x, a_of[x], b_of[x], signs[x]) for x in sorted(a_of)
-        }
-
-        self._crossing_ids: tuple[str, ...] = tuple(self.crossings)
-        self._cindex = {x: i for i, x in enumerate(self._crossing_ids)}
+        ids = tuple(sorted(self._check_words()))
+        missing = [x for x in ids if x not in signs]
+        if missing:
+            raise DiagramError(f"crossing {missing[0]} has no sign")
+        self._crossing_ids: tuple[str, ...] = ids
+        self._signs = [signs[x] for x in ids]
+        bad = [x for x, s in zip(ids, self._signs) if type(s) is not int or s not in (MINUS, PLUS)]
+        if bad:
+            raise DiagramError(f"crossing {bad[0]}: sign must be +1 or -1")
+        self._cindex = {x: i for i, x in enumerate(ids)}
         self._build_map()
 
     # -- construction ------------------------------------------------------
 
-    def _check_words(self) -> list[dict[str, str]]:
-        """The crossing -> curve map of each family, checked to match up."""
+    def _check_words(self) -> set[str]:
+        """The crossing ids, checked to occur once in each family."""
         families = ((self.a_words, "first"), (self.b_words, "second"))
         for words, which in families:
             if not words:
@@ -151,21 +157,20 @@ class Diagram:
         dup = set(self.a_words) & set(self.b_words)
         if dup:
             raise DiagramError(f"curve ids used in both families: {sorted(dup)}")
-        curve_of = []
+        ids = []
         for words, which in families:
-            of: dict[str, str] = {}
+            seen: set[str] = set()
             for curve, word in words.items():
                 if not word:
                     raise DiagramError(f"curve {curve} has an empty word")
                 for x in word:
-                    if x in of:
+                    if x in seen:
                         raise DiagramError(f"crossing {x} occurs twice in the {which} family")
-                    of[x] = curve
-            curve_of.append(of)
-        if curve_of[0].keys() != curve_of[1].keys():
-            missing = curve_of[0].keys() ^ curve_of[1].keys()
-            raise DiagramError(f"crossing occurrences do not match up: {sorted(missing)}")
-        return curve_of
+                    seen.add(x)
+            ids.append(seen)
+        if ids[0] != ids[1]:
+            raise DiagramError(f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}")
+        return ids[0]
 
     def _build_map(self):
         n = len(self._crossing_ids)
@@ -174,24 +179,25 @@ class Diagram:
         # clockwise at its crossing, ports 0, 3, 2, 1 in turn at sign +1 and
         # 0, 1, 2, 3 at sign -1 (sigma, counterclockwise, is its inverse)
         sigma_inv = []
-        for base, cr in zip(range(0, nd, 4), self.crossings.values()):
-            cw, ccw = (base + 3, base, base + 1, base + 2), (base + 1, base + 2, base + 3, base)
-            sigma_inv += cw if cr.sign == PLUS else ccw
-        alpha = [0] * nd
-        for family, (out_port, in_port) in PORTS.items():
-            for word in (self.a_words if family == FAMILY_A else self.b_words).values():
-                darts = [4 * self._cindex[x] for x in word]
+        for b, sign in zip(range(0, nd, 4), self._signs):
+            sigma_inv += (b + 3, b, b + 1, b + 2) if sign == PLUS else (b + 1, b + 2, b + 3, b)
+        alpha, dart_curve, cindex = [0] * nd, [0] * nd, self._cindex
+        for (out_port, in_port), words in zip(PORTS.values(), (self.a_words, self.b_words)):
+            for curve, word in enumerate(words.values(), 1):
+                darts = [4 * cindex[x] for x in word]
                 for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
                     alpha[s + out_port] = t + in_port
                     alpha[t + in_port] = s + out_port
+                    dart_curve[s + out_port] = dart_curve[s + in_port] = curve
         self._sigma_inv = sigma_inv
         self._alpha = alpha
+        self._dart_curve = dart_curve
 
         if not self._connected():
             raise DiagramError("disconnected diagram unsupported")
 
-        self._faces, self._face_of_dart = self._trace_faces()
-        v, e, f = n, 2 * n, len(self._faces)
+        self._trace_faces()
+        v, e, f = n, 2 * n, len(self._face_start) - 1
         chi = v - e + f
         if chi % 2 != 0 or chi > 2:
             raise DiagramError(f"corrupted map: Euler characteristic {chi}")
@@ -200,11 +206,13 @@ class Diagram:
     def _connected(self) -> bool:
         # sigma joins the four darts of a crossing and alpha runs along each
         # curve, so the map is connected iff the curves are, joined at the
-        # crossings they share
-        parent = {c: c for c in (*self.a_words, *self.b_words)}
-        parts = len(parent)
-        for cr in self.crossings.values():
-            a, b = cr.a_curve, cr.b_curve
+        # crossings they share; b-curve j is node n + j after the n a-curves
+        n = len(self.a_words)
+        parent = list(range(n + len(self.b_words) + 1))
+        parts = len(parent) - 1
+        curve = self._dart_curve
+        for a, b in set(zip(curve[A_OUT::4], curve[B_OUT::4])):
+            b += n
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -214,31 +222,37 @@ class Diagram:
                 parts -= 1
         return parts == 1
 
-    def _trace_faces(self) -> tuple[tuple[Face, ...], list[int]]:
-        """The faces, numbered by least dart, and the face of every dart."""
-        # one FaceSide per (family, curve, side), shared by every dart it labels
-        curve_sides = {
-            c: (FaceSide(family, c, PLUS), FaceSide(family, c, MINUS))
-            for family, words in ((FAMILY_A, self.a_words), (FAMILY_B, self.b_words))
-            for c in words
-        }
-        dart_side = []
-        for cr in self.crossings.values():
-            (a_plus, a_minus), (b_plus, b_minus) = curve_sides[cr.a_curve], curve_sides[cr.b_curve]
-            dart_side += (a_plus, b_plus, a_minus, b_minus)  # ports A_OUT, B_OUT, A_IN, B_IN
-        sigma_inv, alpha = self._sigma_inv, self._alpha
-        face_of = [None] * len(dart_side)
-        faces = []
-        for start in range(len(dart_side)):
-            if face_of[start] is not None:
+    def _trace_faces(self) -> None:
+        """The face tables: faces numbered by least dart, each orbit from it."""
+        phi = list(map(self._sigma_inv.__getitem__, self._alpha))  # the next dart round a face
+        face_of = [-1] * len(phi)
+        orbit: list[int] = []
+        push = orbit.append
+        face_start = [0]
+        for start in range(len(phi)):
+            if face_of[start] >= 0:
                 continue
-            i, orbit, d = len(faces), [], start
-            while face_of[d] is None:
+            i, d = len(face_start) - 1, start
+            while face_of[d] < 0:
                 face_of[d] = i
-                orbit.append(d)
-                d = sigma_inv[alpha[d]]
-            faces.append(Face(i, tuple(orbit), tuple(dart_side[p] for p in orbit)))
-        return tuple(faces), face_of
+                push(d)
+                d = phi[d]
+            face_start.append(len(orbit))
+        self._face_start, self._face_darts, self._face_of_dart = face_start, orbit, face_of
+
+    @cached_property
+    def _face_sides(self) -> list[list]:
+        """[port][curve index]: one FaceSide per (family, curve, side)."""
+        families = ((FAMILY_A, self.a_curve_ids()), (FAMILY_B, self.b_curve_ids())) * 2
+        return [[None] + [FaceSide(f, c, 1 - (p & 2)) for c in ids]
+                for p, (f, ids) in enumerate(families)]
+
+    def _faces(self, indices) -> Iterator[Face]:
+        """The `Face` objects of the given face indices, read off the tables."""
+        start, orbit, curve = self._face_start, self._face_darts, self._dart_curve
+        for i in indices:
+            darts, side_of = tuple(orbit[start[i]:start[i + 1]]), self._face_sides
+            yield Face(i, darts, tuple(side_of[d & 3][curve[d]] for d in darts))
 
     # -- basic queries -----------------------------------------------------
 
@@ -246,13 +260,19 @@ class Diagram:
     def genus(self) -> int:
         return self._genus
 
-    @property
+    @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return self._faces
+        return tuple(self._faces(range(len(self._face_start) - 1)))
+
+    @cached_property
+    def crossings(self) -> dict[str, Crossing]:
+        ids, curve = (tuple(self.a_words), tuple(self.b_words)), self._dart_curve
+        return {x: Crossing(x, ids[0][curve[d] - 1], ids[1][curve[d + 1] - 1], sign)
+                for x, d, sign in zip(self._crossing_ids, range(0, len(curve), 4), self._signs)}
 
     @property
     def num_crossings(self) -> int:
-        return len(self.crossings)
+        return len(self._crossing_ids)
 
     def crossing_ids(self) -> tuple[str, ...]:
         return self._crossing_ids
@@ -292,7 +312,8 @@ class Diagram:
                 yield curve, word[t], word[(t + 1) % m]
 
     def bigon_faces(self) -> tuple[Face, ...]:
-        return tuple(f for f in self._faces if f.degree == 2)
+        start = self._face_start
+        return tuple(self._faces(i for i in range(len(start) - 1) if start[i + 1] - start[i] == 2))
 
     def is_bigon_free(self) -> bool:
         return not self.bigon_faces()
@@ -303,23 +324,17 @@ class Diagram:
         """Exchange the two families.  Crossing signs flip under the swap."""
         if self.aux:
             raise DiagramError("cannot swap the families of a multicurve map")
-        signs = {x: -cr.sign for x, cr in self.crossings.items()}
+        signs = {x: -sign for x, sign in zip(self._crossing_ids, self._signs)}
         return Diagram(self.b_words, self.a_words, signs)
 
     def reverse_curve(self, curve: str) -> "Diagram":
         """Reverse the orientation of one curve; its crossing signs flip."""
-        fam = self.curve_family(curve)
-        a_words = dict(self.a_words)
-        b_words = dict(self.b_words)
-        if fam == FAMILY_A:
-            a_words[curve] = tuple(reversed(a_words[curve]))
-        else:
-            b_words[curve] = tuple(reversed(b_words[curve]))
-        signs = {
-            x: (-cr.sign if curve in (cr.a_curve, cr.b_curve) else cr.sign)
-            for x, cr in self.crossings.items()
-        }
-        return Diagram(a_words, b_words, signs, aux=self.aux)
+        words = {FAMILY_A: dict(self.a_words), FAMILY_B: dict(self.b_words)}
+        family = words[self.curve_family(curve)]
+        on_curve = set(family[curve])
+        family[curve] = family[curve][::-1]
+        signs = {x: -s if x in on_curve else s for x, s in zip(self._crossing_ids, self._signs)}
+        return Diagram(words[FAMILY_A], words[FAMILY_B], signs, aux=self.aux)
 
     # -- bigon reduction ----------------------------------------------------
 
@@ -349,7 +364,7 @@ class Diagram:
                 if not nw:
                     raise DiagramError(f"curve eliminated: {c} meets the rest only in a bigon")
                 out[c] = nw
-        signs = {z: cr.sign for z, cr in self.crossings.items() if z not in (x, y)}
+        signs = {z: sign for z, sign in zip(self._crossing_ids, self._signs) if z not in (x, y)}
         out = Diagram(a_words, b_words, signs, aux=self.aux)
         if out.genus != self.genus:
             raise DiagramError("bigon removal changed the genus; corrupted map")

@@ -91,7 +91,7 @@ def serialize_diagram(d: Diagram) -> str:
     d_curves = {}
     for curve in sorted(d.a_words):
         toks = tuple(
-            x + ("+" if d.crossings[x].sign == PLUS else "-") for x in d.a_words[curve]
+            x + ("+" if d._signs[d._cindex[x]] == PLUS else "-") for x in d.a_words[curve]
         )
         d_curves[curve] = list(_rotate_min(toks))
     doc["d_curves"] = d_curves

@@ -18,10 +18,6 @@ from .diagram import (
 SidePair = tuple[tuple[int, int], tuple[int, int]]
 
 
-def _pair(p: tuple[int, int], q: tuple[int, int]) -> SidePair:
-    return (p, q) if p <= q else (q, p)
-
-
 @dataclass(frozen=True)
 class RectangleType:
     """Unordered a-side pair and b-side pair of a rectangle face."""
@@ -47,30 +43,39 @@ class ComposedRectangleType:
     b_sides: SidePair
 
 
-def _side_types(diagram: Diagram) -> dict[str, dict[int, SidePair]]:
-    """Family -> face index -> side pair on that family, for every degree-4
-    face in face order."""
-    index = {c: i + 1 for ids in (diagram.a_curve_ids(), diagram.b_curve_ids())
-             for i, c in enumerate(ids)}
-    types: dict[str, dict[int, SidePair]] = {FAMILY_A: {}, FAMILY_B: {}}
-    for f in diagram.faces:
-        if f.degree != 4:
+def _side_types(diagram: Diagram) -> dict[str, list]:
+    """Family -> the side pair on that family of every face, in face order,
+    None for a face that is not a rectangle (degree 4).
+
+    A face's darts alternate the two families (the ports alternate round
+    every crossing, and an edge keeps its family), so darts 0 and 2 of a
+    rectangle's orbit lie on one family and darts 1 and 3 on the other.
+    Each distinct pair is one tuple, shared by all its faces.
+    """
+    start, orbit, curve = diagram._face_start, diagram._face_darts, diagram._dart_curve
+    a_types, b_types = [None] * (len(start) - 1), [None] * (len(start) - 1)
+    by_parity = (a_types, b_types), (b_types, a_types)
+    pairs: dict = {}
+    for i, (s, e) in enumerate(zip(start, start[1:])):
+        if e - s != 4:
             continue
-        sides: dict[str, list] = {FAMILY_A: [], FAMILY_B: []}
-        for s in f.sides:
-            sides[s.family].append((index[s.curve], s.side))
-        if len(sides[FAMILY_A]) != 2 or len(sides[FAMILY_B]) != 2:
-            raise DiagramError(f"face {f.index} does not alternate families")
-        for family, pair in sides.items():
-            types[family][f.index] = _pair(*pair)
-    return types
+        d0, d1, d2, d3 = orbit[s:e]
+        p, q = (curve[d0], 1 - (d0 & 2)), (curve[d2], 1 - (d2 & 2))
+        u, v = (curve[d1], 1 - (d1 & 2)), (curve[d3], 1 - (d3 & 2))
+        own, other = by_parity[d0 & 1]
+        pair = (p, q) if p <= q else (q, p)
+        own[i] = pairs.setdefault(pair, pair)
+        pair = (u, v) if u <= v else (v, u)
+        other[i] = pairs.setdefault(pair, pair)
+    return {FAMILY_A: a_types, FAMILY_B: b_types}
 
 
 def rectangle_faces(diagram: Diagram) -> tuple[tuple[Face, RectangleType], ...]:
     """All degree-4 faces with their types, in face order."""
     types = _side_types(diagram)
-    return tuple((diagram.faces[i], RectangleType(a_sides, types[FAMILY_B][i]))
-                 for i, a_sides in types[FAMILY_A].items())
+    return tuple((diagram.faces[i], RectangleType(a_sides, b_sides))
+                 for i, (a_sides, b_sides) in enumerate(zip(types[FAMILY_A], types[FAMILY_B]))
+                 if a_sides is not None)
 
 
 def composed_rectangles(
@@ -90,31 +95,32 @@ def composed_rectangles(
                  for t in _composed(diagram, axis_family, _side_types(diagram)))
 
 
-def _composed(diagram: Diagram, axis_family: str, types: dict[str, dict[int, SidePair]]):
+def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
     """`composed_rectangles` read off the diagram's `_side_types`, in the same
     order, yielded as plain tuples (axis, end_minus, end_plus, b_sides,
     face_minus, face_plus) with face indices."""
     out_port = PORTS[axis_family][0]
     words = diagram.a_words if axis_family == FAMILY_A else diagram.b_words
     axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
-    faces, fod, alpha, cindex = diagram.faces, diagram._face_of_dart, diagram._alpha, diagram._cindex
+    start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
+    across = [fod[alpha[e]] for e in diagram._face_darts]  # the face across each orbit arc
 
     for axis, word in enumerate(words.values(), 1):
         minus, plus = (axis, MINUS), (axis, PLUS)
-        for x in word:
-            d = 4 * cindex[x] + out_port
+        # walk the curve by its out darts: the next is its mate's out port, alpha[d] ^ 2
+        d = 4 * diagram._cindex[word[0]] + out_port
+        for _ in word:
             # the face left of the forward arc is on the plus side of the edge
             f_plus, f_minus = fod[d], fod[alpha[d]]
-            if f_plus == f_minus or f_plus not in axis_types or f_minus not in axis_types:
+            d = alpha[d] ^ 2
+            sides_minus, sides_plus = axis_types[f_minus], axis_types[f_plus]
+            if f_plus == f_minus or sides_minus is None or sides_plus is None:
                 continue
-            glued = 0
-            for e in faces[f_minus].darts:
-                if fod[alpha[e]] == f_plus:
-                    glued += 1
-            if glued != 1:
+            k = start[f_minus]
+            if across[k:k + 4].count(f_plus) != 1:  # glued along more than this edge
                 continue
             # the outer side of each end: the one that is not its axis side
-            (s, t), (u, v) = axis_types[f_minus], axis_types[f_plus]
+            (s, t), (u, v) = sides_minus, sides_plus
             end_minus = t if s == minus else s if t == minus else None
             end_plus = v if u == plus else u if v == plus else None
             if end_minus is None or end_plus is None:

@@ -50,21 +50,24 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     # union the faces across the other family's edges, each crossing starting
     # one at its out port; a parent is never above its child, so every root
     # is its group's least face
-    parent = list(range(len(diagram.faces)))
-    fod, alpha = diagram._face_of_dart, diagram._alpha
-    for d in range(PORTS[other][0], len(fod), 4):
-        i, j = fod[d], fod[alpha[d]]
+    start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
+    parent = list(range(len(start) - 1))
+    out = PORTS[other][0]
+    for i, j in zip(fod[out::4], map(fod.__getitem__, alpha[out::4])):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         while parent[j] != j:
             parent[j] = j = parent[parent[j]]
-        parent[max(i, j)] = min(i, j)
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
 
     # one pass in face order points every face at its root, and the groups
     # arrive in face order
     groups: dict[int, list] = {}
-    for f in diagram.faces:
-        parent[f.index] = root = parent[parent[f.index]]
+    for f in range(len(parent)):
+        parent[f] = root = parent[parent[f]]
         groups.setdefault(root, []).append(f)
 
     # each side of a cut curve is one boundary circle, on the face left of
@@ -79,12 +82,12 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
 
     components = []
     for root, faces in groups.items():
-        euler = sum(4 - len(f.darts) for f in faces) // 4
+        euler = sum(4 - start[f + 1] + start[f] for f in faces) // 4
         components.append(
             CutComponent(
                 index=len(components) + 1,
                 family=family,
-                faces=tuple(f.index for f in faces),
+                faces=tuple(faces),
                 boundary=tuple((c, s) for _, c, s in circles[root]),
                 a_set=frozenset((i, s) for i, _, s in circles[root]),
                 euler=euler,

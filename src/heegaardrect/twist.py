@@ -35,8 +35,7 @@ class TwistSpec:
     power: int
 
     def __post_init__(self):
-        if not isinstance(self.power, int) or isinstance(self.power, bool):
-            raise DiagramError("twist power must be an integer")
+        _check_integer(self.power, "twist power")
         if self.power == 0:
             raise DiagramError("twist power must be nonzero")
         if abs(self.power) == 1:
@@ -77,8 +76,8 @@ def _lift(base: Diagram) -> _TwistState:
     """Push off every disk to its plus side as the twisted family's start."""
     gamma0 = base.b_words[GAMMA]
     slot = {x: i for i, x in enumerate(gamma0)}
-    signs = {x: base.crossings[x].sign for x in base.crossings}
-    kinds = {x: _AG for x in base.crossings}
+    signs = dict(zip(base.crossing_ids(), base._signs))
+    kinds = dict.fromkeys(signs, _AG)
     f_words = {}
     positions = [(4 * i, x) for i, x in enumerate(gamma0)]
     for disk, word in base.a_words.items():
@@ -310,7 +309,7 @@ def maximal_chain_base() -> Diagram:
     disk_words["d4"] = ("q4_0", "q4_2", "q4_3", "q4_1")
     disk_words["d5"] = ("q5_0", "q5_1", "q5_3", "q5_2")
     disk_words["d6"] = ("q6_0", "q6_1", "q6_3", "q6_2")
-    signs = {x: base.crossings[x].sign for x in base.crossings}
+    signs = dict(zip(base.crossing_ids(), base._signs))
     signs.update({
         "q4_0": MINUS, "q4_1": MINUS, "q4_2": PLUS, "q4_3": PLUS,
         "q5_0": PLUS, "q5_1": PLUS, "q5_2": MINUS, "q5_3": MINUS,
@@ -335,6 +334,7 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     bigon faces, still guards the result.
     """
     _check_genus(genus)
+    _check_integer(power, "twist power")
     if abs(power) < 2:
         raise DiagramError("twist power must have magnitude at least 2")
     if maximal:
@@ -358,8 +358,12 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     return out
 
 
+def _check_integer(value, what: str):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DiagramError(f"{what} must be an integer")
+
+
 def _check_genus(genus):
-    if not isinstance(genus, int) or isinstance(genus, bool):
-        raise DiagramError("genus must be an integer")
+    _check_integer(genus, "genus")
     if genus < 2:
         raise DiagramError("genus must be at least 2")

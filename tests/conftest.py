@@ -97,6 +97,13 @@ def fixture_cases(maximal: Diagram):
     yield from random_twisted_diagrams(200)
 
 
+def face_oracle_cases():
+    """50 random twisted diagrams, example(13, 2) and the maximal example."""
+    yield from random_twisted_diagrams(50)
+    yield example_diagram(13, 2)
+    yield example_diagram(3, 2, maximal=True)
+
+
 def random_twisted_diagrams(count: int, seed: int = 20240809):
     """Valid twisted diagrams from random multicurve bases, deterministically.
 

@@ -1,13 +1,16 @@
 """Diagram machinery that only the tests use, kept here as oracles.
 
-Crossing relabeling and an isomorphism test by canonical certificate, plus
-two more routes through the twist splice: one lap at a time, and the
-multicurve map of the twisted disks with gamma kept.  None of it is on the
-check or generate path of the package.
+Crossing relabeling and an isomorphism test by canonical certificate, a
+face trace through the public dart queries, plus two more routes through
+the twist splice: one lap at a time, and the multicurve map of the twisted
+disks with gamma kept.  None of it is on the check or generate path of the
+package.
 """
 
 from heegaardrect import twist
-from heegaardrect.diagram import Diagram, DiagramError, MINUS, PLUS
+from heegaardrect.diagram import (
+    A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, Diagram, DiagramError, MINUS, PLUS,
+)
 from heegaardrect.twist import TwistSpec
 
 
@@ -94,6 +97,51 @@ def is_isomorphic(d: Diagram, other: Diagram) -> bool:
     ):
         return True
     return canonical_certificate(d) == canonical_certificate(other)
+
+
+# -- faces ------------------------------------------------------------------------
+
+
+# the counterclockwise port order at a crossing of each sign (the `diagram`
+# module's conventions), and the strand of each port: family, out or in
+CCW = {PLUS: (A_OUT, B_OUT, A_IN, B_IN), MINUS: (A_OUT, B_IN, A_IN, B_OUT)}
+STRAND = {A_OUT: (FAMILY_A, PLUS), B_OUT: (FAMILY_B, PLUS),
+          A_IN: (FAMILY_A, MINUS), B_IN: (FAMILY_B, MINUS)}
+
+
+def traced_faces(d: Diagram) -> tuple[list, dict]:
+    """The faces as (index, darts, sides) with sides (family, curve, side),
+    numbered by least dart, and the face of every dart.
+
+    Each face is walked from its least dart: along the edge (`mate`), then
+    one turn clockwise at the crossing reached, read off the crossing's sign.
+    The face on the left of an arc is on the plus side of its strand when
+    the arc leaves by an out port, on the minus side otherwise.
+    """
+    def port(dart):
+        return dart - d.dart(d.dart_crossing(dart), A_OUT)
+
+    def clockwise(dart):
+        x = d.dart_crossing(dart)
+        order = CCW[d.crossings[x].sign]
+        return d.dart(x, order[order.index(port(dart)) - 1])
+
+    def side(dart):
+        cr = d.crossings[d.dart_crossing(dart)]
+        family, sign = STRAND[port(dart)]
+        return family, cr.a_curve if family == FAMILY_A else cr.b_curve, sign
+
+    faces, face_of = [], {}
+    for start in range(4 * d.num_crossings):
+        if start in face_of:
+            continue
+        darts, dart = [], start
+        while dart not in face_of:
+            face_of[dart] = len(faces)
+            darts.append(dart)
+            dart = clockwise(d.mate(dart))
+        faces.append((len(faces), tuple(darts), tuple(side(e) for e in darts)))
+    return faces, face_of
 
 
 # -- other routes through the twist splice -------------------------------------------

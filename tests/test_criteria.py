@@ -28,7 +28,9 @@ from heegaardrect.rectangles import composed_rectangles, rectangle_faces
 from heegaardrect.systems import CutComponent, cut_components
 from heegaardrect.twist import example_diagram
 
-from conftest import fixture_cases, hexagon_diagram, random_twisted_diagrams, torus_one
+from conftest import (
+    face_oracle_cases, fixture_cases, hexagon_diagram, random_twisted_diagrams, torus_one,
+)
 from map_oracles import relabel_crossings
 
 
@@ -695,6 +697,18 @@ def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
             assert [(s.family, s.curve, s.side) for s in sides] == [
                 (OTHER_FAMILY[s.family], s.curve, s.side) for s in f.sides
             ]
+
+
+def test_swapped_numbering_is_by_least_swapped_dart():
+    """The swapped view orders each family's cut components by their least
+    dart d ^ 1, found here by brute force over every dart of every face."""
+    for d in face_oracle_cases():
+        swapped = CriteriaContext(d).swapped
+        for attr, family in (("comps_a", FAMILY_B), ("comps_b", FAMILY_A)):
+            order = sorted(cut_components(d, family), key=lambda c: min(
+                e ^ 1 for f in c.faces for e in d.faces[f].darts))
+            assert [c.faces for c in getattr(swapped, attr)] == [c.faces for c in order]
+            assert [c.index for c in getattr(swapped, attr)] == list(range(1, len(order) + 1))
 
 
 def test_swapped_context_matches_a_fresh_build(example_32_maximal):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from heegaardrect.diagram import Diagram, DiagramError, intersection_number
 
 from conftest import (
+    face_oracle_cases,
     fixture_cases,
     hexagon_diagram,
     random_twisted_diagrams,
@@ -15,7 +16,7 @@ from conftest import (
     torus_one,
     torus_two,
 )
-from map_oracles import canonical_certificate, is_isomorphic, relabel_crossings
+from map_oracles import canonical_certificate, is_isomorphic, relabel_crossings, traced_faces
 
 
 def test_single_crossing_torus():
@@ -123,6 +124,15 @@ def test_unsigned_crossing_rejected():
         Diagram({"a": ["x"]}, {"b": ["x"]}, {})
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, 2, None, 0, "+"])
+def test_sign_must_be_the_int_plus_or_minus_one(sign):
+    """The least crossing id with a bad sign is named, before any map is built."""
+    with pytest.raises(DiagramError, match="^crossing x: sign must be"):
+        Diagram({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": sign, "y": -1})
+    with pytest.raises(DiagramError, match="^crossing x: sign must be"):
+        Diagram({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": sign, "y": sign})
+
+
 def test_relabeling_must_cover_every_crossing():
     with pytest.raises(DiagramError, match="not a bijection"):
         relabel_crossings(hexagon_diagram(), {})
@@ -185,6 +195,17 @@ def test_faces_alternate_families(make):
         fams = [s.family for s in f.sides]
         for i, fam in enumerate(fams):
             assert fam != fams[(i + 1) % len(fams)]
+
+
+def test_faces_match_the_traced_oracle():
+    """The face tables, read back as `Face` objects, equal a trace through
+    the public `mate` and a rotation read off the crossing signs."""
+    for d in face_oracle_cases():
+        faces, face_of = traced_faces(d)
+        assert [(f.index, f.darts, tuple((s.family, s.curve, s.side) for s in f.sides))
+                for f in d.faces] == faces
+        assert [d.face_of_dart(e) for e in range(4 * d.num_crossings)] == [
+            face_of[e] for e in range(4 * d.num_crossings)]
 
 
 @pytest.mark.parametrize("make", ALL_FIXTURES)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import heegaardrect
 from heegaardrect.cli import main
 from heegaardrect.criteria import CriteriaContext
-from heegaardrect.diagram import Diagram, DiagramError
+from heegaardrect.diagram import Crossing, Diagram, DiagramError, Face, FaceSide
 from heegaardrect.diagramio import (
     build_report,
     parse_diagram,
@@ -25,6 +25,7 @@ from heegaardrect.twist import chain_base, example_diagram
 
 from conftest import (
     hexagon_diagram,
+    reducible_torus,
     split_components_diagram,
     sphere_bigons,
     torus_one,
@@ -150,6 +151,35 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
     # orientation reads that analysis with the families exchanged and
     # builds no swapped diagram
     assert counts == {"contexts": 2, "swaps": 0, "cut_components": 2, "_side_types": 1}
+
+
+def _count_constructions(monkeypatch, *classes) -> dict:
+    """Count the objects of each class built from here on, by class name."""
+    counts = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
+def test_check_builds_no_face_or_crossing_object(example_32_maximal, monkeypatch):
+    """Parsing and checking run on the flat face and crossing tables."""
+    texts = [(GOLDEN / "example_3_2.json").read_text(), serialize_diagram(example_32_maximal)]
+    counts = _count_constructions(monkeypatch, Face, FaceSide, Crossing)
+    for text in texts:
+        build_report(parse_diagram(text))
+    assert counts == {"Face": 0, "FaceSide": 0, "Crossing": 0}
+
+
+def test_bigon_entries_build_only_the_bigon_faces(monkeypatch):
+    counts = _count_constructions(monkeypatch, Face, Crossing)
+    report = build_report(reducible_torus())
+    bigons = [e["detail"] for e in report["validation"]["entries"] if e["code"] == "bigon"]
+    assert bigons == ["bigon face 1 between b and a", "bigon face 2 between b and a"]
+    assert counts == {"Face": 2, "Crossing": 0}
 
 
 def test_report_witnesses_serialize(example_32_maximal):

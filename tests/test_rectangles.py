@@ -179,6 +179,8 @@ def test_composed_rectangles_match_the_per_edge_oracle(example_32_maximal):
     """The index loops give the per-edge scan's composed rectangles, in its
     order, for both axis families."""
     for d in fixture_cases(example_32_maximal):
-        types = _side_types(d)
+        # face index -> side pair, for the rectangles only
+        types = {family: {i: t for i, t in enumerate(ts) if t is not None}
+                 for family, ts in _side_types(d).items()}
         for family in (FAMILY_A, FAMILY_B):
             assert composed_rectangles(d, family) == _composed_by_edges(d, family, types)

@@ -52,10 +52,11 @@ def test_twist_spec_validation():
         TwistSpec(-3)
 
 
-@pytest.mark.parametrize("power", [2.5, 2.0, "2", True, False, None])
+@pytest.mark.parametrize("power", [2.5, 2.0, "2", True, False, None, [2]])
 def test_twist_power_must_be_an_integer(power):
-    with pytest.raises(DiagramError, match="^twist power must be an integer$"):
-        TwistSpec(power)
+    for make in (TwistSpec, lambda p: example_diagram(3, p)):
+        with pytest.raises(DiagramError, match="^twist power must be an integer$"):
+            make(power)
 
 
 @pytest.mark.parametrize("genus", [3.0, 2.5, "3", True, False, None])
