@@ -49,11 +49,7 @@ class CriteriaGraph:
                 raise DiagramError("partition blocks must be disjoint and cover")
 
     def neighbors(self) -> dict:
-        adj: dict = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return _adjacency(self.vertices, self.edges)
 
 
 def graph_from_edges(edges: Sequence[Edge], vertices=(), partition=None) -> CriteriaGraph:
@@ -68,25 +64,53 @@ def graph_from_edges(edges: Sequence[Edge], vertices=(), partition=None) -> Crit
     return CriteriaGraph(frozenset(vs), frozenset(es), partition)
 
 
-def _connected_parts(adj: dict, removed: frozenset = frozenset()) -> list:
-    """Vertex sets of the components of the graph minus `removed`, by least vertex."""
-    seen = set(removed)
-    parts = []
-    for v in sorted(adj):
-        if v in seen:
+def _adjacency(vertices, edges) -> dict:
+    """Vertex -> set of neighbours, for edges with both ends in `vertices`."""
+    adj: dict = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _components(adj: dict) -> tuple[list, set]:
+    """The vertex sets of the components of `adj`, by least vertex, and its
+    cut points, in one pass of iterative DFS lowlink."""
+    disc: dict = {}
+    low: dict = {}
+    parts: list = []
+    points: set = set()
+    for root in sorted(adj):
+        if root in disc:
             continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
+        root_children = 0
+        part = {root}
+        stack = [(root, None, iter(adj[root]))]
+        disc[root] = low[root] = len(disc)
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        parts.append(comp)
-    return parts
+            u, parent, it = stack[-1]
+            for w in it:
+                if w == parent:
+                    continue
+                if w in disc:
+                    low[u] = min(low[u], disc[w])
+                else:
+                    disc[w] = low[w] = len(disc)
+                    part.add(w)
+                    stack.append((w, u, iter(adj[w])))
+                    break
+            else:  # u is done
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[u])
+                    if parent == root:
+                        root_children += 1
+                    elif low[u] >= disc[parent]:
+                        points.add(parent)
+        if root_children > 1:
+            points.add(root)
+        parts.append(part)
+    return parts, points
 
 
 def is_two_connected(graph: CriteriaGraph) -> bool:
@@ -95,61 +119,15 @@ def is_two_connected(graph: CriteriaGraph) -> bool:
     Implemented through articulation points (iterative lowlink); graphs on
     at most one vertex are 2-connected under this reading.
     """
-    return two_connected_witness(graph) is None
-
-
-def articulation_points(adj: dict) -> set:
-    """Articulation points of a connected graph, by iterative DFS lowlink."""
-    disc: dict = {}
-    low: dict = {}
-    points: set = set()
-    for root in adj:
-        if root in disc:
-            continue
-        root_children = 0
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = len(disc)
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    low[u] = min(low[u], disc[w])
-                else:
-                    disc[w] = low[w] = len(disc)
-                    stack.append((w, u, iter(adj[w])))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[u])
-                if parent == root:
-                    root_children += 1
-                elif low[u] >= disc[parent]:
-                    points.add(parent)
-        if root_children > 1:
-            points.add(root)
-    return points
-
-
-def two_connected_witness(graph: CriteriaGraph) -> Optional[tuple]:
-    """None if 2-connected, else ('disconnected',) or ('cut-vertex', v)."""
-    return _two_connected_failure(graph.neighbors())
+    return _two_connected_failure(graph.neighbors()) is None
 
 
 def _two_connected_failure(adj: dict) -> Optional[tuple]:
-    if len(adj) <= 1:
-        return None
-    if len(_connected_parts(adj)) > 1:
+    """None if 2-connected, else ('disconnected',) or ('cut-vertex', v)."""
+    parts, points = _components(adj)
+    if len(parts) > 1:
         return ("disconnected",)
-    pts = articulation_points(adj)
-    if pts:
-        return ("cut-vertex", min(pts))
-    return None
+    return ("cut-vertex", min(points)) if points else None
 
 
 def is_doubly_two_connected(graph: CriteriaGraph) -> bool:
@@ -183,10 +161,9 @@ def _scan_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Ver
     """
     hi_sorted = sorted(hi)
     for a in sorted(lo):
-        rest = {v: nbrs - {a} for v, nbrs in adj.items() if v != a}
-        parts = _connected_parts(rest)
+        parts, points = _components({v: nbrs - {a} for v, nbrs in adj.items() if v != a})
         if len(parts) <= 1:
-            cut = articulation_points(rest) & hi
+            cut = points & hi
             if cut:
                 return (a, min(cut))
             continue
@@ -248,7 +225,7 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
         x = node[a]
         if x not in cut_least:
             rest = {y: nbrs - {x} for y, nbrs in skeleton.items() if y != x}
-            cut_least[x] = min((least_hi[y] for y in articulation_points(rest)
+            cut_least[x] = min((least_hi[y] for y in _components(rest)[1]
                                 if y in least_hi), default=None)
         found = [] if cut_least[x] is None else [cut_least[x]]
         for c in (x,) if x in on_chain else (y for y in skeleton[x] if y in on_chain):
@@ -332,33 +309,25 @@ class CriteriaContext:
         for comp in comps_b:
             for fi in comp.faces:
                 face_to_l[fi] = comp.index
-        a_star = [None] + [comp.a_set for comp in comps_b]
 
-        # a-side pair -> l -> set of b-side pairs that are not loops; most
+        # a-side pair -> l -> set of b-side pairs that are not loops, which lie
+        # in A*_l (a face's sides are boundary circles of its piece); most
         # rectangles repeat a few (type, l, b-sides) triples, so each distinct
         # triple is indexed once, in order of first occurrence
         self.rect_index: dict = {}
         for a_sides, l, b_sides in dict.fromkeys(zip(types[first], face_to_l, types[second])):
-            if a_sides is None:  # not a rectangle
-                continue
-            u, v = b_sides
-            if u == v:
-                continue
-            if u not in a_star[l] or v not in a_star[l]:
-                raise DiagramError("rectangle crosses its own cut component")
-            self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
+            if a_sides is not None and b_sides[0] != b_sides[1]:  # a rectangle, not a loop
+                self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
 
-        # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not loops
+        # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not
+        # loops; both rectangles lie in piece l, joined across an uncut edge
         self.composed_index: dict = {}
-        for key, b_sides, l, l_plus in dict.fromkeys(
-                ((axis, end_minus, end_plus), b_sides, face_to_l[f_minus], face_to_l[f_plus])
-                for axis, end_minus, end_plus, b_sides, f_minus, f_plus
+        for key, b_sides, l in dict.fromkeys(
+                ((axis, end_minus, end_plus), b_sides, face_to_l[f_minus])
+                for axis, end_minus, end_plus, b_sides, f_minus, _
                 in _composed(surface, first, types)):
-            if l_plus != l:
-                raise DiagramError("composed rectangle straddles cut components")
-            if b_sides[0] == b_sides[1]:
-                continue
-            self.composed_index.setdefault(key, {}).setdefault(l, set()).add(b_sides)
+            if b_sides[0] != b_sides[1]:
+                self.composed_index.setdefault(key, {}).setdefault(l, set()).add(b_sides)
 
     @cached_property
     def diagram(self) -> Diagram:
@@ -499,10 +468,7 @@ class CriteriaContext:
         key = (k, p, q) if p <= q else (k, q, p)
         if key not in self.pair_verdicts:
             self._check_detail_pair(k, p, q)
-            self.pair_verdicts[key] = self._first_failing_l(
-                self.rect_index.get(key[1:], {}),
-                lambda l: self.detail_graph(k, l, p, q),
-            )
+            self.pair_verdicts[key] = self._first_failing_l(self.rect_index.get(key[1:], {}))
         return self.pair_verdicts[key]
 
     def first_failing_l_cross(
@@ -512,23 +478,21 @@ class CriteriaContext:
         key = (disk, end_minus, end_plus)
         if key not in self.cross_verdicts:
             self._check_cross_pair(disk, end_minus, end_plus)
-            self.cross_verdicts[key] = self._first_failing_l(
-                self.composed_index.get(key, {}),
-                lambda l: self.cross_detail_graph(l, disk, end_minus, end_plus),
-            )
+            self.cross_verdicts[key] = self._first_failing_l(self.composed_index.get(key, {}))
         return self.cross_verdicts[key]
 
-    def _first_failing_l(self, edges_by_l: dict, graph) -> Optional[int]:
-        """First l whose detail graph `graph(l)` is not 2-connected, or None.
+    def _first_failing_l(self, edges_by_l: dict) -> Optional[int]:
+        """First l whose detail graph, the labels A*_l with the edges
+        `edges_by_l[l]`, is not 2-connected, or None.
 
         A 2-connected graph on n >= 3 vertices has at least n edges, so an l
-        with fewer edges in `edges_by_l` fails without its graph being built.
+        with fewer edges fails without its adjacency being built.
         """
         for comp in self.comps_b:
-            n = len(comp.a_set)
-            if n >= 3 and len(edges_by_l.get(comp.index, ())) < n:
+            n, edges = len(comp.a_set), edges_by_l.get(comp.index, ())
+            if n >= 3 and len(edges) < n:
                 return comp.index
-            if not is_two_connected(graph(comp.index)):
+            if _two_connected_failure(_adjacency(comp.a_set, edges)) is not None:
                 return comp.index
         return None
 
@@ -622,13 +586,10 @@ def rectangle_condition(
     witnesses = []
     for k in range(1, ctx.m + 1):
         gk = ctx.component_graph(k)
-        failure = two_connected_witness(gk)
+        failure = _two_connected_failure(gk.neighbors())
         if failure is None:
             continue
-        if failure[0] == "disconnected":
-            reason, verts = "disconnected", ()
-        else:
-            reason, verts = "cut-vertex", (failure[1],)
+        reason, verts = failure[0], failure[1:]  # ("disconnected",) or ("cut-vertex", v)
         missing = _missing_types(gk, verts, lambda p, q: _missing_rectangle(ctx, k, p, q))
         witnesses.append(
             Witness("rc", False, k, reason, verts, missing)
@@ -640,7 +601,8 @@ def rectangle_condition(
 def _missing_types(graph, deleted, explain, cap=6) -> tuple:
     """Absent edges between the parts of `graph` minus `deleted` that would
     reconnect it, each explained by `explain(u, v)` as a `MissingType`."""
-    parts = _connected_parts(graph.neighbors(), frozenset(deleted))
+    adj = {v: nbrs.difference(deleted) for v, nbrs in graph.neighbors().items() if v not in deleted}
+    parts = _components(adj)[0]
     missing = []
     for i, part in enumerate(parts):
         for other in parts[i + 1:]:
@@ -652,20 +614,19 @@ def _missing_types(graph, deleted, explain, cap=6) -> tuple:
     return tuple(missing)
 
 
-def _missing_type(kind, a_data, l_fail, graph_of_l) -> MissingType:
-    """The missing type, with the vertex where the detail graph at `l_fail` breaks."""
-    vert = None
-    if l_fail is not None:
-        w = two_connected_witness(graph_of_l(l_fail))
-        vert = w[1] if w and len(w) > 1 else None
-    return MissingType(kind, a_data, l_fail, vert)
+def _missing_type(ctx, kind, a_data, l_fail, edges_by_l) -> MissingType:
+    """The missing type, with the vertex where the detail graph at `l_fail`,
+    on A*_l with the edges `edges_by_l[l]`, breaks."""
+    w = None if l_fail is None else _two_connected_failure(
+        _adjacency(ctx.a_star_set(l_fail), edges_by_l.get(l_fail, ())))
+    return MissingType(kind, a_data, l_fail, w[1] if w and len(w) > 1 else None)
 
 
 def _missing_rectangle(ctx, k, p, q) -> MissingType:
     """The rectangle type for the absent edge p-q of G_k."""
     p, q = sorted((p, q))
-    return _missing_type("rectangle", (p, q), ctx.first_failing_l_detail(k, p, q),
-                         lambda l: ctx.detail_graph(k, l, p, q))
+    return _missing_type(ctx, "rectangle", (p, q), ctx.first_failing_l_detail(k, p, q),
+                         ctx.rect_index.get((p, q), {}))
 
 
 def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
@@ -674,9 +635,9 @@ def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
     if u[0] == v[0]:
         return _missing_rectangle(ctx, ctx.k_of(disk, u[0]), u[1:], v[1:])
     em, ep = (u[1:], v[1:]) if u[0] == MINUS else (v[1:], u[1:])
-    return _missing_type("composed-rectangle", (em, disk, ep),
+    return _missing_type(ctx, "composed-rectangle", (em, disk, ep),
                          ctx.first_failing_l_cross(disk, em, ep),
-                         lambda l: ctx.cross_detail_graph(l, disk, em, ep))
+                         ctx.composed_index.get((disk, em, ep), {}))
 
 
 def double_rectangle_condition(
@@ -707,7 +668,7 @@ def double_rectangle_condition(
             # only a block of <= 1 vertex lets a disconnected graph pass: for a != a'
             # and b != b', all parts but one lie in {a, b} and all but one in {a', b'},
             # so the parts are {a, b}, {a', b'}, and likewise {a, b'}, {a', b}: absurd
-            elif min(map(len, hd.partition)) <= 1 and len(_connected_parts(hd.neighbors())) > 1:
+            elif min(map(len, hd.partition)) <= 1 and len(_components(hd.neighbors())[0]) > 1:
                 borderline.append(f"{'families switched, ' if swapped else ''}H_{disk}")
     holds = not witnesses
     note = NOTE_DRC if holds else ""

@@ -72,6 +72,21 @@ def side_str(side: int) -> str:
     return "+" if side > 0 else "-"
 
 
+def _union(parent: list, pairs) -> list:
+    """Join each pair's groups in the union-find forest `parent` and return it;
+    a parent is never above its child, so every root is its group's least member."""
+    for i, j in pairs:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    return parent
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One transverse intersection point of an a-curve with a b-curve."""
@@ -207,20 +222,10 @@ class Diagram:
         # sigma joins the four darts of a crossing and alpha runs along each
         # curve, so the map is connected iff the curves are, joined at the
         # crossings they share; b-curve j is node n + j after the n a-curves
-        n = len(self.a_words)
-        parent = list(range(n + len(self.b_words) + 1))
-        parts = len(parent) - 1
-        curve = self._dart_curve
-        for a, b in set(zip(curve[A_OUT::4], curve[B_OUT::4])):
-            b += n
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-                parts -= 1
-        return parts == 1
+        n, curve = len(self.a_words), self._dart_curve
+        parent = _union(list(range(n + len(self.b_words) + 1)),
+                        {(a, n + b) for a, b in zip(curve[A_OUT::4], curve[B_OUT::4])})
+        return sum(parent[i] == i for i in range(1, len(parent))) == 1
 
     def _trace_faces(self) -> None:
         """The face tables: faces numbered by least dart, each orbit from it."""

@@ -86,7 +86,11 @@ def _rotate_min(word: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def serialize_diagram(d: Diagram) -> str:
-    """Canonical JSON text for a diagram."""
+    """Canonical JSON text for a diagram; every crossing id must be a token
+    that `parse_diagram` reads back, [A-Za-z0-9_]+."""
+    bad = [x for x in d._crossing_ids if not isinstance(x, str) or not _BARE.fullmatch(x)]
+    if bad:
+        raise DiagramError(f"crossing id {bad[0]!r} is not [A-Za-z0-9_]+")
     doc = {"format_version": FORMAT_VERSION}
     d_curves = {}
     for curve in sorted(d.a_words):

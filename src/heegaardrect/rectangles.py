@@ -119,13 +119,9 @@ def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
             k = start[f_minus]
             if across[k:k + 4].count(f_plus) != 1:  # glued along more than this edge
                 continue
-            # the outer side of each end: the one that is not its axis side
+            # the outer side of each end: the one that is not its axis side (the
+            # minus face holds the edge's in dart, the plus face its out dart)
             (s, t), (u, v) = sides_minus, sides_plus
-            end_minus = t if s == minus else s if t == minus else None
-            end_plus = v if u == plus else u if v == plus else None
-            if end_minus is None or end_plus is None:
-                raise DiagramError("rectangle does not lie on the expected side of its axis")
-            cross = cross_types[f_minus]
-            if cross_types[f_plus] != cross:
-                raise DiagramError("composed rectangle with mismatched cross sides")
-            yield axis, end_minus, end_plus, cross, f_minus, f_plus
+            end_minus = t if s == minus else s
+            end_plus = v if u == plus else u
+            yield axis, end_minus, end_plus, cross_types[f_minus], f_minus, f_plus

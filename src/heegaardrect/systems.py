@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError
+from .diagram import (
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _union,
+)
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,11 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     other = OTHER_FAMILY[family]
 
     # union the faces across the other family's edges, each crossing starting
-    # one at its out port; a parent is never above its child, so every root
-    # is its group's least face
+    # one at its out port; every root is its group's least face
     start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
-    parent = list(range(len(start) - 1))
     out = PORTS[other][0]
-    for i, j in zip(fod[out::4], map(fod.__getitem__, alpha[out::4])):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i < j:
-            parent[j] = i
-        elif j < i:
-            parent[i] = j
+    parent = _union(list(range(len(start) - 1)),
+                    zip(fod[out::4], map(fod.__getitem__, alpha[out::4])))
 
     # one pass in face order points every face at its root, and the groups
     # arrive in face order

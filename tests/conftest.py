@@ -10,6 +10,8 @@ from heegaardrect.twist import (
     multicurve_map,
 )
 
+from map_oracles import restricted
+
 
 def torus_one() -> Diagram:
     """One curve of each family crossing once: the standard torus square."""
@@ -102,6 +104,29 @@ def face_oracle_cases():
     yield from random_twisted_diagrams(50)
     yield example_diagram(13, 2)
     yield example_diagram(3, 2, maximal=True)
+
+
+def maximal_subsystems(count: int = 50, seed: int = 20241018):
+    """`count` seeded sub-systems of the maximal example at power 2, valid or
+    not: 3-6 curves of each family, with the crossings of two kept curves.
+
+    Restrictions that are not diagrams (a kept curve with no crossing left,
+    or a disconnected map) are skipped.
+    """
+    maximal = example_diagram(3, 2, maximal=True)
+    rng = random.Random(seed)
+    for _ in range(20 * count):
+        keep_a = rng.sample(sorted(maximal.a_words), rng.randint(3, 6))
+        keep_b = rng.sample(sorted(maximal.b_words), rng.randint(3, 6))
+        try:
+            sub = restricted(maximal, keep_a, keep_b)
+        except DiagramError:
+            continue
+        yield sub
+        count -= 1
+        if not count:
+            return
+    raise RuntimeError("sub-system yield collapsed")
 
 
 def random_twisted_diagrams(count: int, seed: int = 20240809):

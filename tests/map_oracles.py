@@ -1,10 +1,10 @@
 """Diagram machinery that only the tests use, kept here as oracles.
 
-Crossing relabeling and an isomorphism test by canonical certificate, a
-face trace through the public dart queries, plus two more routes through
-the twist splice: one lap at a time, and the multicurve map of the twisted
-disks with gamma kept.  None of it is on the check or generate path of the
-package.
+Crossing relabeling, restriction to sub-families, an isomorphism test by
+canonical certificate, a face trace through the public dart queries, plus
+two more routes through the twist splice: one lap at a time, and the
+multicurve map of the twisted disks with gamma kept.  None of it is on the
+check or generate path of the package.
 """
 
 from heegaardrect import twist
@@ -23,6 +23,16 @@ def relabel_crossings(d: Diagram, mapping) -> Diagram:
     a_words = {c: tuple(mapping[x] for x in w) for c, w in d.a_words.items()}
     b_words = {c: tuple(mapping[x] for x in w) for c, w in d.b_words.items()}
     signs = {mapping[x]: cr.sign for x, cr in d.crossings.items()}
+    return Diagram(a_words, b_words, signs, aux=d.aux)
+
+
+def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
+    """The diagram of the curves `keep_a` and `keep_b` only: it keeps the
+    crossings whose two curves both survive, in their order along each curve."""
+    kept = {x for c in keep_a for x in d.a_words[c]} & {x for c in keep_b for x in d.b_words[c]}
+    a_words = {c: tuple(x for x in d.a_words[c] if x in kept) for c in keep_a}
+    b_words = {c: tuple(x for x in d.b_words[c] if x in kept) for c in keep_b}
+    signs = {x: cr.sign for x, cr in d.crossings.items() if x in kept}
     return Diagram(a_words, b_words, signs, aux=d.aux)
 
 

@@ -11,8 +11,7 @@ from heegaardrect.criteria import (
     CriteriaGraph,
     Verdict,
     Witness,
-    _connected_parts,
-    articulation_points,
+    _components,
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
@@ -29,7 +28,8 @@ from heegaardrect.systems import CutComponent, cut_components
 from heegaardrect.twist import example_diagram
 
 from conftest import (
-    face_oracle_cases, fixture_cases, hexagon_diagram, random_twisted_diagrams, torus_one,
+    face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, random_twisted_diagrams,
+    torus_one,
 )
 from map_oracles import relabel_crossings
 
@@ -234,10 +234,9 @@ def _scan_doubly_witness(graph: CriteriaGraph):
     lo, hi = graph.partition
     hi_sorted = sorted(hi)
     for a in sorted(lo):
-        rest = {v: nbrs - {a} for v, nbrs in adj.items() if v != a}
-        parts = _connected_parts(rest)
+        parts, points = _components({v: nbrs - {a} for v, nbrs in adj.items() if v != a})
         if len(parts) <= 1:
-            cut = articulation_points(rest) & hi
+            cut = points & hi
             if cut:
                 return (a, min(cut))
             continue
@@ -316,12 +315,16 @@ def test_witness_matches_the_scan(data):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(near_cycle_graphs(), random_graphs()))
 def test_articulation_points_match_networkx(data):
+    """Both halves of `_components`: the parts, ordered by least vertex, and
+    the cut points."""
     nx = pytest.importorskip("networkx")
     graph, _ = data
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
     g.add_edges_from(graph.edges)
-    assert articulation_points(graph.neighbors()) == set(nx.articulation_points(g))
+    parts, points = _components(graph.neighbors())
+    assert parts == sorted(nx.connected_components(g), key=min)
+    assert points == set(nx.articulation_points(g))
 
 
 # -- graph builders ------------------------------------------------------------
@@ -335,7 +338,7 @@ def test_pair_verdicts_match_definition(example_32_maximal):
     """Each memoised verdict is the first l whose detail graph is not
     2-connected, so None exactly when all of them are; pre-check included."""
     prechecked = built = 0
-    diagrams = list(random_twisted_diagrams(100)) + [example_32_maximal]
+    diagrams = [*random_twisted_diagrams(100), example_32_maximal, *maximal_subsystems(50)]
     for d in diagrams:
         ctx = CriteriaContext(d)
         rectangle_condition(d, ctx)
@@ -398,7 +401,7 @@ def test_key_driven_graphs_match_every_pair(example_32_maximal):
     pair, including where pairs with no key are edges."""
     corner = CriteriaContext(three_circles_sphere())
     assert not corner.rect_index and len(corner.component_graph(2).edges) == 3
-    cases = [three_circles_sphere(), *fixture_cases(example_32_maximal)]
+    cases = [three_circles_sphere(), *fixture_cases(example_32_maximal), *maximal_subsystems(50)]
     for d in cases:
         for swapped in (False, True):
             ctx, fresh = CriteriaContext(d), CriteriaContext(d)

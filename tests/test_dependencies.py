@@ -1,8 +1,9 @@
-"""The package needs nothing at run time beyond the standard library, and
-no module imports a name it does not use."""
+"""The package needs nothing at run time beyond the standard library, no
+module imports a name it does not use, and no private definition is unused."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +55,25 @@ def test_no_unused_imports():
     assert len(sources) > 10
     unused = {str(p.relative_to(ROOT)): names for p in sources if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read in `tree`, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_no_unused_private_names():
+    """Every private function, method or class of the package is referenced in
+    `src/` outside its own definition, so a refactor leaves no orphan behind."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))]
+    assert trees
+    total = sum(map(_references, trees), Counter())
+    unused = sorted(
+        node.name
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and total[node.name] <= _references(node)[node.name]
+    )
+    assert unused == []

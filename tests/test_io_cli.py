@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from conftest import (
     torus_one,
     torus_two,
 )
-from map_oracles import is_isomorphic
+from map_oracles import is_isomorphic, relabel_crossings
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +55,21 @@ def test_round_trip_multicurve():
     r = parse_diagram(serialize_diagram(base))
     assert r.aux
     assert is_isomorphic(r, base)
+
+
+@pytest.mark.parametrize("bad", ["x-1", "", "x y", 1])
+def test_serialize_writes_only_ids_that_read_back(example_22, bad):
+    """A crossing id outside [A-Za-z0-9_]+ would give a file `parse_diagram`
+    rejects, so serializing raises, naming the id; renamed, it round-trips."""
+    cases = [relabel_crossings(torus_one(), {"x": bad})]
+    if isinstance(bad, str):  # a Diagram sorts its ids, so they share one type
+        cases.append(relabel_crossings(
+            example_22, {x: bad if x == "x064" else x for x in example_22.crossings}))
+    for d in cases:
+        with pytest.raises(DiagramError, match=re.escape(f"crossing id {bad!r} ")):
+            serialize_diagram(d)
+        good = relabel_crossings(d, {x: f"c{i}" for i, x in enumerate(d.crossings)})
+        assert is_isomorphic(parse_diagram(serialize_diagram(good)), d)
 
 
 def test_reserialization_is_byte_identical(example_32):

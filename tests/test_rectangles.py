@@ -2,19 +2,22 @@ from collections import Counter
 
 import pytest
 
+from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError,
 )
 from heegaardrect.rectangles import (
     ComposedRectangleType,
     SidePair,
+    _composed,
     _side_types,
     composed_rectangles,
     rectangle_faces,
 )
 
 from conftest import (
-    fixture_cases, hexagon_diagram, split_components_diagram, torus_one, torus_two,
+    face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
+    split_components_diagram, torus_one, torus_two,
 )
 
 
@@ -184,3 +187,29 @@ def test_composed_rectangles_match_the_per_edge_oracle(example_32_maximal):
                  for family, ts in _side_types(d).items()}
         for family in (FAMILY_A, FAMILY_B):
             assert composed_rectangles(d, family) == _composed_by_edges(d, family, types)
+
+
+def test_index_invariants_hold_in_both_views(example_32_maximal):
+    """What the context's indexes rely on without checking: a rectangle's
+    b-sides are labels in A*_l of its face's piece l, and so are the ends of
+    every index edge at l; the two faces of a composed rectangle lie in one
+    piece, the minus face has the side (axis, -) and the plus face
+    (axis, +), and the two have the same cross sides."""
+    cases = [*face_oracle_cases(), *fixture_cases(example_32_maximal), *maximal_subsystems(50)]
+    for d in cases:
+        ctx = CriteriaContext(d)
+        for view in (ctx, ctx.swapped):
+            first, second, types = view._first, OTHER_FAMILY[view._first], view._types
+            piece = {f: comp.index for comp in view.comps_b for f in comp.faces}
+            for f, b_sides in enumerate(types[second]):
+                if b_sides is not None:
+                    assert set(b_sides) <= view.a_star_set(piece[f])
+            for axis, _, _, cross, f_minus, f_plus in _composed(d, first, types):
+                assert piece[f_minus] == piece[f_plus]
+                assert (axis, MINUS) in types[first][f_minus]
+                assert (axis, PLUS) in types[first][f_plus]
+                assert cross == types[second][f_minus] == types[second][f_plus]
+            for index in (view.rect_index, view.composed_index):
+                for by_l in index.values():
+                    for l, edges in by_l.items():
+                        assert {v for edge in edges for v in edge} <= view.a_star_set(l)
