@@ -261,17 +261,17 @@ class CriteriaContext:
     indexes and the pair verdicts are all derived from those components.
 
     A pair verdict says whether the detail graph is 2-connected for every
-    l.  It is computed on first use, once per label pair (k, p, q) and once
-    per composed-rectangle pair (disk, end_minus, end_plus), and kept in
-    `pair_verdicts` and `cross_verdicts` as the first failing l (None when
-    it holds).  A pair that is not a key of `rect_index` or
-    `composed_index` has an edgeless detail graph at every l, so it fails
-    at the first l with two or more labels.  The criteria graphs therefore
-    ask for the verdicts of index keys only, unless no A*_l has two labels
-    (a diagram that fails validation), where every keyless pair holds and
-    every pair is asked.  `component_graph` keeps each G_k, and a disk
-    graph takes its block edges from it.  The missing-type search asks for
-    the verdicts of the absent edges it explains, keys or not.
+    l, so it depends only on the pair's edge sets: the sets (l, edges at l)
+    of its `rect_index` or `composed_index` entry.  Each view keeps one memo,
+    keyed by those sets, of the failure record: the first failing l with its
+    detail graph's least cut vertex (None when it is disconnected), or None
+    when every l holds.  So each distinct set of detail graphs is tested
+    once, whichever pairs share it.  A pair that is not an index key has the
+    empty edge sets; unless their record is None (`_keyless_pairs_hold`, no
+    A*_l with two labels: a diagram that fails validation), the criteria
+    graphs ask for the verdicts of index keys only.  `component_graph` keeps
+    each G_k, and a disk graph takes its block edges from it.  The
+    missing-type search reads the records of the absent edges it explains.
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built on first use by the same
@@ -299,10 +299,9 @@ class CriteriaContext:
         self.m, self.m_star = len(comps_a), len(comps_b)
         counts = (len(surface.a_words), len(surface.b_words))
         self.n, self.n_star = counts[::-1] if flip else counts
-        self.pair_verdicts: dict = {}
-        self.cross_verdicts: dict = {}
+        self._failures: dict = {}  # frozen (l, edges) sets -> failure record
         self._component_graphs: dict = {}
-        self._keyless_pairs_hold = all(len(comp.a_set) <= 1 for comp in comps_b)
+        self._keyless_pairs_hold = self._failure({}) is None
         self._swapped = None  # a callable that returns the swapped context, or None
 
         face_to_l = [0] * (len(surface._face_start) - 1)
@@ -465,36 +464,33 @@ class CriteriaContext:
 
     def first_failing_l_detail(self, k: int, p: Vertex, q: Vertex) -> Optional[int]:
         """First l whose detail graph G(k, l, p, q) is not 2-connected, or None."""
-        key = (k, p, q) if p <= q else (k, q, p)
-        if key not in self.pair_verdicts:
-            self._check_detail_pair(k, p, q)
-            self.pair_verdicts[key] = self._first_failing_l(self.rect_index.get(key[1:], {}))
-        return self.pair_verdicts[key]
+        self._check_detail_pair(k, p, q)
+        failure = self._failure(self.rect_index.get((p, q) if p <= q else (q, p), {}))
+        return None if failure is None else failure[0]
 
     def first_failing_l_cross(
         self, disk: int, end_minus: Vertex, end_plus: Vertex
     ) -> Optional[int]:
         """First l whose composed-rectangle detail graph is not 2-connected, or None."""
-        key = (disk, end_minus, end_plus)
-        if key not in self.cross_verdicts:
-            self._check_cross_pair(disk, end_minus, end_plus)
-            self.cross_verdicts[key] = self._first_failing_l(self.composed_index.get(key, {}))
-        return self.cross_verdicts[key]
+        self._check_cross_pair(disk, end_minus, end_plus)
+        failure = self._failure(self.composed_index.get((disk, end_minus, end_plus), {}))
+        return None if failure is None else failure[0]
 
-    def _first_failing_l(self, edges_by_l: dict) -> Optional[int]:
-        """First l whose detail graph, the labels A*_l with the edges
-        `edges_by_l[l]`, is not 2-connected, or None.
-
-        A 2-connected graph on n >= 3 vertices has at least n edges, so an l
-        with fewer edges fails without its adjacency being built.
-        """
-        for comp in self.comps_b:
-            n, edges = len(comp.a_set), edges_by_l.get(comp.index, ())
-            if n >= 3 and len(edges) < n:
-                return comp.index
-            if _two_connected_failure(_adjacency(comp.a_set, edges)) is not None:
-                return comp.index
-        return None
+    def _failure(self, edges_by_l: dict) -> Optional[tuple[int, Optional[Vertex]]]:
+        """(l, v) for the first l whose detail graph, the labels A*_l with the
+        edges `edges_by_l[l]`, is not 2-connected, v its least cut vertex or
+        None when it is disconnected; None when every l holds.  Memoised by
+        the (l, edges) sets."""
+        key = frozenset((l, frozenset(edges)) for l, edges in edges_by_l.items())
+        if key not in self._failures:
+            self._failures[key] = None
+            for comp in self.comps_b:
+                failure = _two_connected_failure(
+                    _adjacency(comp.a_set, edges_by_l.get(comp.index, ())))
+                if failure is not None:
+                    self._failures[key] = (comp.index, failure[1] if len(failure) > 1 else None)
+                    break
+        return self._failures[key]
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -590,7 +586,7 @@ def rectangle_condition(
         if failure is None:
             continue
         reason, verts = failure[0], failure[1:]  # ("disconnected",) or ("cut-vertex", v)
-        missing = _missing_types(gk, verts, lambda p, q: _missing_rectangle(ctx, k, p, q))
+        missing = _missing_types(gk, verts, lambda p, q: _missing_rectangle(ctx, p, q))
         witnesses.append(
             Witness("rc", False, k, reason, verts, missing)
         )
@@ -614,30 +610,21 @@ def _missing_types(graph, deleted, explain, cap=6) -> tuple:
     return tuple(missing)
 
 
-def _missing_type(ctx, kind, a_data, l_fail, edges_by_l) -> MissingType:
-    """The missing type, with the vertex where the detail graph at `l_fail`,
-    on A*_l with the edges `edges_by_l[l]`, breaks."""
-    w = None if l_fail is None else _two_connected_failure(
-        _adjacency(ctx.a_star_set(l_fail), edges_by_l.get(l_fail, ())))
-    return MissingType(kind, a_data, l_fail, w[1] if w and len(w) > 1 else None)
-
-
-def _missing_rectangle(ctx, k, p, q) -> MissingType:
-    """The rectangle type for the absent edge p-q of G_k."""
+def _missing_rectangle(ctx, p, q) -> MissingType:
+    """The rectangle type for the absent edge p-q of a G_k."""
     p, q = sorted((p, q))
-    return _missing_type(ctx, "rectangle", (p, q), ctx.first_failing_l_detail(k, p, q),
-                         ctx.rect_index.get((p, q), {}))
+    failure = ctx._failure(ctx.rect_index.get((p, q), {})) or (None, None)
+    return MissingType("rectangle", (p, q), *failure)
 
 
 def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
     """The type for the absent edge u-v of H_d: a rectangle inside one block,
     a composed rectangle across the blocks."""
     if u[0] == v[0]:
-        return _missing_rectangle(ctx, ctx.k_of(disk, u[0]), u[1:], v[1:])
+        return _missing_rectangle(ctx, u[1:], v[1:])
     em, ep = (u[1:], v[1:]) if u[0] == MINUS else (v[1:], u[1:])
-    return _missing_type(ctx, "composed-rectangle", (em, disk, ep),
-                         ctx.first_failing_l_cross(disk, em, ep),
-                         ctx.composed_index.get((disk, em, ep), {}))
+    failure = ctx._failure(ctx.composed_index.get((disk, em, ep), {})) or (None, None)
+    return MissingType("composed-rectangle", (em, disk, ep), *failure)
 
 
 def double_rectangle_condition(

@@ -140,14 +140,17 @@ class Diagram:
         signs: Mapping[str, int],
         aux: bool = False,
     ):
-        self.a_words: dict[str, tuple[str, ...]] = {
-            c: tuple(w) for c, w in sorted(a_words.items())
-        }
-        self.b_words: dict[str, tuple[str, ...]] = {
-            c: tuple(w) for c, w in sorted(b_words.items())
-        }
         self.aux = aux
-        ids = tuple(sorted(self._check_words()))
+        try:  # ids of mixed types cannot be sorted, nor unhashable ones looked up
+            self.a_words: dict[str, tuple[str, ...]] = {
+                c: tuple(w) for c, w in sorted(a_words.items())
+            }
+            self.b_words: dict[str, tuple[str, ...]] = {
+                c: tuple(w) for c, w in sorted(b_words.items())
+            }
+            ids = tuple(sorted(self._check_words()))
+        except TypeError:
+            raise DiagramError("curve and crossing ids must be hashable and mutually ordered") from None
         missing = [x for x in ids if x not in signs]
         if missing:
             raise DiagramError(f"crossing {missing[0]} has no sign")

@@ -14,6 +14,8 @@ import json
 import re
 
 from .criteria import (
+    NOTE_DRC,
+    NOTE_RC,
     CriteriaContext,
     CriteriaGraph,
     Verdict,
@@ -179,14 +181,11 @@ def build_report(diagram: Diagram, condition: str = "both") -> dict:
         )
     if condition in ("drc", "both"):
         report["drc"] = _verdict_json(double_rectangle_condition(diagram, ctx))
-    annotations = []
-    if report.get("rc", {}).get("holds"):
-        annotations.append("rectangle condition holds: " +
-                           "the Heegaard splitting is strongly irreducible")
-    if report.get("drc", {}).get("holds"):
-        annotations.append("double rectangle condition holds: " +
-                           "the Goeritz group of the Heegaard splitting is finite")
-    report["annotations"] = annotations
+    report["annotations"] = [
+        f"{name} condition holds: {note}"
+        for key, name, note in (("rc", "rectangle", NOTE_RC), ("drc", "double rectangle", NOTE_DRC))
+        if report.get(key, {}).get("holds")
+    ]
     return report
 
 

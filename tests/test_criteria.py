@@ -6,12 +6,14 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from heegaardrect import criteria
 from heegaardrect.criteria import (
     CriteriaContext,
     CriteriaGraph,
     Verdict,
     Witness,
     _components,
+    _fmt_vertex,
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
@@ -335,31 +337,70 @@ def _first_failing_l(graphs):
 
 
 def test_pair_verdicts_match_definition(example_32_maximal):
-    """Each memoised verdict is the first l whose detail graph is not
-    2-connected, so None exactly when all of them are; pre-check included."""
-    prechecked = built = 0
+    """The verdict of each index key is the first l whose detail graph is
+    not 2-connected, so None exactly when all of them are."""
+    verdicts = set()
     diagrams = [*random_twisted_diagrams(100), example_32_maximal, *maximal_subsystems(50)]
     for d in diagrams:
         ctx = CriteriaContext(d)
-        rectangle_condition(d, ctx)
-        double_rectangle_condition(d, ctx)
         for c in (ctx, ctx.swapped):
-            assert c.pair_verdicts and c.cross_verdicts
-            for (k, p, q), l_fail in c.pair_verdicts.items():
-                graphs = [c.detail_graph(k, l, p, q) for l in range(1, c.m_star + 1)]
-                assert l_fail == _first_failing_l(graphs)
-                if l_fail is not None:
-                    g = graphs[l_fail - 1]
-                    if len(g.vertices) >= 3 and len(g.edges) < len(g.vertices):
-                        prechecked += 1
-                    else:
-                        built += 1
-            for (disk, em, ep), l_fail in c.cross_verdicts.items():
-                graphs = [
-                    c.cross_detail_graph(l, disk, em, ep) for l in range(1, c.m_star + 1)
-                ]
-                assert l_fail == _first_failing_l(graphs)
-    assert prechecked and built
+            for p, q in c.rect_index:
+                for k in range(1, c.m + 1):
+                    if p in c.a_set(k) and q in c.a_set(k):
+                        graphs = [c.detail_graph(k, l, p, q) for l in range(1, c.m_star + 1)]
+                        l_fail = c.first_failing_l_detail(k, p, q)
+                        assert l_fail == _first_failing_l(graphs)
+                        verdicts.add(("detail", l_fail is None))
+            for disk, em, ep in c.composed_index:
+                if em in c.lambda_of(disk, MINUS) and ep in c.lambda_of(disk, PLUS):
+                    graphs = [
+                        c.cross_detail_graph(l, disk, em, ep) for l in range(1, c.m_star + 1)
+                    ]
+                    l_fail = c.first_failing_l_cross(disk, em, ep)
+                    assert l_fail == _first_failing_l(graphs)
+                    verdicts.add(("cross", l_fail is None))
+    assert verdicts == {(kind, holds) for kind in ("detail", "cross") for holds in (True, False)}
+
+
+def _brute_least_cut_vertex(graph: CriteriaGraph):
+    """The least vertex whose deletion disconnects `graph`, by deleting each."""
+    return next((v for v in sorted(graph.vertices) if not _brute_connected_after(graph, {v})), None)
+
+
+def test_missing_types_match_definition():
+    """Each missing type of RC, swapped RC and DRC names the first l whose
+    detail graph is not 2-connected, and that graph's least cut vertex, or
+    None when the graph is disconnected."""
+    vertices = 0
+    for d in [*random_twisted_diagrams(100), *maximal_subsystems(50)]:
+        ctx = CriteriaContext(d)
+        found = [(ctx, w) for w in rectangle_condition(d, ctx).witnesses]
+        found += [(ctx.swapped, w) for w in rectangle_condition(None, ctx.swapped).witnesses]
+        found += [(ctx.swapped if w.swapped else ctx, w)
+                  for w in double_rectangle_condition(d, ctx).witnesses]
+        for c, w in found:
+            for mt in w.missing:
+                if mt.kind == "rectangle":
+                    p, q = mt.a_data
+                    k = c.k_of(*p)
+                    graphs = [c.detail_graph(k, l, p, q) for l in range(1, c.m_star + 1)]
+                else:
+                    em, disk, ep = mt.a_data
+                    graphs = [
+                        c.cross_detail_graph(l, disk, em, ep) for l in range(1, c.m_star + 1)
+                    ]
+                assert mt.first_failing_l == _first_failing_l(graphs)
+                if mt.first_failing_l is None:
+                    assert mt.failing_vertex is None
+                    continue
+                g = graphs[mt.first_failing_l - 1]
+                if _brute_connected_after(g, set()):
+                    assert mt.failing_vertex == _brute_least_cut_vertex(g) is not None
+                    assert mt.describe().endswith(f", vertex {_fmt_vertex(mt.failing_vertex)}]")
+                    vertices += 1
+                else:
+                    assert mt.failing_vertex is None
+    assert vertices
 
 
 def three_circles_sphere() -> Diagram:
@@ -413,21 +454,58 @@ def test_key_driven_graphs_match_every_pair(example_32_maximal):
 
 
 def test_verdicts_are_computed_only_for_index_keys(monkeypatch):
-    """Where both conditions hold, no pair without an index key is tested."""
-    contexts = []
-    analyse = CriteriaContext._analyse
+    """Where both conditions hold, no pair without an index key is asked."""
+    asked = {"detail": [], "cross": []}
+    for kind in asked:
+        name = f"first_failing_l_{kind}"
+
+        def recording(ctx, *pair, kind=kind, ask=getattr(CriteriaContext, name)):
+            asked[kind].append((ctx, pair))
+            return ask(ctx, *pair)
+
+        monkeypatch.setattr(CriteriaContext, name, recording)
+    report = build_report(example_diagram(5, 2), "both")
+    assert report["rc"]["holds"] and report["drc"]["holds"]
+    assert asked["detail"] and asked["cross"]
+    assert all(tuple(sorted(pair[1:])) in ctx.rect_index for ctx, pair in asked["detail"])
+    assert all(pair in ctx.composed_index for ctx, pair in asked["cross"])
+    assert len({ctx for kind in asked for ctx, _ in asked[kind]}) == 2
+
+
+def test_each_distinct_set_of_detail_graphs_is_tested_once(monkeypatch):
+    """A report tests detail-graph connectivity once per distinct (l, edges)
+    set that a view asks for, not once per pair."""
+    contexts, tested = [], []
+    analyse, adjacency = CriteriaContext._analyse, criteria._adjacency
 
     def recording(ctx, *args):
         contexts.append(ctx)
         return analyse(ctx, *args)
 
+    def counting(vertices, edges):
+        tested.append(vertices)
+        return adjacency(vertices, edges)
+
     monkeypatch.setattr(CriteriaContext, "_analyse", recording)
+    monkeypatch.setattr(criteria, "_adjacency", counting)
     report = build_report(example_diagram(5, 2), "both")
     assert report["rc"]["holds"] and report["drc"]["holds"]
     assert len(contexts) == 2
+    pieces, distinct, pairs = [], 0, 0
     for ctx in contexts:
-        assert ctx.cross_verdicts and len(ctx.cross_verdicts) <= len(ctx.composed_index)
-        assert ctx.pair_verdicts and len(ctx.pair_verdicts) <= len(ctx.rect_index)
+        assert ctx.m_star == 1  # so each set is one detail graph
+        pieces += [comp.a_set for comp in ctx.comps_b]
+        a_sets = [ctx.a_set(k) for k in range(1, ctx.m + 1)]
+        asked = [by_l for (p, q), by_l in ctx.rect_index.items()
+                 if p != q and any(p in a and q in a for a in a_sets)]
+        asked += [by_l for (disk, em, ep), by_l in ctx.composed_index.items()
+                  if em in ctx.lambda_of(disk, MINUS) and ep in ctx.lambda_of(disk, PLUS)]
+        pairs += len(asked)
+        # the empty edge sets are those of every pair without an index key
+        distinct += len({frozenset((l, frozenset(edges)) for l, edges in by_l.items())
+                         for by_l in [{}, *asked]})
+    detail_tests = sum(any(v is piece for piece in pieces) for v in tested)
+    assert detail_tests == distinct < pairs
 
 
 def test_report_contexts_die_without_the_cycle_collector(example_32, monkeypatch):

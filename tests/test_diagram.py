@@ -147,6 +147,9 @@ def test_empty_family_rejected():
         Diagram({"a": []}, {"b": []}, {})
 
 
+UNORDERED = "curve and crossing ids must be hashable and mutually ordered"
+
+
 @pytest.mark.parametrize("a_words, b_words, aux, message", [
     ({}, {"b": ["x"]}, False, "empty first curve family"),
     ({"a": ["x"]}, {}, False, "empty second curve family"),
@@ -161,10 +164,14 @@ def test_empty_family_rejected():
      "crossing x occurs twice in the second family"),
     ({"a": ["x", "y", "z"]}, {"b": ["x", "w"]}, False,
      "crossing occurrences do not match up: ['w', 'y', 'z']"),
+    ({"a": ["x", 1]}, {"b": ["x", 1]}, False, UNORDERED),
+    ({"a": ["x"], 1: ["y"]}, {"b": ["x", "y"]}, False, UNORDERED),
+    ({"a": [["x"]]}, {"b": [["x"]]}, False, UNORDERED),
 ])
 def test_word_check_messages(a_words, b_words, aux, message):
-    """Each malformed pair of families is named by its own exact message."""
-    signs = dict.fromkeys("wxyz", 1)
+    """Each malformed pair of families is named by its own exact message;
+    ids that cannot be sorted together or hashed share one."""
+    signs = {**dict.fromkeys("wxyz", 1), 1: 1}
     with pytest.raises(DiagramError) as exc:
         Diagram(a_words, b_words, signs, aux=aux)
     assert str(exc.value) == message

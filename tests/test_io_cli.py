@@ -278,10 +278,15 @@ def _torus_doc_with(mangle) -> str:
         _torus_doc_with(lambda doc: doc["d_curves"].update(a=["x+\n"])),
         (GOLDEN / "example_3_2.json").read_text().replace('"x001-"', '"x001-\\n"', 1),
         '{"format_version": ' + "1" * 5000 + "}",
+        "[1]",
+        _torus_doc_with(lambda doc: doc.update(dstar_curves={})),
+        _torus_doc_with(lambda doc: doc["d_curves"].update(a="x+")),
+        _torus_doc_with(lambda doc: doc["dstar_curves"].update(b=[])),
     ],
     ids=["int-token", "bool-token", "int-signed-token", "version-true",
          "version-float", "deep-nesting", "non-utf8", "newline-signed-token",
-         "newline-token-in-example", "huge-int"],
+         "newline-token-in-example", "huge-int", "top-level-array",
+         "empty-second-family", "first-word-not-list", "second-word-empty"],
 )
 def test_cli_rejects_hostile_input(tmp_path, capsys, text):
     f = tmp_path / "hostile.json"
@@ -393,9 +398,11 @@ def test_cli_export_graph_rejects_invalid_diagram(tmp_path, capsys, make, code):
 def test_cli_export_graph_bad_selector(tmp_path, capsys):
     f = tmp_path / "d.json"
     run_cli("generate", "--genus", "2", "--power", "2", "-o", str(f))
-    assert run_cli("export-graph", str(f), "--which", "Gk:99", "--dot") == 2
-    assert run_cli("export-graph", str(f), "--which", "Zz:1", "--dot") == 2
-    assert run_cli("export-graph", str(f), "--which", "Gdetail:1,1", "--dot") == 2
+    capsys.readouterr()
+    for which in ("Gk:99", "Zz:1", "Gdetail:1,1", "Gk:x", "Gdetail:1,1,1,*,2,-"):
+        assert run_cli("export-graph", str(f), "--which", which, "--dot") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_output_is_plain_text(tmp_path, capsys):
