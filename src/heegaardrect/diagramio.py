@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .criteria import (
     NOTE_DRC,
@@ -27,8 +29,20 @@ from .diagram import Diagram, DiagramError, MINUS, PLUS
 
 FORMAT_VERSION = 1
 
-_TOKEN = re.compile(r"([A-Za-z0-9_]+)([+-])")
-_BARE = re.compile(r"[A-Za-z0-9_]+")
+# a whole word, its tokens joined by single spaces
+_SIGNED = re.compile(r"[A-Za-z0-9_]+[+-](?: [A-Za-z0-9_]+[+-])*")
+_BARE = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*")
+_SIGN = {"+": PLUS, "-": MINUS}
+
+
+def _reads_back(word, pattern) -> bool:
+    """Whether every token of `word` is a `str` of `pattern`'s token form:
+    one match of the joined word, whose only spaces are the joins."""
+    try:
+        text = " ".join(word)
+    except TypeError:
+        return False
+    return pattern.fullmatch(text) is not None and text.count(" ") == len(word) - 1
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -57,58 +71,68 @@ def parse_diagram(text: str) -> Diagram:
     if not isinstance(second, dict) or not second:
         raise DiagramError("second curve family must be a non-empty mapping")
 
-    a_words = {}
+    for words, pattern, what in ((d_curves, _SIGNED, "signed token"), (second, _BARE, "token")):
+        for curve, word in words.items():
+            if not isinstance(word, list) or not word:
+                raise DiagramError(f"curve {curve}: word must be a non-empty list")
+            if not _reads_back(word, pattern):
+                tok = next(t for t in word if not _reads_back([t], pattern))
+                raise DiagramError(f"curve {curve}: bad {what} {tok!r}")
+    a_words = {c: tuple(map(itemgetter(slice(None, -1)), w)) for c, w in d_curves.items()}
     signs = {}
-    for curve, word in d_curves.items():
-        if not isinstance(word, list) or not word:
-            raise DiagramError(f"curve {curve}: word must be a non-empty list")
-        toks = []
-        for tok in word:
-            m = _TOKEN.fullmatch(tok) if isinstance(tok, str) else None
-            if not m:
-                raise DiagramError(f"curve {curve}: bad signed token {tok!r}")
-            x, s = m.group(1), m.group(2)
-            signs[x] = PLUS if s == "+" else MINUS
-            toks.append(x)
-        a_words[curve] = tuple(toks)
-    b_words = {}
-    for curve, word in second.items():
-        if not isinstance(word, list) or not word:
-            raise DiagramError(f"curve {curve}: word must be a non-empty list")
-        for tok in word:
-            if not isinstance(tok, str) or not _BARE.fullmatch(tok):
-                raise DiagramError(f"curve {curve}: bad token {tok!r}")
-        b_words[curve] = tuple(word)
-    return Diagram(a_words, b_words, signs, aux=aux is not None)
+    for ids, word in zip(a_words.values(), d_curves.values()):
+        signs.update(zip(ids, map(_SIGN.__getitem__, map(itemgetter(-1), word))))
+    return Diagram(a_words, second, signs, aux=aux is not None)
 
 
-def _rotate_min(word: tuple[str, ...]) -> tuple[str, ...]:
+def _rotate_min(word: list) -> list:
     k = word.index(min(word))
     return word[k:] + word[:k]
 
 
 def serialize_diagram(d: Diagram) -> str:
-    """Canonical JSON text for a diagram; every crossing id must be a token
-    that `parse_diagram` reads back, [A-Za-z0-9_]+."""
-    bad = [x for x in d._crossing_ids if not isinstance(x, str) or not _BARE.fullmatch(x)]
-    if bad:
-        raise DiagramError(f"crossing id {bad[0]!r} is not [A-Za-z0-9_]+")
-    doc = {"format_version": FORMAT_VERSION}
-    d_curves = {}
-    for curve in sorted(d.a_words):
-        toks = tuple(
-            x + ("+" if d._signs[d._cindex[x]] == PLUS else "-") for x in d.a_words[curve]
-        )
-        d_curves[curve] = list(_rotate_min(toks))
-    doc["d_curves"] = d_curves
-    second = {
-        curve: list(_rotate_min(d.b_words[curve])) for curve in sorted(d.b_words)
+    """Canonical JSON text for a diagram; every curve id must be a `str`, and
+    every crossing id a token that `parse_diagram` reads back, [A-Za-z0-9_]+."""
+    bad = [c for c in (*d.a_words, *d.b_words) if not isinstance(c, str)]
+    if bad:  # a JSON key reads back as a str, which may sort differently
+        raise DiagramError(f"curve id {bad[0]!r} is not a str")
+    ids = d._crossing_ids
+    # word by word (each id is in one): a match's backtracking stack grows per token
+    if not all(_reads_back(word, _BARE) for word in d.a_words.values()):
+        bad = next(x for x in ids if not _reads_back([x], _BARE))
+        raise DiagramError(f"crossing id {bad!r} is not [A-Za-z0-9_]+")
+    signed = {x: x + ("+" if s == PLUS else "-") for x, s in zip(ids, d._signs)}
+    doc = {"format_version": FORMAT_VERSION, "d_curves": {
+        curve: _rotate_min(list(map(signed.__getitem__, word))) for curve, word in d.a_words.items()
+    }}
+    doc["aux_curve" if d.aux else "dstar_curves"] = {
+        curve: _rotate_min(list(word)) for curve, word in d.b_words.items()
     }
-    if d.aux:
-        doc["aux_curve"] = second
-    else:
-        doc["dstar_curves"] = second
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
+
+
+def _dumps(x, indent: str = "\n") -> str:
+    """Exactly the text `json.dumps` writes for `x` at an indent of 2, for the
+    types this package writes: dicts with str keys, lists, str, int, True, False
+    and None; any other key or value raises `TypeError`.  A list of strings is
+    joined in one call, where the standard library encodes with pure Python."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if type(x) is int:
+        return repr(x)
+    inner = indent + "  "
+    if isinstance(x, list):
+        try:
+            body = ("," + inner).join(map(_quote, x))
+        except TypeError:  # not all items are strings
+            body = ("," + inner).join([_dumps(v, inner) for v in x])
+        return "[" + inner + body + indent + "]" if x else "[]"
+    if isinstance(x, dict):
+        body = ("," + inner).join([_quote(k) + ": " + _dumps(v, inner) for k, v in x.items()])
+        return "{" + inner + body + indent + "}" if x else "{}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 # -- reports -------------------------------------------------------------------
@@ -190,7 +214,7 @@ def build_report(diagram: Diagram, condition: str = "both") -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return _dumps(report) + "\n"
 
 
 def report_to_text(report: dict) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice, product
 
 from .diagram import Diagram, DiagramError, MINUS, PLUS
 from .systems import validate_disk_systems
@@ -344,13 +345,14 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     else:
         base = chain_base(genus)
     a_words, b_words, signs = _drop_gamma(_twisted(base, TwistSpec(power)))
-    width = len(str(len(signs)))
-    order = (x for curve in sorted(a_words) for x in a_words[curve])
-    name = {x: f"x{i:0{width}d}" for i, x in enumerate(order, 1)}
+    order = [x for curve in sorted(a_words) for x in a_words[curve]]
+    # x0001, x0002, ...: the digit strings of the names' width, in counting order
+    digits = ["0123456789"] * len(str(len(order)))
+    name = dict(zip(order, map("".join, islice(product("x", *digits), 1, None)))).__getitem__
     out = _with_genus_of(base, Diagram(
-        {c: tuple(name[x] for x in w) for c, w in a_words.items()},
-        {c: tuple(name[x] for x in w) for c, w in b_words.items()},
-        {name[x]: s for x, s in signs.items()},
+        {c: tuple(map(name, w)) for c, w in a_words.items()},
+        {c: tuple(map(name, w)) for c, w in b_words.items()},
+        dict(zip(map(name, signs), signs.values())),
     ))
     report = validate_disk_systems(out)
     if not report.passed:

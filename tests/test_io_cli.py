@@ -6,16 +6,18 @@ import os
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import heegaardrect
 from heegaardrect.cli import main
 from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import Crossing, Diagram, DiagramError, Face, FaceSide
 from heegaardrect.diagramio import (
+    _dumps,
     build_report,
     parse_diagram,
     report_to_json,
@@ -25,7 +27,9 @@ from heegaardrect.diagramio import (
 from heegaardrect.twist import chain_base, example_diagram
 
 from conftest import (
+    SWEEP,
     hexagon_diagram,
+    random_twisted_diagrams,
     reducible_torus,
     split_components_diagram,
     sphere_bigons,
@@ -72,6 +76,18 @@ def test_serialize_writes_only_ids_that_read_back(example_22, bad):
         assert is_isomorphic(parse_diagram(serialize_diagram(good)), d)
 
 
+def test_serialize_writes_only_curve_ids_that_read_back(example_32_maximal):
+    """A JSON key reads back as a str, and a diagram numbers its curves by
+    sorted id, so disks 9..14 would read back as '10', ..., '14', '9', a
+    different diagram; serializing raises, naming the first such id."""
+    d = example_32_maximal
+    signs = {x: cr.sign for x, cr in d.crossings.items()}
+    renamed = [dict(zip(range(9, 15), words.values())) for words in (d.a_words, d.b_words)]
+    for a_words, b_words in ((renamed[0], d.b_words), (d.a_words, renamed[1])):
+        with pytest.raises(DiagramError, match=re.escape("curve id 9 is not a str")):
+            serialize_diagram(Diagram(a_words, b_words, signs))
+
+
 def test_reserialization_is_byte_identical(example_32):
     text = serialize_diagram(example_32)
     assert serialize_diagram(parse_diagram(text)) == text
@@ -91,6 +107,15 @@ def test_generated_file_matches_golden(example_32):
         (lambda doc: doc["d_curves"].update(a=["x"]), "token"),
         (lambda doc: doc.update(aux_curve={"g": ["x"]}), "exactly one"),
         (lambda doc: doc.pop("dstar_curves"), "exactly one"),
+        # each bad token of either family, the first named exactly
+        (lambda doc: doc["d_curves"].update(a=["x+", "p", "q"]), "^curve a: bad signed token 'p'$"),
+        (lambda doc: doc["d_curves"].update(a=["x+ y+"]), r"^curve a: bad signed token 'x\+ y\+'$"),
+        (lambda doc: doc["d_curves"].update(a=["x+", ""]), "^curve a: bad signed token ''$"),
+        (lambda doc: doc["d_curves"].update(a=["x+", 1]), "^curve a: bad signed token 1$"),
+        (lambda doc: doc["dstar_curves"].update(b=["x", "p-", "q+"]), "^curve b: bad token 'p-'$"),
+        (lambda doc: doc["dstar_curves"].update(b=["x y"]), "^curve b: bad token 'x y'$"),
+        (lambda doc: doc["dstar_curves"].update(b=["x", ""]), "^curve b: bad token ''$"),
+        (lambda doc: doc["dstar_curves"].update(b=["x", None]), "^curve b: bad token None$"),
     ],
 )
 def test_parse_rejects_malformed(mangle, match):
@@ -131,6 +156,47 @@ def test_report_matches_golden(example_32):
 def test_failing_report_matches_golden(example_32_maximal):
     got = report_to_json(build_report(example_32_maximal))
     assert got == (GOLDEN / "report_3_2_maximal.json").read_text()
+
+
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # lone surrogates included
+    st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001d11e'),
+))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+              st.integers(max_value=-2**64), _JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4),
+                            st.lists(_JSON_TEXT, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example({"": [[], {}, True, False, None, 0, -1, 2**70, "\ud800"]})
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_the_standard_library(x):
+    assert _dumps(x) == json.dumps(x, indent=2)
+
+
+class _Port(IntEnum):
+    OUT = 0
+
+
+@pytest.mark.parametrize(
+    "x", [1.5, [["a"], 0.0], _Port.OUT, {"a": [_Port.OUT]}, {1: "a"}, {"a": {None: 1}}, ("a",)]
+)
+def test_writer_rejects_other_types(x):
+    with pytest.raises(TypeError):
+        _dumps(x)
+
+
+def test_report_json_is_the_standard_librarys(example_32_maximal):
+    diagrams = [*random_twisted_diagrams(400), *(example_diagram(g, l) for g, l in SWEEP),
+                example_32_maximal]
+    for d in diagrams:
+        report = build_report(d)
+        assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
 def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
