@@ -14,7 +14,6 @@ from .criteria import (
     Verdict,
     Witness,
     double_rectangle_condition,
-    is_doubly_two_connected,
     is_two_connected,
     rectangle_condition,
 )
@@ -26,7 +25,6 @@ from .diagram import (
     FaceSide,
     MINUS,
     PLUS,
-    intersection_number,
 )
 from .diagramio import (
     build_report,
@@ -63,8 +61,8 @@ __all__ = [
     "ComposedRectangleType", "TwistSpec", "ValidationReport", "Verdict",
     "Witness", "build_report", "chain_base", "composed_rectangles",
     "cut_components", "dehn_twist", "double_rectangle_condition",
-    "example_diagram", "graph_to_dot", "intersection_number",
-    "is_doubly_two_connected", "is_two_connected", "maximal_chain_base", "multicurve_map", "parse_diagram",
+    "example_diagram", "graph_to_dot", "is_two_connected", "maximal_chain_base",
+    "multicurve_map", "parse_diagram",
     "rectangle_condition", "rectangle_faces", "report_to_json",
     "report_to_text", "serialize_diagram", "validate_disk_systems",
 ]

@@ -130,11 +130,6 @@ def _two_connected_failure(adj: dict) -> Optional[tuple]:
     return ("cut-vertex", min(points)) if points else None
 
 
-def is_doubly_two_connected(graph: CriteriaGraph) -> bool:
-    """Connected after deleting any one vertex from each partition block."""
-    return doubly_two_connected_witness(graph) is None
-
-
 def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex, Vertex]]:
     """First vertex pair (one per block) whose deletion disconnects, if any.
 

@@ -36,20 +36,21 @@ Conventions (fixed once, everything else follows):
 * One rotation table is kept, ``sigma_inv``: the next dart clockwise at a
   crossing.  Face tracing walks it.
 
-* Faces and crossings are flat integer tables, and a check reads only
-  those: face ``i`` is ``_face_darts[_face_start[i]:_face_start[i + 1]]``,
+* Faces and crossings are flat integer tables, and every command reads
+  only those: face ``i`` is ``_face_darts[_face_start[i]:_face_start[i + 1]]``,
   its orbit from its least dart; ``_dart_curve[d]`` is dart ``d``'s 1-based
   curve index in its family ``d & 1``, its side ``1 - (d & 2)``; ``_signs``
-  follows the sorted crossing ids.  `faces` and `crossings` build their
-  `Face`, `FaceSide` and `Crossing` objects on first read, `bigon_faces`
-  only the bigons'.
+  follows the sorted crossing ids.  `bigon_faces` gives face indices.
+  `faces` and `crossings` are read-only views of `Face`, `FaceSide` and
+  `Crossing` objects, built on first read for the tests and the benchmark
+  replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 MINUS = -1
 PLUS = 1
@@ -248,20 +249,6 @@ class Diagram:
             face_start.append(len(orbit))
         self._face_start, self._face_darts, self._face_of_dart = face_start, orbit, face_of
 
-    @cached_property
-    def _face_sides(self) -> list[list]:
-        """[port][curve index]: one FaceSide per (family, curve, side)."""
-        families = ((FAMILY_A, self.a_curve_ids()), (FAMILY_B, self.b_curve_ids())) * 2
-        return [[None] + [FaceSide(f, c, 1 - (p & 2)) for c in ids]
-                for p, (f, ids) in enumerate(families)]
-
-    def _faces(self, indices) -> Iterator[Face]:
-        """The `Face` objects of the given face indices, read off the tables."""
-        start, orbit, curve = self._face_start, self._face_darts, self._dart_curve
-        for i in indices:
-            darts, side_of = tuple(orbit[start[i]:start[i + 1]]), self._face_sides
-            yield Face(i, darts, tuple(side_of[d & 3][curve[d]] for d in darts))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -270,7 +257,13 @@ class Diagram:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return tuple(self._faces(range(len(self._face_start) - 1)))
+        families = ((FAMILY_A, self.a_curve_ids()), (FAMILY_B, self.b_curve_ids())) * 2
+        side_of = [[None] + [FaceSide(f, c, 1 - (p & 2)) for c in ids]  # [port][curve index]
+                   for p, (f, ids) in enumerate(families)]
+        start, orbit, curve = self._face_start, self._face_darts, self._dart_curve
+        darts = (tuple(orbit[i:j]) for i, j in zip(start, start[1:]))
+        return tuple(Face(i, ds, tuple(side_of[d & 3][curve[d]] for d in ds))
+                     for i, ds in enumerate(darts))
 
     @cached_property
     def crossings(self) -> dict[str, Crossing]:
@@ -284,13 +277,6 @@ class Diagram:
 
     def crossing_ids(self) -> tuple[str, ...]:
         return self._crossing_ids
-
-    def curve_family(self, curve: str) -> str:
-        if curve in self.a_words:
-            return FAMILY_A
-        if curve in self.b_words:
-            return FAMILY_B
-        raise DiagramError(f"unknown curve id {curve!r}")
 
     def a_curve_ids(self) -> tuple[str, ...]:
         return tuple(self.a_words)
@@ -308,20 +294,10 @@ class Diagram:
         """The other dart of the same edge."""
         return self._alpha[d]
 
-    def dart_crossing(self, d: int) -> str:
-        return self._crossing_ids[d // 4]
-
-    def edges(self, family: str) -> Iterator[tuple[str, str, str]]:
-        """Yield (curve, x, y) for every edge of `family`, x -> y."""
-        words = self.a_words if family == FAMILY_A else self.b_words
-        for curve, word in words.items():
-            m = len(word)
-            for t in range(m):
-                yield curve, word[t], word[(t + 1) % m]
-
-    def bigon_faces(self) -> tuple[Face, ...]:
+    def bigon_faces(self) -> tuple[int, ...]:
+        """The indices of the faces of degree two."""
         start = self._face_start
-        return tuple(self._faces(i for i in range(len(start) - 1) if start[i + 1] - start[i] == 2))
+        return tuple(i for i in range(len(start) - 1) if start[i + 1] - start[i] == 2)
 
     def is_bigon_free(self) -> bool:
         return not self.bigon_faces()
@@ -335,15 +311,6 @@ class Diagram:
         signs = {x: -sign for x, sign in zip(self._crossing_ids, self._signs)}
         return Diagram(self.b_words, self.a_words, signs)
 
-    def reverse_curve(self, curve: str) -> "Diagram":
-        """Reverse the orientation of one curve; its crossing signs flip."""
-        words = {FAMILY_A: dict(self.a_words), FAMILY_B: dict(self.b_words)}
-        family = words[self.curve_family(curve)]
-        on_curve = set(family[curve])
-        family[curve] = family[curve][::-1]
-        signs = {x: -s if x in on_curve else s for x, s in zip(self._crossing_ids, self._signs)}
-        return Diagram(words[FAMILY_A], words[FAMILY_B], signs, aux=self.aux)
-
     # -- bigon reduction ----------------------------------------------------
 
     def reduce_bigons(self) -> "Diagram":
@@ -354,14 +321,13 @@ class Diagram:
         whose word would become empty signals a non-essential configuration.
         """
         d = self
-        while True:
-            bigons = d.bigon_faces()
-            if not bigons:
-                return d
+        while bigons := d.bigon_faces():
             d = d._remove_bigon(bigons[0])
+        return d
 
-    def _remove_bigon(self, face: Face) -> "Diagram":
-        corners = {self.dart_crossing(p) for p in face.darts}
+    def _remove_bigon(self, face: int) -> "Diagram":
+        start, ids = self._face_start, self._crossing_ids
+        corners = {ids[p // 4] for p in self._face_darts[start[face]:start[face + 1]]}
         if len(corners) != 2:
             raise DiagramError("degenerate bigon with identified corners")
         x, y = sorted(corners)
@@ -385,15 +351,3 @@ class Diagram:
             f"n*={len(self.b_words)} crossings={self.num_crossings}>"
         )
 
-
-def intersection_number(d: Diagram, c1: str, c2: str) -> int:
-    """Number of crossings shared by two curves.
-
-    On a bigon-free diagram this equals the geometric intersection number
-    for curves in different families; same-family curves are disjoint.
-    """
-    f1, f2 = d.curve_family(c1), d.curve_family(c2)
-    if f1 == f2:
-        return 0
-    a, b = (c1, c2) if f1 == FAMILY_A else (c2, c1)
-    return sum(1 for cr in d.crossings.values() if cr.a_curve == a and cr.b_curve == b)

@@ -45,10 +45,20 @@ def _reads_back(word, pattern) -> bool:
     return pattern.fullmatch(text) is not None and text.count(" ") == len(word) - 1
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if a key repeats: `json` would keep the last."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DiagramError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse a diagram file; inverse of `serialize_diagram` up to rotation."""
-    try:
-        doc = json.loads(text)
+    try:  # a DiagramError of `_unique_keys` is a ValueError too
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise DiagramError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -132,9 +132,12 @@ def validate_components(
     g = diagram.genus
     if g < 2:
         report.add("genus", f"genus {g} < 2")
-    for f in diagram.bigon_faces():
-        report.add("bigon", f"bigon face {f.index} between "
-                   f"{f.sides[0].curve} and {f.sides[1].curve}")
+    # a bigon's two sides lie on the curves of its two darts, dart d's in family d & 1
+    names = (tuple(diagram.a_words), tuple(diagram.b_words))
+    start, curve = diagram._face_start, diagram._dart_curve
+    for i in diagram.bigon_faces():
+        c, c2 = (names[d & 1][curve[d] - 1] for d in diagram._face_darts[start[i]:start[i] + 2])
+        report.add("bigon", f"bigon face {i} between {c} and {c2}")
 
     for family, count, comps in ((FAMILY_A, len(diagram.a_words), comps_a),
                                  (FAMILY_B, len(diagram.b_words), comps_b)):

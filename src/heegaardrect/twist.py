@@ -326,8 +326,10 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     (six disks a side).  Requires ``|power| >= 2``; the resulting diagram is
     validated before it is returned.
 
-    The crossings are named ``x1, x2, ...`` in first-family word order, over
-    the sorted disk ids, on the spliced words, so the map is built once.
+    The crossings are named ``x`` plus a counter zero-padded to the digit
+    count of the crossing number (``x001`` ... ``x288`` for ``(3, 2)``), in
+    first-family word order over the sorted disk ids, on the spliced words,
+    so the map is built once.
     That needs no bigon reduction: the splice makes exactly
     ``|power| * i(gamma, D_i) * i(gamma, D_j)`` crossings between the twisted
     curve of ``D_j`` and the disk ``D_i``, which is their geometric
@@ -346,7 +348,7 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
         base = chain_base(genus)
     a_words, b_words, signs = _drop_gamma(_twisted(base, TwistSpec(power)))
     order = [x for curve in sorted(a_words) for x in a_words[curve]]
-    # x0001, x0002, ...: the digit strings of the names' width, in counting order
+    # x001, x002, ...: the digit strings of the names' width, in counting order
     digits = ["0123456789"] * len(str(len(order)))
     name = dict(zip(order, map("".join, islice(product("x", *digits), 1, None)))).__getitem__
     out = _with_genus_of(base, Diagram(

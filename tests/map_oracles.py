@@ -1,10 +1,11 @@
 """Diagram machinery that only the tests use, kept here as oracles.
 
-Crossing relabeling, restriction to sub-families, an isomorphism test by
-canonical certificate, a face trace through the public dart queries, plus
-two more routes through the twist splice: one lap at a time, and the
-multicurve map of the twisted disks with gamma kept.  None of it is on the
-check or generate path of the package.
+Crossing relabeling, curve reversal, restriction to sub-families, an
+isomorphism test by canonical certificate, edges and intersection numbers
+read off the words, a face trace through the public dart queries, plus two
+more routes through the twist splice: one lap at a time, and the multicurve
+map of the twisted disks with gamma kept.  None of it is on the check or
+generate path of the package.
 """
 
 from heegaardrect import twist
@@ -24,6 +25,18 @@ def relabel_crossings(d: Diagram, mapping) -> Diagram:
     b_words = {c: tuple(mapping[x] for x in w) for c, w in d.b_words.items()}
     signs = {mapping[x]: cr.sign for x, cr in d.crossings.items()}
     return Diagram(a_words, b_words, signs, aux=d.aux)
+
+
+def reverse_curve(d: Diagram, curve: str) -> Diagram:
+    """Reverse the orientation of one curve; its crossing signs flip."""
+    words = [dict(d.a_words), dict(d.b_words)]
+    family = next((w for w in words if curve in w), None)
+    if family is None:
+        raise DiagramError(f"unknown curve id {curve!r}")
+    on_curve = set(family[curve])
+    family[curve] = family[curve][::-1]
+    signs = {x: -cr.sign if x in on_curve else cr.sign for x, cr in d.crossings.items()}
+    return Diagram(*words, signs, aux=d.aux)
 
 
 def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
@@ -109,6 +122,30 @@ def is_isomorphic(d: Diagram, other: Diagram) -> bool:
     return canonical_certificate(d) == canonical_certificate(other)
 
 
+# -- words -----------------------------------------------------------------------
+
+
+def edges(d: Diagram, family: str):
+    """Yield (curve, x, y) for every edge of `family`, x -> y."""
+    words = d.a_words if family == FAMILY_A else d.b_words
+    for curve, word in words.items():
+        for x, y in zip(word, word[1:] + word[:1]):
+            yield curve, x, y
+
+
+def intersection_number(d: Diagram, c1: str, c2: str) -> int:
+    """Number of crossings shared by two curves, read off their words.
+
+    On a bigon-free diagram this equals the geometric intersection number
+    for curves in different families; same-family curves are disjoint.
+    """
+    words = {**d.a_words, **d.b_words}
+    for c in (c1, c2):
+        if c not in words:
+            raise DiagramError(f"unknown curve id {c!r}")
+    return 0 if c1 == c2 else len(set(words[c1]) & set(words[c2]))
+
+
 # -- faces ------------------------------------------------------------------------
 
 
@@ -128,16 +165,18 @@ def traced_faces(d: Diagram) -> tuple[list, dict]:
     The face on the left of an arc is on the plus side of its strand when
     the arc leaves by an out port, on the minus side otherwise.
     """
+    ids = d.crossing_ids()
+
     def port(dart):
-        return dart - d.dart(d.dart_crossing(dart), A_OUT)
+        return dart - d.dart(ids[dart // 4], A_OUT)
 
     def clockwise(dart):
-        x = d.dart_crossing(dart)
+        x = ids[dart // 4]
         order = CCW[d.crossings[x].sign]
         return d.dart(x, order[order.index(port(dart)) - 1])
 
     def side(dart):
-        cr = d.crossings[d.dart_crossing(dart)]
+        cr = d.crossings[ids[dart // 4]]
         family, sign = STRAND[port(dart)]
         return family, cr.a_curve if family == FAMILY_A else cr.b_curve, sign
 

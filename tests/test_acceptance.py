@@ -13,16 +13,16 @@ from heegaardrect.criteria import (
     CriteriaGraph,
     double_rectangle_condition,
     graph_from_edges,
-    is_doubly_two_connected,
+    doubly_two_connected_witness,
     is_two_connected,
     rectangle_condition,
 )
-from heegaardrect.diagram import FAMILY_A, MINUS, PLUS, intersection_number
+from heegaardrect.diagram import FAMILY_A, MINUS, PLUS
 from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagram, maximal_chain_base
 
 from conftest import hexagon_diagram, random_twisted_diagrams, split_components_diagram
-from map_oracles import is_isomorphic
+from map_oracles import intersection_number, is_isomorphic, reverse_curve
 from shear_oracle import oracle_intersections
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -118,8 +118,8 @@ def test_criterion_05_calibration_graph():
                         (frozenset({1, 2, 3}), frozenset({4, 5, 6})))
     good = CriteriaGraph(g.vertices, g.edges,
                          (frozenset({1, 2, 4, 5}), frozenset({3, 6})))
-    assert not is_doubly_two_connected(bad)
-    assert is_doubly_two_connected(good)
+    assert doubly_two_connected_witness(bad) is not None
+    assert doubly_two_connected_witness(good) is None
     _ok(5, "calibration graph: not doubly 2-connected for ({1,2,3},{4,5,6}), "
            "doubly 2-connected for ({1,2,4,5},{3,6})")
 
@@ -179,7 +179,7 @@ def test_criterion_07_connectivity_oracle():
             for a in vertices[:cut]
             for b in vertices[cut:]
         )
-        if is_doubly_two_connected(blocked) != brute_double:
+        if (doubly_two_connected_witness(blocked) is None) != brute_double:
             mismatches += 1
     assert mismatches == 0
     _ok(7, "2-connectivity and doubly-2-connectivity match brute force on "
@@ -194,7 +194,7 @@ def test_criterion_08_orientation_invariance(example_32, example_32_maximal,
         rc = rectangle_condition(d).holds
         drc = double_rectangle_condition(d).holds
         for curve in d.a_curve_ids() + d.b_curve_ids():
-            r = d.reverse_curve(curve)
+            r = reverse_curve(d, curve)
             assert rectangle_condition(r).holds == rc
             assert double_rectangle_condition(r).holds == drc
             cases += 1

@@ -17,7 +17,6 @@ from heegaardrect.criteria import (
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
-    is_doubly_two_connected,
     is_two_connected,
     rectangle_condition,
 )
@@ -33,7 +32,7 @@ from conftest import (
     face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, random_twisted_diagrams,
     torus_one,
 )
-from map_oracles import relabel_crossings
+from map_oracles import relabel_crossings, reverse_curve
 
 
 def calibration_graph() -> CriteriaGraph:
@@ -64,7 +63,7 @@ def test_doubly_two_connected_calibration():
     g = calibration_graph()
     bad = CriteriaGraph(g.vertices, g.edges,
                         (frozenset({1, 2, 3}), frozenset({4, 5, 6})))
-    assert not is_doubly_two_connected(bad)
+    assert doubly_two_connected_witness(bad) is not None
     # deleting the vertices 2 and 5 is one of the disconnecting pairs
     disconnecting = {
         (a, b)
@@ -75,7 +74,7 @@ def test_doubly_two_connected_calibration():
     assert (2, 5) in disconnecting
     good = CriteriaGraph(g.vertices, g.edges,
                          (frozenset({1, 2, 4, 5}), frozenset({3, 6})))
-    assert is_doubly_two_connected(good)
+    assert doubly_two_connected_witness(good) is None
 
 
 def test_doubly_two_connected_k4():
@@ -83,13 +82,13 @@ def test_doubly_two_connected_k4():
         [(a, b) for a in range(4) for b in range(a + 1, 4)],
         partition=(frozenset({0, 1}), frozenset({2, 3})),
     )
-    assert is_doubly_two_connected(g)
+    assert doubly_two_connected_witness(g) is None
 
 
 def test_doubly_two_connected_needs_partition():
     g = graph_from_edges([(1, 2)])
     with pytest.raises(DiagramError, match="partition"):
-        is_doubly_two_connected(g)
+        doubly_two_connected_witness(g)
 
 
 def test_doubly_two_connected_literal_reading():
@@ -99,7 +98,7 @@ def test_doubly_two_connected_literal_reading():
         vertices=[0, 1, 2, 3],
         partition=(frozenset({0}), frozenset({1, 2, 3})),
     )
-    assert is_doubly_two_connected(g)
+    assert doubly_two_connected_witness(g) is None
 
 
 def test_no_loops_or_stray_edges():
@@ -196,7 +195,6 @@ def test_connectivity_matches_brute_force(data):
     blocked = CriteriaGraph(graph.vertices, graph.edges, partition)
     witness = _brute_doubly_witness(blocked)
     assert doubly_two_connected_witness(blocked) == witness
-    assert is_doubly_two_connected(blocked) == (witness is None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -592,13 +590,13 @@ def test_disk_graph_structure(example_32):
     assert all(v[0] == MINUS for v in lo)
     assert all(v[0] == PLUS for v in hi)
     assert hd.edges == frozenset(H1_EDGES)
-    assert is_doubly_two_connected(hd)
+    assert doubly_two_connected_witness(hd) is None
 
 
 def test_disk_graph_all_disks(example_32):
     ctx = CriteriaContext(example_32)
     for disk in (1, 2, 3):
-        assert is_doubly_two_connected(ctx.disk_graph(disk))
+        assert doubly_two_connected_witness(ctx.disk_graph(disk)) is None
 
 
 def test_disk_graph_out_of_range(example_32):
@@ -752,7 +750,7 @@ def test_orientation_invariance_smoke(example_22):
     rc = rectangle_condition(example_22).holds
     drc = double_rectangle_condition(example_22).holds
     for curve in ("d1", "e2"):
-        r = example_22.reverse_curve(curve)
+        r = reverse_curve(example_22, curve)
         assert rectangle_condition(r).holds == rc
         assert double_rectangle_condition(r).holds == drc
 

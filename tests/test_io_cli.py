@@ -24,7 +24,8 @@ from heegaardrect.diagramio import (
     report_to_text,
     serialize_diagram,
 )
-from heegaardrect.twist import chain_base, example_diagram
+from heegaardrect.systems import validate_disk_systems
+from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagram
 
 from conftest import (
     SWEEP,
@@ -128,6 +129,9 @@ def test_parse_rejects_malformed(mangle, match):
 def test_parse_rejects_bad_json():
     with pytest.raises(DiagramError, match="JSON"):
         parse_diagram("{nope")
+    # `json` would keep the last of two equal keys and drop the first
+    with pytest.raises(DiagramError, match="^not valid JSON: duplicate key 'a'$"):
+        parse_diagram('{"format_version":1,"d_curves":{"a":["x+"],"a":["y+"]},"dstar_curves":{"b":["y"]}}')
 
 
 # -- reports --------------------------------------------------------------------
@@ -247,21 +251,35 @@ def _count_constructions(monkeypatch, *classes) -> dict:
     return counts
 
 
-def test_check_builds_no_face_or_crossing_object(example_32_maximal, monkeypatch):
-    """Parsing and checking run on the flat face and crossing tables."""
+def test_check_builds_no_face_or_crossing_object(example_32_maximal, tmp_path, capsys,
+                                                 monkeypatch):
+    """Every command runs on the flat face and crossing tables: parsing and
+    checking, validation and bigon reduction of a diagram with bigons, the
+    twist and generation."""
     texts = [(GOLDEN / "example_3_2.json").read_text(), serialize_diagram(example_32_maximal)]
+    bigons = tmp_path / "bigons.json"
+    bigons.write_text(serialize_diagram(reducible_torus()))
     counts = _count_constructions(monkeypatch, Face, FaceSide, Crossing)
     for text in texts:
         build_report(parse_diagram(text))
+    assert [code for code, _ in validate_disk_systems(reducible_torus())].count("bigon") == 2
+    assert reducible_torus().reduce_bigons().is_bigon_free()
+    serialize_diagram(dehn_twist(chain_base(3), TwistSpec(2)))
+    serialize_diagram(example_diagram(3, 2))
+    assert run_cli("validate", str(bigons)) == 1
+    assert "[bigon] bigon face 1 between b and a" in capsys.readouterr().out
+    assert run_cli("generate", "--genus", "2", "--power", "2", "-o", str(tmp_path / "g.json")) == 0
     assert counts == {"Face": 0, "FaceSide": 0, "Crossing": 0}
 
 
 def test_bigon_entries_build_only_the_bigon_faces(monkeypatch):
-    counts = _count_constructions(monkeypatch, Face, Crossing)
+    """The bigon entries are read off the face tables: not even the bigons
+    become `Face` objects."""
+    counts = _count_constructions(monkeypatch, Face, FaceSide, Crossing)
     report = build_report(reducible_torus())
     bigons = [e["detail"] for e in report["validation"]["entries"] if e["code"] == "bigon"]
     assert bigons == ["bigon face 1 between b and a", "bigon face 2 between b and a"]
-    assert counts == {"Face": 2, "Crossing": 0}
+    assert counts == {"Face": 0, "FaceSide": 0, "Crossing": 0}
 
 
 def test_report_witnesses_serialize(example_32_maximal):
@@ -348,11 +366,15 @@ def _torus_doc_with(mangle) -> str:
         _torus_doc_with(lambda doc: doc.update(dstar_curves={})),
         _torus_doc_with(lambda doc: doc["d_curves"].update(a="x+")),
         _torus_doc_with(lambda doc: doc["dstar_curves"].update(b=[])),
+        '{"format_version":1,"d_curves":{"a":["x+"],"a":["y+"]},"dstar_curves":{"b":["y"]}}',
+        '{"format_version":1,"d_curves":{"a":["x+"]},"dstar_curves":{"b":["x"]},'
+        '"d_curves":{"a":["x-"]}}',
     ],
     ids=["int-token", "bool-token", "int-signed-token", "version-true",
          "version-float", "deep-nesting", "non-utf8", "newline-signed-token",
          "newline-token-in-example", "huge-int", "top-level-array",
-         "empty-second-family", "first-word-not-list", "second-word-empty"],
+         "empty-second-family", "first-word-not-list", "second-word-empty",
+         "duplicate-curve-id", "duplicate-top-level-key"],
 )
 def test_cli_rejects_hostile_input(tmp_path, capsys, text):
     f = tmp_path / "hostile.json"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from heegaardrect.diagram import Diagram, intersection_number
+from heegaardrect.diagram import Diagram
 from heegaardrect.twist import (
     TwistSpec,
     chain_base,
@@ -21,7 +21,7 @@ from heegaardrect.twist import (
     multicurve_map,
 )
 
-from map_oracles import dehn_twist_iterated, is_isomorphic
+from map_oracles import dehn_twist_iterated, intersection_number, is_isomorphic
 from shear_oracle import FlatMap, oracle_intersections, shear_model
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -19,6 +19,7 @@ from conftest import (
     face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
     split_components_diagram, torus_one, torus_two,
 )
+from map_oracles import edges, reverse_curve
 
 
 def test_torus_rectangle_type():
@@ -140,7 +141,7 @@ def test_rectangle_types_equivariant_under_reversal(example_22):
         for _, t in rectangle_faces(d)
     )
     after = Counter(
-        (t.a_sides, t.b_sides) for _, t in rectangle_faces(d.reverse_curve(curve))
+        (t.a_sides, t.b_sides) for _, t in rectangle_faces(reverse_curve(d, curve))
     )
     assert before == after
 
@@ -156,7 +157,7 @@ def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict
     faces, face_of, mate = diagram.faces, diagram.face_of_dart, diagram.mate
 
     out = []
-    for curve, x, _y in diagram.edges(axis_family):
+    for curve, x, _y in edges(diagram, axis_family):
         d_out = diagram.dart(x, out_port)
         # the face left of the forward arc is on the plus side of the edge
         f_plus, f_minus = face_of(d_out), face_of(mate(d_out))

@@ -18,6 +18,7 @@ from conftest import (
     torus_one,
     torus_two,
 )
+from map_oracles import edges
 
 
 def test_torus_cut_is_annulus():
@@ -98,9 +99,9 @@ def _euler_from_darts(d, family):
     for x in d.crossing_ids():
         for port in PORTS[family]:
             chi[piece[d.face_of_dart(d.dart(x, port))]] += 1
-    for _, x, _y in d.edges(other):
+    for _, x, _y in edges(d, other):
         chi[piece[d.face_of_dart(d.dart(x, PORTS[other][0]))]] -= 1
-    for _, x, _y in d.edges(family):
+    for _, x, _y in edges(d, family):
         dart = d.dart(x, PORTS[family][0])
         for p in (dart, d.mate(dart)):
             chi[piece[d.face_of_dart(p)]] -= 1

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from heegaardrect.diagram import Diagram, DiagramError, FAMILY_A, intersection_number
+from heegaardrect.diagram import Diagram, DiagramError, FAMILY_A
 from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import (
     TwistSpec,
@@ -17,7 +17,13 @@ from heegaardrect.twist import (
 )
 from heegaardrect.diagramio import serialize_diagram
 
-from map_oracles import dehn_twist_iterated, is_isomorphic, relabel_crossings, twist_multicurve
+from map_oracles import (
+    dehn_twist_iterated,
+    intersection_number,
+    is_isomorphic,
+    relabel_crossings,
+    twist_multicurve,
+)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
