@@ -91,7 +91,7 @@ def search_maximal(power):
     maximal = maximal_chain_base()
     merid_words = {c: maximal.a_words[c] for c in ("d1", "d2", "d3")}
     (gamma,) = maximal.b_words.values()
-    signs = {x: cr.sign for x, cr in maximal.crossings.items()}
+    signs = dict(maximal.signs)
     perms = [(0,) + p for p in itertools.permutations((1, 2, 3))]
     embeddable = 0
     for o4 in perms:

@@ -34,12 +34,6 @@ from .diagramio import (
     report_to_text,
     serialize_diagram,
 )
-from .rectangles import (
-    ComposedRectangleType,
-    RectangleType,
-    composed_rectangles,
-    rectangle_faces,
-)
 from .systems import (
     CutComponent,
     ValidationReport,
@@ -57,13 +51,11 @@ from .twist import (
 
 __all__ = [
     "Crossing", "CriteriaContext", "CriteriaGraph", "CutComponent", "Diagram",
-    "DiagramError", "Face", "FaceSide", "MINUS", "PLUS", "RectangleType",
-    "ComposedRectangleType", "TwistSpec", "ValidationReport", "Verdict",
-    "Witness", "build_report", "chain_base", "composed_rectangles",
+    "DiagramError", "Face", "FaceSide", "MINUS", "PLUS", "TwistSpec",
+    "ValidationReport", "Verdict", "Witness", "build_report", "chain_base",
     "cut_components", "dehn_twist", "double_rectangle_condition",
     "example_diagram", "graph_to_dot", "is_two_connected", "maximal_chain_base",
-    "multicurve_map", "parse_diagram",
-    "rectangle_condition", "rectangle_faces", "report_to_json",
+    "multicurve_map", "parse_diagram", "rectangle_condition", "report_to_json",
     "report_to_text", "serialize_diagram", "validate_disk_systems",
 ]
 

@@ -40,16 +40,17 @@ Conventions (fixed once, everything else follows):
   only those: face ``i`` is ``_face_darts[_face_start[i]:_face_start[i + 1]]``,
   its orbit from its least dart; ``_dart_curve[d]`` is dart ``d``'s 1-based
   curve index in its family ``d & 1``, its side ``1 - (d & 2)``; ``_signs``
-  follows the sorted crossing ids.  `bigon_faces` gives face indices.
-  `faces` and `crossings` are read-only views of `Face`, `FaceSide` and
-  `Crossing` objects, built on first read for the tests and the benchmark
-  replay.
+  follows the sorted crossing ids, and `signs` maps each id to its sign.
+  `bigon_faces` gives face indices.  `faces` and `crossings` are read-only
+  views of `Face`, `FaceSide` and `Crossing` objects, built on first read
+  for the tests and the benchmark replay; no command builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 MINUS = -1
@@ -270,6 +271,11 @@ class Diagram:
         ids, curve = (tuple(self.a_words), tuple(self.b_words)), self._dart_curve
         return {x: Crossing(x, ids[0][curve[d] - 1], ids[1][curve[d + 1] - 1], sign)
                 for x, d, sign in zip(self._crossing_ids, range(0, len(curve), 4), self._signs)}
+
+    @cached_property
+    def signs(self) -> Mapping[str, int]:
+        """Crossing id -> sign, read-only, in sorted id order."""
+        return MappingProxyType(dict(zip(self._crossing_ids, self._signs)))
 
     @property
     def num_crossings(self) -> int:

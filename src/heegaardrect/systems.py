@@ -28,7 +28,6 @@ class CutComponent:
     index: int
     family: str
     faces: tuple[int, ...]
-    boundary: tuple[tuple[str, int], ...]
     a_set: frozenset[tuple[int, int]]
     euler: int
     planar: bool
@@ -68,10 +67,10 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     out_port, in_port = PORTS[family]
     words = diagram.a_words if family == FAMILY_A else diagram.b_words
     circles: dict[int, list] = {root: [] for root in groups}
-    for i, (c, word) in enumerate(words.items(), 1):
+    for i, word in enumerate(words.values(), 1):
         d = 4 * diagram._cindex[word[0]]
-        circles[parent[fod[d + in_port]]].append((i, c, MINUS))
-        circles[parent[fod[d + out_port]]].append((i, c, PLUS))
+        circles[parent[fod[d + in_port]]].append((i, MINUS))
+        circles[parent[fod[d + out_port]]].append((i, PLUS))
 
     components = []
     for root, faces in groups.items():
@@ -81,8 +80,7 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
                 index=len(components) + 1,
                 family=family,
                 faces=tuple(faces),
-                boundary=tuple((c, s) for _, c, s in circles[root]),
-                a_set=frozenset((i, s) for i, _, s in circles[root]),
+                a_set=frozenset(circles[root]),
                 euler=euler,
                 planar=euler == 2 - len(circles[root]),
             )
@@ -139,14 +137,13 @@ def validate_components(
         c, c2 = (names[d & 1][curve[d] - 1] for d in diagram._face_darts[start[i]:start[i] + 2])
         report.add("bigon", f"bigon face {i} between {c} and {c2}")
 
-    for family, count, comps in ((FAMILY_A, len(diagram.a_words), comps_a),
-                                 (FAMILY_B, len(diagram.b_words), comps_b)):
+    for family, words, comps in ((FAMILY_A, names[0], comps_a), (FAMILY_B, names[1], comps_b)):
         if diagram.aux and family == FAMILY_B:
             report.add("aux", "multicurve maps carry no second disk system")
             continue
         hi = max(3 * g - 3, 0)
-        if not g <= count <= hi:
-            report.add("count", f"family {family} has {count} curves, outside [{g}, {hi}]")
+        if not g <= len(words) <= hi:
+            report.add("count", f"family {family} has {len(words)} curves, outside [{g}, {hi}]")
         for comp in comps:
             where = f"family {family} component {comp.index}"
             if not comp.planar:
@@ -155,7 +152,7 @@ def validate_components(
             if comp.euler == 1 and len(comp.a_set) == 1:
                 report.add("disk", f"{where} is a disk; its curve is inessential")
             if comp.euler == 0 and len(comp.a_set) == 2:
-                curves = {c for c, _ in comp.boundary}
+                curves = {words[i - 1] for i, _ in comp.a_set}
                 if len(curves) == 2:
                     report.add(
                         "parallel",

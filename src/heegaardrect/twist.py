@@ -77,7 +77,7 @@ def _lift(base: Diagram) -> _TwistState:
     """Push off every disk to its plus side as the twisted family's start."""
     gamma0 = base.b_words[GAMMA]
     slot = {x: i for i, x in enumerate(gamma0)}
-    signs = dict(zip(base.crossing_ids(), base._signs))
+    signs = dict(base.signs)
     kinds = dict.fromkeys(signs, _AG)
     f_words = {}
     positions = [(4 * i, x) for i, x in enumerate(gamma0)]
@@ -310,7 +310,7 @@ def maximal_chain_base() -> Diagram:
     disk_words["d4"] = ("q4_0", "q4_2", "q4_3", "q4_1")
     disk_words["d5"] = ("q5_0", "q5_1", "q5_3", "q5_2")
     disk_words["d6"] = ("q6_0", "q6_1", "q6_3", "q6_2")
-    signs = dict(zip(base.crossing_ids(), base._signs))
+    signs = dict(base.signs)
     signs.update({
         "q4_0": MINUS, "q4_1": MINUS, "q4_2": PLUS, "q4_3": PLUS,
         "q5_0": PLUS, "q5_1": PLUS, "q5_2": MINUS, "q5_3": MINUS,

@@ -19,11 +19,11 @@ from heegaardrect.twist import TwistSpec
 
 
 def relabel_crossings(d: Diagram, mapping) -> Diagram:
-    if d.crossings.keys() - mapping.keys() or len(set(mapping.values())) != len(mapping):
+    if d.signs.keys() - mapping.keys() or len(set(mapping.values())) != len(mapping):
         raise DiagramError("crossing relabeling is not a bijection")
     a_words = {c: tuple(mapping[x] for x in w) for c, w in d.a_words.items()}
     b_words = {c: tuple(mapping[x] for x in w) for c, w in d.b_words.items()}
-    signs = {mapping[x]: cr.sign for x, cr in d.crossings.items()}
+    signs = {mapping[x]: sign for x, sign in d.signs.items()}
     return Diagram(a_words, b_words, signs, aux=d.aux)
 
 
@@ -35,7 +35,7 @@ def reverse_curve(d: Diagram, curve: str) -> Diagram:
         raise DiagramError(f"unknown curve id {curve!r}")
     on_curve = set(family[curve])
     family[curve] = family[curve][::-1]
-    signs = {x: -cr.sign if x in on_curve else cr.sign for x, cr in d.crossings.items()}
+    signs = {x: -sign if x in on_curve else sign for x, sign in d.signs.items()}
     return Diagram(*words, signs, aux=d.aux)
 
 
@@ -45,7 +45,7 @@ def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
     kept = {x for c in keep_a for x in d.a_words[c]} & {x for c in keep_b for x in d.b_words[c]}
     a_words = {c: tuple(x for x in d.a_words[c] if x in kept) for c in keep_a}
     b_words = {c: tuple(x for x in d.b_words[c] if x in kept) for c in keep_b}
-    signs = {x: cr.sign for x, cr in d.crossings.items() if x in kept}
+    signs = {x: sign for x, sign in d.signs.items() if x in kept}
     return Diagram(a_words, b_words, signs, aux=d.aux)
 
 
@@ -116,7 +116,7 @@ def is_isomorphic(d: Diagram, other: Diagram) -> bool:
     if (
         d.a_words == other.a_words
         and d.b_words == other.b_words
-        and all(d.crossings[x].sign == other.crossings[x].sign for x in d.crossings)
+        and d.signs == other.signs
     ):
         return True
     return canonical_certificate(d) == canonical_certificate(other)
@@ -172,7 +172,7 @@ def traced_faces(d: Diagram) -> tuple[list, dict]:
 
     def clockwise(dart):
         x = ids[dart // 4]
-        order = CCW[d.crossings[x].sign]
+        order = CCW[d.signs[x]]
         return d.dart(x, order[order.index(port(dart)) - 1])
 
     def side(dart):

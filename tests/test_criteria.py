@@ -13,7 +13,9 @@ from heegaardrect.criteria import (
     Verdict,
     Witness,
     _components,
+    _composed,
     _fmt_vertex,
+    _side_types,
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
@@ -24,7 +26,6 @@ from heegaardrect.diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, Diagram, DiagramError,
 )
 from heegaardrect.diagramio import build_report
-from heegaardrect.rectangles import composed_rectangles, rectangle_faces
 from heegaardrect.systems import CutComponent, cut_components
 from heegaardrect.twist import example_diagram
 
@@ -619,13 +620,16 @@ def test_minimal_case_matches_flat_definitions(example_32, example_22):
     for d in (example_32, example_22):
         n = len(d.a_words)
         all_labels = [(i, s) for i in range(1, n + 1) for s in (MINUS, PLUS)]
-        rect_types = [t for _, t in rectangle_faces(d)]
-        comp_types = [t for t, _, _ in composed_rectangles(d, "A")]
+        types = _side_types(d)
+        # (a_sides, b_sides) of every rectangle; (axis, end_minus, end_plus, b_sides)
+        # of every composed rectangle along the first family
+        rect_types = [t for t in zip(types[FAMILY_A], types[FAMILY_B]) if t[0] is not None]
+        comp_types = [t[:4] for t in _composed(d, FAMILY_A, types)]
 
         def flat_detail(p, q):
             edges = [
-                t.b_sides for t in rect_types
-                if t.a_sides == tuple(sorted((p, q))) and t.b_sides[0] != t.b_sides[1]
+                b_sides for a_sides, b_sides in rect_types
+                if a_sides == tuple(sorted((p, q))) and b_sides[0] != b_sides[1]
             ]
             return graph_from_edges(edges, vertices=all_labels)
 
@@ -647,9 +651,8 @@ def test_minimal_case_matches_flat_definitions(example_32, example_22):
             for p in lam:
                 for q in lam_plus:
                     edges = [
-                        t.b_sides for t in comp_types
-                        if (t.axis, t.end_minus, t.end_plus) == (disk, p, q)
-                        and t.b_sides[0] != t.b_sides[1]
+                        b_sides for *ends, b_sides in comp_types
+                        if tuple(ends) == (disk, p, q) and b_sides[0] != b_sides[1]
                     ]
                     if is_two_connected(graph_from_edges(edges, vertices=all_labels)):
                         cross.append(((MINUS,) + p, (PLUS,) + q))

@@ -261,10 +261,14 @@ def test_swap_roles_involution(make):
 
 
 def test_swap_aux_map_rejected():
+    from heegaardrect.criteria import CriteriaContext
     from heegaardrect.twist import chain_base
 
     with pytest.raises(DiagramError, match="multicurve"):
         chain_base(2).swap_roles()
+    # the swapped view of a context refuses it too
+    with pytest.raises(DiagramError, match="cannot swap the families of a multicurve map"):
+        CriteriaContext(chain_base(3)).swapped
 
 
 def test_reduce_bigons_removes_and_preserves_genus():

@@ -231,7 +231,7 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
     monkeypatch.setattr(CriteriaContext, "_analyse", counting_analyse)
     monkeypatch.setattr(Diagram, "swap_roles", counting_swap_roles)
     count_calls(heegaardrect, "cut_components")
-    count_calls(heegaardrect.rectangles, "_side_types")
+    count_calls(heegaardrect.criteria, "_side_types")
     build_report(example_32, "both")
     # the diagram is cut and its rectangles typed once; the swapped
     # orientation reads that analysis with the families exchanged and
@@ -487,10 +487,13 @@ def test_cli_export_graph_bad_selector(tmp_path, capsys):
     f = tmp_path / "d.json"
     run_cli("generate", "--genus", "2", "--power", "2", "-o", str(f))
     capsys.readouterr()
-    for which in ("Gk:99", "Zz:1", "Gdetail:1,1", "Gk:x", "Gdetail:1,1,1,*,2,-"):
+    for which in ("Gk:99", "Zz:1", "Gdetail:1,1", "Gk:x", "Gdetail:1,1,1,*,2,-",
+                  "Gdetail:1,99,1,+,2,-"):
         assert run_cli("export-graph", str(f), "--which", which, "--dot") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the last one passes the pair check and fails on its piece l
+    assert err == "error: component index 99 out of range 1..1\n"
 
 
 def test_cli_output_is_plain_text(tmp_path, capsys):

@@ -2,17 +2,9 @@ from collections import Counter
 
 import pytest
 
-from heegaardrect.criteria import CriteriaContext
+from heegaardrect.criteria import CriteriaContext, _composed, _side_types
 from heegaardrect.diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError,
-)
-from heegaardrect.rectangles import (
-    ComposedRectangleType,
-    SidePair,
-    _composed,
-    _side_types,
-    composed_rectangles,
-    rectangle_faces,
 )
 
 from conftest import (
@@ -22,29 +14,38 @@ from conftest import (
 from map_oracles import edges, reverse_curve
 
 
+def composed(d: Diagram, family: str) -> list:
+    """The composed rectangles of `d` along `family`, as the criteria read them."""
+    return list(_composed(d, family, _side_types(d)))
+
+
 def test_torus_rectangle_type():
-    (face, rtype), = rectangle_faces(torus_one())
-    assert rtype.a_sides == ((1, MINUS), (1, PLUS))
-    assert rtype.b_sides == ((1, MINUS), (1, PLUS))
+    types = _side_types(torus_one())
+    i, = (i for i, t in enumerate(types[FAMILY_A]) if t is not None)
+    assert types[FAMILY_A][i] == ((1, MINUS), (1, PLUS))
+    assert types[FAMILY_B][i] == ((1, MINUS), (1, PLUS))
 
 
 def test_hexagon_fixture_has_no_rectangles():
-    assert rectangle_faces(hexagon_diagram()) == ()
-    assert composed_rectangles(hexagon_diagram(), FAMILY_A) == ()
-    assert composed_rectangles(hexagon_diagram(), FAMILY_B) == ()
+    types = _side_types(hexagon_diagram())
+    assert set(types[FAMILY_A]) == set(types[FAMILY_B]) == {None}
+    assert composed(hexagon_diagram(), FAMILY_A) == []
+    assert composed(hexagon_diagram(), FAMILY_B) == []
 
 
 @pytest.mark.parametrize("make", [torus_one, torus_two, split_components_diagram])
 def test_every_square_listed_once(make):
+    """Each family's side types are set exactly on the degree-4 faces."""
     d = make()
-    listed = [f.index for f, _ in rectangle_faces(d)]
     squares = [f.index for f in d.faces if f.degree == 4]
-    assert listed == squares
+    for family_types in _side_types(d).values():
+        assert len(family_types) == len(d.faces)
+        assert [i for i, t in enumerate(family_types) if t is not None] == squares
 
 
 def test_example_rectangle_types_cover_hexagon_pairs(example_32):
     """Every neighbor pair of the transversal-curve walk bounds rectangles."""
-    pairs = Counter(t.a_sides for _, t in rectangle_faces(example_32))
+    pairs = Counter(t for t in _side_types(example_32)[FAMILY_A] if t is not None)
     hexagon = [
         ((1, MINUS), (1, PLUS)), ((1, PLUS), (2, MINUS)), ((2, MINUS), (2, PLUS)),
         ((2, PLUS), (3, MINUS)), ((3, MINUS), (3, PLUS)), ((1, MINUS), (3, PLUS)),
@@ -54,22 +55,19 @@ def test_example_rectangle_types_cover_hexagon_pairs(example_32):
 
 
 def test_composed_rectangles_share_cross_sides(example_32):
-    comps = composed_rectangles(example_32, FAMILY_A)
+    b_types = _side_types(example_32)[FAMILY_B]
+    comps = composed(example_32, FAMILY_A)
     assert comps
-    for ctype, f_minus, f_plus in comps:
-        assert f_minus.index != f_plus.index
-        assert isinstance(ctype, ComposedRectangleType)
+    for *_, b_sides, f_minus, f_plus in comps:
+        assert f_minus != f_plus
+        assert b_sides == b_types[f_minus] == b_types[f_plus]
 
 
 def test_composed_axis_ends_in_punctured_sets(example_32):
-    from heegaardrect.criteria import CriteriaContext
-
     ctx = CriteriaContext(example_32)
-    for ctype, _, _ in composed_rectangles(example_32, FAMILY_A):
-        lam_minus = ctx.lambda_of(ctype.axis, MINUS)
-        lam_plus = ctx.lambda_of(ctype.axis, PLUS)
-        assert ctype.end_minus in lam_minus
-        assert ctype.end_plus in lam_plus
+    for axis, end_minus, end_plus, *_ in composed(example_32, FAMILY_A):
+        assert end_minus in ctx.lambda_of(axis, MINUS)
+        assert end_plus in ctx.lambda_of(axis, PLUS)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +78,7 @@ def test_composed_axis_ends_in_punctured_sets(example_32):
         (torus_two, FAMILY_A, []),
         (torus_two, FAMILY_B, []),
         (split_components_diagram, FAMILY_A,
-         [(ComposedRectangleType(2, (1, PLUS), (3, PLUS), ((1, PLUS), (2, MINUS))), 2, 1)]),
+         [(2, (1, PLUS), (3, PLUS), ((1, PLUS), (2, MINUS)), 2, 1)]),
         (split_components_diagram, FAMILY_B, []),
     ],
 )
@@ -88,9 +86,7 @@ def test_composed_rectangles_on_small_fixtures(make, family, expected):
     """Fixed types on the fixtures that reach the skips: the one square of
     torus_one meets itself across its axis edges, and the two squares of
     torus_two share more than one edge."""
-    got = [(t, f_minus.index, f_plus.index)
-           for t, f_minus, f_plus in composed_rectangles(make(), family)]
-    assert got == expected
+    assert composed(make(), family) == expected
 
 
 @pytest.mark.parametrize("make", [torus_two, hexagon_diagram,
@@ -98,16 +94,14 @@ def test_composed_rectangles_on_small_fixtures(make, family, expected):
 def test_swap_consistency(make):
     """Composing along the second family = swapped first-family composition."""
     d = make()
-    direct = Counter(t for t, _, _ in composed_rectangles(d, FAMILY_B))
-    swapped = Counter(t for t, _, _ in composed_rectangles(d.swap_roles(), FAMILY_A))
+    direct = Counter(t[:4] for t in composed(d, FAMILY_B))
+    swapped = Counter(t[:4] for t in composed(d.swap_roles(), FAMILY_A))
     assert direct == swapped
 
 
 def test_swap_consistency_example(example_32):
-    direct = Counter(t for t, _, _ in composed_rectangles(example_32, FAMILY_B))
-    swapped = Counter(
-        t for t, _, _ in composed_rectangles(example_32.swap_roles(), FAMILY_A)
-    )
+    direct = Counter(t[:4] for t in composed(example_32, FAMILY_B))
+    swapped = Counter(t[:4] for t in composed(example_32.swap_roles(), FAMILY_A))
     assert direct == swapped
 
 
@@ -117,14 +111,14 @@ def test_rectangle_types_equivariant_under_curve_renaming():
     renamed = Diagram(  # a1 -> a9 makes the old a2 the new first curve
         {"a9": d.a_words["a1"], "a2": d.a_words["a2"]},
         d.b_words,
-        {x: c.sign for x, c in d.crossings.items()},
+        d.signs,
     )
     swap = {1: 2, 2: 1}
     before = {
-        tuple(sorted((swap[i], s) for i, s in t.a_sides))
-        for _, t in rectangle_faces(d)
+        tuple(sorted((swap[i], s) for i, s in t))
+        for t in _side_types(d)[FAMILY_A] if t is not None
     }
-    after = {t.a_sides for _, t in rectangle_faces(renamed)}
+    after = {t for t in _side_types(renamed)[FAMILY_A] if t is not None}
     assert before == after
 
 
@@ -136,20 +130,20 @@ def test_rectangle_types_equivariant_under_reversal(example_22):
     def flip(p):
         return (p[0], -p[1]) if p[0] == 1 else p
 
-    before = Counter(
-        (tuple(sorted(map(flip, t.a_sides))), t.b_sides)
-        for _, t in rectangle_faces(d)
-    )
-    after = Counter(
-        (t.a_sides, t.b_sides) for _, t in rectangle_faces(reverse_curve(d, curve))
-    )
+    def rectangles(d):
+        types = _side_types(d)
+        return [(a, b) for a, b in zip(types[FAMILY_A], types[FAMILY_B]) if a is not None]
+
+    before = Counter((tuple(sorted(map(flip, a))), b) for a, b in rectangles(d))
+    after = Counter(rectangles(reverse_curve(d, curve)))
     assert before == after
 
 
-def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict[int, SidePair]]):
-    """The per-edge `composed_rectangles`, kept as the oracle of the index
-    loops: it walks `Diagram.edges` through the public dart queries and
-    counts the glued edges with a generator."""
+def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict[int, tuple]]):
+    """The composed rectangles edge by edge, kept as the oracle of `_composed`:
+    it walks the words' edges through the public dart queries and counts the
+    glued edges with a generator.  It gives the same plain tuples (axis,
+    end_minus, end_plus, b_sides, face_minus, face_plus)."""
     out_port = PORTS[axis_family][0]
     axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
     axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
@@ -175,19 +169,19 @@ def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict
         cross = cross_types[f_minus]
         if cross_types[f_plus] != cross:
             raise DiagramError("composed rectangle with mismatched cross sides")
-        out.append((ComposedRectangleType(axis, *ends, cross), faces[f_minus], faces[f_plus]))
-    return tuple(out)
+        out.append((axis, *ends, cross, f_minus, f_plus))
+    return out
 
 
 def test_composed_rectangles_match_the_per_edge_oracle(example_32_maximal):
-    """The index loops give the per-edge scan's composed rectangles, in its
+    """The curve walk gives the per-edge scan's composed rectangles, in its
     order, for both axis families."""
     for d in fixture_cases(example_32_maximal):
         # face index -> side pair, for the rectangles only
         types = {family: {i: t for i, t in enumerate(ts) if t is not None}
                  for family, ts in _side_types(d).items()}
         for family in (FAMILY_A, FAMILY_B):
-            assert composed_rectangles(d, family) == _composed_by_edges(d, family, types)
+            assert composed(d, family) == _composed_by_edges(d, family, types)
 
 
 def test_index_invariants_hold_in_both_views(example_32_maximal):
