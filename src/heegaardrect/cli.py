@@ -88,9 +88,6 @@ def _parse_side(s: str) -> int:
 
 def cmd_export_graph(args) -> int:
     ctx = CriteriaContext(_load(args.file))
-    if not ctx.validation.passed:
-        codes = ", ".join(dict.fromkeys(code for code, _ in ctx.validation))
-        raise DiagramError(f"diagram fails validation: {codes}")
     kind, _, rest = args.which.partition(":")
     if kind == "Gk":
         graph = ctx.component_graph(_parse_index(rest))

@@ -15,7 +15,6 @@ each block simultaneously and asks nothing else.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -315,6 +314,8 @@ class CriteriaContext:
 
     It cuts each family once; the disk-system `validation`, the rectangle
     indexes and the pair verdicts are all derived from those components.
+    The criteria are stated for disk systems, so each graph and pair verdict
+    of a diagram that fails `validation` raises, naming the failed checks.
 
     A pair verdict says whether the detail graph is 2-connected for every
     l, so it depends only on the pair's edge sets: the sets (l, edges at l)
@@ -322,12 +323,12 @@ class CriteriaContext:
     keyed by those sets, of the failure record: the first failing l with its
     detail graph's least cut vertex (None when it is disconnected), or None
     when every l holds.  So each distinct set of detail graphs is tested
-    once, whichever pairs share it.  A pair that is not an index key has the
-    empty edge sets; unless their record is None (`_keyless_pairs_hold`, no
-    A*_l with two labels: a diagram that fails validation), the criteria
-    graphs ask for the verdicts of index keys only.  `component_graph` keeps
-    each G_k, and a disk graph takes its block edges from it.  The
-    missing-type search reads the records of the absent edges it explains.
+    once, whichever pairs share it.  The criteria graphs ask for the verdicts
+    of index keys only: every cut piece of a disk system has at least three
+    labels, so a pair with no key has disconnected detail graphs and fails.
+    `component_graph` keeps each G_k, and a disk graph takes its block edges
+    from it.  The missing-type search reads the records of the absent edges
+    it explains.
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built on first use by the same
@@ -344,6 +345,7 @@ class CriteriaContext:
     def __init__(self, diagram: Diagram):
         cuts = {family: cut_components(diagram, family) for family in OTHER_FAMILY}
         self._analyse(diagram, FAMILY_A, cuts, _side_types(diagram))
+        self._failed_checks = ", ".join(dict.fromkeys(code for code, _ in self.validation))
 
     def _analyse(self, surface: Diagram, first: str, cuts: dict, types: dict) -> None:
         """Indexes of the view of `surface` whose first family is `first`,
@@ -357,7 +359,6 @@ class CriteriaContext:
         self.n, self.n_star = counts[::-1] if flip else counts
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
         self._component_graphs: dict = {}
-        self._keyless_pairs_hold = self._failure({}) is None
         self._swapped = None  # a callable that returns the swapped context, or None
 
         face_to_l = [0] * (len(surface._face_start) - 1)
@@ -407,6 +408,7 @@ class CriteriaContext:
                 raise DiagramError("cannot swap the families of a multicurve map")
             ctx = CriteriaContext.__new__(CriteriaContext)
             ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._cuts, self._types)
+            ctx._failed_checks = self._failed_checks
             ctx._swapped = weakref.ref(self)
             self._swapped = lambda: ctx
         return ctx
@@ -443,26 +445,24 @@ class CriteriaContext:
         edges = self.rect_index.get((p, q) if p <= q else (q, p), {}).get(l, ())
         return graph_from_edges(edges, vertices=vertices)
 
+    def _check_valid(self) -> None:
+        if self._failed_checks:
+            raise DiagramError(f"diagram fails validation: {self._failed_checks}")
+
     def _check_detail_pair(self, k: int, p: Vertex, q: Vertex) -> None:
+        self._check_valid()
         a_k = self.a_set(k)
         if p not in a_k or q not in a_k:
             raise DiagramError(f"{p} or {q} is not in A_{k}")
 
     def component_graph(self, k: int) -> CriteriaGraph:
         """G_k: the labels A_k, with p-q an edge when every detail graph
-        G(k, l, p, q) is 2-connected; built once per k.
-
-        A pair with no `rect_index` key has edgeless detail graphs, so it is
-        an edge only when no A*_l has two labels (`_keyless_pairs_hold`);
-        otherwise only the keys are tested.
-        """
+        G(k, l, p, q) is 2-connected; built once per k from the `rect_index` keys."""
         if k not in self._component_graphs:
+            self._check_valid()
             a_k = self.a_set(k)
-            if self._keyless_pairs_hold:
-                pairs = itertools.combinations(sorted(a_k), 2)
-            else:
-                pairs = (key for key in self.rect_index
-                         if key[0] != key[1] and key[0] in a_k and key[1] in a_k)
+            pairs = (key for key in self.rect_index
+                     if key[0] != key[1] and key[0] in a_k and key[1] in a_k)
             edges = [(p, q) for p, q in pairs if self.first_failing_l_detail(k, p, q) is None]
             self._component_graphs[k] = graph_from_edges(edges, vertices=a_k)
         return self._component_graphs[k]
@@ -476,6 +476,7 @@ class CriteriaContext:
         return graph_from_edges(edges, vertices=vertices)
 
     def _check_cross_pair(self, disk: int, end_minus: Vertex, end_plus: Vertex) -> None:
+        self._check_valid()
         for end, side in ((end_minus, MINUS), (end_plus, PLUS)):
             if end == (disk, side) or end not in self.a_set(self.k_of(disk, side)):
                 raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
@@ -487,8 +488,7 @@ class CriteriaContext:
         The edges inside a block are the edges of G_k on Lambda_{d,kappa},
         k = `k_of(d, kappa)`.  A cross edge p-q holds when every
         composed-rectangle detail graph of (d, p, q) is 2-connected; only the
-        `composed_index` keys with axis d are tested, unless keyless pairs
-        hold (see `component_graph`).
+        `composed_index` keys with axis d are tested (see the class docstring).
         """
         lam_minus = self.lambda_of(disk, MINUS)
         lam_plus = self.lambda_of(disk, PLUS)
@@ -498,13 +498,9 @@ class CriteriaContext:
             for p, q in self.component_graph(self.k_of(disk, kappa)).edges:
                 if own != p and own != q:
                     edges.append(((kappa,) + p, (kappa,) + q))
-        if self._keyless_pairs_hold:
-            pairs = itertools.product(sorted(lam_minus), sorted(lam_plus))
-        else:
-            pairs = (key[1:] for key in self.composed_index
-                     if key[0] == disk and key[1] in lam_minus and key[2] in lam_plus)
-        for p, q in pairs:
-            if self.first_failing_l_cross(disk, p, q) is None:
+        for axis, p, q in self.composed_index:
+            if (axis == disk and p in lam_minus and q in lam_plus
+                    and self.first_failing_l_cross(disk, p, q) is None):
                 edges.append(((MINUS,) + p, (PLUS,) + q))
         block_minus = frozenset((MINUS,) + p for p in lam_minus)
         block_plus = frozenset((PLUS,) + p for p in lam_plus)
@@ -556,7 +552,7 @@ class MissingType:
 
     kind: str  # "rectangle" | "composed-rectangle"
     a_data: tuple
-    first_failing_l: Optional[int]
+    first_failing_l: int
     failing_vertex: Optional[tuple]
 
     def describe(self) -> str:
@@ -569,13 +565,10 @@ class MissingType:
                 f"composed rectangle of type ((D_{i},{side_str(e)}),"
                 f"D_{d},(D_{j},{side_str(dl)}); .,.)"
             )
-        tail = ""
-        if self.first_failing_l is not None:
-            tail = f" [detail graph fails first at l={self.first_failing_l}"
-            if self.failing_vertex is not None:
-                tail += f", vertex {_fmt_vertex(self.failing_vertex)}"
-            tail += "]"
-        return "missing " + head + tail
+        tail = f" [detail graph fails first at l={self.first_failing_l}"
+        if self.failing_vertex is not None:
+            tail += f", vertex {_fmt_vertex(self.failing_vertex)}"
+        return "missing " + head + tail + "]"
 
 
 @dataclass(frozen=True)
@@ -667,8 +660,7 @@ def _missing_types(graph, deleted, explain, cap=6) -> tuple:
 def _missing_rectangle(ctx, p, q) -> MissingType:
     """The rectangle type for the absent edge p-q of a G_k."""
     p, q = sorted((p, q))
-    failure = ctx._failure(ctx.rect_index.get((p, q), {})) or (None, None)
-    return MissingType("rectangle", (p, q), *failure)
+    return MissingType("rectangle", (p, q), *ctx._failure(ctx.rect_index.get((p, q), {})))
 
 
 def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
@@ -677,7 +669,7 @@ def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
     if u[0] == v[0]:
         return _missing_rectangle(ctx, u[1:], v[1:])
     em, ep = (u[1:], v[1:]) if u[0] == MINUS else (v[1:], u[1:])
-    failure = ctx._failure(ctx.composed_index.get((disk, em, ep), {})) or (None, None)
+    failure = ctx._failure(ctx.composed_index.get((disk, em, ep), {}))
     return MissingType("composed-rectangle", (em, disk, ep), *failure)
 
 
@@ -690,14 +682,13 @@ def double_rectangle_condition(
     the families exchanged; witnesses record which direction failed.
     `diagram` is read only when no `ctx` is given; the exchanged direction
     uses `ctx.swapped`, so a caller that also checks RC on both sides
-    analyses each orientation once.  Disk graphs that pass the
-    pairwise-deletion test without being connected are flagged in the note,
-    since stronger readings would reject them.
+    analyses each orientation once.  Each block of an H_d has at least two
+    labels, so a disconnected H_d always has a witness pair.
     """
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
-    borderline = []
-    for swapped, octx in ((False, ctx), (True, ctx.swapped)):
+    for swapped in (False, True):
+        octx = ctx.swapped if swapped else ctx  # so a multicurve map is refused, not swapped
         for disk in range(1, octx.n + 1):
             hd = octx.disk_graph(disk)
             pair = doubly_two_connected_witness(hd)
@@ -706,17 +697,5 @@ def double_rectangle_condition(
                     hd, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
                 )
                 witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
-            # only a block of <= 1 vertex lets a disconnected graph pass: for a != a'
-            # and b != b', all parts but one lie in {a, b} and all but one in {a', b'},
-            # so the parts are {a, b}, {a', b'}, and likewise {a, b'}, {a', b}: absurd
-            elif min(map(len, hd.partition)) <= 1 and len(_components(hd.neighbors())[0]) > 1:
-                borderline.append(f"{'families switched, ' if swapped else ''}H_{disk}")
     holds = not witnesses
-    note = NOTE_DRC if holds else ""
-    if borderline:
-        flag = (
-            "informational: the pairwise-deletion reading holds on a "
-            "disconnected graph for " + "; ".join(borderline)
-        )
-        note = f"{note} ({flag})" if note else flag
-    return Verdict(holds, tuple(witnesses), note)
+    return Verdict(holds, tuple(witnesses), NOTE_DRC if holds else "")

@@ -1,7 +1,7 @@
 """Diagram machinery that only the tests use, kept here as oracles.
 
-Crossing relabeling, curve reversal, restriction to sub-families, an
-isomorphism test by canonical certificate, edges and intersection numbers
+Crossing relabeling, curve reversal, restriction to sub-families,
+stabilization, an isomorphism test by canonical certificate, edges and intersection numbers
 read off the words, a face trace through the public dart queries, plus two
 more routes through the twist splice: one lap at a time, and the multicurve
 map of the twisted disks with gamma kept.  None of it is on the check or
@@ -47,6 +47,19 @@ def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
     b_words = {c: tuple(x for x in d.b_words[c] if x in kept) for c in keep_b}
     signs = {x: sign for x, sign in d.signs.items() if x in kept}
     return Diagram(a_words, b_words, signs, aux=d.aux)
+
+
+def stabilized(d: Diagram, curve: str, position: int, signs) -> Diagram:
+    """`d` with one handle added: an a-curve (y, y2) and a b-curve (y), with
+    y2 inserted before index `position` of the b-curve `curve`; `signs` gives
+    the signs of y and y2.  The new b-curve meets the new a-curve once, so
+    the Heegaard splitting is stabilized."""
+    if {"y", "y2"} & d.signs.keys() or "ya" in d.a_words or "yb" in d.b_words:
+        raise DiagramError("the ids of the new handle are taken")
+    word = d.b_words[curve]
+    b_words = {**d.b_words, curve: word[:position] + ("y2",) + word[position:], "yb": ("y",)}
+    a_words = {**d.a_words, "ya": ("y", "y2")}
+    return Diagram(a_words, b_words, {**d.signs, "y": signs[0], "y2": signs[1]}, aux=d.aux)
 
 
 def canonical_certificate(d: Diagram) -> tuple:

@@ -18,11 +18,12 @@ from heegaardrect.criteria import (
     rectangle_condition,
 )
 from heegaardrect.diagram import FAMILY_A, MINUS, PLUS
+from heegaardrect.diagramio import serialize_diagram
 from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagram, maximal_chain_base
 
 from conftest import hexagon_diagram, random_twisted_diagrams, split_components_diagram
-from map_oracles import intersection_number, is_isomorphic, reverse_curve
+from map_oracles import intersection_number, is_isomorphic, reverse_curve, stabilized
 from shear_oracle import oracle_intersections
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -254,3 +255,19 @@ def test_criterion_10_intersection_oracle():
         assert got == tables[key]
     _ok(10, f"pairwise counts match the shear oracle and golden tables on "
             f"{len(cases)} generator outputs")
+
+
+def test_criterion_11_stabilized_diagram_fails(tmp_path, capsys):
+    """check of the stabilized generate(3,2): exit 1, both conditions fail
+    with witnesses."""
+    f = tmp_path / "s.json"
+    d = example_diagram(3, 2)
+    f.write_text(serialize_diagram(stabilized(d, min(d.b_words), 0, (1, 1))))
+    code = cli_main(["check", str(f), "--structured"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["input"]["genus"] == 4 and report["validation"]["passed"]
+    assert report["rc"]["holds"] is False and report["rc"]["witnesses"]
+    assert report["drc"]["holds"] is False and report["drc"]["witnesses"]
+    _ok(11, "stabilized genus-3 power-2 diagram passes validation and fails "
+            "both conditions, with witnesses")

@@ -26,14 +26,14 @@ from heegaardrect.diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, Diagram, DiagramError,
 )
 from heegaardrect.diagramio import build_report
-from heegaardrect.systems import CutComponent, cut_components
-from heegaardrect.twist import example_diagram
+from heegaardrect.systems import CutComponent, cut_components, validate_disk_systems
+from heegaardrect.twist import chain_base, example_diagram
 
 from conftest import (
     face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, random_twisted_diagrams,
     torus_one,
 )
-from map_oracles import relabel_crossings, reverse_curve
+from map_oracles import relabel_crossings, reverse_curve, stabilized
 
 
 def calibration_graph() -> CriteriaGraph:
@@ -204,20 +204,12 @@ def test_connectivity_matches_brute_force(data):
 @example(_blocked([(0, 2), (1, 3)], 4, [0, 1]))
 def test_passing_graph_with_two_big_blocks_is_connected(data):
     """With two or more vertices in each block, a graph no pair disconnects is
-    connected, so `double_rectangle_condition` tests connectivity only when a
-    block has at most one vertex."""
+    connected; each block of a disk graph H_d of a disk system has two or
+    more, so `double_rectangle_condition` needs no separate connectivity test."""
     graph, partition = data
     blocked = CriteriaGraph(graph.vertices, graph.edges, partition)
     if min(map(len, partition)) >= 2 and _brute_doubly_witness(blocked) is None:
         assert _brute_connected_after(blocked, set())
-
-
-def test_drc_flags_a_disconnected_disk_graph_that_passes():
-    """On the torus square each block of H_1 is one label and no edge joins
-    them: the pairwise-deletion reading holds, and the note says so."""
-    v = double_rectangle_condition(torus_one())
-    assert v.holds
-    assert v.note.endswith("disconnected graph for H_1; families switched, H_1)")
 
 
 def _scan_doubly_witness(graph: CriteriaGraph):
@@ -335,12 +327,17 @@ def _first_failing_l(graphs):
     return next((l for l, g in enumerate(graphs, 1) if not is_two_connected(g)), None)
 
 
+def _passing(diagrams):
+    """The diagrams that pass validation, the only ones the criteria decide."""
+    return [d for d in diagrams if validate_disk_systems(d).passed]
+
+
 def test_pair_verdicts_match_definition(example_32_maximal):
     """The verdict of each index key is the first l whose detail graph is
     not 2-connected, so None exactly when all of them are."""
     verdicts = set()
-    diagrams = [*random_twisted_diagrams(100), example_32_maximal, *maximal_subsystems(50)]
-    for d in diagrams:
+    for d in _passing([*random_twisted_diagrams(100), example_32_maximal,
+                       *maximal_subsystems(50)]):
         ctx = CriteriaContext(d)
         for c in (ctx, ctx.swapped):
             for p, q in c.rect_index:
@@ -371,7 +368,7 @@ def test_missing_types_match_definition():
     detail graph is not 2-connected, and that graph's least cut vertex, or
     None when the graph is disconnected."""
     vertices = 0
-    for d in [*random_twisted_diagrams(100), *maximal_subsystems(50)]:
+    for d in _passing([*random_twisted_diagrams(100), *maximal_subsystems(50)]):
         ctx = CriteriaContext(d)
         found = [(ctx, w) for w in rectangle_condition(d, ctx).witnesses]
         found += [(ctx.swapped, w) for w in rectangle_condition(None, ctx.swapped).witnesses]
@@ -388,10 +385,7 @@ def test_missing_types_match_definition():
                     graphs = [
                         c.cross_detail_graph(l, disk, em, ep) for l in range(1, c.m_star + 1)
                     ]
-                assert mt.first_failing_l == _first_failing_l(graphs)
-                if mt.first_failing_l is None:
-                    assert mt.failing_vertex is None
-                    continue
+                assert mt.first_failing_l == _first_failing_l(graphs) is not None
                 g = graphs[mt.first_failing_l - 1]
                 if _brute_connected_after(g, set()):
                     assert mt.failing_vertex == _brute_least_cut_vertex(g) is not None
@@ -406,12 +400,52 @@ def three_circles_sphere() -> Diagram:
     """Genus 0: one b-circle through three disjoint a-circles.
 
     Each side of the b-circle is a disk, so every A*_l has one label, and
-    the a-cut has a pants piece whose two faces are hexagons: G_2 is a
-    triangle of pairs with no rectangle at all.  Not a valid diagram.
+    the a-cut has three disk pieces and a pants piece.  Not a valid diagram.
     """
     xs = ["x1", "x2", "x3", "x4", "x5", "x6"]
     return Diagram({"a1": xs[:2], "a2": xs[2:4], "a3": xs[4:]}, {"b": xs},
                    dict(zip(xs, (1, -1) * 3)))
+
+
+def test_criteria_refuse_a_diagram_that_fails_validation():
+    """Every graph and pair verdict of either view of a diagram that fails
+    validation raises, naming the failed checks; the validation and the
+    validation-only report are still given."""
+    nonplanar = [d for d in maximal_subsystems(50) if not validate_disk_systems(d).passed]
+    assert len(nonplanar) == 6
+    for d in [torus_one(), three_circles_sphere(), chain_base(3), *nonplanar]:
+        ctx = CriteriaContext(d)
+        assert ctx.validation.entries == validate_disk_systems(d).entries != []
+        codes = ", ".join(dict.fromkeys(code for code, _ in ctx.validation))
+        assert (codes == "nonplanar") == (d in nonplanar)
+        views = [ctx]
+        if d.aux:
+            with pytest.raises(DiagramError, match="cannot swap"):
+                ctx.swapped
+        else:
+            views.append(ctx.swapped)
+        for c in views:
+            asks = [
+                lambda: rectangle_condition(None, c),
+                lambda: double_rectangle_condition(None, c),
+                lambda: c.component_graph(1),
+                lambda: c.disk_graph(1),
+                lambda: c.detail_graph(1, 1, (1, MINUS), (1, PLUS)),
+                lambda: c.cross_detail_graph(1, 1, (1, PLUS), (1, MINUS)),
+                lambda: c.first_failing_l_detail(1, (1, MINUS), (1, PLUS)),
+                lambda: c.first_failing_l_cross(1, (1, PLUS), (1, MINUS)),
+            ]
+            for ask in asks:
+                with pytest.raises(DiagramError) as err:
+                    ask()
+                assert str(err.value) == f"diagram fails validation: {codes}"
+        report = build_report(d)
+        assert report["validation"] == {
+            "passed": False,
+            "entries": [{"code": c, "detail": t} for c, t in ctx.validation],
+        }
+        assert report["input"]["m"] is report["input"]["m_star"] is None
+        assert "rc" not in report and "drc" not in report
 
 
 def _dense_graphs(ctx):
@@ -438,11 +472,8 @@ def _dense_graphs(ctx):
 
 def test_key_driven_graphs_match_every_pair(example_32_maximal):
     """G_k and H_d read off the index keys equal the graphs that test every
-    pair, including where pairs with no key are edges."""
-    corner = CriteriaContext(three_circles_sphere())
-    assert not corner.rect_index and len(corner.component_graph(2).edges) == 3
-    cases = [three_circles_sphere(), *fixture_cases(example_32_maximal), *maximal_subsystems(50)]
-    for d in cases:
+    pair."""
+    for d in _passing([*fixture_cases(example_32_maximal), *maximal_subsystems(50)]):
         for swapped in (False, True):
             ctx, fresh = CriteriaContext(d), CriteriaContext(d)
             if swapped:
@@ -500,11 +531,10 @@ def test_each_distinct_set_of_detail_graphs_is_tested_once(monkeypatch):
         asked += [by_l for (disk, em, ep), by_l in ctx.composed_index.items()
                   if em in ctx.lambda_of(disk, MINUS) and ep in ctx.lambda_of(disk, PLUS)]
         pairs += len(asked)
-        # the empty edge sets are those of every pair without an index key
         distinct += len({frozenset((l, frozenset(edges)) for l, edges in by_l.items())
-                         for by_l in [{}, *asked]})
+                         for by_l in asked})
     detail_tests = sum(any(v is piece for piece in pieces) for v in tested)
-    assert detail_tests == distinct < pairs
+    assert detail_tests == distinct == 2 < pairs
 
 
 def test_report_contexts_die_without_the_cycle_collector(example_32, monkeypatch):
@@ -756,6 +786,25 @@ def test_orientation_invariance_smoke(example_22):
         r = reverse_curve(example_22, curve)
         assert rectangle_condition(r).holds == rc
         assert double_rectangle_condition(r).holds == drc
+
+
+def test_stabilized_diagrams_fail_both_conditions(example_32_maximal):
+    """A stabilized splitting is not strongly irreducible and its Goeritz
+    group is infinite, so adding a handle whose new curves meet once makes
+    RC fail in both views and DRC fail, on a diagram that passes validation."""
+    bases = [*random_twisted_diagrams(60),
+             *(example_diagram(g, p) for g in (2, 3, 4, 5) for p in (2, -3)),
+             example_32_maximal]
+    for i, d in enumerate(bases):
+        curve = min(d.b_words)
+        for signs in itertools.product((1, -1), repeat=2):
+            s = stabilized(d, curve, i % len(d.b_words[curve]), signs)
+            ctx = CriteriaContext(s)
+            assert s.genus == d.genus + 1
+            assert ctx.validation.passed
+            assert not rectangle_condition(None, ctx).holds
+            assert not rectangle_condition(None, ctx.swapped).holds
+            assert not double_rectangle_condition(None, ctx).holds
 
 
 def test_verdict_invariant():

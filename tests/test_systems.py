@@ -10,7 +10,9 @@ from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import chain_base
 
 from conftest import (
+    fixture_cases,
     hexagon_diagram,
+    maximal_subsystems,
     random_twisted_diagrams,
     reducible_torus,
     split_components_diagram,
@@ -116,6 +118,19 @@ def test_component_euler_matches_cell_count(example_32, example_32_maximal):
         for family in (FAMILY_A, FAMILY_B):
             expected = _euler_from_darts(d, family)
             assert {c.index: c.euler for c in cut_components(d, family)} == expected
+
+
+def test_valid_diagrams_cut_into_pieces_of_three_or_more_labels(example_32_maximal):
+    """A planar piece with one label is a disk and one with two an annulus,
+    which validation rejects (a closed torus fails the genus check), so every
+    cut piece of a diagram that passes has at least three labels: the
+    criteria test only index keys and need no borderline note on it."""
+    valid = [d for d in (*fixture_cases(example_32_maximal), *maximal_subsystems(50))
+             if validate_disk_systems(d).passed]
+    assert len(valid) > 200
+    sizes = {len(comp.a_set) for d in valid for family in (FAMILY_A, FAMILY_B)
+             for comp in cut_components(d, family)}
+    assert min(sizes) == 3
 
 
 def test_cut_components_bad_family():
