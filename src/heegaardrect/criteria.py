@@ -16,8 +16,11 @@ each block simultaneously and asks nothing else.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress, count, repeat
+from operator import and_, sub
 from typing import Optional, Sequence
 
 from .diagram import (
@@ -235,87 +238,103 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
 # -- analysis context --------------------------------------------------------
 
 
-def _numbered(surface: Diagram, comps: tuple, flip: int, family: str) -> tuple:
-    """`comps` renumbered by their least dart d ^ flip, as cut components of `family`;
-    with flip 0 they already are, being ordered by least face (flip is 0 or 1)."""
+def _class_table(surface: Diagram, cuts: dict) -> tuple:
+    """The faces of `surface` sorted into classes, each class decoded once.
+
+    A face's class is its key: its degree, the curve and port of the first
+    four darts of its orbit, and its piece in each family's cut (`cuts`,
+    keyed by family).  Faces of one class have the same sides and pieces, and
+    most faces of a large diagram fall into a few classes, so the keys are
+    deduplicated at C speed and only the distinct ones are read.  Returns
+    each face's class, numbered by its first face, and class -> ((a-type,
+    b-type), (a-piece, b-piece)), the pieces by their index in the cut.  A
+    type is the sorted pair of (curve index, side) sides of a rectangle (a
+    face of degree 4) on that family, None for any other face; each distinct
+    pair is one tuple.  A face's darts alternate the two families, so darts
+    0 and 2 of a rectangle's orbit lie on one family and darts 1 and 3 on
+    the other.
+    """
+    start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
+    alpha, sigma_inv = surface._alpha, surface._sigma_inv
+    pieces = {}
+    for family, comps in cuts.items():
+        pieces[family] = piece = [0] * (len(start) - 1)
+        for comp in comps:
+            for f in comp.faces:
+                piece[f] = comp.index
+    # the first four darts of every orbit, turning by the next dart round a
+    # face, sigma_inv . alpha, so a bigon repeats its two
+    darts = [list(map(orbit.__getitem__, start[:-1]))]
+    for _ in range(3):
+        darts.append(list(map(sigma_inv.__getitem__, map(alpha.__getitem__, darts[-1]))))
+    keys = zip(map(sub, start[1:], start),
+               *(m for ds in darts for m in (map(curve.__getitem__, ds), map(and_, ds, repeat(3)))),
+               pieces[FAMILY_A], pieces[FAMILY_B])
+    classes: dict = {}
+    face_class = list(map(classes.setdefault, keys, count()))
+
+    decoded, pairs = {}, {}
+    for (degree, c0, p0, c1, p1, c2, p2, c3, p3, *piece), i in classes.items():
+        types = None, None
+        if degree == 4:
+            p, q = (c0, 1 - (p0 & 2)), (c2, 1 - (p2 & 2))
+            u, v = (c1, 1 - (p1 & 2)), (c3, 1 - (p3 & 2))
+            own, other = (p, q) if p <= q else (q, p), (u, v) if u <= v else (v, u)
+            types = pairs.setdefault(own, own), pairs.setdefault(other, other)
+            if p0 & 1:  # dart 0 is on the second family
+                types = types[::-1]
+        decoded[i] = types, tuple(piece)
+    return face_class, decoded
+
+
+def _axis_edges(surface: Diagram, family: str, face_class: list):
+    """(axis, minus class, plus class) of each edge of a `family` curve, by
+    crossing: the edge that leaves it along that family.  The face left of
+    the out dart is on the plus side of the edge, the face of its mate on
+    the minus side."""
+    out = PORTS[family][0]
+    fod, in_class = surface._face_of_dart, face_class.__getitem__
+    return zip(surface._dart_curve[out::4],
+               map(in_class, map(fod.__getitem__, surface._alpha[out::4])),
+               map(in_class, fod[out::4]))
+
+
+def _glued_once(surface: Diagram, family: str, x: int) -> bool:
+    """Whether the two faces on the `family` edge that leaves crossing index
+    x share no other edge: one arc of the minus face has the plus face across."""
+    fod, alpha, start = surface._face_of_dart, surface._alpha, surface._face_start
+    d = 4 * x + PORTS[family][0]
+    k, f_plus = start[fod[alpha[d]]], fod[d]
+    return [fod[alpha[e]] for e in surface._face_darts[k:k + 4]].count(f_plus) == 1
+
+
+def _numbered(surface: Diagram, comps: tuple, piece_of, flip: int, family: str) -> tuple:
+    """`comps` renumbered by their least dart d ^ flip, as cut components of
+    `family`; with flip 0 they already are, being ordered by least face (flip
+    is 0 or 1).  `piece_of(f)` is face f's index in `comps`."""
     if not flip:
         return comps
-    # a face's least d ^ 1, from its least dart m (its orbit's first): m - 1
-    # if m is odd, m if m + 1 lies in the face too, else m + 1
-    fod = surface._face_of_dart
-    least = [m - 1 if m & 1 else m if fod[m + 1] == f else m + 1
-             for f, m in enumerate(map(surface._face_darts.__getitem__, surface._face_start[:-1]))]
-    order = sorted(comps, key=lambda c: min(map(least.__getitem__, c.faces)))
+    # a piece's least d ^ 1, from its least dart m, the first of its first
+    # face's orbit: m - 1 if m is odd, m if dart m + 1 lies in the piece too,
+    # else m + 1
+    start, orbit, fod = surface._face_start, surface._face_darts, surface._face_of_dart
+
+    def least(comp):
+        m = orbit[start[comp.faces[0]]]
+        return m - 1 if m & 1 else m if piece_of(fod[m + 1]) == comp.index else m + 1
+
+    order = sorted(comps, key=least)
     return tuple(replace(c, index=i, family=family) for i, c in enumerate(order, 1))
-
-
-def _side_types(diagram: Diagram) -> dict[str, list]:
-    """Family -> the sorted pair of (curve index, side) sides on that family
-    of every face, in face order; None for a face that is not a rectangle
-    (degree 4).  A face's darts alternate the two families, so darts 0 and 2
-    of a rectangle's orbit lie on one family and darts 1 and 3 on the other.
-    Each distinct pair is one tuple, shared by all its faces.
-    """
-    start, orbit, curve = diagram._face_start, diagram._face_darts, diagram._dart_curve
-    a_types, b_types = [None] * (len(start) - 1), [None] * (len(start) - 1)
-    by_parity = (a_types, b_types), (b_types, a_types)
-    pairs: dict = {}
-    for i, (s, e) in enumerate(zip(start, start[1:])):
-        if e - s != 4:
-            continue
-        d0, d1, d2, d3 = orbit[s:e]
-        p, q = (curve[d0], 1 - (d0 & 2)), (curve[d2], 1 - (d2 & 2))
-        u, v = (curve[d1], 1 - (d1 & 2)), (curve[d3], 1 - (d3 & 2))
-        own, other = by_parity[d0 & 1]
-        pair = (p, q) if p <= q else (q, p)
-        own[i] = pairs.setdefault(pair, pair)
-        pair = (u, v) if u <= v else (v, u)
-        other[i] = pairs.setdefault(pair, pair)
-    return {FAMILY_A: a_types, FAMILY_B: b_types}
-
-
-def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
-    """Each pair of distinct rectangles glued along exactly one edge of an
-    `axis_family` curve, as (axis, end_minus, end_plus, b_sides, face_minus,
-    face_plus), in curve and edge order, read off `types` (`_side_types`):
-    the ends are the outer axis-family sides of the faces on the edge's minus
-    and plus sides, and `b_sides` the other family's sides, which they share.
-    """
-    out_port = PORTS[axis_family][0]
-    words = diagram.a_words if axis_family == FAMILY_A else diagram.b_words
-    axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
-    start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
-    across = [fod[alpha[e]] for e in diagram._face_darts]  # the face across each orbit arc
-
-    for axis, word in enumerate(words.values(), 1):
-        minus, plus = (axis, MINUS), (axis, PLUS)
-        # walk the curve by its out darts: the next is its mate's out port, alpha[d] ^ 2
-        d = 4 * diagram._cindex[word[0]] + out_port
-        for _ in word:
-            # the face left of the forward arc is on the plus side of the edge
-            f_plus, f_minus = fod[d], fod[alpha[d]]
-            d = alpha[d] ^ 2
-            sides_minus, sides_plus = axis_types[f_minus], axis_types[f_plus]
-            if f_plus == f_minus or sides_minus is None or sides_plus is None:
-                continue
-            k = start[f_minus]
-            if across[k:k + 4].count(f_plus) != 1:  # glued along more than this edge
-                continue
-            # the outer side of each end: the one that is not its axis side (the
-            # minus face holds the edge's in dart, the plus face its out dart)
-            (s, t), (u, v) = sides_minus, sides_plus
-            end_minus = t if s == minus else s
-            end_plus = v if u == plus else u
-            yield axis, end_minus, end_plus, cross_types[f_minus], f_minus, f_plus
 
 
 class CriteriaContext:
     """The analysis of one orientation of a diagram, shared by every criterion.
 
-    It cuts each family once; the disk-system `validation`, the rectangle
-    indexes and the pair verdicts are all derived from those components.
-    The criteria are stated for disk systems, so each graph and pair verdict
-    of a diagram that fails `validation` raises, naming the failed checks.
+    It cuts each family once and sorts the faces into classes once
+    (`_class_table`); the disk-system `validation`, the rectangle indexes
+    and the pair verdicts are all derived from those.  The criteria are
+    stated for disk systems, so each graph and pair verdict of a diagram
+    that fails `validation` raises, naming the failed checks.
 
     A pair verdict says whether the detail graph is 2-connected for every
     l, so it depends only on the pair's edge sets: the sets (l, edges at l)
@@ -332,7 +351,7 @@ class CriteriaContext:
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built on first use by the same
-    `_analyse` from this view's cut components and side types, read with
+    `_analyse` from this view's cut components and class table, read with
     the families exchanged, and keeps this diagram's face numbers.  The swap
     renames dart d to d ^ 1 (see the `diagram` module), so each view numbers
     its cut components (the k and l of its witnesses) by their least dart
@@ -344,46 +363,74 @@ class CriteriaContext:
 
     def __init__(self, diagram: Diagram):
         cuts = {family: cut_components(diagram, family) for family in OTHER_FAMILY}
-        self._analyse(diagram, FAMILY_A, cuts, _side_types(diagram))
+        self._analyse(diagram, FAMILY_A, (cuts, *_class_table(diagram, cuts)))
         self._failed_checks = ", ".join(dict.fromkeys(code for code, _ in self.validation))
 
-    def _analyse(self, surface: Diagram, first: str, cuts: dict, types: dict) -> None:
+    def _analyse(self, surface: Diagram, first: str, table: tuple) -> None:
         """Indexes of the view of `surface` whose first family is `first`,
-        from its cut components and `_side_types`, both keyed by family."""
+        from `table`: the cut components keyed by family, then what
+        `_class_table` returns for them.  Each class is read once for
+        `rect_index`, and each distinct (axis, minus class, plus class) of an
+        edge of a `first` curve once for `composed_index`."""
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
-        self._surface, self._first, self._cuts, self._types = surface, first, cuts, types
-        self.comps_a = comps_a = _numbered(surface, cuts[first], flip, FAMILY_A)
-        self.comps_b = comps_b = _numbered(surface, cuts[second], flip, FAMILY_B)
+        self._surface, self._first, self._table = surface, first, table
+        cuts, face_class, classes = table
+
+        def piece_of(i):  # face -> its piece's index in the first (0) or second (1) cut
+            return lambda f: classes[face_class[f]][1][i ^ flip]
+
+        self.comps_a = comps_a = _numbered(surface, cuts[first], piece_of(0), flip, FAMILY_A)
+        self.comps_b = comps_b = _numbered(surface, cuts[second], piece_of(1), flip, FAMILY_B)
         self.m, self.m_star = len(comps_a), len(comps_b)
         counts = (len(surface.a_words), len(surface.b_words))
         self.n, self.n_star = counts[::-1] if flip else counts
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
         self._component_graphs: dict = {}
         self._swapped = None  # a callable that returns the swapped context, or None
-
-        face_to_l = [0] * (len(surface._face_start) - 1)
-        for comp in comps_b:
-            for fi in comp.faces:
-                face_to_l[fi] = comp.index
+        # a piece's index in its cut -> its l in this view
+        l_of = {piece_of(1)(comp.faces[0]): comp.index for comp in comps_b}
 
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
-        # in A*_l (a face's sides are boundary circles of its piece); most
-        # rectangles repeat a few (type, l, b-sides) triples, so each distinct
-        # triple is indexed once, in order of first occurrence
+        # in A*_l (a face's sides are boundary circles of its piece)
         self.rect_index: dict = {}
-        for a_sides, l, b_sides in dict.fromkeys(zip(types[first], face_to_l, types[second])):
+        for types, pieces in classes.values():
+            a_sides, b_sides = types[flip], types[1 - flip]
             if a_sides is not None and b_sides[0] != b_sides[1]:  # a rectangle, not a loop
-                self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
+                self.rect_index.setdefault(a_sides, {}).setdefault(
+                    l_of[pieces[1 - flip]], set()).add(b_sides)
 
         # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not
-        # loops; both rectangles lie in piece l, joined across an uncut edge
+        # loops, for each pair of distinct rectangles in piece l glued along
+        # exactly one edge of an axis curve; the two share their cross sides,
+        # as at each end of the edge they lie on one side of the cross curve
         self.composed_index: dict = {}
-        for key, b_sides, l in dict.fromkeys(
-                ((axis, end_minus, end_plus), b_sides, face_to_l[f_minus])
-                for axis, end_minus, end_plus, b_sides, f_minus, _
-                in _composed(surface, first, types)):
-            if b_sides[0] != b_sides[1]:
-                self.composed_index.setdefault(key, {}).setdefault(l, set()).add(b_sides)
+        edges: dict = {}  # (axis, minus class, plus class) -> its first edge's crossing
+        deque(map(edges.setdefault, _axis_edges(surface, first, face_class), count()), 0)
+        for (axis, minus, plus), x in edges.items():
+            (types, pieces), sides_plus = classes[minus], classes[plus][0][flip]
+            sides_minus, b_sides = types[flip], types[1 - flip]
+            if sides_minus is None or sides_plus is None or b_sides[0] == b_sides[1]:
+                continue
+            # the outer side of each end: the one that is not its axis side (the
+            # minus face holds the edge's in dart, the plus face its out dart)
+            (s, t), (u, v) = sides_minus, sides_plus
+            end_minus = t if s == (axis, MINUS) else s
+            end_plus = v if u == (axis, PLUS) else u
+            # two faces that share a second edge have complementary ends (one
+            # curve, both sides): along the axis family it joins their outer
+            # sides; along the cross family it leaves each face with both axis
+            # darts of one crossing; a face that meets itself has both sides of
+            # its axis.  Only then are edges looked at one by one: the first,
+            # and if it is glued twice, every edge of the same classes, whose
+            # faces may share just that edge
+            if (end_plus == (end_minus[0], -end_minus[1])
+                    and not _glued_once(surface, first, x)
+                    and not any(_glued_once(surface, first, y) for y in compress(
+                        count(), map((axis, minus, plus).__eq__,
+                                     _axis_edges(surface, first, face_class))))):
+                continue
+            self.composed_index.setdefault((axis, end_minus, end_plus), {}).setdefault(
+                l_of[pieces[1 - flip]], set()).add(b_sides)
 
     @cached_property
     def diagram(self) -> Diagram:
@@ -407,7 +454,7 @@ class CriteriaContext:
             if self._surface.aux:
                 raise DiagramError("cannot swap the families of a multicurve map")
             ctx = CriteriaContext.__new__(CriteriaContext)
-            ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._cuts, self._types)
+            ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._table)
             ctx._failed_checks = self._failed_checks
             ctx._swapped = weakref.ref(self)
             self._swapped = lambda: ctx

@@ -124,8 +124,9 @@ def serialize_diagram(d: Diagram) -> str:
 def _dumps(x, indent: str = "\n") -> str:
     """Exactly the text `json.dumps` writes for `x` at an indent of 2, for the
     types this package writes: dicts with str keys, lists, str, int, True, False
-    and None; any other key or value raises `TypeError`.  A list of strings is
-    joined in one call, where the standard library encodes with pure Python."""
+    and None; any other key or value raises `TypeError`.  A list of strings or
+    of ints (not bools) is joined in one call, where the standard library
+    encodes with pure Python."""
     if isinstance(x, str):
         return _quote(x)
     if x is None or x is True or x is False:
@@ -134,10 +135,13 @@ def _dumps(x, indent: str = "\n") -> str:
         return repr(x)
     inner = indent + "  "
     if isinstance(x, list):
-        try:
-            body = ("," + inner).join(map(_quote, x))
-        except TypeError:  # not all items are strings
-            body = ("," + inner).join([_dumps(v, inner) for v in x])
+        if x and type(x[0]) is int and set(map(type, x)) == {int}:
+            body = ("," + inner).join(map(repr, x))
+        else:
+            try:
+                body = ("," + inner).join(map(_quote, x))
+            except TypeError:  # not all items are strings
+                body = ("," + inner).join([_dumps(v, inner) for v in x])
         return "[" + inner + body + indent + "]" if x else "[]"
     if isinstance(x, dict):
         body = ("," + inner).join([_quote(k) + ": " + _dumps(v, inner) for k, v in x.items()])

@@ -61,6 +61,20 @@ def split_components_diagram() -> Diagram:
     )
 
 
+def mixed_gluing_diagram() -> Diagram:
+    """Genus-3 map of one curve per family, not a disk-system diagram, whose
+    b-curve has two edges, leaving x01 and x04, with faces of the same two
+    classes on them: the faces on the first edge share a second edge, the
+    faces on the other share only it.  Found by a random search over maps
+    whose b-word runs along the a-word in blocks."""
+    xs = [f"x{i:02d}" for i in range(13)]
+    return Diagram(
+        {"a": xs},
+        {"b": [xs[i] for i in (0, 1, 2, 3, 5, 7, 8, 9, 10, 4, 6, 12, 11)]},
+        {x: 1 if 8 <= i <= 11 else -1 for i, x in enumerate(xs)},
+    )
+
+
 @pytest.fixture(scope="session")
 def example_32() -> Diagram:
     return example_diagram(3, 2)
@@ -90,10 +104,11 @@ SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
 
 
 def fixture_cases(maximal: Diagram):
-    """The six small fixtures, the nine sweep members, the maximal example
+    """The seven small fixtures, the nine sweep members, the maximal example
     `maximal` and 200 random twisted diagrams."""
     yield from (make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
-                                    hexagon_diagram, split_components_diagram))
+                                    hexagon_diagram, split_components_diagram,
+                                    mixed_gluing_diagram))
     yield from (example_diagram(g, l) for g, l in SWEEP)
     yield maximal
     yield from random_twisted_diagrams(200)

@@ -2,15 +2,17 @@
 
 Crossing relabeling, curve reversal, restriction to sub-families,
 stabilization, an isomorphism test by canonical certificate, edges and intersection numbers
-read off the words, a face trace through the public dart queries, plus two
-more routes through the twist splice: one lap at a time, and the multicurve
-map of the twisted disks with gamma kept.  None of it is on the check or
-generate path of the package.
+read off the words, a face trace through the public dart queries, two
+more routes through the twist splice (one lap at a time, and the multicurve
+map of the twisted disks with gamma kept), and the rectangle and composed
+rectangle types face by face and edge by edge, the oracle of the criteria's
+class table.  None of it is on the check or generate path of the package.
 """
 
 from heegaardrect import twist
 from heegaardrect.diagram import (
-    A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, Diagram, DiagramError, MINUS, PLUS,
+    A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError,
+    MINUS, PLUS,
 )
 from heegaardrect.twist import TwistSpec
 
@@ -239,3 +241,66 @@ def _drop_disks(state) -> Diagram:
     gamma_word = tuple(x for x in state.gamma_word if state.kinds[x] == twist._FG)
     signs = {x: s for x, s in state.signs.items() if state.kinds[x] == twist._FG}
     return twist.multicurve_map(disk_words, gamma_word, signs)
+
+
+# -- rectangle types ------------------------------------------------------------
+
+
+def _side_types(diagram: Diagram) -> dict[str, list]:
+    """Family -> the sorted pair of (curve index, side) sides on that family
+    of every face, in face order; None for a face that is not a rectangle
+    (degree 4).  A face's darts alternate the two families, so darts 0 and 2
+    of a rectangle's orbit lie on one family and darts 1 and 3 on the other.
+    Each distinct pair is one tuple, shared by all its faces.
+    """
+    start, orbit, curve = diagram._face_start, diagram._face_darts, diagram._dart_curve
+    a_types, b_types = [None] * (len(start) - 1), [None] * (len(start) - 1)
+    by_parity = (a_types, b_types), (b_types, a_types)
+    pairs: dict = {}
+    for i, (s, e) in enumerate(zip(start, start[1:])):
+        if e - s != 4:
+            continue
+        d0, d1, d2, d3 = orbit[s:e]
+        p, q = (curve[d0], 1 - (d0 & 2)), (curve[d2], 1 - (d2 & 2))
+        u, v = (curve[d1], 1 - (d1 & 2)), (curve[d3], 1 - (d3 & 2))
+        own, other = by_parity[d0 & 1]
+        pair = (p, q) if p <= q else (q, p)
+        own[i] = pairs.setdefault(pair, pair)
+        pair = (u, v) if u <= v else (v, u)
+        other[i] = pairs.setdefault(pair, pair)
+    return {FAMILY_A: a_types, FAMILY_B: b_types}
+
+
+def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
+    """Each pair of distinct rectangles glued along exactly one edge of an
+    `axis_family` curve, as (axis, end_minus, end_plus, b_sides, face_minus,
+    face_plus), in curve and edge order, read off `types` (`_side_types`):
+    the ends are the outer axis-family sides of the faces on the edge's minus
+    and plus sides, and `b_sides` the other family's sides, which they share.
+    """
+    out_port = PORTS[axis_family][0]
+    words = diagram.a_words if axis_family == FAMILY_A else diagram.b_words
+    axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
+    start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
+    across = [fod[alpha[e]] for e in diagram._face_darts]  # the face across each orbit arc
+
+    for axis, word in enumerate(words.values(), 1):
+        minus, plus = (axis, MINUS), (axis, PLUS)
+        # walk the curve by its out darts: the next is its mate's out port, alpha[d] ^ 2
+        d = 4 * diagram._cindex[word[0]] + out_port
+        for _ in word:
+            # the face left of the forward arc is on the plus side of the edge
+            f_plus, f_minus = fod[d], fod[alpha[d]]
+            d = alpha[d] ^ 2
+            sides_minus, sides_plus = axis_types[f_minus], axis_types[f_plus]
+            if f_plus == f_minus or sides_minus is None or sides_plus is None:
+                continue
+            k = start[f_minus]
+            if across[k:k + 4].count(f_plus) != 1:  # glued along more than this edge
+                continue
+            # the outer side of each end: the one that is not its axis side (the
+            # minus face holds the edge's in dart, the plus face its out dart)
+            (s, t), (u, v) = sides_minus, sides_plus
+            end_minus = t if s == minus else s
+            end_plus = v if u == plus else u
+            yield axis, end_minus, end_plus, cross_types[f_minus], f_minus, f_plus

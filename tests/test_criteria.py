@@ -13,9 +13,7 @@ from heegaardrect.criteria import (
     Verdict,
     Witness,
     _components,
-    _composed,
     _fmt_vertex,
-    _side_types,
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
@@ -33,7 +31,7 @@ from conftest import (
     face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, random_twisted_diagrams,
     torus_one,
 )
-from map_oracles import relabel_crossings, reverse_curve, stabilized
+from map_oracles import _composed, _side_types, relabel_crossings, reverse_curve, stabilized
 
 
 def calibration_graph() -> CriteriaGraph:

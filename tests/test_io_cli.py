@@ -178,6 +178,7 @@ _JSON_VALUES = st.recursive(
 
 @given(_JSON_VALUES)
 @example({"": [[], {}, True, False, None, 0, -1, 2**70, "\ud800"]})
+@example([1, True, -2**70, False])
 @settings(max_examples=150, deadline=None)
 def test_writer_matches_the_standard_library(x):
     assert _dumps(x) == json.dumps(x, indent=2)
@@ -204,7 +205,7 @@ def test_report_json_is_the_standard_librarys(example_32_maximal):
 
 
 def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
-    counts = {"contexts": 0, "swaps": 0, "cut_components": 0, "_side_types": 0}
+    counts = {"contexts": 0, "swaps": 0, "cut_components": 0, "_class_table": 0}
     analyse, swap_roles = CriteriaContext._analyse, Diagram.swap_roles
 
     def counting_analyse(self, *args):
@@ -231,12 +232,12 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
     monkeypatch.setattr(CriteriaContext, "_analyse", counting_analyse)
     monkeypatch.setattr(Diagram, "swap_roles", counting_swap_roles)
     count_calls(heegaardrect, "cut_components")
-    count_calls(heegaardrect.criteria, "_side_types")
+    count_calls(heegaardrect.criteria, "_class_table")
     build_report(example_32, "both")
-    # the diagram is cut and its rectangles typed once; the swapped
+    # the diagram is cut and its faces classed once; the swapped
     # orientation reads that analysis with the families exchanged and
     # builds no swapped diagram
-    assert counts == {"contexts": 2, "swaps": 0, "cut_components": 2, "_side_types": 1}
+    assert counts == {"contexts": 2, "swaps": 0, "cut_components": 2, "_class_table": 1}
 
 
 def _count_constructions(monkeypatch, *classes) -> dict:

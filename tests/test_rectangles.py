@@ -2,20 +2,21 @@ from collections import Counter
 
 import pytest
 
-from heegaardrect.criteria import CriteriaContext, _composed, _side_types
+from heegaardrect import criteria
+from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError,
 )
 
 from conftest import (
-    face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
+    face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, mixed_gluing_diagram,
     split_components_diagram, torus_one, torus_two,
 )
-from map_oracles import edges, reverse_curve
+from map_oracles import _composed, _side_types, edges, reverse_curve
 
 
 def composed(d: Diagram, family: str) -> list:
-    """The composed rectangles of `d` along `family`, as the criteria read them."""
+    """The composed rectangles of `d` along `family`, edge by edge (the oracle)."""
     return list(_composed(d, family, _side_types(d)))
 
 
@@ -192,9 +193,9 @@ def test_index_invariants_hold_in_both_views(example_32_maximal):
     (axis, +), and the two have the same cross sides."""
     cases = [*face_oracle_cases(), *fixture_cases(example_32_maximal), *maximal_subsystems(50)]
     for d in cases:
-        ctx = CriteriaContext(d)
-        for view in (ctx, ctx.swapped):
-            first, second, types = view._first, OTHER_FAMILY[view._first], view._types
+        ctx, types = CriteriaContext(d), _side_types(d)
+        for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
+            second = OTHER_FAMILY[first]
             piece = {f: comp.index for comp in view.comps_b for f in comp.faces}
             for f, b_sides in enumerate(types[second]):
                 if b_sides is not None:
@@ -208,3 +209,56 @@ def test_index_invariants_hold_in_both_views(example_32_maximal):
                 for by_l in index.values():
                     for l, edges in by_l.items():
                         assert {v for edge in edges for v in edge} <= view.a_star_set(l)
+
+
+def _oracle_indexes(d: Diagram, first: str, comps_b: tuple) -> tuple[dict, dict]:
+    """`rect_index` and `composed_index` of the view of `d` whose first family
+    is `first`, built face by face and edge by edge from the oracles: no loop
+    b-sides, and a composed rectangle filed under the piece of its minus face;
+    `comps_b` numbers the pieces."""
+    second, types = OTHER_FAMILY[first], _side_types(d)
+    piece = {f: comp.index for comp in comps_b for f in comp.faces}
+    rect: dict = {}
+    for f, (a_sides, b_sides) in enumerate(zip(types[first], types[second])):
+        if a_sides is not None and b_sides[0] != b_sides[1]:
+            rect.setdefault(a_sides, {}).setdefault(piece[f], set()).add(b_sides)
+    composed: dict = {}
+    for axis, end_minus, end_plus, b_sides, f_minus, _ in _composed(d, first, types):
+        if b_sides[0] != b_sides[1]:
+            composed.setdefault((axis, end_minus, end_plus), {}).setdefault(
+                piece[f_minus], set()).add(b_sides)
+    return rect, composed
+
+
+def test_indexes_match_the_oracles_in_both_views(example_32_maximal, monkeypatch):
+    """Both views' indexes, built from the class table, equal the ones built
+    face by face and edge by edge, on corpora that reach every outcome of
+    the glued-once rule.  Classes with complementary ends have their first
+    edge checked: it is glued once on most; twice on torus_one (whose square
+    meets itself), torus_two (whose squares share two edges) and
+    split_components_diagram, where no other edge of the classes is glued
+    once; and twice on mixed_gluing_diagram, where the scan of the other
+    edges finds one glued once."""
+    glued_once, outcomes = criteria._glued_once, []
+
+    def recording(surface, family, x):
+        outcomes.append((family, result := glued_once(surface, family, x)))
+        return result
+
+    def check(cases):
+        for d in cases:
+            ctx = CriteriaContext(d)
+            for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
+                rect, composed = _oracle_indexes(d, first, view.comps_b)
+                assert view.rect_index == rect
+                assert view.composed_index == composed
+
+    monkeypatch.setattr(criteria, "_glued_once", recording)
+    check([*fixture_cases(example_32_maximal), *face_oracle_cases(), *maximal_subsystems(50)])
+    assert {result for _, result in outcomes} == {True, False}
+    outcomes.clear()
+    check([torus_two()])
+    assert {result for _, result in outcomes} == {False}
+    outcomes.clear()
+    check([mixed_gluing_diagram()])
+    assert [result for family, result in outcomes if family == FAMILY_B] == [False, False, True]
