@@ -107,7 +107,14 @@ def cmd_export_graph(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once when this module is imported.
+
+    Each subcommand's `func` default is bound here, so `main` dispatches to the
+    `cmd_*` functions as they were at import.  argparse reads the terminal width
+    and `sys.stderr` when it formats or parses, not here, so one shared parser
+    prints what a fresh one would.
+    """
     parser = argparse.ArgumentParser(
         prog="heegaardrect",
         description="Rectangle and double rectangle conditions for "
@@ -143,8 +150,19 @@ def main(argv=None) -> int:
                    help="DOT output (the default and only format)")
     p.add_argument("-o", "--output", help="write the graph to a file")
     p.set_defaults(func=cmd_export_graph)
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    """Run one command; `argv` defaults to `sys.argv[1:]`.
+
+    It may be called any number of times in one process: each call parses
+    with `_PARSER` and carries nothing over to the next.
+    """
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except DiagramError as exc:

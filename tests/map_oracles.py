@@ -51,16 +51,22 @@ def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
     return Diagram(a_words, b_words, signs, aux=d.aux)
 
 
-def stabilized(d: Diagram, curve: str, position: int, signs) -> Diagram:
-    """`d` with one handle added: an a-curve (y, y2) and a b-curve (y), with
-    y2 inserted before index `position` of the b-curve `curve`; `signs` gives
-    the signs of y and y2.  The new b-curve meets the new a-curve once, so
-    the Heegaard splitting is stabilized."""
+def stabilized(d: Diagram, curve: str, position: int, signs, family: str = "b") -> Diagram:
+    """`d` with one handle added, y2 inserted before index `position` of the
+    curve `curve` of `family` ("a" or "b"); `signs` gives the signs of y and y2.
+
+    Into a b-curve: the new a-curve is (y, y2) and the new b-curve (y).  Into
+    an a-curve: the new b-curve is (y, y2) and the new a-curve (y).  The new
+    b-curve meets the new a-curve once, so the Heegaard splitting is stabilized.
+    """
     if {"y", "y2"} & d.signs.keys() or "ya" in d.a_words or "yb" in d.b_words:
         raise DiagramError("the ids of the new handle are taken")
-    word = d.b_words[curve]
-    b_words = {**d.b_words, curve: word[:position] + ("y2",) + word[position:], "yb": ("y",)}
-    a_words = {**d.a_words, "ya": ("y", "y2")}
+    a_words, b_words = dict(d.a_words), dict(d.b_words)
+    into, other = (a_words, b_words) if family == "a" else (b_words, a_words)
+    word = into[curve]
+    into[curve] = word[:position] + ("y2",) + word[position:]
+    into["ya" if family == "a" else "yb"] = ("y",)
+    other["yb" if family == "a" else "ya"] = ("y", "y2")
     return Diagram(a_words, b_words, {**d.signs, "y": signs[0], "y2": signs[1]}, aux=d.aux)
 
 

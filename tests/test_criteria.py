@@ -28,8 +28,8 @@ from heegaardrect.systems import CutComponent, cut_components, validate_disk_sys
 from heegaardrect.twist import chain_base, example_diagram
 
 from conftest import (
-    face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, random_twisted_diagrams,
-    torus_one,
+    SWEEP, face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
+    random_twisted_diagrams, torus_one,
 )
 from map_oracles import _composed, _side_types, relabel_crossings, reverse_curve, stabilized
 
@@ -789,20 +789,24 @@ def test_orientation_invariance_smoke(example_22):
 def test_stabilized_diagrams_fail_both_conditions(example_32_maximal):
     """A stabilized splitting is not strongly irreducible and its Goeritz
     group is infinite, so adding a handle whose new curves meet once makes
-    RC fail in both views and DRC fail, on a diagram that passes validation."""
+    RC fail in both views and DRC fail, on a diagram that passes validation,
+    whether the handle's second crossing goes into an a-curve or a b-curve."""
     bases = [*random_twisted_diagrams(60),
              *(example_diagram(g, p) for g in (2, 3, 4, 5) for p in (2, -3)),
-             example_32_maximal]
+             *(example_diagram(g, l) for g, l in SWEEP),
+             example_32_maximal,
+             *_passing(maximal_subsystems(50))]
     for i, d in enumerate(bases):
-        curve = min(d.b_words)
-        for signs in itertools.product((1, -1), repeat=2):
-            s = stabilized(d, curve, i % len(d.b_words[curve]), signs)
-            ctx = CriteriaContext(s)
-            assert s.genus == d.genus + 1
-            assert ctx.validation.passed
-            assert not rectangle_condition(None, ctx).holds
-            assert not rectangle_condition(None, ctx.swapped).holds
-            assert not double_rectangle_condition(None, ctx).holds
+        for family, words in (("a", d.a_words), ("b", d.b_words)):
+            curve = min(words)
+            for signs in itertools.product((1, -1), repeat=2):
+                s = stabilized(d, curve, i % len(words[curve]), signs, family)
+                ctx = CriteriaContext(s)
+                assert s.genus == d.genus + 1
+                assert ctx.validation.passed, (i, family, signs)
+                assert not rectangle_condition(None, ctx).holds
+                assert not rectangle_condition(None, ctx.swapped).holds
+                assert not double_rectangle_condition(None, ctx).holds
 
 
 def test_verdict_invariant():

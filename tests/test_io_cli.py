@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import heegaardrect
+from heegaardrect import cli
 from heegaardrect.cli import main
 from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import Crossing, Diagram, DiagramError, Face, FaceSide
@@ -503,6 +505,72 @@ def test_cli_output_is_plain_text(tmp_path, capsys):
     run_cli("check", str(f))
     out = capsys.readouterr().out
     assert "\x1b[" not in out  # no ANSI escapes regardless of NO_COLOR
+
+
+def _exit_code(argv) -> int:
+    """`main`'s return value, or the code of the `SystemExit` argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _fresh_exit_code(monkeypatch, argv) -> int:
+    """`_exit_code` with a parser built just for this call."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_PARSER", cli._build_parser())
+        return _exit_code(argv)
+
+
+def test_cli_reuses_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """Repeated in-process calls of every command, a usage error and an
+    invalid diagram among them, build no parser and print, write and exit as
+    calls with a freshly built parser do."""
+    e = tmp_path / "e.json"
+    e.write_text((GOLDEN / "example_3_2.json").read_text())
+    torus = tmp_path / "torus.json"
+    torus.write_text(serialize_diagram(torus_one()))
+    reports = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    calls = [
+        ["check", str(e), "--structured", "-o", str(reports[0])],
+        ["validate", str(e)],
+        ["export-graph", str(e), "--which", "Gk:1"],
+        ["generate", "--genus", "3", "--power", "2"],
+        ["check", str(e), "--condition", "neither"],
+        ["check", str(torus)],
+        ["check", str(e), "--structured", "-o", str(reports[1])],
+    ]
+    counts = _count_constructions(monkeypatch, argparse.ArgumentParser)
+    shared = []
+    for argv in calls:
+        code = _exit_code(argv)
+        shared.append((code, *capsys.readouterr()))
+    assert counts == {"ArgumentParser": 0}
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 2, 0]
+    golden = (GOLDEN / "report_3_2.json").read_bytes()
+    assert all(report.read_bytes() == golden for report in reports)
+    fresh = []
+    for argv in calls:
+        code = _fresh_exit_code(monkeypatch, argv)
+        fresh.append((code, *capsys.readouterr()))
+    assert fresh == shared
+    assert counts == {"ArgumentParser": 5 * len(calls)}  # the root and four subcommands
+
+
+def test_cli_help_wraps_to_the_width_of_each_call(monkeypatch, capsys):
+    helps = {}
+    for width in (40, 120):
+        monkeypatch.setenv("COLUMNS", str(width))
+        for argv in (["--help"], ["check", "--help"]):
+            assert _exit_code(argv) == 0
+            out = capsys.readouterr().out
+            assert _fresh_exit_code(monkeypatch, argv) == 0
+            assert capsys.readouterr().out == out
+            helps[width, argv[0]] = out
+    description = cli._PARSER.description
+    assert description not in helps[40, "--help"].splitlines()
+    assert description in helps[120, "--help"].splitlines()
+    assert helps[40, "check"] != helps[120, "check"]
 
 
 def _bigons_file(path: Path, a: str, b: str) -> Path:
