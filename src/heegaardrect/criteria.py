@@ -24,9 +24,10 @@ from operator import and_, sub
 from typing import Optional, Sequence
 
 from .diagram import (
-    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, side_str,
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _union,
+    side_str,
 )
-from .systems import ValidationReport, cut_components, validate_components
+from .systems import ValidationReport, _component, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
@@ -238,53 +239,92 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
 # -- analysis context --------------------------------------------------------
 
 
-def _class_table(surface: Diagram, cuts: dict) -> tuple:
+def _class_table(surface: Diagram) -> tuple:
     """The faces of `surface` sorted into classes, each class decoded once.
 
-    A face's class is its key: its degree, the curve and port of the first
-    four darts of its orbit, and its piece in each family's cut (`cuts`,
-    keyed by family).  Faces of one class have the same sides and pieces, and
-    most faces of a large diagram fall into a few classes, so the keys are
-    deduplicated at C speed and only the distinct ones are read.  Returns
-    each face's class, numbered by its first face, and class -> ((a-type,
-    b-type), (a-piece, b-piece)), the pieces by their index in the cut.  A
-    type is the sorted pair of (curve index, side) sides of a rectangle (a
-    face of degree 4) on that family, None for any other face; each distinct
-    pair is one tuple.  A face's darts alternate the two families, so darts
-    0 and 2 of a rectangle's orbit lie on one family and darts 1 and 3 on
-    the other.
+    A face's class is its key: its degree and the curve and port of the first
+    four darts of its orbit.  Faces of one class have the same sides, and most
+    faces of a large diagram fall into a few classes, so the keys are
+    deduplicated at C speed and only the distinct ones are read.  A face's
+    darts alternate the two families, so darts 0 and 2 of its orbit lie on
+    one family and darts 1 and 3 on the other; the sorted pair of their
+    (curve index, side) sides is the class's pair on that family, each
+    distinct pair one tuple.  Returns each face's class, numbered by its first
+    face; class -> ((a-type, b-type), (a-pair, b-pair)), a type being the
+    pair of a rectangle (a face of degree 4, whose pairs are all its sides)
+    and None for any other face; and the faces of degree above 4, the only
+    ones with sides beyond their key.
     """
     start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
     alpha, sigma_inv = surface._alpha, surface._sigma_inv
-    pieces = {}
-    for family, comps in cuts.items():
-        pieces[family] = piece = [0] * (len(start) - 1)
-        for comp in comps:
-            for f in comp.faces:
-                piece[f] = comp.index
+    degrees = list(map(sub, start[1:], start))
     # the first four darts of every orbit, turning by the next dart round a
     # face, sigma_inv . alpha, so a bigon repeats its two
     darts = [list(map(orbit.__getitem__, start[:-1]))]
     for _ in range(3):
         darts.append(list(map(sigma_inv.__getitem__, map(alpha.__getitem__, darts[-1]))))
-    keys = zip(map(sub, start[1:], start),
-               *(m for ds in darts for m in (map(curve.__getitem__, ds), map(and_, ds, repeat(3)))),
-               pieces[FAMILY_A], pieces[FAMILY_B])
+    keys = zip(degrees, *(m for ds in darts
+                          for m in (map(curve.__getitem__, ds), map(and_, ds, repeat(3)))))
     classes: dict = {}
     face_class = list(map(classes.setdefault, keys, count()))
 
     decoded, pairs = {}, {}
-    for (degree, c0, p0, c1, p1, c2, p2, c3, p3, *piece), i in classes.items():
-        types = None, None
-        if degree == 4:
-            p, q = (c0, 1 - (p0 & 2)), (c2, 1 - (p2 & 2))
-            u, v = (c1, 1 - (p1 & 2)), (c3, 1 - (p3 & 2))
-            own, other = (p, q) if p <= q else (q, p), (u, v) if u <= v else (v, u)
-            types = pairs.setdefault(own, own), pairs.setdefault(other, other)
-            if p0 & 1:  # dart 0 is on the second family
-                types = types[::-1]
-        decoded[i] = types, tuple(piece)
-    return face_class, decoded
+    for (degree, c0, p0, c1, p1, c2, p2, c3, p3), i in classes.items():
+        p, q = (c0, 1 - (p0 & 2)), (c2, 1 - (p2 & 2))
+        u, v = (c1, 1 - (p1 & 2)), (c3, 1 - (p3 & 2))
+        own, other = (p, q) if p <= q else (q, p), (u, v) if u <= v else (v, u)
+        sides = pairs.setdefault(own, own), pairs.setdefault(other, other)
+        if p0 & 1:  # dart 0 is on the second family
+            sides = sides[::-1]
+        decoded[i] = (sides if degree == 4 else (None, None)), sides
+    return face_class, decoded, list(compress(count(), map((4).__lt__, degrees)))
+
+
+def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -> dict:
+    """Both families' cut components, keyed by family and equal to
+    `cut_components`, from what `_class_table` returns.
+
+    A face's circles of the cut family lie in its piece, and two faces
+    across an uncut edge share the circle at either end of it, so the pieces
+    are the circles joined within each face: both of a class's pair, and
+    every circle of a face of degree above 4.  A class's piece is that of its
+    pair; the pieces are numbered by their least class, which holds their
+    least face.
+    """
+    start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
+    every = tuple(range(len(face_class)))  # the face numbers, shared by every piece
+    cuts = {}
+    for bit, (family, words) in enumerate(((FAMILY_A, surface.a_words),
+                                           (FAMILY_B, surface.b_words))):
+        # circle (i, side) is node 2i, plus one on the minus side
+        pairs = [(2 * p[0] + (p[1] < 0), 2 * q[0] + (q[1] < 0))
+                 for p, q in (sides[bit] for _, sides in classes.values())]
+        joins = pairs[:]
+        for f in big:  # its darts on this family, every other one from the first
+            k = start[f] + (bit ^ orbit[start[f]] & 1)
+            nodes = [2 * curve[d] + (d >> 1 & 1) for d in orbit[k:start[f + 1]:2]]
+            joins += zip(nodes, nodes[1:])
+        parent = _union(list(range(2 * len(words) + 2)), joins)
+        # one pass in increasing order points every node at its root
+        for x in range(len(parent)):
+            parent[x] = parent[parent[x]]
+
+        index: dict = {}  # root -> piece index from 0, in order of the least class
+        class_piece = [index.setdefault(parent[p], len(index)) for p, _ in pairs]
+        circles: list = [[] for _ in index]
+        for x in range(2, len(parent)):
+            circles[index[parent[x]]].append((x >> 1, MINUS if x & 1 else PLUS))
+        if len(index) == 1:
+            faces = [every]
+        else:
+            held: list = [set() for _ in index]
+            for c, k in zip(classes, class_piece):
+                held[k].add(c)
+            faces = [compress(every, map(h.__contains__, face_class)) for h in held]
+        lengths = [len(word) for word in words.values()]
+        cuts[family] = tuple(_component(k, family, fs, cs, lengths)
+                             for k, (fs, cs) in enumerate(zip(faces, circles), 1))
+    return cuts
 
 
 def _axis_edges(surface: Diagram, family: str, face_class: list):
@@ -330,9 +370,10 @@ def _numbered(surface: Diagram, comps: tuple, piece_of, flip: int, family: str) 
 class CriteriaContext:
     """The analysis of one orientation of a diagram, shared by every criterion.
 
-    It cuts each family once and sorts the faces into classes once
-    (`_class_table`); the disk-system `validation`, the rectangle indexes
-    and the pair verdicts are all derived from those.  The criteria are
+    It sorts the faces into classes once (`_class_table`) and cuts each
+    family from those classes (`_cut_classes`); the disk-system
+    `validation`, the rectangle indexes and the pair verdicts are all
+    derived from those.  The criteria are
     stated for disk systems, so each graph and pair verdict of a diagram
     that fails `validation` raises, naming the failed checks.
 
@@ -362,14 +403,21 @@ class CriteriaContext:
     """
 
     def __init__(self, diagram: Diagram):
-        cuts = {family: cut_components(diagram, family) for family in OTHER_FAMILY}
-        self._analyse(diagram, FAMILY_A, (cuts, *_class_table(diagram, cuts)))
+        face_class, classes, big = _class_table(diagram)
+        cuts = _cut_classes(diagram, face_class, classes, big)
+        # each class's piece in each cut: the piece of a circle of its pair
+        piece_a, piece_b = ({c: comp.index for comp in cuts[family] for c in comp.a_set}
+                            for family in (FAMILY_A, FAMILY_B))
+        classes = {i: (types, (piece_a[a[0]], piece_b[b[0]]))
+                   for i, (types, (a, b)) in classes.items()}
+        self._analyse(diagram, FAMILY_A, (cuts, face_class, classes))
         self._failed_checks = ", ".join(dict.fromkeys(code for code, _ in self.validation))
 
     def _analyse(self, surface: Diagram, first: str, table: tuple) -> None:
         """Indexes of the view of `surface` whose first family is `first`,
-        from `table`: the cut components keyed by family, then what
-        `_class_table` returns for them.  Each class is read once for
+        from `table`: the cut components keyed by family, each face's class,
+        and class -> (its types as `_class_table` gives them, its (a-piece,
+        b-piece) by index in the cut).  Each class is read once for
         `rect_index`, and each distinct (axis, minus class, plus class) of an
         edge of a `first` curve once for `composed_index`."""
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
@@ -472,7 +520,7 @@ class CriteriaContext:
 
     def k_of(self, disk: int, side: int) -> int:
         """Index k of the first-family component whose labels A_k hold (disk, side);
-        `cut_components` files both sides of every curve, so one does."""
+        each cut files both sides of every curve, so one does."""
         if not 1 <= disk <= self.n:
             raise DiagramError(f"disk index {disk} out of range 1..{self.n}")
         if side not in (MINUS, PLUS):

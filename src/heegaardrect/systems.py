@@ -21,7 +21,7 @@ class CutComponent:
 
     `a_set` lists the boundary circles as (curve index, side) pairs, indices
     1-based within the cut family.  `euler` is the Euler characteristic of
-    the compact component, read off its face degrees (see `cut_components`);
+    the compact component, read off its faces (see `cut_components`);
     it is planar iff ``euler == 2 - len(a_set)``.
     """
 
@@ -42,7 +42,9 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     families, so a face of degree f accounts for f/2 split crossings (each
     corner is shared by two faces), f/4 interior edges and f/2 boundary
     arcs, and a component's Euler characteristic is the sum of (4 - f)/4
-    over its faces.
+    over its faces (`_component` reads it off the crossings on its
+    circles).  A check cuts both families from the face classes it already
+    holds (`criteria._cut_classes`) instead of running this face union.
     """
     if family not in OTHER_FAMILY:
         raise DiagramError(f"unknown family {family!r}")
@@ -72,20 +74,19 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
         circles[parent[fod[d + in_port]]].append((i, MINUS))
         circles[parent[fod[d + out_port]]].append((i, PLUS))
 
-    components = []
-    for root, faces in groups.items():
-        euler = sum(4 - start[f + 1] + start[f] for f in faces) // 4
-        components.append(
-            CutComponent(
-                index=len(components) + 1,
-                family=family,
-                faces=tuple(faces),
-                a_set=frozenset(circles[root]),
-                euler=euler,
-                planar=euler == 2 - len(circles[root]),
-            )
-        )
-    return tuple(components)
+    lengths = [len(word) for word in words.values()]
+    return tuple(_component(k, family, faces, circles[root], lengths)
+                 for k, (root, faces) in enumerate(groups.items(), 1))
+
+
+def _component(index: int, family: str, faces, circles: list, lengths: list) -> CutComponent:
+    """The cut component with these faces and boundary circles, (curve index,
+    side) pairs, `lengths` giving each cut curve's crossing count by index.
+    Its boundary arcs are the arcs of its circles, so its face degrees sum to
+    twice the crossings on them, which gives its Euler characteristic."""
+    faces = tuple(faces)
+    euler = (4 * len(faces) - 2 * sum(lengths[i - 1] for i, _ in circles)) // 4
+    return CutComponent(index, family, faces, frozenset(circles), euler, euler == 2 - len(circles))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from heegaardrect.diagram import (
 )
 from heegaardrect.diagramio import build_report
 from heegaardrect.systems import CutComponent, cut_components, validate_disk_systems
-from heegaardrect.twist import chain_base, example_diagram
+from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
 from conftest import (
     SWEEP, face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
@@ -844,18 +844,40 @@ def test_swapped_numbering_is_by_least_swapped_dart():
             assert [c.index for c in getattr(swapped, attr)] == list(range(1, len(order) + 1))
 
 
+def _cut_corpora(maximal: Diagram):
+    """The fixtures, the face oracle cases (example(13, 2) has faces of
+    degree above 4), the sub-systems of the maximal example, valid or not and
+    of several pieces, and the multicurve maps."""
+    yield from fixture_cases(maximal)
+    yield from face_oracle_cases()
+    yield from maximal_subsystems(50)
+    yield from (chain_base(g) for g in range(2, 6))
+    yield maximal_chain_base()
+
+
 def test_swapped_context_matches_a_fresh_build(example_32_maximal):
     """`ctx.swapped` is the view of this diagram with the families exchanged;
     the context built from scratch on the swap is the oracle.  The view keeps
     this diagram's face numbers, so only those are mapped, through d -> d ^ 1
-    (see `test_swap_maps_every_face_through_the_port_involution`)."""
-    for d in fixture_cases(example_32_maximal):
+    (see `test_swap_maps_every_face_through_the_port_involution`).  A context
+    cuts both families from its face classes; in both orientations the face
+    union `cut_components` is the oracle of its cut components, field for
+    field, and `validate_disk_systems` of its validation."""
+    seen = 0
+    for d in _cut_corpora(example_32_maximal):
         ctx = CriteriaContext(d)
+        assert ctx.comps_a == cut_components(d, FAMILY_A)
+        assert ctx.comps_b == cut_components(d, FAMILY_B)
+        seen += 1
+        if d.aux:  # a multicurve map has no second disk system and no swap
+            continue
         swap = d.swap_roles()
         fresh = CriteriaContext(swap)
         swapped = ctx.swapped
-        assert ctx.comps_a == cut_components(d, FAMILY_A)
-        assert ctx.comps_b == cut_components(d, FAMILY_B)
+        assert ctx.validation.entries == validate_disk_systems(d).entries
+        assert fresh.comps_a == cut_components(swap, FAMILY_A)
+        assert fresh.comps_b == cut_components(swap, FAMILY_B)
+        assert fresh.validation.entries == validate_disk_systems(swap).entries
         perm = [swap.face_of_dart(f.darts[0] ^ 1) for f in d.faces]
         for attr in ("comps_a", "comps_b"):
             mine, theirs = getattr(swapped, attr), getattr(fresh, attr)
@@ -876,3 +898,4 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
             x: -cr.sign for x, cr in d.crossings.items()
         }
         assert swapped.swapped is ctx
+    assert seen == 324

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,36 @@ def test_word_check_messages(a_words, b_words, aux, message):
     signs = {**dict.fromkeys("wxyz", 1), 1: 1}
     with pytest.raises(DiagramError) as exc:
         Diagram(a_words, b_words, signs, aux=aux)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("a_words, b_words, signs, message", [
+    # the first fault in curve order is named, whatever follows it
+    ({"a": (), "b": (["x"],)}, {"c": ("x",)}, {"x": 1}, "curve a has an empty word"),
+    ({"a": ("x", ["y"]), "c": ()}, {"b": ("x",)}, {"x": 1}, UNORDERED),
+    ({"a": ("x",)}, {"b": (), "c": (["x"],)}, {"x": 1}, "curve b has an empty word"),
+    ({"a": ("x",), "c": ("x",), "d": ()}, {"b": ("x",)}, {"x": 1},
+     "crossing x occurs twice in the first family"),
+    ({"a": ("x", "x")}, {"b": ("x", "y")}, {"x": 1, "y": 1},
+     "crossing x occurs twice in the first family"),
+    ({"a": ("x", "y")}, {"b": ("y", "z", "z")}, {"x": 1, "y": 1, "z": 1},
+     "crossing z occurs twice in the second family"),
+    # a missing sign is named before a bad one, and the least bad one
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 2}, "crossing y has no sign"),
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, {"y": 2}, "crossing x has no sign"),
+    # a mapping with a default still lacks the crossings it does not hold
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, defaultdict(int, x=1), "crossing y has no sign"),
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 1, "y": True}, "crossing y: sign must be +1 or -1"),
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 1.0, "y": 1}, "crossing x: sign must be +1 or -1"),
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": -1, "y": 0}, "crossing y: sign must be +1 or -1"),
+    ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 2, "y": 0}, "crossing x: sign must be +1 or -1"),
+])
+def test_input_check_precedence(a_words, b_words, signs, message):
+    """Where an input has several faults, the message names the one met first
+    by a scan of the families, curve by curve and token by token, and then
+    of the signs in crossing id order."""
+    with pytest.raises(DiagramError) as exc:
+        Diagram(a_words, b_words, signs)
     assert str(exc.value) == message
 
 

@@ -206,6 +206,20 @@ def test_report_json_is_the_standard_librarys(example_32_maximal):
         assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
+def _count_calls(monkeypatch, counts: dict, home, name):
+    """Count calls of `home.name` into `counts[name]`, from every package
+    module that holds it."""
+    original = getattr(home, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("heegaardrect") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+
+
 def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
     counts = {"contexts": 0, "swaps": 0, "cut_components": 0, "_class_table": 0}
     analyse, swap_roles = CriteriaContext._analyse, Diagram.swap_roles
@@ -219,27 +233,25 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
         counts["swaps"] += 1
         return swap_roles(self)
 
-    def count_calls(home, name):
-        """Count calls of `home.name` from every package module that holds it."""
-        original = getattr(home, name)
-
-        def counting(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("heegaardrect") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
-
     monkeypatch.setattr(CriteriaContext, "_analyse", counting_analyse)
     monkeypatch.setattr(Diagram, "swap_roles", counting_swap_roles)
-    count_calls(heegaardrect, "cut_components")
-    count_calls(heegaardrect.criteria, "_class_table")
+    _count_calls(monkeypatch, counts, heegaardrect, "cut_components")
+    _count_calls(monkeypatch, counts, heegaardrect.criteria, "_class_table")
     build_report(example_32, "both")
-    # the diagram is cut and its faces classed once; the swapped
-    # orientation reads that analysis with the families exchanged and
-    # builds no swapped diagram
-    assert counts == {"contexts": 2, "swaps": 0, "cut_components": 2, "_class_table": 1}
+    # the faces are classed once, and both families are cut from those
+    # classes, not by the face union; the swapped orientation reads that
+    # analysis with the families exchanged and builds no swapped diagram
+    assert counts == {"contexts": 2, "swaps": 0, "cut_components": 0, "_class_table": 1}
+
+
+def test_validation_alone_cuts_by_the_face_union(example_32, monkeypatch):
+    """`validate_disk_systems` (the `validate` and `generate` commands) holds
+    no face classes, so it cuts each family by the face union."""
+    counts = {"cut_components": 0, "_class_table": 0}
+    _count_calls(monkeypatch, counts, heegaardrect, "cut_components")
+    _count_calls(monkeypatch, counts, heegaardrect.criteria, "_class_table")
+    assert validate_disk_systems(example_32).passed
+    assert counts == {"cut_components": 2, "_class_table": 0}
 
 
 def _count_constructions(monkeypatch, *classes) -> dict:

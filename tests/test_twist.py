@@ -15,7 +15,7 @@ from heegaardrect.twist import (
     maximal_chain_base,
     multicurve_map,
 )
-from heegaardrect.diagramio import serialize_diagram
+from heegaardrect.diagramio import build_report, serialize_diagram
 
 from map_oracles import (
     dehn_twist_iterated,
@@ -245,3 +245,22 @@ def test_example_diagram_maximal_counts(example_32_maximal):
     assert len(example_32_maximal.a_words) == 6
     assert len(example_32_maximal.b_words) == 6
     assert validate_disk_systems(example_32_maximal).passed
+
+
+def _report_less_crossings(genus: int, power: int) -> dict:
+    report = build_report(example_diagram(genus, power), "both")
+    del report["input"]["crossings"]
+    return report
+
+
+@pytest.mark.parametrize("genus, powers", [
+    *((g, (2, 3, 5, 8)) for g in range(2, 7)),
+    (3, (16, 32)),
+])
+def test_report_does_not_depend_on_the_power(genus, powers):
+    """The report of example(g, p), less its crossing count, is that of
+    example(g, 2) at every power tested, of either sign: the power changes
+    how many faces there are, not the verdicts, witnesses or counts."""
+    base = _report_less_crossings(genus, 2)
+    for power in (*powers, *(-p for p in powers)):
+        assert _report_less_crossings(genus, power) == base, power
