@@ -256,13 +256,13 @@ def _class_table(surface: Diagram) -> tuple:
     ones with sides beyond their key.
     """
     start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
-    alpha, sigma_inv = surface._alpha, surface._sigma_inv
+    phi = surface._phi
     degrees = list(map(sub, start[1:], start))
-    # the first four darts of every orbit, turning by the next dart round a
-    # face, sigma_inv . alpha, so a bigon repeats its two
+    # the first four darts of every orbit, each the face successor `phi` of
+    # the last, so a bigon repeats its two
     darts = [list(map(orbit.__getitem__, start[:-1]))]
     for _ in range(3):
-        darts.append(list(map(sigma_inv.__getitem__, map(alpha.__getitem__, darts[-1]))))
+        darts.append(list(map(phi.__getitem__, darts[-1])))
     keys = zip(degrees, *(m for ds in darts
                           for m in (map(curve.__getitem__, ds), map(and_, ds, repeat(3)))))
     classes: dict = {}

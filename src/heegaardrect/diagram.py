@@ -33,8 +33,10 @@ Conventions (fixed once, everything else follows):
   the numbering by least dart change.  The criteria analyse both orientations
   as two views of one map; `Diagram.swap_roles` builds the swap on its own.
 
-* One rotation table is kept, ``sigma_inv``: the next dart clockwise at a
-  crossing.  Face tracing walks it.
+* One table of turns is kept, ``_phi``: the next dart round a face, along
+  the edge ``_alpha`` and then one turn clockwise at the crossing reached.
+  Face tracing walks it; the clockwise turn at a crossing is
+  ``sigma_inv[d] = _phi[_alpha[d]]``.
 
 * Faces and crossings are flat integer tables, and every command reads
   only those: face ``i`` is ``_face_darts[_face_start[i]:_face_start[i + 1]]``,
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -144,30 +147,26 @@ class Diagram:
     ):
         self.aux = aux
         try:  # ids of mixed types cannot be sorted, nor unhashable ones looked up
-            self.a_words: dict[str, tuple[str, ...]] = {
-                c: tuple(w) for c, w in sorted(a_words.items())
-            }
-            self.b_words: dict[str, tuple[str, ...]] = {
-                c: tuple(w) for c, w in sorted(b_words.items())
-            }
-            ids = tuple(sorted(self._check_words()))
+            self.a_words, self.b_words = ({c: tuple(w) for c, w in sorted(words.items())}
+                                          for words in (a_words, b_words))
+            ids = self._check_words()
         except TypeError:
             raise DiagramError("curve and crossing ids must be hashable and mutually ordered") from None
-        missing = [x for x in ids if x not in signs]
-        if missing:
-            raise DiagramError(f"crossing {missing[0]} has no sign")
+        if not all(map(signs.__contains__, ids)):
+            raise DiagramError(f"crossing {next(x for x in ids if x not in signs)} has no sign")
         self._crossing_ids: tuple[str, ...] = ids
-        self._signs = [signs[x] for x in ids]
-        bad = [x for x, s in zip(ids, self._signs) if type(s) is not int or s not in (MINUS, PLUS)]
-        if bad:
-            raise DiagramError(f"crossing {bad[0]}: sign must be +1 or -1")
-        self._cindex = {x: i for i, x in enumerate(ids)}
+        self._signs = values = list(map(signs.__getitem__, ids))
+        if not (set(map(type, values)) == {int} and set(values) <= {MINUS, PLUS}):
+            bad = (x for x, s in zip(ids, values) if type(s) is not int or s not in (MINUS, PLUS))
+            raise DiagramError(f"crossing {next(bad)}: sign must be +1 or -1")
+        self._dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))  # id -> its dart 0
         self._build_map()
 
     # -- construction ------------------------------------------------------
 
-    def _check_words(self) -> set[str]:
-        """The crossing ids, checked to occur once in each family."""
+    def _check_words(self) -> tuple[str, ...]:
+        """The crossing ids, sorted, checked to occur once in each family:
+        by set sizes, and where those fail by a scan that names the first fault."""
         families = ((self.a_words, "first"), (self.b_words, "second"))
         for words, which in families:
             if not words:
@@ -177,45 +176,54 @@ class Diagram:
         dup = set(self.a_words) & set(self.b_words)
         if dup:
             raise DiagramError(f"curve ids used in both families: {sorted(dup)}")
-        ids = []
-        for words, which in families:
-            seen: set[str] = set()
-            for curve, word in words.items():
-                if not word:
-                    raise DiagramError(f"curve {curve} has an empty word")
-                for x in word:
-                    if x in seen:
-                        raise DiagramError(f"crossing {x} occurs twice in the {which} family")
-                    seen.add(x)
-            ids.append(seen)
-        if ids[0] != ids[1]:
-            raise DiagramError(f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}")
-        return ids[0]
+        a, b = self.a_words.values(), self.b_words.values()
+        try:  # no empty word, and each family's ids as many as its tokens and the same
+            ids = set(chain.from_iterable(a))
+            sound = (all(a) and all(b) and len(ids) == sum(map(len, a)) == sum(map(len, b))
+                     and ids == set(chain.from_iterable(b)))
+        except TypeError:  # an unhashable id, which the scan may name after another fault
+            sound = False
+        if not sound:  # family by family, curve by curve and token by token
+            ids = []
+            for words, which in families:
+                seen: set[str] = set()
+                for curve, word in words.items():
+                    if not word:
+                        raise DiagramError(f"curve {curve} has an empty word")
+                    for x in word:
+                        if x in seen:
+                            raise DiagramError(f"crossing {x} occurs twice in the {which} family")
+                        seen.add(x)
+                ids.append(seen)
+            if ids[0] != ids[1]:
+                stray = sorted(ids[0] ^ ids[1])
+                raise DiagramError(f"crossing occurrences do not match up: {stray}")
+        return tuple(sorted(chain.from_iterable(a)))  # long sorted runs: a quick sort
 
     def _build_map(self):
         n = len(self._crossing_ids)
         nd = 4 * n
-        # the one rotation table: sigma_inv turns each dart to the next
-        # clockwise at its crossing, ports 0, 3, 2, 1 in turn at sign +1 and
-        # 0, 1, 2, 3 at sign -1 (sigma, counterclockwise, is its inverse)
+        # sigma_inv turns each dart to the next clockwise at its crossing,
+        # ports 0, 3, 2, 1 in turn at sign +1 and 0, 1, 2, 3 at sign -1
+        # (sigma, counterclockwise, is its inverse)
         sigma_inv = []
         for b, sign in zip(range(0, nd, 4), self._signs):
             sigma_inv += (b + 3, b, b + 1, b + 2) if sign == PLUS else (b + 1, b + 2, b + 3, b)
-        alpha, dart_curve, cindex = [0] * nd, [0] * nd, self._cindex
+        alpha, dart_curve, dart0 = [0] * nd, [0] * nd, self._dart0
         for (out_port, in_port), words in zip(PORTS.values(), (self.a_words, self.b_words)):
             for curve, word in enumerate(words.values(), 1):
-                darts = [4 * cindex[x] for x in word]
+                darts = list(map(dart0.__getitem__, word))
                 for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
                     alpha[s + out_port] = t + in_port
                     alpha[t + in_port] = s + out_port
                     dart_curve[s + out_port] = dart_curve[s + in_port] = curve
-        self._sigma_inv = sigma_inv
         self._alpha = alpha
         self._dart_curve = dart_curve
 
         if not self._connected():
             raise DiagramError("disconnected diagram unsupported")
 
+        self._phi = list(map(sigma_inv.__getitem__, alpha))  # the next dart round a face
         self._trace_faces()
         v, e, f = n, 2 * n, len(self._face_start) - 1
         chi = v - e + f
@@ -228,22 +236,24 @@ class Diagram:
         # curve, so the map is connected iff the curves are, joined at the
         # crossings they share; b-curve j is node n + j after the n a-curves
         n, curve = len(self.a_words), self._dart_curve
-        parent = _union(list(range(n + len(self.b_words) + 1)),
-                        {(a, n + b) for a, b in zip(curve[A_OUT::4], curve[B_OUT::4])})
+        pairs = set(zip(curve[A_OUT::4], curve[B_OUT::4]))
+        parent = _union(list(range(n + len(self.b_words) + 1)), [(a, n + b) for a, b in pairs])
         return sum(parent[i] == i for i in range(1, len(parent))) == 1
 
     def _trace_faces(self) -> None:
         """The face tables: faces numbered by least dart, each orbit from it."""
-        phi = list(map(self._sigma_inv.__getitem__, self._alpha))  # the next dart round a face
+        phi = self._phi
         face_of = [-1] * len(phi)
         orbit: list[int] = []
         push = orbit.append
         face_start = [0]
-        for start in range(len(phi)):
-            if face_of[start] >= 0:
+        for start, i in enumerate(face_of):
+            if i >= 0:
                 continue
-            i, d = len(face_start) - 1, start
-            while face_of[d] < 0:
+            i, d = len(face_start) - 1, phi[start]
+            face_of[start] = i
+            push(start)
+            while d != start:  # until the orbit closes
                 face_of[d] = i
                 push(d)
                 d = phi[d]
@@ -294,7 +304,7 @@ class Diagram:
         return self._face_of_dart[d]
 
     def dart(self, crossing: str, port: int) -> int:
-        return 4 * self._cindex[crossing] + port
+        return self._dart0[crossing] + port
 
     def mate(self, d: int) -> int:
         """The other dart of the same edge."""

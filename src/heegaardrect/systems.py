@@ -70,7 +70,7 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     words = diagram.a_words if family == FAMILY_A else diagram.b_words
     circles: dict[int, list] = {root: [] for root in groups}
     for i, word in enumerate(words.values(), 1):
-        d = 4 * diagram._cindex[word[0]]
+        d = diagram._dart0[word[0]]
         circles[parent[fod[d + in_port]]].append((i, MINUS))
         circles[parent[fod[d + out_port]]].append((i, PLUS))
 

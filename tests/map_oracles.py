@@ -1,11 +1,12 @@
 """Diagram machinery that only the tests use, kept here as oracles.
 
-Crossing relabeling, curve reversal, restriction to sub-families,
-stabilization, an isomorphism test by canonical certificate, edges and intersection numbers
-read off the words, a face trace through the public dart queries, two
-more routes through the twist splice (one lap at a time, and the multicurve
-map of the twisted disks with gamma kept), and the rectangle and composed
-rectangle types face by face and edge by edge, the oracle of the criteria's
+The input checks as one per-token scan, crossing relabeling, curve
+reversal, restriction to sub-families, stabilization, an isomorphism test
+by canonical certificate, edges and intersection numbers read off the
+words, a face trace through the public dart queries, two more routes
+through the twist splice (one lap at a time, and the multicurve map of the
+twisted disks with gamma kept), and the rectangle and composed rectangle
+types face by face and edge by edge, the oracle of the criteria's
 class table.  None of it is on the check or generate path of the package.
 """
 
@@ -15,6 +16,53 @@ from heegaardrect.diagram import (
     MINUS, PLUS,
 )
 from heegaardrect.twist import TwistSpec
+
+
+# -- input checks ------------------------------------------------------------------
+
+
+UNORDERED = "curve and crossing ids must be hashable and mutually ordered"
+
+
+def input_fault(a_words, b_words, signs):
+    """The message `Diagram` raises for these words and signs, or None when
+    they pass its input checks: the first fault of a scan of the families,
+    curve by curve and token by token, then of the signs in crossing id
+    order.  Curve and crossing ids that cannot be sorted or hashed share one
+    message.
+    """
+    try:
+        families = [({c: tuple(w) for c, w in sorted(words.items())}, which)
+                    for words, which in ((a_words, "first"), (b_words, "second"))]
+        for words, which in families:
+            if not words:
+                return f"empty {which} curve family"
+        dup = set(families[0][0]) & set(families[1][0])
+        if dup:
+            return f"curve ids used in both families: {sorted(dup)}"
+        ids = []
+        for words, which in families:
+            seen = set()
+            for curve, word in words.items():
+                if not word:
+                    return f"curve {curve} has an empty word"
+                for x in word:
+                    if x in seen:
+                        return f"crossing {x} occurs twice in the {which} family"
+                    seen.add(x)
+            ids.append(seen)
+        if ids[0] != ids[1]:
+            return f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}"
+        ids = sorted(ids[0])
+    except TypeError:
+        return UNORDERED
+    for x in ids:
+        if x not in signs:
+            return f"crossing {x} has no sign"
+    for x in ids:
+        if type(signs[x]) is not int or signs[x] not in (MINUS, PLUS):
+            return f"crossing {x}: sign must be +1 or -1"
+    return None
 
 
 # -- relabeling and isomorphism ----------------------------------------------------
@@ -84,16 +132,29 @@ def canonical_certificate(d: Diagram) -> tuple:
     colours = [(port, cr.sign, cr.a_curve, cr.b_curve)
                for cr in d.crossings.values() for port in range(4)]
     best = None
-    for root in _root_class(d, colours):
-        cert = _rooted_certificate(d, root, colours)
+    maps = _rotation(d), d._alpha
+    for root in _root_class(maps, colours):
+        cert = _rooted_certificate(maps, root, colours)
         if best is None or cert < best:
             best = cert
     return best
 
 
-def _root_class(d: Diagram, colours: list) -> list[int]:
-    """Refine the dart colours until a class is a singleton or none splits."""
-    sigma_inv, alpha = d._sigma_inv, d._alpha
+def _rotation(d: Diagram) -> list[int]:
+    """The next dart clockwise at its crossing of every dart, read off the
+    crossing signs and the counterclockwise port order of each sign (`CCW`)."""
+    sigma_inv = [0] * (4 * d.num_crossings)
+    for x, sign in d.signs.items():
+        order = CCW[sign]
+        for before, port in zip(order[-1:] + order[:-1], order):
+            sigma_inv[d.dart(x, port)] = d.dart(x, before)
+    return sigma_inv
+
+
+def _root_class(maps: tuple, colours: list) -> list[int]:
+    """Refine the dart colours over the maps (sigma_inv, alpha) until a class
+    is a singleton or none splits."""
+    sigma_inv, alpha = maps
     colour, classes = colours, 0
     while True:
         number = {c: i for i, c in enumerate(sorted(set(colour)))}
@@ -109,8 +170,8 @@ def _root_class(d: Diagram, colours: list) -> list[int]:
     return [x for x, c in enumerate(colour) if c == chosen]
 
 
-def _rooted_certificate(d: Diagram, root: int, colours: list) -> tuple:
-    sigma_inv, alpha = d._sigma_inv, d._alpha
+def _rooted_certificate(maps: tuple, root: int, colours: list) -> tuple:
+    sigma_inv, alpha = maps
     order: list[int] = []
     number: dict[int, int] = {}
     stack = [root]
@@ -293,7 +354,7 @@ def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
     for axis, word in enumerate(words.values(), 1):
         minus, plus = (axis, MINUS), (axis, PLUS)
         # walk the curve by its out darts: the next is its mate's out port, alpha[d] ^ 2
-        d = 4 * diagram._cindex[word[0]] + out_port
+        d = diagram._dart0[word[0]] + out_port
         for _ in word:
             # the face left of the forward arc is on the plus side of the edge
             f_plus, f_minus = fod[d], fod[alpha[d]]

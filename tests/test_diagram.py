@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heegaardrect.diagram import Diagram, DiagramError
+from heegaardrect.diagramio import build_report, report_to_json
+from heegaardrect.twist import example_diagram
 
 from conftest import (
+    SWEEP,
     face_oracle_cases,
     fixture_cases,
     hexagon_diagram,
@@ -19,6 +22,7 @@ from conftest import (
 )
 from map_oracles import (
     canonical_certificate,
+    input_fault,
     intersection_number,
     is_isomorphic,
     relabel_crossings,
@@ -196,6 +200,14 @@ def test_word_check_messages(a_words, b_words, aux, message):
      "crossing x occurs twice in the first family"),
     ({"a": ("x", "y")}, {"b": ("y", "z", "z")}, {"x": 1, "y": 1, "z": 1},
      "crossing z occurs twice in the second family"),
+    # a repeated token is named before an unhashable one after it, within a
+    # curve, across curves, and in the second family
+    ({"a": ("x", "x", ["y"])}, {"b": ("x",)}, {"x": 1},
+     "crossing x occurs twice in the first family"),
+    ({"a": ("x",), "c": ("x", ["y"])}, {"b": ("x",)}, {"x": 1},
+     "crossing x occurs twice in the first family"),
+    ({"a": ("x", "y")}, {"b": ("x", "x", ["y"])}, {"x": 1, "y": 1},
+     "crossing x occurs twice in the second family"),
     # a missing sign is named before a bad one, and the least bad one
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 2}, "crossing y has no sign"),
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"y": 2}, "crossing x has no sign"),
@@ -213,6 +225,68 @@ def test_input_check_precedence(a_words, b_words, signs, message):
     with pytest.raises(DiagramError) as exc:
         Diagram(a_words, b_words, signs)
     assert str(exc.value) == message
+    assert input_fault(a_words, b_words, signs) == message
+
+
+def _input_mutants(count: int, seed: int):
+    """`count` seeded copies of the words and signs of sweep members and
+    random twisted diagrams, each with one change: most add a fault (a
+    dropped token, a token repeated within or across curves, an empty word,
+    an unhashable or unorderable token in one family or both, one to three
+    deleted signs, or signs of 0, 2, True or 1.0), and some keep it sound (a
+    rotated word, or an unused sign)."""
+    rng = random.Random(seed)
+    corpus = [*(example_diagram(g, l) for g, l in SWEEP), *random_twisted_diagrams(40)]
+    for _ in range(count):
+        d = rng.choice(corpus)
+        words = [{c: list(w) for c, w in d.a_words.items()},
+                 {c: list(w) for c, w in d.b_words.items()}]
+        signs = dict(d.signs)
+        which = rng.randrange(2)
+        family = words[which]
+        curve = rng.choice(sorted(family))
+        word = family[curve]
+        k = rng.randrange(len(word))
+        kind = rng.randrange(9)
+        if kind == 0:
+            del word[k]
+        elif kind in (1, 2):  # within the curve, or into another of its family
+            into = word if kind == 1 else family[rng.choice(sorted(set(family) - {curve}))]
+            into.insert(rng.randrange(len(into) + 1), word[k])
+        elif kind == 3:
+            word.clear()
+        elif kind == 4:
+            token = rng.choice((["x"], {"x"}, 7, None))
+            for target in [family] if rng.randrange(2) else words:
+                into = target[rng.choice(sorted(target))]
+                into.insert(rng.randrange(len(into) + 1), token)
+        elif kind == 5:
+            for x in rng.sample(sorted(signs), rng.randint(1, 3)):
+                del signs[x]
+        elif kind == 6:
+            for x in rng.sample(sorted(signs), rng.randint(1, 3)):
+                signs[x] = rng.choice((0, 2, True, 1.0))
+        elif kind == 7:
+            family[curve] = word[k:] + word[:k]
+        else:
+            signs["unused"] = 1
+        yield (*words, signs)
+
+
+def test_input_checks_match_the_scan_oracle():
+    """On 500 seeded mutants of valid inputs, `Diagram` raises exactly the
+    message of the per-token scan oracle, or builds where it finds no fault."""
+    built = 0
+    for a_words, b_words, signs in _input_mutants(500, 20261019):
+        expected = input_fault(a_words, b_words, signs)
+        try:
+            Diagram(a_words, b_words, signs)
+        except DiagramError as exc:
+            assert str(exc) == expected, (a_words, b_words, signs)
+        else:
+            assert expected is None
+            built += 1
+    assert 0 < built < 500
 
 
 ALL_FIXTURES = [
@@ -373,6 +447,23 @@ def test_word_rotation_gives_same_diagram(i, j):
         {"x0": 1, "x1": 1, "x2": 1, "x3": 1, "x4": -1, "x5": -1},
     )
     assert is_isomorphic(hexagon_diagram(), d2)
+
+
+def test_numbering_ignores_word_order(example_22, example_32, example_32_maximal):
+    """Each word rotated by a seeded amount and both curve dicts and the signs
+    given in reverse order: the crossing numbering, the face tables and the
+    report are unchanged."""
+    rng = random.Random(20261019)
+    corpus = [example_22, example_32, example_32_maximal,
+              *(example_diagram(g, l) for g, l in SWEEP), *random_twisted_diagrams(50)]
+    for d in corpus:
+        turned = [{c: w[k:] + w[:k] for c, w, k in
+                   ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
+                  for words in (d.a_words, d.b_words)]
+        r = Diagram(*turned, dict(reversed(d.signs.items())), aux=d.aux)
+        for table in ("_crossing_ids", "_face_start", "_face_darts", "_face_of_dart"):
+            assert getattr(r, table) == getattr(d, table), table
+        assert report_to_json(build_report(r)) == report_to_json(build_report(d))
 
 
 def test_intersection_number():
