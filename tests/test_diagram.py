@@ -200,14 +200,6 @@ def test_word_check_messages(a_words, b_words, aux, message):
      "crossing x occurs twice in the first family"),
     ({"a": ("x", "y")}, {"b": ("y", "z", "z")}, {"x": 1, "y": 1, "z": 1},
      "crossing z occurs twice in the second family"),
-    # a repeated token is named before an unhashable one after it, within a
-    # curve, across curves, and in the second family
-    ({"a": ("x", "x", ["y"])}, {"b": ("x",)}, {"x": 1},
-     "crossing x occurs twice in the first family"),
-    ({"a": ("x",), "c": ("x", ["y"])}, {"b": ("x",)}, {"x": 1},
-     "crossing x occurs twice in the first family"),
-    ({"a": ("x", "y")}, {"b": ("x", "x", ["y"])}, {"x": 1, "y": 1},
-     "crossing x occurs twice in the second family"),
     # a missing sign is named before a bad one, and the least bad one
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 2}, "crossing y has no sign"),
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"y": 2}, "crossing x has no sign"),
@@ -217,6 +209,14 @@ def test_word_check_messages(a_words, b_words, aux, message):
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 1.0, "y": 1}, "crossing x: sign must be +1 or -1"),
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": -1, "y": 0}, "crossing y: sign must be +1 or -1"),
     ({"a": ("x", "y")}, {"b": ("x", "y")}, {"x": 2, "y": 0}, "crossing x: sign must be +1 or -1"),
+    # a repeated token is named before an unhashable one after it, within a
+    # curve, across curves, and in the second family
+    ({"a": ("x", "x", ["y"])}, {"b": ("x",)}, {"x": 1},
+     "crossing x occurs twice in the first family"),
+    ({"a": ("x",), "c": ("x", ["y"])}, {"b": ("x",)}, {"x": 1},
+     "crossing x occurs twice in the first family"),
+    ({"a": ("x", "y")}, {"b": ("x", "x", ["y"])}, {"x": 1, "y": 1},
+     "crossing x occurs twice in the second family"),
 ])
 def test_input_check_precedence(a_words, b_words, signs, message):
     """Where an input has several faults, the message names the one met first
