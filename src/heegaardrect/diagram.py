@@ -165,8 +165,7 @@ class Diagram:
     # -- construction ------------------------------------------------------
 
     def _check_words(self) -> tuple[str, ...]:
-        """The crossing ids, sorted, checked to occur once in each family:
-        by set sizes, and where those fail by a scan that names the first fault."""
+        """The crossing ids, sorted, checked to occur once in each family."""
         families = ((self.a_words, "first"), (self.b_words, "second"))
         for words, which in families:
             if not words:
@@ -176,29 +175,22 @@ class Diagram:
         dup = set(self.a_words) & set(self.b_words)
         if dup:
             raise DiagramError(f"curve ids used in both families: {sorted(dup)}")
-        a, b = self.a_words.values(), self.b_words.values()
-        try:  # no empty word, and each family's ids as many as its tokens and the same
-            ids = set(chain.from_iterable(a))
-            sound = (all(a) and all(b) and len(ids) == sum(map(len, a)) == sum(map(len, b))
-                     and ids == set(chain.from_iterable(b)))
-        except TypeError:  # an unhashable id, which the scan may name after another fault
-            sound = False
-        if not sound:  # family by family, curve by curve and token by token
-            ids = []
-            for words, which in families:
-                seen: set[str] = set()
-                for curve, word in words.items():
-                    if not word:
-                        raise DiagramError(f"curve {curve} has an empty word")
-                    for x in word:
-                        if x in seen:
-                            raise DiagramError(f"crossing {x} occurs twice in the {which} family")
-                        seen.add(x)
-                ids.append(seen)
-            if ids[0] != ids[1]:
-                stray = sorted(ids[0] ^ ids[1])
-                raise DiagramError(f"crossing occurrences do not match up: {stray}")
-        return tuple(sorted(chain.from_iterable(a)))  # long sorted runs: a quick sort
+        ids = []
+        for words, which in families:
+            seen: set[str] = set()
+            for curve, word in words.items():
+                if not word:
+                    raise DiagramError(f"curve {curve} has an empty word")
+                for x in word:
+                    if x in seen:
+                        raise DiagramError(f"crossing {x} occurs twice in the {which} family")
+                    seen.add(x)
+            ids.append(seen)
+        if ids[0] != ids[1]:
+            raise DiagramError(f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}")
+        # the ids are unique, and where they are numbered in a-word order the
+        # a-words hold long sorted runs, which the sort merges quickly
+        return tuple(sorted(chain.from_iterable(self.a_words.values())))
 
     def _build_map(self):
         n = len(self._crossing_ids)
