@@ -72,10 +72,13 @@ def cmd_validate(args) -> int:
 
 
 def _parse_index(s: str) -> int:
+    # ASCII digits only: `int` alone also reads "1_0", "+1", " 1" and other scripts' digits
     try:
-        return int(s)
-    except ValueError:
-        raise DiagramError(f"bad index {s!r} in the selector") from None
+        if s.isascii() and s.isdigit():
+            return int(s)
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise DiagramError(f"bad index {s!r} in the selector")
 
 
 def _parse_side(s: str) -> int:

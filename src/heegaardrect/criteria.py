@@ -499,8 +499,6 @@ class CriteriaContext:
         """
         ctx = None if self._swapped is None else self._swapped()
         if ctx is None:
-            if self._surface.aux:
-                raise DiagramError("cannot swap the families of a multicurve map")
             ctx = CriteriaContext.__new__(CriteriaContext)
             ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._table)
             ctx._failed_checks = self._failed_checks

@@ -12,8 +12,8 @@ Conventions (fixed once, everything else follows):
       0 = a_out   1 = b_out   2 = a_in   3 = b_in
 
   "a" is the strand of the first family (disks, signed in files), "b" the
-  strand of the second family (dual disks, or the auxiliary curve of a
-  multicurve map).  "in"/"out" are relative to the curve orientations.
+  strand of the second family (dual disks).  "in"/"out" are relative to the
+  curve orientations.
 
 * At a crossing of sign ``+1`` the counterclockwise dart order is
   ``(a_out, b_out, a_in, b_in)``; at sign ``-1`` it is
@@ -134,18 +134,11 @@ class Diagram:
 
     `a_words` / `b_words` map curve ids to cyclic tuples of crossing ids.
     Every crossing id must occur exactly once among the a-words and exactly
-    once among the b-words.  `aux` marks a multicurve map whose b-family is
-    a single auxiliary curve rather than a second disk system.
+    once among the b-words.
     """
 
-    def __init__(
-        self,
-        a_words: Mapping[str, Sequence[str]],
-        b_words: Mapping[str, Sequence[str]],
-        signs: Mapping[str, int],
-        aux: bool = False,
-    ):
-        self.aux = aux
+    def __init__(self, a_words: Mapping[str, Sequence[str]],
+                 b_words: Mapping[str, Sequence[str]], signs: Mapping[str, int]):
         try:  # ids of mixed types cannot be sorted, nor unhashable ones looked up
             self.a_words, self.b_words = ({c: tuple(w) for c, w in sorted(words.items())}
                                           for words in (a_words, b_words))
@@ -170,8 +163,6 @@ class Diagram:
         for words, which in families:
             if not words:
                 raise DiagramError(f"empty {which} curve family")
-        if self.aux and len(self.b_words) != 1:
-            raise DiagramError("a multicurve map has exactly one auxiliary curve")
         dup = set(self.a_words) & set(self.b_words)
         if dup:
             raise DiagramError(f"curve ids used in both families: {sorted(dup)}")
@@ -314,8 +305,6 @@ class Diagram:
 
     def swap_roles(self) -> "Diagram":
         """Exchange the two families.  Crossing signs flip under the swap."""
-        if self.aux:
-            raise DiagramError("cannot swap the families of a multicurve map")
         signs = {x: -sign for x, sign in zip(self._crossing_ids, self._signs)}
         return Diagram(self.b_words, self.a_words, signs)
 
@@ -347,15 +336,14 @@ class Diagram:
                     raise DiagramError(f"curve eliminated: {c} meets the rest only in a bigon")
                 out[c] = nw
         signs = {z: sign for z, sign in zip(self._crossing_ids, self._signs) if z not in (x, y)}
-        out = Diagram(a_words, b_words, signs, aux=self.aux)
+        out = Diagram(a_words, b_words, signs)
         if out.genus != self.genus:
             raise DiagramError("bigon removal changed the genus; corrupted map")
         return out
 
     def __repr__(self):
-        kind = "MulticurveMap" if self.aux else "Diagram"
         return (
-            f"<{kind} genus={self.genus} n={len(self.a_words)} "
+            f"<Diagram genus={self.genus} n={len(self.a_words)} "
             f"n*={len(self.b_words)} crossings={self.num_crossings}>"
         )
 

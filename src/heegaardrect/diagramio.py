@@ -1,11 +1,11 @@
 """Interchange format, verdict reports, and graph export.
 
-A diagram file is a JSON document.  The first family's words carry the
+A diagram file is a JSON document with the keys ``format_version``,
+``d_curves`` and ``dstar_curves`` only.  The first family's words carry the
 crossing signs as a trailing ``+`` or ``-`` on each token; the second
-family's words (or the auxiliary curve of a multicurve map) list the bare
-tokens.  Serialization is canonical: curves sorted by id, each word
-rotated to start at its lexicographically smallest token, so re-serializing
-an unchanged diagram is byte-identical.
+family's words list the bare tokens.  Serialization is canonical: curves
+sorted by id, each word rotated to start at its lexicographically smallest
+token, so re-serializing an unchanged diagram is byte-identical.
 """
 
 from __future__ import annotations
@@ -68,16 +68,13 @@ def parse_diagram(text: str) -> Diagram:
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DiagramError(f"unsupported format_version {version!r}")
+    unknown = doc.keys() - {"format_version", "d_curves", "dstar_curves"}
+    if unknown:
+        raise DiagramError(f"unknown top-level key {min(unknown)!r}")
     d_curves = doc.get("d_curves")
     if not isinstance(d_curves, dict) or not d_curves:
         raise DiagramError("d_curves must be a non-empty mapping")
-    dstar = doc.get("dstar_curves")
-    aux = doc.get("aux_curve")
-    if (dstar is None) == (aux is None):
-        raise DiagramError("exactly one of dstar_curves and aux_curve is required")
-    if aux is not None and (not isinstance(aux, dict) or len(aux) != 1):
-        raise DiagramError("aux_curve must be a mapping with a single curve")
-    second = dstar if dstar is not None else aux
+    second = doc.get("dstar_curves")
     if not isinstance(second, dict) or not second:
         raise DiagramError("second curve family must be a non-empty mapping")
 
@@ -92,7 +89,7 @@ def parse_diagram(text: str) -> Diagram:
     signs = {}
     for ids, word in zip(a_words.values(), d_curves.values()):
         signs.update(zip(ids, map(_SIGN.__getitem__, map(itemgetter(-1), word))))
-    return Diagram(a_words, second, signs, aux=aux is not None)
+    return Diagram(a_words, second, signs)
 
 
 def _rotate_min(word: list) -> list:
@@ -114,10 +111,9 @@ def serialize_diagram(d: Diagram) -> str:
     signed = {x: x + ("+" if s == PLUS else "-") for x, s in zip(ids, d._signs)}
     doc = {"format_version": FORMAT_VERSION, "d_curves": {
         curve: _rotate_min(list(map(signed.__getitem__, word))) for curve, word in d.a_words.items()
-    }}
-    doc["aux_curve" if d.aux else "dstar_curves"] = {
+    }, "dstar_curves": {
         curve: _rotate_min(list(word)) for curve, word in d.b_words.items()
-    }
+    }}
     return _dumps(doc) + "\n"
 
 

@@ -113,8 +113,8 @@ def validate_disk_systems(diagram: Diagram) -> ValidationReport:
     component of either family is planar, none is a disk or an annulus
     between two distinct curves, and both curve counts lie in [g, 3g-3].
     """
-    comps_b = () if diagram.aux else cut_components(diagram, FAMILY_B)
-    return validate_components(diagram, cut_components(diagram, FAMILY_A), comps_b)
+    return validate_components(diagram, cut_components(diagram, FAMILY_A),
+                               cut_components(diagram, FAMILY_B))
 
 
 def validate_components(
@@ -122,11 +122,7 @@ def validate_components(
     comps_a: tuple[CutComponent, ...],
     comps_b: tuple[CutComponent, ...],
 ) -> ValidationReport:
-    """`validate_disk_systems` on the diagram's already cut components.
-
-    The second family of a multicurve map is not checked, so `comps_b` is
-    ignored there.
-    """
+    """`validate_disk_systems` on the diagram's already cut components."""
     report = ValidationReport()
     g = diagram.genus
     if g < 2:
@@ -139,9 +135,6 @@ def validate_components(
         report.add("bigon", f"bigon face {i} between {c} and {c2}")
 
     for family, words, comps in ((FAMILY_A, names[0], comps_a), (FAMILY_B, names[1], comps_b)):
-        if diagram.aux and family == FAMILY_B:
-            report.add("aux", "multicurve maps carry no second disk system")
-            continue
         hi = max(3 * g - 3, 0)
         if not g <= len(words) <= hi:
             report.add("count", f"family {family} has {len(words)} curves, outside [{g}, {hi}]")

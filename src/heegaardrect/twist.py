@@ -47,9 +47,9 @@ class TwistSpec:
 
 
 def multicurve_map(disk_words, gamma_word, signs) -> Diagram:
-    """Multicurve map of mutually disjoint disks plus one auxiliary curve."""
+    """Multicurve map: mutually disjoint disks, and gamma as the second family."""
     try:
-        return Diagram(disk_words, {GAMMA: gamma_word}, signs, aux=True)
+        return Diagram(disk_words, {GAMMA: gamma_word}, signs)
     except DiagramError as exc:
         raise DiagramError(f"invalid multicurve map: {exc}") from exc
 
@@ -217,7 +217,7 @@ def _twisted(base: Diagram, spec: TwistSpec) -> _TwistState:
 
 def _check_base(base: Diagram):
     """The disks and their twisted curves will share one diagram."""
-    if not base.aux:
+    if tuple(base.b_words) != (GAMMA,):
         raise DiagramError("twisting needs a multicurve map with an auxiliary curve")
     if not base.is_bigon_free():
         raise DiagramError("gamma does not meet the disks essentially: bigon present")

@@ -74,7 +74,7 @@ def relabel_crossings(d: Diagram, mapping) -> Diagram:
     a_words = {c: tuple(mapping[x] for x in w) for c, w in d.a_words.items()}
     b_words = {c: tuple(mapping[x] for x in w) for c, w in d.b_words.items()}
     signs = {mapping[x]: sign for x, sign in d.signs.items()}
-    return Diagram(a_words, b_words, signs, aux=d.aux)
+    return Diagram(a_words, b_words, signs)
 
 
 def reverse_curve(d: Diagram, curve: str) -> Diagram:
@@ -86,7 +86,7 @@ def reverse_curve(d: Diagram, curve: str) -> Diagram:
     on_curve = set(family[curve])
     family[curve] = family[curve][::-1]
     signs = {x: -sign if x in on_curve else sign for x, sign in d.signs.items()}
-    return Diagram(*words, signs, aux=d.aux)
+    return Diagram(*words, signs)
 
 
 def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
@@ -96,26 +96,30 @@ def restricted(d: Diagram, keep_a, keep_b) -> Diagram:
     a_words = {c: tuple(x for x in d.a_words[c] if x in kept) for c in keep_a}
     b_words = {c: tuple(x for x in d.b_words[c] if x in kept) for c in keep_b}
     signs = {x: sign for x, sign in d.signs.items() if x in kept}
-    return Diagram(a_words, b_words, signs, aux=d.aux)
+    return Diagram(a_words, b_words, signs)
 
 
-def stabilized(d: Diagram, curve: str, position: int, signs, family: str = "b") -> Diagram:
+def stabilized(d: Diagram, curve: str, position: int, signs, family: str = "b",
+               prefix: str = "y") -> Diagram:
     """`d` with one handle added, y2 inserted before index `position` of the
     curve `curve` of `family` ("a" or "b"); `signs` gives the signs of y and y2.
 
     Into a b-curve: the new a-curve is (y, y2) and the new b-curve (y).  Into
     an a-curve: the new b-curve is (y, y2) and the new a-curve (y).  The new
     b-curve meets the new a-curve once, so the Heegaard splitting is stabilized.
+    The new ids y, y2, ya and yb start with `prefix` in place of y, so a
+    diagram can be stabilized again under another prefix.
     """
-    if {"y", "y2"} & d.signs.keys() or "ya" in d.a_words or "yb" in d.b_words:
+    y, y2, ya, yb = prefix, prefix + "2", prefix + "a", prefix + "b"
+    if {y, y2} & d.signs.keys() or ya in d.a_words or yb in d.b_words:
         raise DiagramError("the ids of the new handle are taken")
     a_words, b_words = dict(d.a_words), dict(d.b_words)
     into, other = (a_words, b_words) if family == "a" else (b_words, a_words)
     word = into[curve]
-    into[curve] = word[:position] + ("y2",) + word[position:]
-    into["ya" if family == "a" else "yb"] = ("y",)
-    other["yb" if family == "a" else "ya"] = ("y", "y2")
-    return Diagram(a_words, b_words, {**d.signs, "y": signs[0], "y2": signs[1]}, aux=d.aux)
+    into[curve] = word[:position] + (y2,) + word[position:]
+    into[ya if family == "a" else yb] = (y,)
+    other[yb if family == "a" else ya] = (y, y2)
+    return Diagram(a_words, b_words, {**d.signs, y: signs[0], y2: signs[1]})
 
 
 def canonical_certificate(d: Diagram) -> tuple:
@@ -294,7 +298,7 @@ def twist_multicurve(base: Diagram, spec: TwistSpec) -> Diagram:
     The twisted curves keep the disk names, so no disk name can clash with
     a twisted curve's.
     """
-    assert base.aux and base.is_bigon_free()
+    assert tuple(base.b_words) == (twist.GAMMA,) and base.is_bigon_free()
     drift = PLUS if spec.power > 0 else MINUS
     return _drop_disks(twist._splice(twist._lift(base), abs(spec.power), drift, "t"))
 

@@ -416,13 +416,8 @@ def test_criteria_refuse_a_diagram_that_fails_validation():
         assert ctx.validation.entries == validate_disk_systems(d).entries != []
         codes = ", ".join(dict.fromkeys(code for code, _ in ctx.validation))
         assert (codes == "nonplanar") == (d in nonplanar)
-        views = [ctx]
-        if d.aux:
-            with pytest.raises(DiagramError, match="cannot swap"):
-                ctx.swapped
-        else:
-            views.append(ctx.swapped)
-        for c in views:
+        assert (codes == "count, nonplanar") == (d.b_curve_ids() == ("gamma",))
+        for c in (ctx, ctx.swapped):
             asks = [
                 lambda: rectangle_condition(None, c),
                 lambda: double_rectangle_condition(None, c),
@@ -809,6 +804,28 @@ def test_stabilized_diagrams_fail_both_conditions(example_32_maximal):
                 assert not double_rectangle_condition(None, ctx).holds
 
 
+def test_stabilized_s3_diagrams_fail_both_conditions():
+    """Every splitting of S^3 of genus at least two is stabilized (Waldhausen
+    1968), so each valid diagram of one fails RC in both views and DRC.  The
+    torus square is a genus-1 diagram of S^3; stabilizing it g - 1 times, with
+    the same family and signs at each step, gives one of genus g."""
+    seen = 0
+    for family, signs in itertools.product("ab", itertools.product((1, -1), repeat=2)):
+        s = torus_one()
+        for genus in range(2, 6):
+            words = s.a_words if family == "a" else s.b_words
+            s = stabilized(s, min(words), genus % len(words[min(words)]), signs, family,
+                           prefix=f"s{genus}")
+            ctx = CriteriaContext(s)
+            assert s.genus == genus
+            assert ctx.validation.passed, (genus, family, signs)
+            assert not rectangle_condition(None, ctx).holds
+            assert not rectangle_condition(None, ctx.swapped).holds
+            assert not double_rectangle_condition(None, ctx).holds
+            seen += 1
+    assert seen == 32
+
+
 def test_verdict_invariant():
     with pytest.raises(DiagramError, match="witness"):
         Verdict(True, (Witness("rc", False, 1, "disconnected", ()),))
@@ -869,8 +886,6 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
         assert ctx.comps_a == cut_components(d, FAMILY_A)
         assert ctx.comps_b == cut_components(d, FAMILY_B)
         seen += 1
-        if d.aux:  # a multicurve map has no second disk system and no swap
-            continue
         swap = d.swap_roles()
         fresh = CriteriaContext(swap)
         swapped = ctx.swapped

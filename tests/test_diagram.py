@@ -162,30 +162,28 @@ def test_empty_family_rejected():
 UNORDERED = "curve and crossing ids must be hashable and mutually ordered"
 
 
-@pytest.mark.parametrize("a_words, b_words, aux, message", [
-    ({}, {"b": ["x"]}, False, "empty first curve family"),
-    ({"a": ["x"]}, {}, False, "empty second curve family"),
-    ({"a": ["x", "y"]}, {"b1": ["x"], "b2": ["y"]}, True,
-     "a multicurve map has exactly one auxiliary curve"),
-    ({"a": ["x"], "c": ["y"]}, {"a": ["x"], "b": ["y"]}, False,
+@pytest.mark.parametrize("a_words, b_words, message", [
+    ({}, {"b": ["x"]}, "empty first curve family"),
+    ({"a": ["x"]}, {}, "empty second curve family"),
+    ({"a": ["x"], "c": ["y"]}, {"a": ["x"], "b": ["y"]},
      "curve ids used in both families: ['a']"),
-    ({"a": ["x"], "c": []}, {"b": ["x"]}, False, "curve c has an empty word"),
-    ({"a": ["x"], "c": ["x"]}, {"b": ["x"]}, False,
+    ({"a": ["x"], "c": []}, {"b": ["x"]}, "curve c has an empty word"),
+    ({"a": ["x"], "c": ["x"]}, {"b": ["x"]},
      "crossing x occurs twice in the first family"),
-    ({"a": ["x"]}, {"b": ["x", "x"]}, False,
+    ({"a": ["x"]}, {"b": ["x", "x"]},
      "crossing x occurs twice in the second family"),
-    ({"a": ["x", "y", "z"]}, {"b": ["x", "w"]}, False,
+    ({"a": ["x", "y", "z"]}, {"b": ["x", "w"]},
      "crossing occurrences do not match up: ['w', 'y', 'z']"),
-    ({"a": ["x", 1]}, {"b": ["x", 1]}, False, UNORDERED),
-    ({"a": ["x"], 1: ["y"]}, {"b": ["x", "y"]}, False, UNORDERED),
-    ({"a": [["x"]]}, {"b": [["x"]]}, False, UNORDERED),
+    ({"a": ["x", 1]}, {"b": ["x", 1]}, UNORDERED),
+    ({"a": ["x"], 1: ["y"]}, {"b": ["x", "y"]}, UNORDERED),
+    ({"a": [["x"]]}, {"b": [["x"]]}, UNORDERED),
 ])
-def test_word_check_messages(a_words, b_words, aux, message):
+def test_word_check_messages(a_words, b_words, message):
     """Each malformed pair of families is named by its own exact message;
     ids that cannot be sorted together or hashed share one."""
     signs = {**dict.fromkeys("wxyz", 1), 1: 1}
     with pytest.raises(DiagramError) as exc:
-        Diagram(a_words, b_words, signs, aux=aux)
+        Diagram(a_words, b_words, signs)
     assert str(exc.value) == message
 
 
@@ -366,14 +364,19 @@ def test_swap_roles_involution(make):
 
 
 def test_swap_aux_map_rejected():
+    """A multicurve map is a plain diagram whose second family is gamma alone:
+    its families swap like any other's, and both views refuse every graph,
+    since gamma is too few curves and cuts the surface to a nonplanar piece."""
     from heegaardrect.criteria import CriteriaContext
-    from heegaardrect.twist import chain_base
+    from heegaardrect.twist import GAMMA, chain_base
 
-    with pytest.raises(DiagramError, match="multicurve"):
-        chain_base(2).swap_roles()
-    # the swapped view of a context refuses it too
-    with pytest.raises(DiagramError, match="cannot swap the families of a multicurve map"):
-        CriteriaContext(chain_base(3)).swapped
+    swapped = chain_base(2).swap_roles()
+    assert swapped.a_curve_ids() == (GAMMA,) and swapped.genus == 2
+    ctx = CriteriaContext(chain_base(3))
+    for view in (ctx, ctx.swapped):
+        for ask in (view.component_graph, view.disk_graph):
+            with pytest.raises(DiagramError, match="^diagram fails validation: count, nonplanar$"):
+                ask(1)
 
 
 def test_reduce_bigons_removes_and_preserves_genus():
@@ -460,7 +463,7 @@ def test_numbering_ignores_word_order(example_22, example_32, example_32_maximal
         turned = [{c: w[k:] + w[:k] for c, w, k in
                    ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
                   for words in (d.a_words, d.b_words)]
-        r = Diagram(*turned, dict(reversed(d.signs.items())), aux=d.aux)
+        r = Diagram(*turned, dict(reversed(d.signs.items())))
         for table in ("_crossing_ids", "_face_start", "_face_darts", "_face_of_dart"):
             assert getattr(r, table) == getattr(d, table), table
         assert report_to_json(build_report(r)) == report_to_json(build_report(d))

@@ -54,13 +54,16 @@ def test_round_trip_is_isomorphic(make):
     d = make()
     r = parse_diagram(serialize_diagram(d))
     assert is_isomorphic(r, d)
-    assert r.aux == d.aux
+    assert serialize_diagram(r) == serialize_diagram(d)
 
 
 def test_round_trip_multicurve():
+    """A multicurve map is written as any diagram is, gamma its one dstar curve."""
     base = chain_base(3)
-    r = parse_diagram(serialize_diagram(base))
-    assert r.aux
+    text = serialize_diagram(base)
+    assert list(json.loads(text)) == ["format_version", "d_curves", "dstar_curves"]
+    r = parse_diagram(text)
+    assert r.b_curve_ids() == ("gamma",)
     assert is_isomorphic(r, base)
 
 
@@ -108,8 +111,9 @@ def test_generated_file_matches_golden(example_32):
         (lambda doc: doc["d_curves"].update(a=["x+", "x+"]), "twice"),
         (lambda doc: doc["dstar_curves"].update(b2=["x"]), "twice"),
         (lambda doc: doc["d_curves"].update(a=["x"]), "token"),
-        (lambda doc: doc.update(aux_curve={"g": ["x"]}), "exactly one"),
-        (lambda doc: doc.pop("dstar_curves"), "exactly one"),
+        (lambda doc: doc.update(aux_curve={"g": ["x"]}), "^unknown top-level key 'aux_curve'$"),
+        (lambda doc: doc.pop("dstar_curves"), "^second curve family must be a non-empty mapping$"),
+        (lambda doc: doc.update(z=1, b_extra=[]), "^unknown top-level key 'b_extra'$"),
         # each bad token of either family, the first named exactly
         (lambda doc: doc["d_curves"].update(a=["x+", "p", "q"]), "^curve a: bad signed token 'p'$"),
         (lambda doc: doc["d_curves"].update(a=["x+ y+"]), r"^curve a: bad signed token 'x\+ y\+'$"),
@@ -484,7 +488,7 @@ def test_cli_export_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "make,code",
-    [(torus_one, "genus"), (lambda: chain_base(3), "aux")],
+    [(torus_one, "genus"), (lambda: chain_base(3), "count")],
     ids=["genus-1", "aux-curve"],
 )
 def test_cli_export_graph_rejects_invalid_diagram(tmp_path, capsys, make, code):
@@ -509,6 +513,10 @@ def test_cli_export_graph_bad_selector(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     # the last one passes the pair check and fails on its piece l
     assert err == "error: component index 99 out of range 1..1\n"
+    # an index is ASCII digits only, with no sign, space or digit separator
+    for index in ("1_0", "\u0661", "+1", " 1"):
+        assert run_cli("export-graph", str(f), "--which", f"Gk:{index}", "--dot") == 2
+        assert capsys.readouterr().err == f"error: bad index {index!r} in the selector\n"
 
 
 def test_cli_output_is_plain_text(tmp_path, capsys):
@@ -668,14 +676,14 @@ def diagram_files(draw):
     else:
         crossings = draw(st.lists(st.sampled_from(CROSSING_IDS), min_size=1,
                                   max_size=len(CROSSING_IDS), unique=True))
-        second = draw(st.sampled_from(("dstar_curves", "dstar_curves", "aux_curve")))
+        second_most = draw(st.sampled_from((3, 3, 1)))  # 1: a multicurve map's one gamma
         doc = {
             "format_version": 1,
             "d_curves": curves([x + draw(st.sampled_from("+-")) for x in crossings],
                                FIRST_IDS),
-            second: curves(crossings, SECOND_IDS, 1 if second == "aux_curve" else 3),
+            "dstar_curves": curves(crossings, SECOND_IDS, second_most),
         }
-    defect = draw(st.sampled_from((None, None, "version", "rename", "sign", "junk")))
+    defect = draw(st.sampled_from((None, None, "version", "rename", "sign", "junk", "key")))
     family = doc[draw(st.sampled_from([k for k in doc if k != "format_version"]))]
     word = family[draw(st.sampled_from(sorted(family)))]
     if defect == "version":
@@ -688,6 +696,8 @@ def diagram_files(draw):
         signed[i] = signed[i][:-1] + ("-" if signed[i].endswith("+") else "+")
     elif defect == "junk":
         word.insert(draw(st.integers(0, len(word))), draw(st.sampled_from(JUNK_TOKENS)))
+    elif defect == "key":  # the second family under the key of the retired multicurve format
+        doc["aux_curve"] = doc.pop("dstar_curves")
     return json.dumps(doc)
 
 

@@ -188,6 +188,9 @@ def test_validation_accepts_fixtures(example_32, example_32_maximal, example_22)
 
 
 def test_validation_curve_count_bounds():
-    """A multicurve map has a one-curve second family: flagged, not crashed."""
+    """A multicurve map has a one-curve second family: flagged, not crashed.
+    Gamma alone is fewer than g curves, and cuts the surface to one nonplanar
+    piece."""
     report = validate_disk_systems(chain_base(2))
-    assert not report.passed
+    assert [code for code, _ in report] == ["count", "nonplanar"]
+    assert report.entries[0][1] == "family B has 1 curves, outside [2, 3]"

@@ -78,8 +78,7 @@ def test_dehn_twist_requires_multicurve(example_32):
 
 
 def test_dehn_twist_rejects_inessential_base():
-    base = Diagram({"d1": ["x", "y"]}, {"gamma": ["x", "y"]},
-                   {"x": 1, "y": -1}, aux=True)
+    base = Diagram({"d1": ["x", "y"]}, {"gamma": ["x", "y"]}, {"x": 1, "y": -1})
     assert not base.is_bigon_free()
     with pytest.raises(DiagramError, match="bigon"):
         dehn_twist(base, TwistSpec(2))
@@ -169,7 +168,7 @@ def test_twisted_multicurve_keeps_gamma_counts(genus, power):
     """A twist along gamma fixes intersection numbers with gamma itself."""
     base = chain_base(genus)
     twisted = twist_multicurve(base, TwistSpec(power))
-    assert twisted.aux
+    assert twisted.b_curve_ids() == ("gamma",)
     assert twisted.genus == genus
     for disk in base.a_curve_ids():
         assert len(twisted.a_words[disk]) == len(base.a_words[disk])
@@ -184,13 +183,14 @@ def test_example_diagram_validates_and_is_deterministic():
 
 @pytest.mark.parametrize("maximal", [False, True])
 def test_example_diagram_builds_one_diagram(monkeypatch, maximal):
-    """The crossings are named before the map is built, not after."""
+    """The crossings are named before the map is built, not after: one
+    diagram is built whose second family is not gamma alone."""
     built = []
     init = Diagram.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if not self.aux:
+        if self.b_curve_ids() != ("gamma",):
             built.append(self)
 
     monkeypatch.setattr(Diagram, "__init__", counting_init)
