@@ -135,19 +135,26 @@ def _two_connected_failure(adj: dict) -> Optional[tuple]:
 
 
 def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex, Vertex]]:
-    """First vertex pair (one per block) whose deletion disconnects, if any.
-
-    Pairs are ordered by the first block's vertex, then the second's.  A
-    2-connected graph on three or more vertices is searched in one pass over
-    its skeleton (`_skeleton_witness`); any other graph by one scan of G - a
-    per vertex a of the first block (`_scan_witness`).
-    """
+    """First vertex pair (one per block) whose deletion disconnects, if any,
+    ordered by the first block's vertex, then the second's: `_pair_witness`,
+    the search `double_rectangle_condition` runs on each H_d."""
     if graph.partition is None:
         raise DiagramError("doubly-2-connected test needs a partition")
-    adj = graph.neighbors()
-    lo, hi = graph.partition
-    if len(adj) >= 3 and _two_connected_failure(adj) is None:
-        return _skeleton_witness(adj, lo, hi)
+    return _pair_witness(graph.neighbors(), *graph.partition)
+
+
+def _pair_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
+    """`doubly_two_connected_witness` of the adjacency `adj` with blocks `lo`, `hi`.
+
+    A graph on three or more vertices of minimum degree 2 and its skeleton K
+    subdivide one multigraph (a chain with one end gives K a degree-1 node, a
+    lone cycle an isolated one), so K decides whether the graph is 2-connected,
+    and then one pass over K finds the pair; any other graph is scanned.
+    """
+    if len(adj) >= 3 and min(map(len, adj.values())) >= 2:
+        skeleton = _skeleton(adj)
+        if _two_connected_failure(skeleton[1]) is None:
+            return _skeleton_witness(adj, lo, hi, *skeleton)
     return _scan_witness(adj, lo, hi)
 
 
@@ -175,14 +182,43 @@ def _scan_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Ver
     return None
 
 
-def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
-    """`doubly_two_connected_witness` of a 2-connected graph on >= 3 vertices.
-
+def _skeleton(adj: dict) -> tuple[dict, dict, dict]:
+    """The skeleton K of a graph of minimum degree 2: (vertex -> its K node,
+    K's adjacency, chain node -> the vertices inside the chain and its ends).
     A chain is a maximal path of degree-2 vertices (a cycle is one chain);
-    its ends are the branch vertices (degree >= 3) it runs between.  The
-    skeleton K has a node per branch vertex and per chain, a chain node
-    joined to its two ends, and the edges between branch vertices; K is
-    2-connected too.  Deleting a and b disconnects the graph exactly when
+    its ends are the branch vertices (degree >= 3) it runs between.  K has a
+    node per branch vertex and per chain, a chain node joined to its ends,
+    and the edges between branch vertices.
+    """
+    node = {v: i for i, v in enumerate(v for v in adj if len(adj[v]) > 2)}
+    skeleton: dict = {i: set() for i in node.values()}
+    on_chain: dict = {}
+    for v in adj:
+        if len(adj[v]) > 2:
+            skeleton[node[v]].update(node[w] for w in adj[v] if len(adj[w]) > 2)
+            continue
+        if v in node:
+            continue
+        node[v] = c = len(skeleton)
+        skeleton[c], on_chain[c] = set(), {v}
+        for w in adj[v]:
+            prev = v
+            while w not in node:
+                node[w] = c
+                on_chain[c].add(w)
+                x, y = adj[w]
+                prev, w = w, y if x == prev else x
+            if node[w] != c:
+                on_chain[c].add(w)
+                skeleton[c].add(node[w])
+                skeleton[node[w]].add(c)
+    return node, skeleton, on_chain
+
+
+def _skeleton_witness(adj, lo, hi, node, skeleton, on_chain) -> Optional[tuple[Vertex, Vertex]]:
+    """`doubly_two_connected_witness` of a 2-connected graph on >= 3 vertices,
+    from its `_skeleton` K, which is 2-connected too.  Deleting a and b
+    disconnects the graph exactly when
 
     - a and b are not adjacent and lie on one chain (inside it or at its
       ends), which leaves a piece of that chain cut off, or
@@ -191,30 +227,6 @@ def _skeleton_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple
     So every pair is decided on the nodes of K, once per node, plus a look
     at the first few vertices of `hi` on each chain that a lies on.
     """
-    node = {v: i for i, v in enumerate(v for v in adj if len(adj[v]) > 2)}
-    skeleton: dict = {i: set() for i in node.values()}
-    on_chain: dict = {}  # chain node -> the vertices inside it and its ends
-    for v in adj:
-        if len(adj[v]) > 2:
-            skeleton[node[v]].update(node[w] for w in adj[v] if len(adj[w]) > 2)
-            continue
-        if v in node:
-            continue
-        c = len(skeleton)
-        skeleton[c] = set()
-        on_chain[c] = {v}
-        node[v] = c
-        for w in adj[v]:
-            prev = v
-            while w not in node:
-                node[w] = c
-                on_chain[c].add(w)
-                prev, w = w, next(u for u in adj[w] if u != prev)
-            if node[w] != c:
-                on_chain[c].add(w)
-                skeleton[c].add(node[w])
-                skeleton[node[w]].add(c)
-
     least_hi: dict = {}  # K node -> its least vertex in `hi`
     for b in sorted(hi, reverse=True):
         least_hi[node[b]] = b
@@ -575,8 +587,15 @@ class CriteriaContext:
                 raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
 
     def disk_graph(self, disk: int) -> CriteriaGraph:
-        """H_d: the labels of Lambda_{d,-} and Lambda_{d,+}, each tagged by its
-        side of D_d, with the two tagged copies as the partition blocks.
+        """H_d as a `CriteriaGraph`, for export and inspection: the graph of
+        `_disk_adjacency`, with its two blocks as the partition."""
+        adj, block_minus, block_plus = self._disk_adjacency(disk)
+        return graph_from_edges([(u, v) for u in adj for v in adj[u]], vertices=adj,
+                                partition=(block_minus, block_plus))
+
+    def _disk_adjacency(self, disk: int) -> tuple[dict, frozenset, frozenset]:
+        """H_d as (adjacency, minus block, plus block): the labels of
+        Lambda_{d,-} and Lambda_{d,+}, each tagged by its side of D_d.
 
         The edges inside a block are the edges of G_k on Lambda_{d,kappa},
         k = `k_of(d, kappa)`.  A cross edge p-q holds when every
@@ -597,11 +616,7 @@ class CriteriaContext:
                 edges.append(((MINUS,) + p, (PLUS,) + q))
         block_minus = frozenset((MINUS,) + p for p in lam_minus)
         block_plus = frozenset((PLUS,) + p for p in lam_plus)
-        return graph_from_edges(
-            edges,
-            vertices=block_minus | block_plus,
-            partition=(block_minus, block_plus),
-        )
+        return _adjacency(block_minus | block_plus, edges), block_minus, block_plus
 
     # -- pair verdicts -----------------------------------------------------
 
@@ -721,23 +736,21 @@ def rectangle_condition(
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     for k in range(1, ctx.m + 1):
-        gk = ctx.component_graph(k)
-        failure = _two_connected_failure(gk.neighbors())
+        adj = ctx.component_graph(k).neighbors()
+        failure = _two_connected_failure(adj)
         if failure is None:
             continue
         reason, verts = failure[0], failure[1:]  # ("disconnected",) or ("cut-vertex", v)
-        missing = _missing_types(gk, verts, lambda p, q: _missing_rectangle(ctx, p, q))
-        witnesses.append(
-            Witness("rc", False, k, reason, verts, missing)
-        )
+        missing = _missing_types(adj, verts, lambda p, q: _missing_rectangle(ctx, p, q))
+        witnesses.append(Witness("rc", False, k, reason, verts, missing))
     holds = not witnesses
     return Verdict(holds, tuple(witnesses), NOTE_RC if holds else "")
 
 
-def _missing_types(graph, deleted, explain, cap=6) -> tuple:
-    """Absent edges between the parts of `graph` minus `deleted` that would
-    reconnect it, each explained by `explain(u, v)` as a `MissingType`."""
-    adj = {v: nbrs.difference(deleted) for v, nbrs in graph.neighbors().items() if v not in deleted}
+def _missing_types(adj: dict, deleted, explain, cap=6) -> tuple:
+    """Absent edges between the parts of the graph `adj` minus `deleted` that
+    would reconnect it, each explained by `explain(u, v)` as a `MissingType`."""
+    adj = {v: nbrs.difference(deleted) for v, nbrs in adj.items() if v not in deleted}
     parts = _components(adj)[0]
     missing = []
     for i, part in enumerate(parts):
@@ -775,19 +788,20 @@ def double_rectangle_condition(
     the families exchanged; witnesses record which direction failed.
     `diagram` is read only when no `ctx` is given; the exchanged direction
     uses `ctx.swapped`, so a caller that also checks RC on both sides
-    analyses each orientation once.  Each block of an H_d has at least two
-    labels, so a disconnected H_d always has a witness pair.
+    analyses each orientation once.  Each H_d is searched as the adjacency
+    `_disk_adjacency` builds, with no `CriteriaGraph`.  Each block of an H_d
+    has at least two labels, so a disconnected H_d always has a witness pair.
     """
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     for swapped in (False, True):
         octx = ctx.swapped if swapped else ctx  # so a multicurve map is refused, not swapped
         for disk in range(1, octx.n + 1):
-            hd = octx.disk_graph(disk)
-            pair = doubly_two_connected_witness(hd)
+            adj, block_minus, block_plus = octx._disk_adjacency(disk)
+            pair = _pair_witness(adj, block_minus, block_plus)
             if pair is not None:
                 missing = _missing_types(
-                    hd, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
+                    adj, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
                 )
                 witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
     holds = not witnesses

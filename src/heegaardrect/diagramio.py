@@ -76,7 +76,7 @@ def parse_diagram(text: str) -> Diagram:
         raise DiagramError("d_curves must be a non-empty mapping")
     second = doc.get("dstar_curves")
     if not isinstance(second, dict) or not second:
-        raise DiagramError("second curve family must be a non-empty mapping")
+        raise DiagramError("dstar_curves must be a non-empty mapping")
 
     for words, pattern, what in ((d_curves, _SIGNED, "signed token"), (second, _BARE, "token")):
         for curve, word in words.items():

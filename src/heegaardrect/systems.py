@@ -137,7 +137,8 @@ def validate_components(
     for family, words, comps in ((FAMILY_A, names[0], comps_a), (FAMILY_B, names[1], comps_b)):
         hi = max(3 * g - 3, 0)
         if not g <= len(words) <= hi:
-            report.add("count", f"family {family} has {len(words)} curves, outside [{g}, {hi}]")
+            curves = f"{len(words)} curve" + "s" * (len(words) != 1)
+            report.add("count", f"family {family} has {curves}, outside [{g}, {hi}]")
         for comp in comps:
             where = f"family {family} component {comp.index}"
             if not comp.planar:

@@ -162,6 +162,29 @@ def _blocked(edges, n, lo):
     )
 
 
+# one graph per branch of the skeleton gate in `_pair_witness`
+GATE_CASES = [
+    # a single cycle: its skeleton is one node, 2-connected
+    _blocked([(0, 1), (1, 2), (2, 3), (3, 0)], 4, [0, 1]),
+    # a figure-eight: two chains from one branch vertex give two degree-1 nodes
+    _blocked([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], 5, [1, 3]),
+    # a cycle with a pendant vertex: minimum degree 1, no skeleton
+    _blocked([(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)], 5, [0, 2]),
+    # a cycle beside a disjoint theta: the cycle is an isolated node
+    _blocked([(0, 1), (1, 2), (2, 0), (3, 5), (5, 4), (3, 6), (6, 4), (3, 7), (7, 4)],
+             8, [0, 3, 5]),
+    # K4 subdivided on three edges, with branch-branch edges and the chord 4-6
+    _blocked([(0, 4), (4, 1), (0, 5), (5, 6), (6, 2), (1, 7), (7, 2), (0, 3), (1, 3),
+              (2, 3), (4, 6)], 8, [0, 4, 5, 7]),
+]
+
+
+def _gate_examples(test):
+    for case in GATE_CASES:
+        test = example(case)(test)
+    return test
+
+
 @st.composite
 def random_graphs(draw):
     n = draw(st.integers(0, 10))
@@ -188,6 +211,7 @@ def random_graphs(draw):
 @example(_blocked([(0, 1), (0, 2), (2, 3)], 4, [0]))
 # G - 0 splits into {1} and {2}: no pair disconnects
 @example(_blocked([(0, 1), (0, 2)], 3, [0]))
+@_gate_examples
 def test_connectivity_matches_brute_force(data):
     graph, partition = data
     assert is_two_connected(graph) == _brute_two_connected(graph)
@@ -294,6 +318,7 @@ def _split(graph, lo):
                   7, [0, 2, 5]))
 # two disjoint triangles
 @example(_blocked([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6, [1, 3]))
+@_gate_examples
 def test_witness_matches_the_scan(data):
     graph, partition = data
     blocked = CriteriaGraph(graph.vertices, graph.edges, partition)
@@ -764,6 +789,24 @@ def test_drc_swap_symmetry(example_32, example_32_maximal):
             double_rectangle_condition(d).holds
             == double_rectangle_condition(d.swap_roles()).holds
         )
+
+
+def test_drc_pairs_match_brute_force():
+    """The pair `double_rectangle_condition` reports for each view and disk, or
+    its absence, is the brute-force witness of that H_d.  DRC searches each
+    H_d as an adjacency, not through the public witness, so this ties its
+    own path to the oracle.  The sweep is among the examples."""
+    examples = sorted({(g, p) for g in range(2, 9) for p in (2, -2, 3)} | set(SWEEP))
+    corpus = [*(example_diagram(g, p) for g, p in examples), *maximal_subsystems(50),
+              *random_twisted_diagrams(100)]
+    for d in _passing(corpus):
+        ctx = CriteriaContext(d)
+        reported = {(w.swapped, w.index): w.vertices
+                    for w in double_rectangle_condition(None, ctx).witnesses}
+        for swapped, view in ((False, ctx), (True, ctx.swapped)):
+            for disk in range(1, view.n + 1):
+                assert reported.get((swapped, disk)) == _brute_doubly_witness(
+                    view.disk_graph(disk)), (swapped, disk)
 
 
 def test_implication_on_fixtures(example_32, example_32_maximal, example_22):

@@ -112,7 +112,7 @@ def test_generated_file_matches_golden(example_32):
         (lambda doc: doc["dstar_curves"].update(b2=["x"]), "twice"),
         (lambda doc: doc["d_curves"].update(a=["x"]), "token"),
         (lambda doc: doc.update(aux_curve={"g": ["x"]}), "^unknown top-level key 'aux_curve'$"),
-        (lambda doc: doc.pop("dstar_curves"), "^second curve family must be a non-empty mapping$"),
+        (lambda doc: doc.pop("dstar_curves"), "^dstar_curves must be a non-empty mapping$"),
         (lambda doc: doc.update(z=1, b_extra=[]), "^unknown top-level key 'b_extra'$"),
         # each bad token of either family, the first named exactly
         (lambda doc: doc["d_curves"].update(a=["x+", "p", "q"]), "^curve a: bad signed token 'p'$"),
@@ -429,7 +429,7 @@ def test_cli_check_count_message_prints_the_checked_interval(tmp_path, capsys):
     assert run_cli("check", str(f)) == 2
     out = capsys.readouterr().out
     for family in "AB":
-        assert f"  - [count] family {family} has 1 curves, outside [0, 0]\n" in out
+        assert f"  - [count] family {family} has 1 curve, outside [0, 0]\n" in out
     assert "-3]" not in out
 
 

@@ -193,4 +193,4 @@ def test_validation_curve_count_bounds():
     piece."""
     report = validate_disk_systems(chain_base(2))
     assert [code for code, _ in report] == ["count", "nonplanar"]
-    assert report.entries[0][1] == "family B has 1 curves, outside [2, 3]"
+    assert report.entries[0][1] == "family B has 1 curve, outside [2, 3]"
