@@ -795,7 +795,7 @@ def double_rectangle_condition(
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     for swapped in (False, True):
-        octx = ctx.swapped if swapped else ctx  # so a multicurve map is refused, not swapped
+        octx = ctx.swapped if swapped else ctx  # the exchanged view, built once per context
         for disk in range(1, octx.n + 1):
             adj, block_minus, block_plus = octx._disk_adjacency(disk)
             pair = _pair_witness(adj, block_minus, block_plus)

@@ -1,11 +1,12 @@
 """Dehn twisting of disk systems along an auxiliary curve, by splicing.
 
 The generator starts from a multicurve map: the disk boundaries together
-with one transversal curve gamma.  Twisting replaces every strand through
-an annulus neighborhood of gamma by a detour that winds around the annulus,
-one lap per twist power.  All bookkeeping is exact: positions around the
-annulus are integers in quarter-slot units, so strand bundles stay
-consistently ordered and no two events ever tie.
+with one transversal curve gamma.  Each disk is pushed off itself, and
+twisting replaces every strand of a push-off through an annulus
+neighborhood of gamma by a detour that winds around the annulus, one lap
+per unit of twist power.  The splice writes only what the result keeps,
+the crossings of the detours with the disks, at exact integer positions
+around the annulus, so no two tie; gamma itself is not carried along.
 
 The built-in example family places the disks of a genus-g handlebody in a
 row and runs gamma four times across every handle; crossing the resulting
@@ -54,146 +55,68 @@ def multicurve_map(disk_words, gamma_word, signs) -> Diagram:
         raise DiagramError(f"invalid multicurve map: {exc}") from exc
 
 
-# -- splice state -------------------------------------------------------------
+# -- the splice ------------------------------------------------------------------
 
 
-_AG = "ag"  # disk-family strand crossing gamma
-_FG = "fg"  # twisted-family strand crossing gamma
-_AF = "af"  # disk-family strand crossing twisted-family strand
+def _twisted(base: Diagram, spec: TwistSpec) -> tuple[dict, dict, dict]:
+    """The disks, their twisted curves and the signs of their crossings.
 
-
-@dataclass
-class _TwistState:
-    """Disks, their twisted copies, and gamma, with all mutual crossings."""
-
-    a_words: dict  # disk curve -> tuple of crossing ids
-    f_words: dict  # twisted curve `_dual_name(disk)` -> tuple of crossing ids
-    gamma_word: tuple  # cyclic, kinds ag and fg only
-    signs: dict
-    kinds: dict
-
-
-def _lift(base: Diagram) -> _TwistState:
-    """Push off every disk to its plus side as the twisted family's start."""
-    gamma0 = base.b_words[GAMMA]
-    slot = {x: i for i, x in enumerate(gamma0)}
-    signs = dict(base.signs)
-    kinds = dict.fromkeys(signs, _AG)
-    f_words = {}
-    positions = [(4 * i, x) for i, x in enumerate(gamma0)]
-    for disk, word in base.a_words.items():
+    Each disk is pushed off to its plus side, so its push-off meets gamma
+    at a germ a quarter slot beside each of its crossings, on the side of
+    the crossing's sign: in quarter slots, crossing i of gamma sits at 4i
+    and its germ at 4i + sign.  The w = 2n points of this lifted gamma never
+    tie, and a point's slot is its index among them.  The twist replaces
+    every push-off strand through the annulus around gamma by a detour
+    that winds |power| laps in the drift direction (the sign of the power),
+    entering at its germ.  The detour from the germ of x, at slot `germ`,
+    meets the strand of the disk crossing a once a lap, in lap r as the
+    crossing ``t_l_{x}_{a}_{r}``, ``((slot[a] - germ) * drift) % w + r * w``
+    slots along.  Every strand takes its crossings in the order of those
+    positions, reversed where its sign is +1 (the strand runs downward
+    through the annulus).  These are all the crossings: the disks meet
+    gamma alone, so they are pairwise disjoint, and every word gets at
+    least |power| crossings.
+    """
+    _check_base(base)
+    laps, drift = abs(spec.power), PLUS if spec.power > 0 else MINUS
+    gamma, signs = base.b_words[GAMMA], base.signs
+    f_curves = {}
+    for disk in base.a_words:
         f_curve = _dual_name(disk)
-        if f_curve in f_words:
-            other = next(d for d in base.a_words if _dual_name(d) == f_curve)
-            raise DiagramError(f"disks {other} and {disk} both twist to the curve {f_curve}")
-        f_word = []
+        if f_curve in f_curves:
+            raise DiagramError(f"disks {f_curves[f_curve]} and {disk} both twist to the curve {f_curve}")
+        f_curves[f_curve] = disk
+    # crossing i has slot 2i, or 2i + 1 where its germ (slot + sign) comes first
+    slot = {x: 2 * i + (signs[x] == MINUS) for i, x in enumerate(gamma)}
+    w = 2 * len(gamma)
+
+    a_events = {x: [] for x in gamma}  # position along the strand, crossing
+    f_events = {x: [] for x in gamma}
+    out_signs = {}
+    for word in base.a_words.values():
         for x in word:
-            germ = f"l_{x}"
-            f_word.append(germ)
-            signs[germ] = signs[x]
-            kinds[germ] = _FG
-            positions.append((4 * slot[x] + signs[x], germ))  # +-1: a quarter slot aside
-        f_words[f_curve] = tuple(f_word)
-    positions.sort()
-    gamma_word = tuple(x for _, x in positions)
-    return _TwistState(dict(base.a_words), f_words, gamma_word, signs, kinds)
+            germ = slot[x] + signs[x]
+            for a in gamma:
+                start = ((slot[a] - germ) * drift) % w
+                sign = drift if signs[x] != signs[a] else -drift
+                for r in range(laps):
+                    c = f"t_l_{x}_{a}_{r}"
+                    out_signs[c] = sign
+                    event = (start + r * w, c)
+                    f_events[x].append(event)
+                    a_events[a].append(event)
+
+    def spliced(word, events):
+        return tuple(c for x in word for _, c in sorted(events[x], reverse=signs[x] == PLUS))
+
+    a_words = {disk: spliced(word, a_events) for disk, word in base.a_words.items()}
+    f_words = {f_curve: spliced(base.a_words[disk], f_events) for f_curve, disk in f_curves.items()}
+    return a_words, f_words, out_signs
 
 
 def _dual_name(disk: str) -> str:
-    """The twisted curve of a disk; `_lift` rejects two disks with one name."""
+    """The twisted curve of a disk; `_twisted` rejects two disks with one name."""
     return "e" + disk[1:] if disk.startswith("d") else disk + "*"
-
-
-def _splice(state: _TwistState, laps: int, drift: int, tag: str) -> _TwistState:
-    """Replace every twisted-family strand through gamma by a winding detour.
-
-    Each detour enters a quarter slot behind its old position, runs `laps`
-    full turns in the `drift` direction while climbing from the minus to
-    the plus boundary of the annulus, and crosses gamma once halfway.  Every
-    position is a multiple of a quarter slot, kept as an integer (slot i is
-    4*i): scaling by 4 keeps every comparison, and 4v % 4w == 4 * (v % w).
-    """
-    w = len(state.gamma_word)
-    slot = {x: i for i, x in enumerate(state.gamma_word)}
-    a_germs = [x for x in state.gamma_word if state.kinds[x] == _AG]
-    span = w * laps
-    half = 2 * span  # span/2 slots, where every detour crosses gamma
-
-    signs = dict(state.signs)
-    kinds = dict(state.kinds)
-
-    strand_events: dict[str, list] = {x: [] for x in a_germs}
-    core_positions = []
-
-    f_words = {}
-    for f_curve, word in state.f_words.items():
-        out = []
-        for y in word:
-            if state.kinds[y] != _FG:
-                out.append(y)
-                continue
-            x0 = slot[y]
-            events = []
-            for a in a_germs:
-                base_t = ((slot[a] - x0) * drift) % w
-                if drift == PLUS:
-                    sign = PLUS if state.signs[y] != state.signs[a] else MINUS
-                else:
-                    sign = MINUS if state.signs[y] != state.signs[a] else PLUS
-                for r in range(laps):
-                    t = 4 * (base_t + r * w) + 1  # a quarter slot past the lap's start
-                    c = f"{tag}_{y}_{a}_{r}"
-                    signs[c] = sign
-                    kinds[c] = _AF
-                    events.append((t, c))
-                    strand_events[a].append((t, c))
-            core = f"{tag}_{y}_core"
-            signs[core] = state.signs[y]
-            kinds[core] = _FG
-            events.append((half, core))
-            seq = [c for _, c in sorted(events)]
-            if state.signs[y] == PLUS:  # strand runs downward: reverse the climb
-                seq.reverse()
-            out.extend(seq)
-            del signs[y], kinds[y]
-            core_pos = (4 * x0 - drift + 2 * drift * span) % (4 * w)
-            core_positions.append((core_pos, core))
-        f_words[f_curve] = tuple(out)
-
-    a_words = {}
-    for curve, word in state.a_words.items():
-        out = []
-        for x in word:
-            if state.kinds[x] != _AG:
-                out.append(x)
-                continue
-            cluster = sorted(strand_events[x] + [(half, x)])
-            seq = [c for _, c in cluster]
-            if state.signs[x] == PLUS:  # downward strand meets high laps first
-                seq.reverse()
-            out.extend(seq)
-        a_words[curve] = tuple(out)
-
-    positions = [(4 * slot[a], a) for a in a_germs] + core_positions
-    positions.sort()
-    gamma_word = tuple(x for _, x in positions)
-    return _TwistState(a_words, f_words, gamma_word, signs, kinds)
-
-
-def _drop_gamma(state: _TwistState) -> tuple[dict, dict, dict]:
-    """Forget gamma; the disks and their twisted images, with their signs."""
-    families = []
-    for words, what, other in ((state.a_words, "disk", "the twisted family"),
-                               (state.f_words, "twisted curve", "the disks")):
-        kept = {}
-        for curve, word in words.items():
-            kept[curve] = tuple(x for x in word if state.kinds[x] == _AF)
-            if not kept[curve]:
-                raise DiagramError(f"{what} {curve} is disjoint from {other}; "
-                                   "the result would be a disconnected diagram")
-        families.append(kept)
-    signs = {x: s for x, s in state.signs.items() if state.kinds[x] == _AF}
-    return (*families, signs)
 
 
 # -- public operations ---------------------------------------------------------
@@ -205,14 +128,8 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     The raw spliced map is passed through bigon reduction, so the output is
     bigon-free with the genus of the base.
     """
-    out = Diagram(*_drop_gamma(_twisted(base, spec))).reduce_bigons()
+    out = Diagram(*_twisted(base, spec)).reduce_bigons()
     return _with_genus_of(base, out)
-
-
-def _twisted(base: Diagram, spec: TwistSpec) -> _TwistState:
-    """The lifted base, spliced with every lap of the twist at once."""
-    _check_base(base)
-    return _splice(_lift(base), abs(spec.power), PLUS if spec.power > 0 else MINUS, "t")
 
 
 def _check_base(base: Diagram):
@@ -346,7 +263,7 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
         base = maximal_chain_base()
     else:
         base = chain_base(genus)
-    a_words, b_words, signs = _drop_gamma(_twisted(base, TwistSpec(power)))
+    a_words, b_words, signs = _twisted(base, TwistSpec(power))
     order = [x for curve in sorted(a_words) for x in a_words[curve]]
     # x001, x002, ...: the digit strings of the names' width, in counting order
     digits = ["0123456789"] * len(str(len(order)))

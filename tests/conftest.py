@@ -144,12 +144,32 @@ def maximal_subsystems(count: int = 50, seed: int = 20241018):
     raise RuntimeError("sub-system yield collapsed")
 
 
+def random_base(rng: random.Random) -> Diagram:
+    """A random multicurve base drawn from `rng`, its bigons reduced: 2 or 3
+    disks, each crossing a shuffled gamma 1-3 times with random signs.
+
+    Raises `DiagramError` where the draw is no multicurve map.
+    """
+    g = rng.choice((2, 2, 3))
+    per_disk = [rng.choice((1, 2, 2, 3)) for _ in range(g)]
+    names = [f"c{d}_{i}" for d, k in enumerate(per_disk, 1) for i in range(k)]
+    gamma = names[:]
+    rng.shuffle(gamma)
+    words = {}
+    for d, k in enumerate(per_disk, start=1):
+        xs = [f"c{d}_{i}" for i in range(k)]
+        rng.shuffle(xs)
+        words[f"d{d}"] = tuple(xs)
+    signs = {x: rng.choice((1, -1)) for x in names}
+    return multicurve_map(words, tuple(gamma), signs).reduce_bigons()
+
+
 def random_twisted_diagrams(count: int, seed: int = 20240809):
     """Valid twisted diagrams from random multicurve bases, deterministically.
 
     Yields at least `count` diagrams built by twisting random disk systems
-    along random transversal curves, keeping only results that pass the
-    disk-system checks.
+    (`random_base`) along random transversal curves, keeping only results
+    that pass the disk-system checks.
     """
     rng = random.Random(seed)
     produced = 0
@@ -158,19 +178,8 @@ def random_twisted_diagrams(count: int, seed: int = 20240809):
         attempts += 1
         if attempts > 500 * count:
             raise RuntimeError("random diagram yield collapsed")
-        g = rng.choice((2, 2, 3))
-        per_disk = [rng.choice((1, 2, 2, 3)) for _ in range(g)]
-        names = [f"c{d}_{i}" for d, k in enumerate(per_disk, 1) for i in range(k)]
-        gamma = names[:]
-        rng.shuffle(gamma)
-        words = {}
-        for d, k in enumerate(per_disk, start=1):
-            xs = [f"c{d}_{i}" for i in range(k)]
-            rng.shuffle(xs)
-            words[f"d{d}"] = tuple(xs)
-        signs = {x: rng.choice((1, -1)) for x in names}
         try:
-            base = multicurve_map(words, tuple(gamma), signs).reduce_bigons()
+            base = random_base(rng)
             power = rng.choice((2, -2, 3))
             diagram = dehn_twist(base, TwistSpec(power))
         except DiagramError:

@@ -3,19 +3,16 @@
 The input checks as one per-token scan, crossing relabeling, curve
 reversal, restriction to sub-families, stabilization, an isomorphism test
 by canonical certificate, edges and intersection numbers read off the
-words, a face trace through the public dart queries, two more routes
-through the twist splice (one lap at a time, and the multicurve map of the
-twisted disks with gamma kept), and the rectangle and composed rectangle
-types face by face and edge by edge, the oracle of the criteria's
-class table.  None of it is on the check or generate path of the package.
+words, a face trace through the public dart queries, and the rectangle
+and composed rectangle types face by face and edge by edge, the oracle of
+the criteria's class table.  None of it is on the check or generate path
+of the package.
 """
 
-from heegaardrect import twist
 from heegaardrect.diagram import (
     A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError,
     MINUS, PLUS,
 )
-from heegaardrect.twist import TwistSpec
 
 
 # -- input checks ------------------------------------------------------------------
@@ -277,41 +274,6 @@ def traced_faces(d: Diagram) -> tuple[list, dict]:
             dart = clockwise(d.mate(dart))
         faces.append((len(faces), tuple(darts), tuple(side(e) for e in darts)))
     return faces, face_of
-
-
-# -- other routes through the twist splice -------------------------------------------
-
-
-def dehn_twist_iterated(base: Diagram, spec: TwistSpec) -> Diagram:
-    """Same curves as `dehn_twist`, spliced one lap at a time."""
-    twist._check_base(base)
-    drift = PLUS if spec.power > 0 else MINUS
-    state = twist._lift(base)
-    for step in range(abs(spec.power)):
-        state = twist._splice(state, 1, drift, f"s{step}")
-    return Diagram(*twist._drop_gamma(state)).reduce_bigons()
-
-
-def twist_multicurve(base: Diagram, spec: TwistSpec) -> Diagram:
-    """The multicurve map of the twisted disks, with gamma retained.
-
-    The twisted curves keep the disk names, so no disk name can clash with
-    a twisted curve's.
-    """
-    assert tuple(base.b_words) == (twist.GAMMA,) and base.is_bigon_free()
-    drift = PLUS if spec.power > 0 else MINUS
-    return _drop_disks(twist._splice(twist._lift(base), abs(spec.power), drift, "t"))
-
-
-def _drop_disks(state) -> Diagram:
-    """Forget the untwisted disks; the twisted family plus gamma remain."""
-    disk_words = {}
-    for disk in state.a_words:
-        word = state.f_words[twist._dual_name(disk)]
-        disk_words[disk] = tuple(x for x in word if state.kinds[x] == twist._FG)
-    gamma_word = tuple(x for x in state.gamma_word if state.kinds[x] == twist._FG)
-    signs = {x: s for x, s in state.signs.items() if state.kinds[x] == twist._FG}
-    return twist.multicurve_map(disk_words, gamma_word, signs)
 
 
 # -- rectangle types ------------------------------------------------------------

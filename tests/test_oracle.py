@@ -5,23 +5,29 @@ annulus universal cover and counts crossings after its own bigon sweep;
 the committed golden tables were produced from the oracle.  Where the
 oracle's map needs no bigon removal, the whole map is compared too: the
 order of the crossings along every word, up to relabeling the crossings.
+On random bases the raw spliced map, before any bigon reduction, is
+compared with the oracle's map before its sweep.
 """
 
 import json
+import random
+import warnings
 from pathlib import Path
 
 import pytest
 
-from heegaardrect.diagram import Diagram
+from heegaardrect.diagram import Diagram, DiagramError
 from heegaardrect.twist import (
     TwistSpec,
+    _twisted,
     chain_base,
     dehn_twist,
     maximal_chain_base,
     multicurve_map,
 )
 
-from map_oracles import dehn_twist_iterated, intersection_number, is_isomorphic
+from conftest import random_base
+from map_oracles import intersection_number, is_isomorphic
 from shear_oracle import FlatMap, oracle_intersections, shear_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,7 +90,28 @@ def test_oracle_map_matches_splice(base_name, power):
     base = BASES[base_name]()
     oracle = Diagram(*shear_model(base, power))
     assert is_isomorphic(oracle, dehn_twist(base, TwistSpec(power)))
-    assert is_isomorphic(oracle, dehn_twist_iterated(base, TwistSpec(power)))
+
+
+@pytest.fixture(scope="module")
+def random_bases():
+    """60 random multicurve bases, drawn as the random twisted diagrams' are."""
+    rng, bases = random.Random(20240809), []
+    while len(bases) < 60:
+        try:
+            bases.append(random_base(rng))
+        except DiagramError:
+            continue
+    return bases
+
+
+@pytest.mark.parametrize("power", [1, -1, 2, -2, 3, -3])
+def test_oracle_map_matches_raw_splice_on_random_bases(random_bases, power):
+    """The spliced map, before any bigon reduction, is the oracle's map."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = TwistSpec(power)
+    for base in random_bases:
+        assert is_isomorphic(Diagram(*shear_model(base, power)), Diagram(*_twisted(base, spec)))
 
 
 def test_tables_match_golden():
