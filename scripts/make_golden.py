@@ -3,13 +3,16 @@
 
 Intersection tables come from the exact annulus shear model (the oracle),
 not from the splice implementation, so the committed numbers stay an
-independent reference.  Run from the repository root:
+independent reference.  `digests.txt` pins what a user reads off each
+member of a wider corpus (`contract_members`), one line per member.  Run
+from the repository root:
 
     python3 scripts/make_golden.py
 
 `main(out)` writes the same files into another directory.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,14 +28,47 @@ from heegaardrect.diagramio import (
     report_to_text,
     serialize_diagram,
 )
+from heegaardrect.systems import validate_disk_systems
 from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
-from conftest import split_components_diagram
+from conftest import maximal_subsystems, random_twisted_diagrams, split_components_diagram
 from shear_oracle import oracle_intersections
 
 GOLDEN = ROOT / "tests" / "golden"
 
 SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
+
+
+def contract_members():
+    """(name, diagram) for each member of the digest corpus, in file order:
+    300 random twisted diagrams, 50 sub-systems of the maximal example (valid
+    or not), example(g, p) for g = 2..5 and p in (2, 3, -2), and the maximal
+    example."""
+    yield from ((f"random:{i}", d) for i, d in enumerate(random_twisted_diagrams(300)))
+    yield from ((f"subsystem:{i}", d) for i, d in enumerate(maximal_subsystems(50)))
+    for g in range(2, 6):
+        yield from ((f"example:{g},{p}", example_diagram(g, p)) for p in (2, 3, -2))
+    yield "maximal", example_diagram(3, 2, maximal=True)
+
+
+def _digest(*texts) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()[:16]
+
+
+def digest_line(name: str, d) -> str:
+    """The member's name and three digests, each the first 16 hex digits of
+    a sha256: of `check`'s JSON and text reports, of `validate`'s entries, and
+    of every `Gk:k` and `Hd:d` graph `export-graph` writes for the member (none
+    when it fails validation)."""
+    report = build_report(d)
+    validation = "".join(f"[{code}] {detail}\n" for code, detail in validate_disk_systems(d))
+    graphs = []
+    if report["validation"]["passed"]:
+        ctx = CriteriaContext(d)
+        graphs += (graph_to_dot(ctx.component_graph(k), f"Gk:{k}") for k in range(1, ctx.m + 1))
+        graphs += (graph_to_dot(ctx.disk_graph(i), f"Hd:{i}") for i in range(1, ctx.n + 1))
+    return " ".join((name, _digest(report_to_json(report), report_to_text(report)),
+                     _digest(validation), _digest(*graphs)))
 
 
 def main(out: Path = GOLDEN):
@@ -80,6 +116,9 @@ def main(out: Path = GOLDEN):
     ctx = CriteriaContext(d32)
     (out / "gk1.dot").write_text(graph_to_dot(ctx.component_graph(1), "Gk:1"))
     (out / "hd1.dot").write_text(graph_to_dot(ctx.disk_graph(1), "Hd:1"))
+
+    lines = (digest_line(name, d) + "\n" for name, d in contract_members())
+    (out / "digests.txt").write_text("".join(lines))
     print(f"wrote golden files to {out}")
 
 

@@ -35,6 +35,18 @@ def test_make_golden_regenerates_every_golden_file(tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+def test_digests_name_the_members_that_moved():
+    """Each member of the digest corpus reports, validates and exports what
+    `tests/golden/digests.txt` records; a failure names every member whose
+    line moved, so a change that renumbers pieces says where."""
+    make_golden = _load_script("make_golden")
+    recorded = (ROOT / "tests" / "golden" / "digests.txt").read_text().splitlines()
+    now = [make_golden.digest_line(name, d) for name, d in make_golden.contract_members()]
+    assert [line.split()[0] for line in now] == [line.split()[0] for line in recorded]
+    moved = [old.split()[0] for old, new in zip(recorded, now) if old != new]
+    assert not moved, f"{len(moved)} members moved: {moved}"
+
+
 def test_benchmark_traces_only_functions_the_package_has():
     """Every dotted path the benchmark's trace counts or replays resolves to
     an attribute of the package, so a refactor cannot drop a traced stage
