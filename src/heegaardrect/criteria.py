@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import and_, sub
@@ -300,41 +300,45 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
     across an uncut edge share the circle at either end of it, so the pieces
     are the circles joined within each face: both of a class's pair, and
     every circle of a face of degree above 4.  A class's piece is that of its
-    pair; the pieces are numbered by their least class, which holds their
-    least face.
+    pair.  The pieces are numbered from 1 by their least boundary circle
+    (curve index, side), minus before plus, which the crossing ids do not
+    touch.
     """
     start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
     every = tuple(range(len(face_class)))  # the face numbers, shared by every piece
     cuts = {}
     for bit, (family, words) in enumerate(((FAMILY_A, surface.a_words),
                                            (FAMILY_B, surface.b_words))):
-        # circle (i, side) is node 2i, plus one on the minus side
-        pairs = [(2 * p[0] + (p[1] < 0), 2 * q[0] + (q[1] < 0))
+        # circle (i, side) is node 2i, plus one on the plus side, so nodes
+        # sort as circles do
+        pairs = [(2 * p[0] + (p[1] > 0), 2 * q[0] + (q[1] > 0))
                  for p, q in (sides[bit] for _, sides in classes.values())]
         joins = pairs[:]
         for f in big:  # its darts on this family, every other one from the first
             k = start[f] + (bit ^ orbit[start[f]] & 1)
-            nodes = [2 * curve[d] + (d >> 1 & 1) for d in orbit[k:start[f + 1]:2]]
+            nodes = [2 * curve[d] + (not d & 2) for d in orbit[k:start[f + 1]:2]]
             joins += zip(nodes, nodes[1:])
         parent = _union(list(range(2 * len(words) + 2)), joins)
-        # one pass in increasing order points every node at its root
-        for x in range(len(parent)):
-            parent[x] = parent[parent[x]]
 
-        index: dict = {}  # root -> piece index from 0, in order of the least class
-        class_piece = [index.setdefault(parent[p], len(index)) for p, _ in pairs]
-        circles: list = [[] for _ in index]
+        # one pass in increasing order points every node at its root, its
+        # piece's least circle, and meets the roots in the order of the pieces
+        index: dict = {}  # root -> piece index from 0
+        circles: list = []
         for x in range(2, len(parent)):
-            circles[index[parent[x]]].append((x >> 1, MINUS if x & 1 else PLUS))
-        if len(index) == 1:
+            parent[x] = root = parent[parent[x]]
+            if root == x:
+                index[x] = len(circles)
+                circles.append([])
+            circles[index[root]].append((x >> 1, PLUS if x & 1 else MINUS))
+        if len(circles) == 1:
             faces = [every]
         else:
-            held: list = [set() for _ in index]
-            for c, k in zip(classes, class_piece):
-                held[k].add(c)
+            held: list = [set() for _ in circles]
+            for c, (p, _) in zip(classes, pairs):
+                held[index[parent[p]]].add(c)
             faces = [compress(every, map(h.__contains__, face_class)) for h in held]
         lengths = [len(word) for word in words.values()]
-        cuts[family] = tuple(_component(k, family, fs, cs, lengths)
+        cuts[family] = tuple(_component(k, fs, cs, lengths)
                              for k, (fs, cs) in enumerate(zip(faces, circles), 1))
     return cuts
 
@@ -358,25 +362,6 @@ def _glued_once(surface: Diagram, family: str, x: int) -> bool:
     d = 4 * x + PORTS[family][0]
     k, f_plus = start[fod[alpha[d]]], fod[d]
     return [fod[alpha[e]] for e in surface._face_darts[k:k + 4]].count(f_plus) == 1
-
-
-def _numbered(surface: Diagram, comps: tuple, piece_of, flip: int, family: str) -> tuple:
-    """`comps` renumbered by their least dart d ^ flip, as cut components of
-    `family`; with flip 0 they already are, being ordered by least face (flip
-    is 0 or 1).  `piece_of(f)` is face f's index in `comps`."""
-    if not flip:
-        return comps
-    # a piece's least d ^ 1, from its least dart m, the first of its first
-    # face's orbit: m - 1 if m is odd, m if dart m + 1 lies in the piece too,
-    # else m + 1
-    start, orbit, fod = surface._face_start, surface._face_darts, surface._face_of_dart
-
-    def least(comp):
-        m = orbit[start[comp.faces[0]]]
-        return m - 1 if m & 1 else m if piece_of(fod[m + 1]) == comp.index else m + 1
-
-    order = sorted(comps, key=least)
-    return tuple(replace(c, index=i, family=family) for i, c in enumerate(order, 1))
 
 
 class CriteriaContext:
@@ -405,10 +390,10 @@ class CriteriaContext:
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built on first use by the same
     `_analyse` from this view's cut components and class table, read with
-    the families exchanged, and keeps this diagram's face numbers.  The swap
-    renames dart d to d ^ 1 (see the `diagram` module), so each view numbers
-    its cut components (the k and l of its witnesses) by their least dart
-    d ^ flip, flip 1 when swapped, as a context of `swap_roles()` would.
+    the families exchanged, and keeps this diagram's face numbers.  Both
+    views share one pair of cuts, whose pieces (the k and l of the
+    witnesses) are numbered by their least boundary circle, as in a context
+    of `swap_roles()`: the swap keeps every circle (see the `diagram` module).
     The swapped view builds its `diagram` and `validation` only when read.
     Its own `swapped` is this context while this context is alive; it
     refers back weakly, so the two form no reference cycle.
@@ -435,20 +420,13 @@ class CriteriaContext:
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
         self._surface, self._first, self._table = surface, first, table
         cuts, face_class, classes = table
-
-        def piece_of(i):  # face -> its piece's index in the first (0) or second (1) cut
-            return lambda f: classes[face_class[f]][1][i ^ flip]
-
-        self.comps_a = comps_a = _numbered(surface, cuts[first], piece_of(0), flip, FAMILY_A)
-        self.comps_b = comps_b = _numbered(surface, cuts[second], piece_of(1), flip, FAMILY_B)
-        self.m, self.m_star = len(comps_a), len(comps_b)
+        self.comps_a, self.comps_b = cuts[first], cuts[second]
+        self.m, self.m_star = len(self.comps_a), len(self.comps_b)
         counts = (len(surface.a_words), len(surface.b_words))
         self.n, self.n_star = counts[::-1] if flip else counts
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
         self._component_graphs: dict = {}
         self._swapped = None  # a callable that returns the swapped context, or None
-        # a piece's index in its cut -> its l in this view
-        l_of = {piece_of(1)(comp.faces[0]): comp.index for comp in comps_b}
 
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
         # in A*_l (a face's sides are boundary circles of its piece)
@@ -457,7 +435,7 @@ class CriteriaContext:
             a_sides, b_sides = types[flip], types[1 - flip]
             if a_sides is not None and b_sides[0] != b_sides[1]:  # a rectangle, not a loop
                 self.rect_index.setdefault(a_sides, {}).setdefault(
-                    l_of[pieces[1 - flip]], set()).add(b_sides)
+                    pieces[1 - flip], set()).add(b_sides)
 
         # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not
         # loops, for each pair of distinct rectangles in piece l glued along
@@ -490,7 +468,7 @@ class CriteriaContext:
                                      _axis_edges(surface, first, face_class))))):
                 continue
             self.composed_index.setdefault((axis, end_minus, end_plus), {}).setdefault(
-                l_of[pieces[1 - flip]], set()).add(b_sides)
+                pieces[1 - flip], set()).add(b_sides)
 
     @cached_property
     def diagram(self) -> Diagram:

@@ -20,13 +20,13 @@ class CutComponent:
     """A component of the surface cut along one family's curves.
 
     `a_set` lists the boundary circles as (curve index, side) pairs, indices
-    1-based within the cut family.  `euler` is the Euler characteristic of
-    the compact component, read off its faces (see `cut_components`);
-    it is planar iff ``euler == 2 - len(a_set)``.
+    1-based within the cut family, and `index` numbers the components of a
+    cut from 1 in the order of their least circle.  `euler` is the Euler
+    characteristic of the compact component, read off its faces (see
+    `cut_components`); it is planar iff ``euler == 2 - len(a_set)``.
     """
 
     index: int
-    family: str
     faces: tuple[int, ...]
     a_set: frozenset[tuple[int, int]]
     euler: int
@@ -34,7 +34,8 @@ class CutComponent:
 
 
 def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutComponent, ...]:
-    """Components of the surface cut along `family`, ordered by smallest face.
+    """Components of the surface cut along `family`, ordered by their least
+    boundary circle (curve index, side), minus before plus.
 
     Faces belong to the same component iff they are connected across edges
     of the *other* family (those edges are not cut); the boundary circles
@@ -57,8 +58,7 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     parent = _union(list(range(len(start) - 1)),
                     zip(fod[out::4], map(fod.__getitem__, alpha[out::4])))
 
-    # one pass in face order points every face at its root, and the groups
-    # arrive in face order
+    # one pass in face order points every face at its root
     groups: dict[int, list] = {}
     for f in range(len(parent)):
         parent[f] = root = parent[parent[f]]
@@ -75,18 +75,19 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
         circles[parent[fod[d + out_port]]].append((i, PLUS))
 
     lengths = [len(word) for word in words.values()]
-    return tuple(_component(k, family, faces, circles[root], lengths)
-                 for k, (root, faces) in enumerate(groups.items(), 1))
+    roots = sorted(groups, key=lambda root: min(circles[root]))
+    return tuple(_component(k, groups[root], circles[root], lengths)
+                 for k, root in enumerate(roots, 1))
 
 
-def _component(index: int, family: str, faces, circles: list, lengths: list) -> CutComponent:
+def _component(index: int, faces, circles: list, lengths: list) -> CutComponent:
     """The cut component with these faces and boundary circles, (curve index,
     side) pairs, `lengths` giving each cut curve's crossing count by index.
     Its boundary arcs are the arcs of its circles, so its face degrees sum to
     twice the crossings on them, which gives its Euler characteristic."""
     faces = tuple(faces)
     euler = (4 * len(faces) - 2 * sum(lengths[i - 1] for i, _ in circles)) // 4
-    return CutComponent(index, family, faces, frozenset(circles), euler, euler == 2 - len(circles))
+    return CutComponent(index, faces, frozenset(circles), euler, euler == 2 - len(circles))
 
 
 @dataclass

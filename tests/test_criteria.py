@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 from dataclasses import fields
 
@@ -23,7 +24,7 @@ from heegaardrect.criteria import (
 from heegaardrect.diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, Diagram, DiagramError,
 )
-from heegaardrect.diagramio import build_report
+from heegaardrect.diagramio import build_report, report_to_json
 from heegaardrect.systems import CutComponent, cut_components, validate_disk_systems
 from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
@@ -748,6 +749,22 @@ def test_verdicts_invariant_under_crossing_relabeling(example_22):
     )
 
 
+def test_reports_do_not_depend_on_crossing_names():
+    """Seeded renamings of the crossings, which reorder the crossing ids and
+    so every dart and face number, move no report: five of each random
+    twisted diagram and ten of each sub-system of the maximal example."""
+    rng = random.Random(20261019)
+    for corpus, times in ((random_twisted_diagrams(300), 5), (maximal_subsystems(50), 10)):
+        for d in corpus:
+            report = report_to_json(build_report(d))
+            ids = sorted(d.signs)
+            for _ in range(times):
+                names = [f"r{i}" for i in range(len(ids))]
+                rng.shuffle(names)
+                renamed = relabel_crossings(d, dict(zip(ids, names)))
+                assert report_to_json(build_report(renamed)) == report
+
+
 def test_verdicts_invariant_under_curve_renaming(example_22):
     """Renaming curves permutes indices in witnesses, not the verdicts."""
     from heegaardrect.diagram import Diagram
@@ -892,16 +909,23 @@ def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
             ]
 
 
-def test_swapped_numbering_is_by_least_swapped_dart():
-    """The swapped view orders each family's cut components by their least
-    dart d ^ 1, found here by brute force over every dart of every face."""
-    for d in face_oracle_cases():
-        swapped = CriteriaContext(d).swapped
-        for attr, family in (("comps_a", FAMILY_B), ("comps_b", FAMILY_A)):
-            order = sorted(cut_components(d, family), key=lambda c: min(
-                e ^ 1 for f in c.faces for e in d.faces[f].darts))
-            assert [c.faces for c in getattr(swapped, attr)] == [c.faces for c in order]
-            assert [c.index for c in getattr(swapped, attr)] == list(range(1, len(order) + 1))
+def test_pieces_are_numbered_by_least_boundary_circle(example_32_maximal):
+    """Every cut numbers its pieces from 1 by their least boundary circle
+    (curve index, side), minus before plus: `cut_components` of either family
+    and both views of a context, which share one pair of cuts.  Each piece's
+    circles are read here off the sides of its faces."""
+    for d in _cut_corpora(example_32_maximal):
+        ctx = CriteriaContext(d)
+        assert ctx.swapped.comps_a is ctx.comps_b and ctx.swapped.comps_b is ctx.comps_a
+        for family, ids in ((FAMILY_A, d.a_curve_ids()), (FAMILY_B, d.b_curve_ids())):
+            for comps in (cut_components(d, family), ctx.comps_a if family == FAMILY_A
+                          else ctx.comps_b):
+                circles = [{(ids.index(s.curve) + 1, s.side) for f in c.faces
+                            for s in d.faces[f].sides if s.family == family} for c in comps]
+                assert [c.a_set for c in comps] == circles
+                least = [min(cs) for cs in circles]  # MINUS < PLUS
+                assert least == sorted(least)
+                assert [c.index for c in comps] == list(range(1, len(comps) + 1))
 
 
 def _cut_corpora(maximal: Diagram):
