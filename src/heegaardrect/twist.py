@@ -70,10 +70,11 @@ def _twisted(base: Diagram, spec: TwistSpec) -> tuple[dict, dict, dict]:
     that winds |power| laps in the drift direction (the sign of the power),
     entering at its germ.  The detour from the germ of x, at slot `germ`,
     meets the strand of the disk crossing a once a lap, in lap r as the
-    crossing ``t_l_{x}_{a}_{r}``, ``((slot[a] - germ) * drift) % w + r * w``
-    slots along.  Every strand takes its crossings in the order of those
-    positions, reversed where its sign is +1 (the strand runs downward
-    through the annulus).  These are all the crossings: the disks meet
+    crossing ``t{len(x)}_{x}_{a}_{r}``, ``((slot[a] - germ) * drift) % w +
+    r * w`` slots along; the length of x says where x ends, so no two names
+    tie whatever the ids hold.  Every strand takes its crossings in the
+    order of those positions, reversed where its sign is +1 (the strand
+    runs downward through the annulus).  These are all the crossings: the disks meet
     gamma alone, so they are pairwise disjoint, and every word gets at
     least |power| crossings.
     """
@@ -96,11 +97,12 @@ def _twisted(base: Diagram, spec: TwistSpec) -> tuple[dict, dict, dict]:
     for word in base.a_words.values():
         for x in word:
             germ = slot[x] + signs[x]
+            head = f"t{len(str(x))}_{x}_"
             for a in gamma:
                 start = ((slot[a] - germ) * drift) % w
                 sign = drift if signs[x] != signs[a] else -drift
                 for r in range(laps):
-                    c = f"t_l_{x}_{a}_{r}"
+                    c = f"{head}{a}_{r}"
                     out_signs[c] = sign
                     event = (start + r * w, c)
                     f_events[x].append(event)

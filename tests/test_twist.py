@@ -144,6 +144,21 @@ def test_twist_counts_scale_with_gamma_crossings():
             assert intersection_number(d, a, b) == expected
 
 
+def test_splice_names_are_unambiguous():
+    """Crossing ids holding "_" give every spliced crossing its own name: with
+    a, a_b, c and b_c, a name that only joined x, a and r with "_" would
+    give t_l_a_b_c_0 twice, once for (a, b_c) and once for (a_b, c)."""
+    words = {"d1": ("a", "a_b"), "d2": ("c", "b_c")}
+    gamma = ("a", "c", "a_b", "b_c")
+    signs = {"a": 1, "c": 1, "a_b": 1, "b_c": -1}
+    base = multicurve_map(words, gamma, signs)
+    for power in (2, -2, 3):
+        d = dehn_twist(base, TwistSpec(power))
+        assert d.genus == 2
+        assert d.num_crossings == abs(power) * 4 * 4
+        assert "t1_a_b_c_0" in d.signs and "t3_a_b_c_0" in d.signs
+
+
 def test_twisted_corpus_is_pinned():
     """The random twisted diagrams are the recorded ones, byte for byte: this
     pins `dehn_twist`'s crossing names and word order, which the benchmark's
@@ -152,7 +167,7 @@ def test_twisted_corpus_is_pinned():
     for d in random_twisted_diagrams(100):
         digest.update(serialize_diagram(d).encode())
     assert digest.hexdigest() == (
-        "67ce1e2ecda831a032390ca02d1989856f3c69f4ef718c60bd954d944b25e926")
+        "a497899557f911bdbbbf3dd69fbe3c7ae5b0f0910f669e5d2d1be0214f8f3413")
 
 
 def test_example_diagram_validates_and_is_deterministic():
