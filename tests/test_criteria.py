@@ -808,6 +808,21 @@ def test_drc_swap_symmetry(example_32, example_32_maximal):
         )
 
 
+@pytest.mark.parametrize("genus", [3, 4, 5, 13])
+def test_drc_decides_the_examples_on_the_skeleton(monkeypatch, genus):
+    """Every H_d of example(g, 2), in both views, has minimum degree 2 and a
+    2-connected skeleton, so DRC finds each verdict and witness pair from the
+    skeleton and never falls back to the one-vertex-at-a-time scan."""
+    d = example_diagram(genus, 2)
+    want = double_rectangle_condition(d)
+
+    def scan(*args):
+        raise AssertionError("H_d was scanned")
+
+    monkeypatch.setattr(criteria, "_scan_witness", scan)
+    assert double_rectangle_condition(d) == want
+
+
 def test_drc_pairs_match_brute_force():
     """The pair `double_rectangle_condition` reports for each view and disk, or
     its absence, is the brute-force witness of that H_d.  DRC searches each
