@@ -274,24 +274,11 @@ class Diagram:
     def num_crossings(self) -> int:
         return len(self._crossing_ids)
 
-    def crossing_ids(self) -> tuple[str, ...]:
-        return self._crossing_ids
-
     def a_curve_ids(self) -> tuple[str, ...]:
         return tuple(self.a_words)
 
     def b_curve_ids(self) -> tuple[str, ...]:
         return tuple(self.b_words)
-
-    def face_of_dart(self, d: int) -> int:
-        return self._face_of_dart[d]
-
-    def dart(self, crossing: str, port: int) -> int:
-        return self._dart0[crossing] + port
-
-    def mate(self, d: int) -> int:
-        """The other dart of the same edge."""
-        return self._alpha[d]
 
     def bigon_faces(self) -> tuple[int, ...]:
         """The indices of the faces of degree two."""

@@ -1,9 +1,9 @@
 """Diagram machinery that only the tests use, kept here as oracles.
 
-The input checks as one per-token scan, crossing relabeling, curve
-reversal, restriction to sub-families, stabilization, an isomorphism test
-by canonical certificate, edges and intersection numbers read off the
-words, a face trace through the public dart queries, and the rectangle
+The input checks as one per-token scan, the dart queries, crossing
+relabeling, curve reversal, restriction to sub-families, stabilization, an
+isomorphism test by canonical certificate, edges and intersection numbers
+read off the words, a face trace through the dart queries, and the rectangle
 and composed rectangle types face by face and edge by edge, the oracle of
 the criteria's class table.  None of it is on the check or generate path
 of the package.
@@ -60,6 +60,27 @@ def input_fault(a_words, b_words, signs):
         if type(signs[x]) is not int or signs[x] not in (MINUS, PLUS):
             return f"crossing {x}: sign must be +1 or -1"
     return None
+
+
+# -- dart queries ------------------------------------------------------------------
+
+
+def crossing_ids(d: Diagram) -> tuple:
+    """The sorted crossing ids: crossing i owns darts 4i to 4i + 3."""
+    return d._crossing_ids
+
+
+def dart_of(d: Diagram, crossing, port: int) -> int:
+    return d._dart0[crossing] + port
+
+
+def mate_of(d: Diagram, e: int) -> int:
+    """The other dart of the same edge."""
+    return d._alpha[e]
+
+
+def face_of_dart(d: Diagram, e: int) -> int:
+    return d._face_of_dart[e]
 
 
 # -- relabeling and isomorphism ----------------------------------------------------
@@ -148,7 +169,7 @@ def _rotation(d: Diagram) -> list[int]:
     for x, sign in d.signs.items():
         order = CCW[sign]
         for before, port in zip(order[-1:] + order[:-1], order):
-            sigma_inv[d.dart(x, port)] = d.dart(x, before)
+            sigma_inv[dart_of(d, x, port)] = dart_of(d, x, before)
     return sigma_inv
 
 
@@ -243,20 +264,20 @@ def traced_faces(d: Diagram) -> tuple[list, dict]:
     """The faces as (index, darts, sides) with sides (family, curve, side),
     numbered by least dart, and the face of every dart.
 
-    Each face is walked from its least dart: along the edge (`mate`), then
+    Each face is walked from its least dart: along the edge (`mate_of`), then
     one turn clockwise at the crossing reached, read off the crossing's sign.
     The face on the left of an arc is on the plus side of its strand when
     the arc leaves by an out port, on the minus side otherwise.
     """
-    ids = d.crossing_ids()
+    ids = crossing_ids(d)
 
     def port(dart):
-        return dart - d.dart(ids[dart // 4], A_OUT)
+        return dart - dart_of(d, ids[dart // 4], A_OUT)
 
     def clockwise(dart):
         x = ids[dart // 4]
         order = CCW[d.signs[x]]
-        return d.dart(x, order[order.index(port(dart)) - 1])
+        return dart_of(d, x, order[order.index(port(dart)) - 1])
 
     def side(dart):
         cr = d.crossings[ids[dart // 4]]
@@ -271,7 +292,7 @@ def traced_faces(d: Diagram) -> tuple[list, dict]:
         while dart not in face_of:
             face_of[dart] = len(faces)
             darts.append(dart)
-            dart = clockwise(d.mate(dart))
+            dart = clockwise(mate_of(d, dart))
         faces.append((len(faces), tuple(darts), tuple(side(e) for e in darts)))
     return faces, face_of
 

@@ -32,7 +32,10 @@ from conftest import (
     SWEEP, face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
     random_twisted_diagrams, torus_one,
 )
-from map_oracles import _composed, _side_types, relabel_crossings, reverse_curve, stabilized
+from map_oracles import (
+    _composed, _side_types, crossing_ids, face_of_dart, relabel_crossings, reverse_curve,
+    stabilized,
+)
 
 
 def calibration_graph() -> CriteriaGraph:
@@ -740,7 +743,7 @@ def test_disk_graph_vertex_count_minimal(example_22):
 
 
 def test_verdicts_invariant_under_crossing_relabeling(example_22):
-    mapping = {x: f"z{i}" for i, x in enumerate(example_22.crossing_ids())}
+    mapping = {x: f"z{i}" for i, x in enumerate(crossing_ids(example_22))}
     r = relabel_crossings(example_22, mapping)
     assert rectangle_condition(r).holds == rectangle_condition(example_22).holds
     assert (
@@ -912,7 +915,7 @@ def test_verdict_invariant():
 def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
     for d in fixture_cases(example_32_maximal):
         swapped = d.swap_roles()
-        perm = [swapped.face_of_dart(f.darts[0] ^ 1) for f in d.faces]
+        perm = [face_of_dart(swapped, f.darts[0] ^ 1) for f in d.faces]
         assert sorted(perm) == list(range(len(swapped.faces)))
         for f in d.faces:
             image = swapped.faces[perm[f.index]]
@@ -975,7 +978,7 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
         assert fresh.comps_a == cut_components(swap, FAMILY_A)
         assert fresh.comps_b == cut_components(swap, FAMILY_B)
         assert fresh.validation.entries == validate_disk_systems(swap).entries
-        perm = [swap.face_of_dart(f.darts[0] ^ 1) for f in d.faces]
+        perm = [face_of_dart(swap, f.darts[0] ^ 1) for f in d.faces]
         for attr in ("comps_a", "comps_b"):
             mine, theirs = getattr(swapped, attr), getattr(fresh, attr)
             assert len(mine) == len(theirs), attr

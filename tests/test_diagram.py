@@ -22,6 +22,7 @@ from conftest import (
 )
 from map_oracles import (
     canonical_certificate,
+    face_of_dart,
     input_fault,
     intersection_number,
     is_isomorphic,
@@ -316,12 +317,12 @@ def test_faces_alternate_families(make):
 
 def test_faces_match_the_traced_oracle():
     """The face tables, read back as `Face` objects, equal a trace through
-    the public `mate` and a rotation read off the crossing signs."""
+    `mate_of` and a rotation read off the crossing signs."""
     for d in face_oracle_cases():
         faces, face_of = traced_faces(d)
         assert [(f.index, f.darts, tuple((s.family, s.curve, s.side) for s in f.sides))
                 for f in d.faces] == faces
-        assert [d.face_of_dart(e) for e in range(4 * d.num_crossings)] == [
+        assert [face_of_dart(d, e) for e in range(4 * d.num_crossings)] == [
             face_of[e] for e in range(4 * d.num_crossings)]
 
 

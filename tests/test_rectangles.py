@@ -12,7 +12,9 @@ from conftest import (
     face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems, mixed_gluing_diagram,
     split_components_diagram, torus_one, torus_two,
 )
-from map_oracles import _composed, _side_types, edges, reverse_curve
+from map_oracles import (
+    _composed, _side_types, dart_of, edges, face_of_dart, mate_of, reverse_curve,
+)
 
 
 def composed(d: Diagram, family: str) -> list:
@@ -142,18 +144,24 @@ def test_rectangle_types_equivariant_under_reversal(example_22):
 
 def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict[int, tuple]]):
     """The composed rectangles edge by edge, kept as the oracle of `_composed`:
-    it walks the words' edges through the public dart queries and counts the
+    it walks the words' edges through the oracles' dart queries and counts the
     glued edges with a generator.  It gives the same plain tuples (axis,
     end_minus, end_plus, b_sides, face_minus, face_plus)."""
     out_port = PORTS[axis_family][0]
     axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
     axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
     axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
-    faces, face_of, mate = diagram.faces, diagram.face_of_dart, diagram.mate
+    faces = diagram.faces
+
+    def face_of(e):
+        return face_of_dart(diagram, e)
+
+    def mate(e):
+        return mate_of(diagram, e)
 
     out = []
     for curve, x, _y in edges(diagram, axis_family):
-        d_out = diagram.dart(x, out_port)
+        d_out = dart_of(diagram, x, out_port)
         # the face left of the forward arc is on the plus side of the edge
         f_plus, f_minus = face_of(d_out), face_of(mate(d_out))
         if f_plus == f_minus or f_plus not in axis_types or f_minus not in axis_types:

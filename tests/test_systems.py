@@ -20,7 +20,7 @@ from conftest import (
     torus_one,
     torus_two,
 )
-from map_oracles import edges
+from map_oracles import crossing_ids, dart_of, edges, face_of_dart, mate_of
 
 
 def test_torus_cut_is_annulus():
@@ -98,15 +98,15 @@ def _euler_from_darts(d, family):
     piece = {fi: c.index for c in comps for fi in c.faces}
     chi = Counter({c.index: len(c.faces) for c in comps})
     other = OTHER_FAMILY[family]
-    for x in d.crossing_ids():
+    for x in crossing_ids(d):
         for port in PORTS[family]:
-            chi[piece[d.face_of_dart(d.dart(x, port))]] += 1
+            chi[piece[face_of_dart(d, dart_of(d, x, port))]] += 1
     for _, x, _y in edges(d, other):
-        chi[piece[d.face_of_dart(d.dart(x, PORTS[other][0]))]] -= 1
+        chi[piece[face_of_dart(d, dart_of(d, x, PORTS[other][0]))]] -= 1
     for _, x, _y in edges(d, family):
-        dart = d.dart(x, PORTS[family][0])
-        for p in (dart, d.mate(dart)):
-            chi[piece[d.face_of_dart(p)]] -= 1
+        dart = dart_of(d, x, PORTS[family][0])
+        for p in (dart, mate_of(d, dart)):
+            chi[piece[face_of_dart(d, p)]] -= 1
     return chi
 
 
