@@ -116,6 +116,8 @@ def main(out: Path = GOLDEN):
     ctx = CriteriaContext(d32)
     (out / "gk1.dot").write_text(graph_to_dot(ctx.component_graph(1), "Gk:1"))
     (out / "hd1.dot").write_text(graph_to_dot(ctx.disk_graph(1), "Hd:1"))
+    gk1_maximal = CriteriaContext(dm).component_graph(1)
+    (out / "gk1_maximal.dot").write_text(graph_to_dot(gk1_maximal, "Gk:1"))
 
     lines = (digest_line(name, d) + "\n" for name, d in contract_members())
     (out / "digests.txt").write_text("".join(lines))

@@ -486,6 +486,17 @@ def test_cli_export_graph(tmp_path, capsys):
     assert "--" in capsys.readouterr().out
 
 
+def test_cli_exports_a_piece_of_the_maximal_example(tmp_path, capsys):
+    """The maximal example cuts each family into four pants; `Gk:1` is the
+    one whose least boundary circle is the least of all, (1,-)."""
+    f = tmp_path / "m.json"
+    run_cli("generate", "--genus", "3", "--power", "2", "--maximal", "-o", str(f))
+    assert run_cli("export-graph", str(f), "--which", "Gk:1") == 0
+    dot = capsys.readouterr().out
+    assert dot == (GOLDEN / "gk1_maximal.dot").read_text()
+    assert dot.splitlines()[1] == '  "(1,-)";'
+
+
 @pytest.mark.parametrize(
     "make,code",
     [(torus_one, "genus"), (lambda: chain_base(3), "count")],
