@@ -74,9 +74,9 @@ def _twisted(base: Diagram, spec: TwistSpec) -> tuple[dict, dict, dict]:
     r * w`` slots along; the length of x says where x ends, so no two names
     tie whatever the ids hold.  Every strand takes its crossings in the
     order of those positions, reversed where its sign is +1 (the strand
-    runs downward through the annulus).  These are all the crossings: the disks meet
-    gamma alone, so they are pairwise disjoint, and every word gets at
-    least |power| crossings.
+    runs downward through the annulus).  These are all the crossings: the
+    disks meet gamma alone, so they are pairwise disjoint, and every word
+    gets at least |power| crossings.
     """
     _check_base(base)
     laps, drift = abs(spec.power), PLUS if spec.power > 0 else MINUS
