@@ -4,7 +4,11 @@ The two criteria are decided through auxiliary graphs built from rectangle
 and composed-rectangle types.  Vertices of the detail graphs are boundary
 circle labels (curve index, side) of a cut component of the second family;
 vertices of the per-disk graphs are labels of the first family, tagged by
-the side of the distinguished disk when both sides are in play.
+the side of the distinguished disk when both sides are in play.  Inside
+this module circle (i, side) is the node 2i + (side is plus), and H_d's
+vertex (kappa, i, side) is that node plus 2(n + 1) when kappa is plus, so
+nodes sort as the tuples do.  Tuples (`_label`) come back only in the
+witnesses, the `CriteriaGraph` exports and the public accessors.
 
 Connectivity conventions are exactly the ones the criteria quantify over,
 which differ from textbook biconnectivity in the small cases: the empty
@@ -31,6 +35,17 @@ from .systems import ValidationReport, _component, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
+
+
+def _node(circle: Vertex) -> int:
+    return 2 * circle[0] + (circle[1] == PLUS)
+
+
+def _label(node: int, plus: int = 0) -> Vertex:
+    """The circle of `node`, or with H_d's plus tag `plus` = 2(n + 1), its vertex."""
+    if plus:
+        return (PLUS,) + _label(node - plus) if node >= plus else (MINUS,) + _label(node)
+    return (node >> 1, PLUS if node & 1 else MINUS)
 
 
 @dataclass(frozen=True)
@@ -260,8 +275,8 @@ def _class_table(surface: Diagram) -> tuple:
     deduplicated at C speed and only the distinct ones are read.  A face's
     darts alternate the two families, so darts 0 and 2 of its orbit lie on
     one family and darts 1 and 3 on the other; the sorted pair of their
-    (curve index, side) sides is the class's pair on that family, each
-    distinct pair one tuple.  Returns each face's class, numbered by its first
+    sides, as nodes, is the class's pair on that family, each distinct
+    pair one tuple.  Returns each face's class, numbered by its first
     face; class -> ((a-type, b-type), (a-pair, b-pair)), a type being the
     pair of a rectangle (a face of degree 4, whose pairs are all its sides)
     and None for any other face; and the faces of degree above 4, the only
@@ -282,8 +297,8 @@ def _class_table(surface: Diagram) -> tuple:
 
     decoded, pairs = {}, {}
     for (degree, c0, p0, c1, p1, c2, p2, c3, p3), i in classes.items():
-        p, q = (c0, 1 - (p0 & 2)), (c2, 1 - (p2 & 2))
-        u, v = (c1, 1 - (p1 & 2)), (c3, 1 - (p3 & 2))
+        p, q = 2 * c0 + (not p0 & 2), 2 * c2 + (not p2 & 2)
+        u, v = 2 * c1 + (not p1 & 2), 2 * c3 + (not p3 & 2)
         own, other = (p, q) if p <= q else (q, p), (u, v) if u <= v else (v, u)
         sides = pairs.setdefault(own, own), pairs.setdefault(other, other)
         if p0 & 1:  # dart 0 is on the second family
@@ -293,8 +308,8 @@ def _class_table(surface: Diagram) -> tuple:
 
 
 def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -> dict:
-    """Both families' cut components, keyed by family and equal to
-    `cut_components`, from what `_class_table` returns.
+    """Each family's cut from what `_class_table` returns: its components,
+    equal to `cut_components`, each piece's node set and node -> piece index.
 
     A face's circles of the cut family lie in its piece, and two faces
     across an uncut edge share the circle at either end of it, so the pieces
@@ -309,10 +324,7 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
     cuts = {}
     for bit, (family, words) in enumerate(((FAMILY_A, surface.a_words),
                                            (FAMILY_B, surface.b_words))):
-        # circle (i, side) is node 2i, plus one on the plus side, so nodes
-        # sort as circles do
-        pairs = [(2 * p[0] + (p[1] > 0), 2 * q[0] + (q[1] > 0))
-                 for p, q in (sides[bit] for _, sides in classes.values())]
+        pairs = [sides[bit] for _, sides in classes.values()]
         joins = pairs[:]
         for f in big:  # its darts on this family, every other one from the first
             k = start[f] + (bit ^ orbit[start[f]] & 1)
@@ -322,24 +334,25 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
 
         # one pass in increasing order points every node at its root, its
         # piece's least circle, and meets the roots in the order of the pieces
-        index: dict = {}  # root -> piece index from 0
-        circles: list = []
+        piece = [0, 0]  # node -> piece index from 1; nodes 0 and 1 are no circle
+        nodes: list = []
         for x in range(2, len(parent)):
             parent[x] = root = parent[parent[x]]
             if root == x:
-                index[x] = len(circles)
-                circles.append([])
-            circles[index[root]].append((x >> 1, PLUS if x & 1 else MINUS))
-        if len(circles) == 1:
+                nodes.append([])
+            piece.append(piece[root] if root < x else len(nodes))
+            nodes[piece[x] - 1].append(x)
+        if len(nodes) == 1:
             faces = [every]
         else:
-            held: list = [set() for _ in circles]
+            held: list = [set() for _ in nodes]
             for c, (p, _) in zip(classes, pairs):
-                held[index[parent[p]]].add(c)
+                held[piece[p] - 1].add(c)
             faces = [compress(every, map(h.__contains__, face_class)) for h in held]
         lengths = [len(word) for word in words.values()]
-        cuts[family] = tuple(_component(k, fs, cs, lengths)
-                             for k, (fs, cs) in enumerate(zip(faces, circles), 1))
+        comps = tuple(_component(k, fs, list(map(_label, ns)), lengths)
+                      for k, (fs, ns) in enumerate(zip(faces, nodes), 1))
+        cuts[family] = comps, tuple(map(frozenset, nodes)), piece
     return cuts
 
 
@@ -374,6 +387,9 @@ class CriteriaContext:
     stated for disk systems, so each graph and pair verdict of a diagram
     that fails `validation` raises, naming the failed checks.
 
+    The indexes, G_k and H_d hold nodes (see the module docstring); the
+    accessors and the graph exports take and give (curve index, side) tuples.
+
     A pair verdict says whether the detail graph is 2-connected for every
     l, so it depends only on the pair's edge sets: the sets (l, edges at l)
     of its `rect_index` or `composed_index` entry.  Each view keeps one memo,
@@ -383,14 +399,14 @@ class CriteriaContext:
     once, whichever pairs share it.  The criteria graphs ask for the verdicts
     of index keys only: every cut piece of a disk system has at least three
     labels, so a pair with no key has disconnected detail graphs and fails.
-    `component_graph` keeps each G_k, and a disk graph takes its block edges
+    Each G_k is kept as an adjacency, and a disk graph takes its block edges
     from it.  The missing-type search reads the records of the absent edges
     it explains.
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built on first use by the same
-    `_analyse` from this view's cut components and class table, read with
-    the families exchanged, and keeps this diagram's face numbers.  Both
+    `_analyse` from this view's cuts and class table, read with the families
+    exchanged, and keeps this diagram's face numbers.  Both
     views share one pair of cuts, whose pieces (the k and l of the
     witnesses) are numbered by their least boundary circle, as in a context
     of `swap_roles()`: the swap keeps every circle (see the `diagram` module).
@@ -403,8 +419,7 @@ class CriteriaContext:
         face_class, classes, big = _class_table(diagram)
         cuts = _cut_classes(diagram, face_class, classes, big)
         # each class's piece in each cut: the piece of a circle of its pair
-        piece_a, piece_b = ({c: comp.index for comp in cuts[family] for c in comp.a_set}
-                            for family in (FAMILY_A, FAMILY_B))
+        piece_a, piece_b = cuts[FAMILY_A][2], cuts[FAMILY_B][2]
         classes = {i: (types, (piece_a[a[0]], piece_b[b[0]]))
                    for i, (types, (a, b)) in classes.items()}
         self._analyse(diagram, FAMILY_A, (cuts, face_class, classes))
@@ -412,20 +427,22 @@ class CriteriaContext:
 
     def _analyse(self, surface: Diagram, first: str, table: tuple) -> None:
         """Indexes of the view of `surface` whose first family is `first`,
-        from `table`: the cut components keyed by family, each face's class,
-        and class -> (its types as `_class_table` gives them, its (a-piece,
-        b-piece) by index in the cut).  Each class is read once for
-        `rect_index`, and each distinct (axis, minus class, plus class) of an
-        edge of a `first` curve once for `composed_index`."""
+        from `table`: the cuts keyed by family (as `_cut_classes` gives them),
+        each face's class, and class -> (its types as `_class_table` gives
+        them, its (a-piece, b-piece) by index in the cut).  Each class is read
+        once for `rect_index`, and each distinct (axis, minus class, plus
+        class) of an edge of a `first` curve once for `composed_index`."""
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
         self._surface, self._first, self._table = surface, first, table
         cuts, face_class, classes = table
-        self.comps_a, self.comps_b = cuts[first], cuts[second]
+        self.comps_a, self._nodes_a, self._piece_a = cuts[first]
+        self.comps_b, self._nodes_b, _ = cuts[second]
         self.m, self.m_star = len(self.comps_a), len(self.comps_b)
         counts = (len(surface.a_words), len(surface.b_words))
         self.n, self.n_star = counts[::-1] if flip else counts
+        self._plus = 2 * self.n + 2  # the tag of H_d's plus block
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
-        self._component_graphs: dict = {}
+        self._component_adjs: dict = {}  # (k, tag) -> G_k's adjacency, tagged
         self._swapped = None  # a callable that returns the swapped context, or None
 
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
@@ -452,8 +469,8 @@ class CriteriaContext:
             # the outer side of each end: the one that is not its axis side (the
             # minus face holds the edge's in dart, the plus face its out dart)
             (s, t), (u, v) = sides_minus, sides_plus
-            end_minus = t if s == (axis, MINUS) else s
-            end_plus = v if u == (axis, PLUS) else u
+            end_minus = t if s == 2 * axis else s
+            end_plus = v if u == 2 * axis + 1 else u
             # two faces that share a second edge have complementary ends (one
             # curve, both sides): along the axis family it joins their outer
             # sides; along the cross family it leaves each face with both axis
@@ -461,7 +478,7 @@ class CriteriaContext:
             # its axis.  Only then are edges looked at one by one: the first,
             # and if it is glued twice, every edge of the same classes, whose
             # faces may share just that edge
-            if (end_plus == (end_minus[0], -end_minus[1])
+            if (end_plus == end_minus ^ 1
                     and not _glued_once(surface, first, x)
                     and not any(_glued_once(surface, first, y) for y in compress(
                         count(), map((axis, minus, plus).__eq__,
@@ -469,6 +486,10 @@ class CriteriaContext:
                 continue
             self.composed_index.setdefault((axis, end_minus, end_plus), {}).setdefault(
                 pieces[1 - flip], set()).add(b_sides)
+        # axis -> its (end_minus, end_plus, edges by l), for the disk graphs
+        self._composed_at: dict = {}
+        for (axis, end_minus, end_plus), by_l in self.composed_index.items():
+            self._composed_at.setdefault(axis, []).append((end_minus, end_plus, by_l))
 
     @cached_property
     def diagram(self) -> Diagram:
@@ -513,63 +534,74 @@ class CriteriaContext:
             raise DiagramError(f"disk index {disk} out of range 1..{self.n}")
         if side not in (MINUS, PLUS):
             raise DiagramError("side must be +1 or -1")
-        return next(comp.index for comp in self.comps_a if (disk, side) in comp.a_set)
+        return self._piece_a[_node((disk, side))]
 
     def lambda_of(self, disk: int, side: int) -> frozenset:
         """The punctured label set A_k minus (disk, side), k = `k_of(disk, side)`."""
-        k = self.k_of(disk, side)
-        return frozenset(self.a_set(k) - {(disk, side)})
+        return self.a_set(self.k_of(disk, side)) - {(disk, side)}
 
     # -- graph builders ----------------------------------------------------
 
     def detail_graph(self, k: int, l: int, p: Vertex, q: Vertex) -> CriteriaGraph:
-        self._check_detail_pair(k, p, q)
-        vertices = self.a_star_set(l)
-        edges = self.rect_index.get((p, q) if p <= q else (q, p), {}).get(l, ())
-        return graph_from_edges(edges, vertices=vertices)
+        return _labelled(self._detail_entry(k, p, q).get(l, ()), self.a_star_set(l))
 
     def _check_valid(self) -> None:
         if self._failed_checks:
             raise DiagramError(f"diagram fails validation: {self._failed_checks}")
 
-    def _check_detail_pair(self, k: int, p: Vertex, q: Vertex) -> None:
+    def _detail_entry(self, k: int, p: Vertex, q: Vertex) -> dict:
+        """The `rect_index` entry of the labels p and q, which must lie in A_k."""
         self._check_valid()
         a_k = self.a_set(k)
         if p not in a_k or q not in a_k:
             raise DiagramError(f"{p} or {q} is not in A_{k}")
+        return self.rect_index.get(tuple(sorted(map(_node, (p, q)))), {})
 
     def component_graph(self, k: int) -> CriteriaGraph:
         """G_k: the labels A_k, with p-q an edge when every detail graph
-        G(k, l, p, q) is 2-connected; built once per k from the `rect_index` keys."""
-        if k not in self._component_graphs:
-            self._check_valid()
-            a_k = self.a_set(k)
-            pairs = (key for key in self.rect_index
-                     if key[0] != key[1] and key[0] in a_k and key[1] in a_k)
-            edges = [(p, q) for p, q in pairs if self.first_failing_l_detail(k, p, q) is None]
-            self._component_graphs[k] = graph_from_edges(edges, vertices=a_k)
-        return self._component_graphs[k]
+        G(k, l, p, q) is 2-connected, as a `CriteriaGraph` for export."""
+        adj = self._component_adjacency(k)
+        return _labelled([(u, v) for u in adj for v in adj[u]], self.a_set(k))
 
-    def cross_detail_graph(
-        self, l: int, disk: int, end_minus: Vertex, end_plus: Vertex
-    ) -> CriteriaGraph:
-        self._check_cross_pair(disk, end_minus, end_plus)
-        vertices = self.a_star_set(l)
-        edges = self.composed_index.get((disk, end_minus, end_plus), {}).get(l, ())
-        return graph_from_edges(edges, vertices=vertices)
+    def _component_adjacency(self, k: int, tag: int = 0) -> dict:
+        """G_k as node -> its neighbours, every node plus `tag`; built once
+        per k from the `rect_index` keys, and once per tag from that."""
+        if (k, tag) not in self._component_adjs:
+            if tag:
+                adj = {v + tag: {w + tag for w in nbrs}
+                       for v, nbrs in self._component_adjacency(k).items()}
+            else:
+                self._check_valid()
+                self.a_set(k)
+                a_k = self._nodes_a[k - 1]
+                adj = {v: set() for v in a_k}
+                for (p, q), by_l in self.rect_index.items():
+                    if p != q and p in a_k and q in a_k and self._failure(by_l) is None:
+                        adj[p].add(q)
+                        adj[q].add(p)
+            self._component_adjs[k, tag] = adj
+        return self._component_adjs[k, tag]
 
-    def _check_cross_pair(self, disk: int, end_minus: Vertex, end_plus: Vertex) -> None:
+    def cross_detail_graph(self, l: int, disk: int, end_minus: Vertex,
+                           end_plus: Vertex) -> CriteriaGraph:
+        entry = self._cross_entry(disk, end_minus, end_plus)
+        return _labelled(entry.get(l, ()), self.a_star_set(l))
+
+    def _cross_entry(self, disk: int, end_minus: Vertex, end_plus: Vertex) -> dict:
+        """The `composed_index` entry of ends in Lambda_{d,-} and Lambda_{d,+}."""
         self._check_valid()
         for end, side in ((end_minus, MINUS), (end_plus, PLUS)):
             if end == (disk, side) or end not in self.a_set(self.k_of(disk, side)):
                 raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
+        return self.composed_index.get((disk, _node(end_minus), _node(end_plus)), {})
 
     def disk_graph(self, disk: int) -> CriteriaGraph:
         """H_d as a `CriteriaGraph`, for export and inspection: the graph of
         `_disk_adjacency`, with its two blocks as the partition."""
-        adj, block_minus, block_plus = self._disk_adjacency(disk)
-        return graph_from_edges([(u, v) for u in adj for v in adj[u]], vertices=adj,
-                                partition=(block_minus, block_plus))
+        adj, *blocks = self._disk_adjacency(disk)
+        label = {v: _label(v, self._plus) for v in adj}
+        return graph_from_edges([(label[u], label[v]) for u in adj for v in adj[u]], label.values(),
+                                tuple(frozenset(map(label.get, block)) for block in blocks))
 
     def _disk_adjacency(self, disk: int) -> tuple[dict, frozenset, frozenset]:
         """H_d as (adjacency, minus block, plus block): the labels of
@@ -580,53 +612,48 @@ class CriteriaContext:
         composed-rectangle detail graph of (d, p, q) is 2-connected; only the
         `composed_index` keys with axis d are tested (see the class docstring).
         """
-        lam_minus = self.lambda_of(disk, MINUS)
-        lam_plus = self.lambda_of(disk, PLUS)
-        edges = []
-        for kappa in (MINUS, PLUS):
-            own = (disk, kappa)
-            for p, q in self.component_graph(self.k_of(disk, kappa)).edges:
-                if own != p and own != q:
-                    edges.append(((kappa,) + p, (kappa,) + q))
-        for axis, p, q in self.composed_index:
-            if (axis == disk and p in lam_minus and q in lam_plus
-                    and self.first_failing_l_cross(disk, p, q) is None):
-                edges.append(((MINUS,) + p, (PLUS,) + q))
-        block_minus = frozenset((MINUS,) + p for p in lam_minus)
-        block_plus = frozenset((PLUS,) + p for p in lam_plus)
-        return _adjacency(block_minus | block_plus, edges), block_minus, block_plus
+        own = {2 * disk, 2 * disk + 1 + self._plus}  # the vertices (-; d, -) and (+; d, +)
+        lo, hi = (self._component_adjacency(self.k_of(disk, side), tag)
+                  for side, tag in ((MINUS, 0), (PLUS, self._plus)))
+        adj = {v: nbrs - own for gk in (lo, hi) for v, nbrs in gk.items() if v not in own}
+        block_minus, block_plus = frozenset(lo).difference(own), frozenset(hi).difference(own)
+        for p, q, by_l in self._composed_at.get(disk, ()):
+            q += self._plus
+            if p in block_minus and q in block_plus and self._failure(by_l) is None:
+                adj[p].add(q)
+                adj[q].add(p)
+        return adj, block_minus, block_plus
 
     # -- pair verdicts -----------------------------------------------------
 
     def first_failing_l_detail(self, k: int, p: Vertex, q: Vertex) -> Optional[int]:
         """First l whose detail graph G(k, l, p, q) is not 2-connected, or None."""
-        self._check_detail_pair(k, p, q)
-        failure = self._failure(self.rect_index.get((p, q) if p <= q else (q, p), {}))
-        return None if failure is None else failure[0]
+        return (self._failure(self._detail_entry(k, p, q)) or (None,))[0]
 
-    def first_failing_l_cross(
-        self, disk: int, end_minus: Vertex, end_plus: Vertex
-    ) -> Optional[int]:
+    def first_failing_l_cross(self, disk: int, end_minus: Vertex,
+                              end_plus: Vertex) -> Optional[int]:
         """First l whose composed-rectangle detail graph is not 2-connected, or None."""
-        self._check_cross_pair(disk, end_minus, end_plus)
-        failure = self._failure(self.composed_index.get((disk, end_minus, end_plus), {}))
-        return None if failure is None else failure[0]
+        return (self._failure(self._cross_entry(disk, end_minus, end_plus)) or (None,))[0]
 
     def _failure(self, edges_by_l: dict) -> Optional[tuple[int, Optional[Vertex]]]:
-        """(l, v) for the first l whose detail graph, the labels A*_l with the
-        edges `edges_by_l[l]`, is not 2-connected, v its least cut vertex or
-        None when it is disconnected; None when every l holds.  Memoised by
-        the (l, edges) sets."""
+        """(l, v) for the first l whose detail graph, the nodes of A*_l with
+        the edges `edges_by_l[l]`, is not 2-connected, v the label of its
+        least cut vertex or None when it is disconnected; None when every l
+        holds.  Memoised by the (l, edges) sets."""
         key = frozenset((l, frozenset(edges)) for l, edges in edges_by_l.items())
         if key not in self._failures:
             self._failures[key] = None
-            for comp in self.comps_b:
-                failure = _two_connected_failure(
-                    _adjacency(comp.a_set, edges_by_l.get(comp.index, ())))
+            for l, nodes in enumerate(self._nodes_b, 1):
+                failure = _two_connected_failure(_adjacency(nodes, edges_by_l.get(l, ())))
                 if failure is not None:
-                    self._failures[key] = (comp.index, failure[1] if len(failure) > 1 else None)
+                    self._failures[key] = (l, _label(failure[1]) if len(failure) > 1 else None)
                     break
         return self._failures[key]
+
+
+def _labelled(edges, vertices) -> CriteriaGraph:
+    """The graph on the labels `vertices` with the node pairs `edges`."""
+    return graph_from_edges([(_label(u), _label(v)) for u, v in edges], vertices=vertices)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -714,13 +741,13 @@ def rectangle_condition(
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     for k in range(1, ctx.m + 1):
-        adj = ctx.component_graph(k).neighbors()
+        adj = ctx._component_adjacency(k)
         failure = _two_connected_failure(adj)
         if failure is None:
             continue
         reason, verts = failure[0], failure[1:]  # ("disconnected",) or ("cut-vertex", v)
         missing = _missing_types(adj, verts, lambda p, q: _missing_rectangle(ctx, p, q))
-        witnesses.append(Witness("rc", False, k, reason, verts, missing))
+        witnesses.append(Witness("rc", False, k, reason, tuple(map(_label, verts)), missing))
     holds = not witnesses
     return Verdict(holds, tuple(witnesses), NOTE_RC if holds else "")
 
@@ -742,19 +769,20 @@ def _missing_types(adj: dict, deleted, explain, cap=6) -> tuple:
 
 
 def _missing_rectangle(ctx, p, q) -> MissingType:
-    """The rectangle type for the absent edge p-q of a G_k."""
+    """The rectangle type for the absent edge p-q of a G_k, nodes p and q."""
     p, q = sorted((p, q))
-    return MissingType("rectangle", (p, q), *ctx._failure(ctx.rect_index.get((p, q), {})))
+    failure = ctx._failure(ctx.rect_index.get((p, q), {}))
+    return MissingType("rectangle", (_label(p), _label(q)), *failure)
 
 
 def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
     """The type for the absent edge u-v of H_d: a rectangle inside one block,
     a composed rectangle across the blocks."""
-    if u[0] == v[0]:
-        return _missing_rectangle(ctx, u[1:], v[1:])
-    em, ep = (u[1:], v[1:]) if u[0] == MINUS else (v[1:], u[1:])
-    failure = ctx._failure(ctx.composed_index.get((disk, em, ep), {}))
-    return MissingType("composed-rectangle", (em, disk, ep), *failure)
+    plus, (em, ep) = ctx._plus, sorted((u, v))
+    if (em < plus) == (ep < plus):  # one block; `% plus` drops its tag
+        return _missing_rectangle(ctx, em % plus, ep % plus)
+    failure = ctx._failure(ctx.composed_index.get((disk, em, ep - plus), {}))
+    return MissingType("composed-rectangle", (_label(em), disk, _label(ep - plus)), *failure)
 
 
 def double_rectangle_condition(
@@ -781,6 +809,7 @@ def double_rectangle_condition(
                 missing = _missing_types(
                     adj, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
                 )
+                pair = tuple(_label(v, octx._plus) for v in pair)
                 witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
     holds = not witnesses
     return Verdict(holds, tuple(witnesses), NOTE_DRC if holds else "")

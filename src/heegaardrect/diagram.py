@@ -229,12 +229,13 @@ class Diagram:
         face_of = [-1] * len(phi)
         orbit: list[int] = []
         push = orbit.append
-        face_start = [0]
-        for start, i in enumerate(face_of):
-            if i >= 0:
-                continue
-            i, d = len(face_start) - 1, phi[start]
-            face_of[start] = i
+        face_start, start = [0], 0
+        # a `for` loop: its backward jump has CPython 3.11 specialize this in the first call
+        for i in range(len(phi)):
+            if len(orbit) == len(phi):
+                break
+            start = face_of.index(-1, start)  # face i's least dart, found at C speed
+            face_of[start], d = i, phi[start]
             push(start)
             while d != start:  # until the orbit closes
                 face_of[d] = i

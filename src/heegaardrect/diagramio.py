@@ -117,32 +117,48 @@ def serialize_diagram(d: Diagram) -> str:
     return _dumps(doc) + "\n"
 
 
-def _dumps(x, indent: str = "\n") -> str:
-    """Exactly the text `json.dumps` writes for `x` at an indent of 2, for the
-    types this package writes: dicts with str keys, lists, str, int, True, False
-    and None; any other key or value raises `TypeError`.  A list of strings or
-    of ints (not bools) is joined in one call, where the standard library
-    encodes with pure Python."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if type(x) is int:
-        return repr(x)
-    inner = indent + "  "
-    if isinstance(x, list):
-        if x and type(x[0]) is int and set(map(type, x)) == {int}:
-            body = ("," + inner).join(map(repr, x))
-        else:
-            try:
-                body = ("," + inner).join(map(_quote, x))
-            except TypeError:  # not all items are strings
-                body = ("," + inner).join([_dumps(v, inner) for v in x])
-        return "[" + inner + body + indent + "]" if x else "[]"
-    if isinstance(x, dict):
-        body = ("," + inner).join([_quote(k) + ": " + _dumps(v, inner) for k, v in x.items()])
-        return "{" + inner + body + indent + "}" if x else "{}"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+def _dumps(x) -> str:
+    """Exactly the text `json.dumps` writes for `x` at an indent of 2, for the types
+    this package writes: dicts with str keys, lists, str, int, True, False and None;
+    any other key or value, a dict or list subclass too, raises `TypeError`.  Every
+    piece goes to one list, joined once; a list of only strs or only ints in one call."""
+    out: list = []
+    _dump(x, "\n", out.append)
+    return "".join(out)
+
+
+def _dump(x, indent: str, put) -> None:
+    """`_dumps` of `x` at the line break `indent`, each piece passed to `put`."""
+    t = type(x)
+    if t is dict:
+        inner = indent + "  "
+        lead = "{" + inner
+        for k, v in x.items():
+            put(lead + _quote(k) + ": ")
+            _dump(v, inner, put)
+            lead = "," + inner
+        put(indent + "}" if x else "{}")
+    elif t is list:
+        inner = indent + "  "
+        kinds = set(map(type, x))
+        if kinds == {int} or kinds == {str}:
+            encode = repr if kinds == {int} else _quote
+            put("[" + inner + ("," + inner).join(map(encode, x)) + indent + "]")
+            return
+        lead = "[" + inner
+        for v in x:
+            put(lead)
+            _dump(v, inner, put)
+            lead = "," + inner
+        put(indent + "]" if x else "[]")
+    elif t is str or isinstance(x, str):
+        put(_quote(x))
+    elif t is int:
+        put(repr(x))
+    elif x is None or x is True or x is False:
+        put("null" if x is None else "true" if x else "false")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 # -- reports -------------------------------------------------------------------
@@ -161,7 +177,7 @@ def _verdict_json(v: Verdict) -> dict:
                 "missing_types": [
                     {
                         "kind": m.kind,
-                        "data": _missing_data(m),
+                        "data": [list(x) if type(x) is tuple else x for x in m.a_data],
                         "first_failing_l": m.first_failing_l,
                         "description": m.describe(),
                     }
@@ -173,12 +189,6 @@ def _verdict_json(v: Verdict) -> dict:
         ],
         "note": v.note,
     }
-
-
-def _missing_data(m) -> list:
-    if m.kind == "rectangle":
-        return [list(m.a_data[0]), list(m.a_data[1])]
-    return [list(m.a_data[0]), m.a_data[1], list(m.a_data[2])]
 
 
 def build_report(diagram: Diagram, condition: str = "both") -> dict:

@@ -128,12 +128,14 @@ def validate_components(
     g = diagram.genus
     if g < 2:
         report.add("genus", f"genus {g} < 2")
-    # a bigon's two sides lie on the curves of its two darts, dart d's in family d & 1
+    # a bigon has a dart on each family (dart d's is d & 1); its entry names the
+    # first family's curve first, in curve index order, which crossing ids do not touch
     names = (tuple(diagram.a_words), tuple(diagram.b_words))
-    start, curve = diagram._face_start, diagram._dart_curve
-    for i in diagram.bigon_faces():
-        c, c2 = (names[d & 1][curve[d] - 1] for d in diagram._face_darts[start[i]:start[i] + 2])
-        report.add("bigon", f"bigon face {i} between {c} and {c2}")
+    start, orbit, curve = diagram._face_start, diagram._face_darts, diagram._dart_curve
+    darts = (sorted(orbit[start[f]:start[f] + 2], key=lambda d: d & 1)
+             for f in diagram.bigon_faces())
+    for i, j in sorted((curve[d], curve[e]) for d, e in darts):
+        report.add("bigon", f"bigon between {names[0][i - 1]} and {names[1][j - 1]}")
 
     for family, words, comps in ((FAMILY_A, names[0], comps_a), (FAMILY_B, names[1], comps_b)):
         hi = max(3 * g - 3, 0)

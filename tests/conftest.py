@@ -150,6 +150,11 @@ def random_base(rng: random.Random) -> Diagram:
 
     Raises `DiagramError` where the draw is no multicurve map.
     """
+    return random_multicurve_map(rng).reduce_bigons()
+
+
+def random_multicurve_map(rng: random.Random) -> Diagram:
+    """The draw of `random_base` before its bigons are reduced."""
     g = rng.choice((2, 2, 3))
     per_disk = [rng.choice((1, 2, 2, 3)) for _ in range(g)]
     names = [f"c{d}_{i}" for d, k in enumerate(per_disk, 1) for i in range(k)]
@@ -161,7 +166,7 @@ def random_base(rng: random.Random) -> Diagram:
         rng.shuffle(xs)
         words[f"d{d}"] = tuple(xs)
     signs = {x: rng.choice((1, -1)) for x in names}
-    return multicurve_map(words, tuple(gamma), signs).reduce_bigons()
+    return multicurve_map(words, tuple(gamma), signs)
 
 
 def random_twisted_diagrams(count: int, seed: int = 20240809):

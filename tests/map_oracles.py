@@ -5,7 +5,8 @@ relabeling, curve reversal, restriction to sub-families, stabilization, an
 isomorphism test by canonical certificate, edges and intersection numbers
 read off the words, a face trace through the dart queries, and the rectangle
 and composed rectangle types face by face and edge by edge, the oracle of
-the criteria's class table.  None of it is on the check or generate path
+the criteria's class table, and the criteria's nodes and rectangle indexes
+read back as (curve index, side) labels.  None of it is on the check or generate path
 of the package.
 """
 
@@ -358,3 +359,27 @@ def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
             end_minus = t if s == minus else s
             end_plus = v if u == plus else u
             yield axis, end_minus, end_plus, cross_types[f_minus], f_minus, f_plus
+
+
+def node_label(node: int, n: int = 0) -> tuple:
+    """The label of a node of the criteria: circle (i, side) is the node
+    2i + (side is plus); with `n`, the first family's curve count, H_d's
+    vertex (kappa, i, side) is that node, plus 2(n + 1) when kappa is plus."""
+    if n:
+        plus = node >= 2 * n + 2
+        return ((PLUS,) + node_label(node - 2 * n - 2)) if plus else (MINUS,) + node_label(node)
+    return (node >> 1, PLUS if node & 1 else MINUS)
+
+
+def decoded_indexes(view) -> tuple[dict, dict]:
+    """A context view's `rect_index` and `composed_index` with every node read
+    back as its (curve index, side) label (`node_label`), so they compare with
+    the oracles' indexes."""
+    def by_l(edges_by_l):
+        return {l: {(node_label(u), node_label(v)) for u, v in edges}
+                for l, edges in edges_by_l.items()}
+
+    rect = {(node_label(p), node_label(q)): by_l(e) for (p, q), e in view.rect_index.items()}
+    composed = {(axis, node_label(p), node_label(q)): by_l(e)
+                for (axis, p, q), e in view.composed_index.items()}
+    return rect, composed

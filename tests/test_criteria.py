@@ -1,8 +1,10 @@
 import gc
+import importlib.util
 import itertools
 import random
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from heegaardrect.criteria import (
     Witness,
     _components,
     _fmt_vertex,
+    _pair_witness,
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
@@ -30,11 +33,11 @@ from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
 from conftest import (
     SWEEP, face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
-    random_twisted_diagrams, torus_one,
+    random_multicurve_map, random_twisted_diagrams, torus_one,
 )
 from map_oracles import (
-    _composed, _side_types, crossing_ids, face_of_dart, relabel_crossings, reverse_curve,
-    stabilized,
+    _composed, _side_types, crossing_ids, decoded_indexes, face_of_dart, node_label,
+    relabel_crossings, reverse_curve, stabilized,
 )
 
 
@@ -367,14 +370,15 @@ def test_pair_verdicts_match_definition(example_32_maximal):
                        *maximal_subsystems(50)]):
         ctx = CriteriaContext(d)
         for c in (ctx, ctx.swapped):
-            for p, q in c.rect_index:
+            rect_index, composed_index = decoded_indexes(c)
+            for p, q in rect_index:
                 for k in range(1, c.m + 1):
                     if p in c.a_set(k) and q in c.a_set(k):
                         graphs = [c.detail_graph(k, l, p, q) for l in range(1, c.m_star + 1)]
                         l_fail = c.first_failing_l_detail(k, p, q)
                         assert l_fail == _first_failing_l(graphs)
                         verdicts.add(("detail", l_fail is None))
-            for disk, em, ep in c.composed_index:
+            for disk, em, ep in composed_index:
                 if em in c.lambda_of(disk, MINUS) and ep in c.lambda_of(disk, PLUS):
                     graphs = [
                         c.cross_detail_graph(l, disk, em, ep) for l in range(1, c.m_star + 1)
@@ -506,22 +510,27 @@ def test_key_driven_graphs_match_every_pair(example_32_maximal):
 
 
 def test_verdicts_are_computed_only_for_index_keys(monkeypatch):
-    """Where both conditions hold, no pair without an index key is asked."""
-    asked = {"detail": [], "cross": []}
-    for kind in asked:
-        name = f"first_failing_l_{kind}"
+    """Where both conditions hold, no pair without an index key is asked:
+    each pair verdict `_failure` computes is of the edge sets of a key of
+    `rect_index` (a detail pair) or `composed_index` (a cross pair)."""
+    asked = []
+    failure = CriteriaContext._failure
 
-        def recording(ctx, *pair, kind=kind, ask=getattr(CriteriaContext, name)):
-            asked[kind].append((ctx, pair))
-            return ask(ctx, *pair)
+    def recording(ctx, edges_by_l):
+        asked.append((ctx, edges_by_l))
+        return failure(ctx, edges_by_l)
 
-        monkeypatch.setattr(CriteriaContext, name, recording)
+    monkeypatch.setattr(CriteriaContext, "_failure", recording)
     report = build_report(example_diagram(5, 2), "both")
     assert report["rc"]["holds"] and report["drc"]["holds"]
-    assert asked["detail"] and asked["cross"]
-    assert all(tuple(sorted(pair[1:])) in ctx.rect_index for ctx, pair in asked["detail"])
-    assert all(pair in ctx.composed_index for ctx, pair in asked["cross"])
-    assert len({ctx for kind in asked for ctx, _ in asked[kind]}) == 2
+    kinds = []
+    for ctx, edges_by_l in asked:
+        detail = any(edges_by_l is by_l for by_l in ctx.rect_index.values())
+        cross = any(edges_by_l is by_l for by_l in ctx.composed_index.values())
+        assert detail or cross
+        kinds.append("detail" if detail else "cross")
+    assert set(kinds) == {"detail", "cross"}
+    assert len({ctx for ctx, _ in asked}) == 2
 
 
 def test_each_distinct_set_of_detail_graphs_is_tested_once(monkeypatch):
@@ -546,11 +555,12 @@ def test_each_distinct_set_of_detail_graphs_is_tested_once(monkeypatch):
     pieces, distinct, pairs = [], 0, 0
     for ctx in contexts:
         assert ctx.m_star == 1  # so each set is one detail graph
-        pieces += [comp.a_set for comp in ctx.comps_b]
+        pieces += ctx._nodes_b  # each piece's node set, its detail graphs' vertices
         a_sets = [ctx.a_set(k) for k in range(1, ctx.m + 1)]
-        asked = [by_l for (p, q), by_l in ctx.rect_index.items()
+        rect_index, composed_index = decoded_indexes(ctx)
+        asked = [by_l for (p, q), by_l in rect_index.items()
                  if p != q and any(p in a and q in a for a in a_sets)]
-        asked += [by_l for (disk, em, ep), by_l in ctx.composed_index.items()
+        asked += [by_l for (disk, em, ep), by_l in composed_index.items()
                   if em in ctx.lambda_of(disk, MINUS) and ep in ctx.lambda_of(disk, PLUS)]
         pairs += len(asked)
         distinct += len({frozenset((l, frozenset(edges)) for l, edges in by_l.items())
@@ -752,12 +762,30 @@ def test_verdicts_invariant_under_crossing_relabeling(example_22):
     )
 
 
+def _bigon_maps(draws: int, seed: int) -> list:
+    """The random multicurve maps with bigons among `draws` unreduced draws."""
+    rng, maps = random.Random(seed), []
+    for _ in range(draws):
+        try:
+            d = random_multicurve_map(rng)
+        except DiagramError:
+            continue
+        if d.bigon_faces():
+            maps.append(d)
+    return maps
+
+
 def test_reports_do_not_depend_on_crossing_names():
     """Seeded renamings of the crossings, which reorder the crossing ids and
     so every dart and face number, move no report: five of each random
-    twisted diagram and ten of each sub-system of the maximal example."""
+    twisted diagram and of each random multicurve map with bigons (whose
+    validation names every bigon), and ten of each sub-system of the
+    maximal example."""
     rng = random.Random(20261019)
-    for corpus, times in ((random_twisted_diagrams(300), 5), (maximal_subsystems(50), 10)):
+    bigon_maps = _bigon_maps(300, 5)
+    assert len(bigon_maps) > 150
+    for corpus, times in ((random_twisted_diagrams(300), 5), (bigon_maps, 5),
+                          (maximal_subsystems(50), 10)):
         for d in corpus:
             report = report_to_json(build_report(d))
             ids = sorted(d.signs)
@@ -824,6 +852,40 @@ def test_drc_decides_the_examples_on_the_skeleton(monkeypatch, genus):
 
     monkeypatch.setattr(criteria, "_scan_witness", scan)
     assert double_rectangle_condition(d) == want
+
+
+def _digest_corpus():
+    """The members of `tests/golden/digests.txt`, from `scripts/make_golden.py`."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    return [d for _, d in make_golden.contract_members()]
+
+
+def test_node_witnesses_match_the_exported_disk_graphs():
+    """For every view and disk of the digest corpus, H_d as DRC searches it,
+    a node adjacency, read back as labels is the exported `disk_graph`, and
+    the pair `_pair_witness` finds on it, read back, is the witness
+    `doubly_two_connected_witness` finds on that graph."""
+    disks = pairs = 0
+    for d in _passing(_digest_corpus()):
+        ctx = CriteriaContext(d)
+        for view in (ctx, ctx.swapped):
+            for disk in range(1, view.n + 1):
+                adj, block_minus, block_plus = view._disk_adjacency(disk)
+                graph = view.disk_graph(disk)
+                label = {v: node_label(v, view.n) for v in adj}
+                assert {label[v]: {label[w] for w in nbrs} for v, nbrs in adj.items()} == (
+                    graph.neighbors())
+                assert (frozenset(map(label.get, block_minus)),
+                        frozenset(map(label.get, block_plus))) == graph.partition
+                pair = _pair_witness(adj, block_minus, block_plus)
+                want = doubly_two_connected_witness(graph)
+                assert (None if pair is None else tuple(map(label.get, pair))) == want
+                disks += 1
+                pairs += want is not None
+    assert disks >= 1900 and 1000 < pairs < disks
 
 
 def test_drc_pairs_match_brute_force():
@@ -988,8 +1050,9 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
                     if field.name == "faces":
                         value = tuple(sorted(perm[f] for f in value))
                     assert value == getattr(oracle, field.name), (attr, field.name)
-        for attr in ("rect_index", "composed_index", "m", "m_star", "n", "n_star"):
+        for attr in ("m", "m_star", "n", "n_star"):
             assert getattr(swapped, attr) == getattr(fresh, attr), attr
+        assert decoded_indexes(swapped) == decoded_indexes(fresh)
         assert swapped.validation.passed == fresh.validation.passed
         assert swapped.validation.entries == fresh.validation.entries
         assert swapped.diagram.a_words == swap.a_words == d.b_words

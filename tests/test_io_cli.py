@@ -16,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 import heegaardrect
 from heegaardrect import cli
 from heegaardrect.cli import main
-from heegaardrect.criteria import CriteriaContext
+from heegaardrect.criteria import (
+    CriteriaContext, CriteriaGraph, double_rectangle_condition, rectangle_condition,
+)
 from heegaardrect.diagram import Crossing, Diagram, DiagramError, Face, FaceSide
 from heegaardrect.diagramio import (
     _dumps,
@@ -286,9 +288,25 @@ def test_check_builds_no_face_or_crossing_object(example_32_maximal, tmp_path, c
     serialize_diagram(dehn_twist(chain_base(3), TwistSpec(2)))
     serialize_diagram(example_diagram(3, 2))
     assert run_cli("validate", str(bigons)) == 1
-    assert "[bigon] bigon face 1 between b and a" in capsys.readouterr().out
+    assert "[bigon] bigon between a and b" in capsys.readouterr().out
     assert run_cli("generate", "--genus", "2", "--power", "2", "-o", str(tmp_path / "g.json")) == 0
     assert counts == {"Face": 0, "FaceSide": 0, "Crossing": 0}
+
+
+def test_report_builds_no_criteria_graph(example_32, example_32_maximal, monkeypatch):
+    """A check searches G_k and H_d as node adjacencies: `build_report` builds
+    no `CriteriaGraph`, where both conditions hold and where DRC fails with
+    witnesses and missing types, and neither do the criteria on their own."""
+    counts = _count_constructions(monkeypatch, CriteriaGraph)
+    diagrams = (example_32, example_32_maximal, *random_twisted_diagrams(20))
+    reports = [build_report(d) for d in diagrams]
+    assert {r["drc"]["holds"] for r in reports} == {True, False}
+    assert any(w["missing_types"] for r in reports for w in r["drc"]["witnesses"])
+    rectangle_condition(example_32_maximal)
+    double_rectangle_condition(example_32_maximal)
+    assert counts == {"CriteriaGraph": 0}
+    CriteriaContext(example_32).component_graph(1)
+    assert counts == {"CriteriaGraph": 1}
 
 
 def test_bigon_entries_build_only_the_bigon_faces(monkeypatch):
@@ -297,7 +315,7 @@ def test_bigon_entries_build_only_the_bigon_faces(monkeypatch):
     counts = _count_constructions(monkeypatch, Face, FaceSide, Crossing)
     report = build_report(reducible_torus())
     bigons = [e["detail"] for e in report["validation"]["entries"] if e["code"] == "bigon"]
-    assert bigons == ["bigon face 1 between b and a", "bigon face 2 between b and a"]
+    assert bigons == ["bigon between a and b", "bigon between a and b"]
     assert counts == {"Face": 0, "FaceSide": 0, "Crossing": 0}
 
 

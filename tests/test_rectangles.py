@@ -13,7 +13,8 @@ from conftest import (
     split_components_diagram, torus_one, torus_two,
 )
 from map_oracles import (
-    _composed, _side_types, dart_of, edges, face_of_dart, mate_of, reverse_curve,
+    _composed, _side_types, dart_of, decoded_indexes, edges, face_of_dart, mate_of,
+    reverse_curve,
 )
 
 
@@ -213,7 +214,7 @@ def test_index_invariants_hold_in_both_views(example_32_maximal):
                 assert (axis, MINUS) in types[first][f_minus]
                 assert (axis, PLUS) in types[first][f_plus]
                 assert cross == types[second][f_minus] == types[second][f_plus]
-            for index in (view.rect_index, view.composed_index):
+            for index in decoded_indexes(view):
                 for by_l in index.values():
                     for l, edges in by_l.items():
                         assert {v for edge in edges for v in edge} <= view.a_star_set(l)
@@ -258,8 +259,9 @@ def test_indexes_match_the_oracles_in_both_views(example_32_maximal, monkeypatch
             ctx = CriteriaContext(d)
             for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
                 rect, composed = _oracle_indexes(d, first, view.comps_b)
-                assert view.rect_index == rect
-                assert view.composed_index == composed
+                rect_index, composed_index = decoded_indexes(view)
+                assert rect_index == rect
+                assert composed_index == composed
 
     monkeypatch.setattr(criteria, "_glued_once", recording)
     check([*fixture_cases(example_32_maximal), *face_oracle_cases(), *maximal_subsystems(50)])

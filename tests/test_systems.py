@@ -172,7 +172,7 @@ def test_validation_rejects_bigons_with_witness():
     report = validate_disk_systems(sphere_bigons())
     codes = {code for code, _ in report}
     assert "bigon" in codes
-    assert any("face" in detail for code, detail in report if code == "bigon")
+    assert [detail for code, detail in report if code == "bigon"] == ["bigon between a and b"] * 4
 
 
 def test_validation_rejects_nonplanar_and_parallel():
