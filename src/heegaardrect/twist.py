@@ -7,6 +7,8 @@ neighborhood of gamma by a detour that winds around the annulus, one lap
 per unit of twist power.  The splice writes only what the result keeps,
 the crossings of the detours with the disks, at exact integer positions
 around the annulus, so no two tie; gamma itself is not carried along.
+It writes every new crossing as an integer key, and its callers name the
+keys once each.
 
 The built-in example family places the disks of a genus-g handlebody in a
 row and runs gamma four times across every handle; crossing the resulting
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .diagram import Diagram, DiagramError, MINUS, PLUS
 from .systems import validate_disk_systems
@@ -59,24 +61,42 @@ def multicurve_map(disk_words, gamma_word, signs) -> Diagram:
 
 
 def _twisted(base: Diagram, spec: TwistSpec) -> tuple[dict, dict, dict]:
-    """The disks, their twisted curves and the signs of their crossings.
+    """The disks, their twisted curves and the signs of their crossings, on keys.
 
     Each disk is pushed off to its plus side, so its push-off meets gamma
     at a germ a quarter slot beside each of its crossings, on the side of
     the crossing's sign: in quarter slots, crossing i of gamma sits at 4i
-    and its germ at 4i + sign.  The w = 2n points of this lifted gamma never
-    tie, and a point's slot is its index among them.  The twist replaces
-    every push-off strand through the annulus around gamma by a detour
-    that winds |power| laps in the drift direction (the sign of the power),
-    entering at its germ.  The detour from the germ of x, at slot `germ`,
-    meets the strand of the disk crossing a once a lap, in lap r as the
-    crossing ``t{len(x)}_{x}_{a}_{r}``, ``((slot[a] - germ) * drift) % w +
-    r * w`` slots along; the length of x says where x ends, so no two names
-    tie whatever the ids hold.  Every strand takes its crossings in the
-    order of those positions, reversed where its sign is +1 (the strand
-    runs downward through the annulus).  These are all the crossings: the
-    disks meet gamma alone, so they are pairwise disjoint, and every word
-    gets at least |power| crossings.
+    and its germ at 4i + sign.  The w points of this lifted gamma, two per
+    crossing, never tie, and a point's slot is its index among them.  The
+    twist replaces every push-off strand through the annulus around gamma
+    by a detour that winds |power| laps in the drift direction (the sign of
+    the power), entering at its germ.  The detour from the germ of x, at
+    slot `germ`, meets the strand of the disk crossing a once a lap, in lap
+    r, at ``((slot[a] - germ) * drift) % w + r * w`` slots along.  Every
+    strand takes its crossings in the order of those positions, reversed
+    where its sign is +1 (the strand runs downward through the annulus).
+    These are all the crossings: the disks meet gamma alone, so they are
+    pairwise disjoint, and every word gets at least |power| crossings.
+
+    Slots and germs both increase along gamma: crossing i has slot 2i and
+    germ 2i + 1 where its sign is +1, and the other way round where it is
+    -1.  So in each lap the detour from x, crossing i of gamma, meets the
+    strands in gamma's cyclic order from its germ in the drift direction:
+    up from crossing p where the drift is +1 and down from p - 1 where it
+    is -1, p = i + [x has sign +1] being the number of slots below the germ.
+    Likewise the strand of a, crossing j, meets the detours in the order of
+    their germs from its slot against the drift: down from q - 1 where the
+    drift is +1 and up from q where it is -1, q = j + [a has sign -1] being
+    the number of germs below the slot.  Lap r comes after lap r - 1.  So
+    every strand's order is read off gamma's: no position is computed and
+    nothing is sorted.
+
+    No crossing is named here either.  The crossing of the detour from x
+    with the strand of a in lap r is the integer key ``k = (i * len(gamma)
+    + j) * laps + r``, where x is the i-th crossing over the disk words in
+    order and a is the j-th crossing of gamma: the k-th (x, a, r) in that
+    order.  The words hold keys, and the signs map each key to its sign, in
+    key order.  The callers name every key once.
     """
     _check_base(base)
     laps, drift = abs(spec.power), PLUS if spec.power > 0 else MINUS
@@ -87,32 +107,36 @@ def _twisted(base: Diagram, spec: TwistSpec) -> tuple[dict, dict, dict]:
         if f_curve in f_curves:
             raise DiagramError(f"disks {f_curves[f_curve]} and {disk} both twist to the curve {f_curve}")
         f_curves[f_curve] = disk
-    # crossing i has slot 2i, or 2i + 1 where its germ (slot + sign) comes first
-    slot = {x: 2 * i + (signs[x] == MINUS) for i, x in enumerate(gamma)}
-    w = 2 * len(gamma)
+    count, laps_on = len(gamma), range(laps)
+    index = {a: j for j, a in enumerate(gamma)}
+    # the first key of each disk crossing, and of gamma's crossings in gamma's order
+    first = {x: i * count * laps for i, x in enumerate(chain.from_iterable(base.a_words.values()))}
+    first_at = [first[a] for a in gamma]
 
-    a_events = {x: [] for x in gamma}  # position along the strand, crossing
-    f_events = {x: [] for x in gamma}
-    out_signs = {}
-    for word in base.a_words.values():
-        for x in word:
-            germ = slot[x] + signs[x]
-            head = f"t{len(str(x))}_{x}_"
-            for a in gamma:
-                start = ((slot[a] - germ) * drift) % w
-                sign = drift if signs[x] != signs[a] else -drift
-                for r in range(laps):
-                    c = f"{head}{a}_{r}"
-                    out_signs[c] = sign
-                    event = (start + r * w, c)
-                    f_events[x].append(event)
-                    a_events[a].append(event)
+    def around(p, d):
+        """Gamma's indices in cyclic order, up from p or down from p - 1."""
+        if d == PLUS:
+            return [*range(p, count), *range(p)]
+        return [*range(p - 1, -1, -1), *range(count - 1, p - 1, -1)]
 
-    def spliced(word, events):
-        return tuple(c for x in word for _, c in sorted(events[x], reverse=signs[x] == PLUS))
-
-    a_words = {disk: spliced(word, a_events) for disk, word in base.a_words.items()}
-    f_words = {f_curve: spliced(base.a_words[disk], f_events) for f_curve, disk in f_curves.items()}
+    f_keys, a_keys = {}, {}
+    for x, k in first.items():
+        lap = [k + j * laps for j in around(index[x] + (signs[x] == PLUS), drift)]
+        keys = [key + r for r in laps_on for key in lap]
+        f_keys[x] = keys[::-1] if signs[x] == PLUS else keys
+    for j, a in enumerate(gamma):
+        lap = [first_at[i] + j * laps for i in around(j + (signs[a] == MINUS), -drift)]
+        keys = [key + r for r in laps_on for key in lap]
+        a_keys[a] = keys[::-1] if signs[a] == PLUS else keys
+    # the sign of (x, a) is the drift's where the signs of x and a differ
+    by_sign = {PLUS: [-drift * signs[a] for a in gamma for _ in laps_on]}
+    by_sign[MINUS] = [-s for s in by_sign[PLUS]]
+    out_signs = dict(enumerate(chain.from_iterable(map(by_sign.__getitem__,
+                                                       map(signs.__getitem__, first)))))
+    a_words = {disk: tuple(chain.from_iterable(map(a_keys.__getitem__, word)))
+               for disk, word in base.a_words.items()}
+    f_words = {f_curve: tuple(chain.from_iterable(map(f_keys.__getitem__, base.a_words[disk])))
+               for f_curve, disk in f_curves.items()}
     return a_words, f_words, out_signs
 
 
@@ -127,11 +151,27 @@ def _dual_name(disk: str) -> str:
 def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     """Diagram of the disks together with their twisted images along gamma.
 
-    The raw spliced map is passed through bigon reduction, so the output is
-    bigon-free with the genus of the base.
+    The crossing of the detour from disk crossing x with the strand of
+    gamma's crossing a, in lap r, is named ``t{len(str(x))}_{x}_{a}_{r}``;
+    the length of x says where x ends, so no two names tie whatever the ids
+    hold.  The raw spliced map is passed through bigon reduction, so the
+    output is bigon-free with the genus of the base.
     """
-    out = Diagram(*_twisted(base, spec)).reduce_bigons()
-    return _with_genus_of(base, out)
+    twisted = _twisted(base, spec)
+    # key k is the k-th (x, a, r), x over the disk words, a over gamma, r over the
+    # laps; each x's prefix is built once
+    tails = [f"{a}_{r}" for a in base.b_words[GAMMA] for r in range(abs(spec.power))]
+    heads = [f"t{len(str(x))}_{x}_" for word in base.a_words.values() for x in word]
+    names = [head + tail for head in heads for tail in tails]
+    return _with_genus_of(base, _named(twisted, names.__getitem__).reduce_bigons())
+
+
+def _named(twisted: tuple[dict, dict, dict], name) -> Diagram:
+    """The diagram of a splice whose key k is named ``name(k)``."""
+    a_words, f_words, signs = twisted
+    return Diagram({c: tuple(map(name, w)) for c, w in a_words.items()},
+                   {c: tuple(map(name, w)) for c, w in f_words.items()},
+                   dict(zip(map(name, signs), signs.values())))
 
 
 def _check_base(base: Diagram):
@@ -245,10 +285,10 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     (six disks a side).  Requires ``|power| >= 2``; the resulting diagram is
     validated before it is returned.
 
-    The crossings are named ``x`` plus a counter zero-padded to the digit
-    count of the crossing number (``x001`` ... ``x288`` for ``(3, 2)``), in
-    first-family word order over the sorted disk ids, on the spliced words,
-    so the map is built once.
+    The splice's keys are named ``x`` plus a counter zero-padded to the
+    digit count of the crossing number (``x001`` ... ``x288`` for
+    ``(3, 2)``), in first-family word order over the sorted disk ids,
+    through one int-keyed dict, so the map is built once, on the names.
     That needs no bigon reduction: the splice makes exactly
     ``|power| * i(gamma, D_i) * i(gamma, D_j)`` crossings between the twisted
     curve of ``D_j`` and the disk ``D_i``, which is their geometric
@@ -265,16 +305,12 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
         base = maximal_chain_base()
     else:
         base = chain_base(genus)
-    a_words, b_words, signs = _twisted(base, TwistSpec(power))
-    order = [x for curve in sorted(a_words) for x in a_words[curve]]
+    twisted = _twisted(base, TwistSpec(power))
+    order = [k for curve in sorted(twisted[0]) for k in twisted[0][curve]]
     # x001, x002, ...: the digit strings of the names' width, in counting order
     digits = ["0123456789"] * len(str(len(order)))
     name = dict(zip(order, map("".join, islice(product("x", *digits), 1, None)))).__getitem__
-    out = _with_genus_of(base, Diagram(
-        {c: tuple(map(name, w)) for c, w in a_words.items()},
-        {c: tuple(map(name, w)) for c, w in b_words.items()},
-        dict(zip(map(name, signs), signs.values())),
-    ))
+    out = _with_genus_of(base, _named(twisted, name))
     report = validate_disk_systems(out)
     if not report.passed:
         raise DiagramError(f"generated diagram fails validation: {report.entries}")

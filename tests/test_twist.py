@@ -170,6 +170,67 @@ def test_twisted_corpus_is_pinned():
         "a497899557f911bdbbbf3dd69fbe3c7ae5b0f0910f669e5d2d1be0214f8f3413")
 
 
+def test_splice_works_on_integer_keys():
+    """The splice names nothing: its words hold the keys 0..n-1, each once in
+    each family, and its signs are keyed by the same ints, in key order."""
+    a_words, f_words, signs = _twisted(chain_base(3), TwistSpec(2))
+    n = 2 * 12 * 12  # |power| crossings for each pair of gamma's 12 crossings
+    for words in (a_words, f_words):
+        keys = [k for word in words.values() for k in word]
+        assert {type(k) for k in keys} == {int}
+        assert sorted(keys) == list(range(n))
+    assert list(signs) == list(range(n))
+
+
+# sha256 of serialize_diagram(example_diagram(g, p)) under "g,p", and of the
+# maximal example at power p under "maximal,p"
+EXAMPLE_FILE_DIGESTS = {
+    "2,2": "3d9da5be80c248bcb8649345be63aaf652f6ea1d15edcb4c6b3af92cc210922b",
+    "2,3": "122aaf811af7baa0e4283b73550d920ac28f532bc03aa86a83b04394ca4a7b8d",
+    "2,-2": "2765c75a4edadb788f47d69040f935a2a02b41010d16d6adacfc63c3e65c7295",
+    "2,-3": "e603f38742d27948ab06224dc0c10c598f0bde10463873c5a936a60e41aad573",
+    "3,2": "8674470400627e55f7c141b9d7f44b5650a7d9f7c4944d5fe95b108cdc6d4cd5",
+    "3,3": "c9f384d5a5e350594638633b9ecb76cb8c1cac486c930519da08512d1925a0dd",
+    "3,-2": "0baedaf0514a3df584a9622c2299b41b46efa31d8876379a232f2eb4f5d2759b",
+    "3,-3": "44b3dc4753ee7762e38c8d7d4dc8c037d14d6d3f4e07a0f2d673721ad136687b",
+    "4,2": "0a3ef5f321398b38e762f4e4a4999d938f9c3f29bf5f323c1abb6f0310cfd78d",
+    "4,3": "80518419b4e77eb7a0d4a0ddc6b8abefe506c83dd560bc48b91d060bbe187129",
+    "4,-2": "7cabd08fd9b483ac26c6110a4710f11545d2f204fe4601784548861a5dfea481",
+    "4,-3": "0095c0e5bc9b14c4423536c570f4f2651b35d9156c325263de9a850dd88df45f",
+    "5,2": "4bc4fb2e97109f754698d74d353598cc904baf814eef5fdfb9404fd52e70b2bc",
+    "5,3": "f37f960322af81ebfb893787f419084cb98978813565b10659c32395076806ae",
+    "5,-2": "a86e98fd79996d8de8dfa105487fd4d47fa68e3bb24edfda54900330dc6be750",
+    "5,-3": "844c2e6fe8d8bb9f4a95e8461a9c2e9223e812a173e345f1cdd35501de3dfbb6",
+    "6,2": "5cf1a639c1eee1541da2c9cfa0340285ce8efe8a708fad3123650f1672209bde",
+    "6,3": "a0c0797aa6cdad22769beb485dff45066e175ca4efa11f7ff184a952adbb4ba0",
+    "6,-2": "13bb7f9c2f779396d22d30c44eaaf7b635cae2ceeabbb599496748806faa97ce",
+    "6,-3": "60e97c50c1718d6f3c7f4e68c486f7019590c294dbe3daec6805c8c8a4aaed2b",
+    "7,2": "08629a326941109436959bb727bd0e2952205a3c2cff1ed96417c7a5aa1a8fe7",
+    "7,3": "912b84325a2d78bab938114f3231f7080960d3aeefb7d4dd971043b36121ec65",
+    "7,-2": "7dc0a02232083460c57a2329fdd557545895777f86181b887a10042d7e6eeaa8",
+    "7,-3": "18a3e87e34e15aff22ada6cf8bff206737b52687a5a9ee99266f34cbad0605ab",
+    "8,2": "ad94d4a580ead8ef172adcb3bfed8e1225695eb10de24c3ed744c97f6e7f25ad",
+    "8,3": "dcfc0c8e62f97b3043454f459c846bd8527ce60bbab9ad7e89d0d0fe6987ee95",
+    "8,-2": "d39d9f863d7c7009581db0e882597e2d085aad1bcb2fef60b2cd30d5931ef21e",
+    "8,-3": "0b0968e65a8f5dae52290f34f49e244236a6954c43e06ca3b7d857a7b288850c",
+    "maximal,2": "8cdd1af08274af4460372d812b5479a846e67021aee040b1bb93880b1c2d7b92",
+    "maximal,-2": "1d95a573ba6bea146bcd17f0f65c05b6da0902a4fd133dcf58baa7e965854709",
+    "maximal,3": "bfeceaab606c5105a3e8effe885e7f387059cb075a4fe1d541db58d030437b08",
+}
+
+
+def test_example_files_are_pinned():
+    """Every example file is the recorded one, byte for byte."""
+    moved = []
+    for member, want in EXAMPLE_FILE_DIGESTS.items():
+        genus, power = member.split(",")
+        maximal = genus == "maximal"
+        d = example_diagram(3 if maximal else int(genus), int(power), maximal)
+        if hashlib.sha256(serialize_diagram(d).encode()).hexdigest() != want:
+            moved.append(member)
+    assert not moved, f"example files moved: {moved}"
+
+
 def test_example_diagram_validates_and_is_deterministic():
     d1 = example_diagram(3, 2)
     d2 = example_diagram(3, 2)
@@ -260,3 +321,13 @@ def test_report_does_not_depend_on_the_power(genus, powers):
     base = _report_less_crossings(genus, 2)
     for power in (*powers, *(-p for p in powers)):
         assert _report_less_crossings(genus, power) == base, power
+
+
+def test_drc_holds_exactly_at_odd_genus():
+    """The parity rule through g = 16 at p = 2: every example validates and
+    satisfies RC in both views, and DRC holds exactly when g is odd."""
+    for genus in range(2, 17):
+        report = build_report(example_diagram(genus, 2))
+        assert report["validation"]["passed"], genus
+        assert report["rc"]["holds"] and report["rc_swapped"]["holds"], genus
+        assert report["drc"]["holds"] == (genus % 2 == 1), genus
