@@ -282,12 +282,11 @@ def _class_table(surface: Diagram) -> tuple:
     and None for any other face; and the faces of degree above 4, the only
     ones with sides beyond their key.
     """
-    start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
-    phi = surface._phi
+    start, curve, phi = surface._face_start, surface._dart_curve, surface._phi
     degrees = list(map(sub, start[1:], start))
-    # the first four darts of every orbit, each the face successor `phi` of
-    # the last, so a bigon repeats its two
-    darts = [list(map(orbit.__getitem__, start[:-1]))]
+    # the first four darts of every orbit, from its least, each the face
+    # successor `phi` of the last, so a bigon repeats its two
+    darts = [surface._face_lead]
     for _ in range(3):
         darts.append(list(map(phi.__getitem__, darts[-1])))
     keys = zip(degrees, *(m for ds in darts
@@ -319,7 +318,7 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
     (curve index, side), minus before plus, which the crossing ids do not
     touch.
     """
-    start, orbit, curve = surface._face_start, surface._face_darts, surface._dart_curve
+    curve = surface._dart_curve
     every = tuple(range(len(face_class)))  # the face numbers, shared by every piece
     cuts = {}
     for bit, (family, words) in enumerate(((FAMILY_A, surface.a_words),
@@ -327,8 +326,8 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
         pairs = [sides[bit] for _, sides in classes.values()]
         joins = pairs[:]
         for f in big:  # its darts on this family, every other one from the first
-            k = start[f] + (bit ^ orbit[start[f]] & 1)
-            nodes = [2 * curve[d] + (not d & 2) for d in orbit[k:start[f + 1]:2]]
+            orbit = surface._orbit(f)
+            nodes = [2 * curve[d] + (not d & 2) for d in orbit[bit ^ orbit[0] & 1::2]]
             joins += zip(nodes, nodes[1:])
         parent = _union(list(range(2 * len(words) + 2)), joins)
 
@@ -371,10 +370,9 @@ def _axis_edges(surface: Diagram, family: str, face_class: list):
 def _glued_once(surface: Diagram, family: str, x: int) -> bool:
     """Whether the two faces on the `family` edge that leaves crossing index
     x share no other edge: one arc of the minus face has the plus face across."""
-    fod, alpha, start = surface._face_of_dart, surface._alpha, surface._face_start
+    fod, alpha = surface._face_of_dart, surface._alpha
     d = 4 * x + PORTS[family][0]
-    k, f_plus = start[fod[alpha[d]]], fod[d]
-    return [fod[alpha[e]] for e in surface._face_darts[k:k + 4]].count(f_plus) == 1
+    return [fod[alpha[e]] for e in surface._orbit(fod[alpha[d]])].count(fod[d]) == 1
 
 
 class CriteriaContext:

@@ -39,13 +39,15 @@ Conventions (fixed once, everything else follows):
   ``sigma_inv[d] = _phi[_alpha[d]]``.
 
 * Faces and crossings are flat integer tables, and every command reads
-  only those: face ``i`` is ``_face_darts[_face_start[i]:_face_start[i + 1]]``,
-  its orbit from its least dart; ``_dart_curve[d]`` is dart ``d``'s 1-based
-  curve index in its family ``d & 1``, its side ``1 - (d & 2)``; ``_signs``
-  follows the sorted crossing ids, and `signs` maps each id to its sign.
-  `bigon_faces` gives face indices.  `faces` and `crossings` are read-only
-  views of `Face`, `FaceSide` and `Crossing` objects, built on first read
-  for the tests and the benchmark replay; no command builds them.
+  only those: face ``i`` is its least dart ``_face_lead[i]`` and its offset
+  ``_face_start[i]``, and `_orbit` walks ``_phi`` round it from that dart;
+  ``_dart_curve[d]`` is dart ``d``'s 1-based curve index in its family
+  ``d & 1``, its side ``1 - (d & 2)``; ``_signs`` follows the sorted
+  crossing ids, and `signs` maps each id to its sign.  `bigon_faces` gives
+  face indices.  The orbit list ``_face_darts`` and the read-only views
+  `faces` and `crossings`, of `Face`, `FaceSide` and `Crossing` objects,
+  are built on first read for the tests and the benchmark replay; no
+  command builds them.
 """
 
 from __future__ import annotations
@@ -142,7 +144,11 @@ class Diagram:
         try:  # ids of mixed types cannot be sorted, nor unhashable ones looked up
             self.a_words, self.b_words = ({c: tuple(w) for c, w in sorted(words.items())}
                                           for words in (a_words, b_words))
-            ids = self._check_words()
+            try:
+                ids = self._sized_ids()
+            except TypeError:
+                ids = None
+            ids = ids or self._check_words()  # no ids or a fault: the scan names it
         except TypeError:
             raise DiagramError("curve and crossing ids must be hashable and mutually ordered") from None
         if not all(map(signs.__contains__, ids)):
@@ -152,13 +158,30 @@ class Diagram:
         if not (set(map(type, values)) == {int} and set(values) <= {MINUS, PLUS}):
             bad = (x for x, s in zip(ids, values) if type(s) is not int or s not in (MINUS, PLUS))
             raise DiagramError(f"crossing {next(bad)}: sign must be +1 or -1")
-        self._dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))  # id -> its dart 0
         self._build_map()
 
     # -- construction ------------------------------------------------------
 
+    def _sized_ids(self) -> tuple[str, ...] | None:
+        """The sorted ids, numbered in `_dart0` (id -> dart 0), where the sizes
+        show a sound input, else None: no word is empty, no curve id is in
+        both families, and the n tokens of the second family reach n distinct
+        darts of the n of the first.  The sort merges the long sorted runs of
+        ids numbered in a-word order."""
+        a, b = self.a_words, self.b_words
+        if not (all(a.values()) and all(b.values()) and a.keys().isdisjoint(b)):
+            return None
+        ids = tuple(sorted(chain.from_iterable(a.values())))
+        self._dart0 = dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))
+        darts = set(map(dart0.get, chain.from_iterable(b.values())))
+        if len(ids) == len(darts) == sum(map(len, b.values())) and None not in darts:
+            return ids
+        return None
+
     def _check_words(self) -> tuple[str, ...]:
-        """The crossing ids, sorted, checked to occur once in each family."""
+        """The crossing ids, sorted, checked token by token to occur once in
+        each family; it names the first fault, and runs only where the size
+        checks of `_sized_ids` fail."""
         families = ((self.a_words, "first"), (self.b_words, "second"))
         for words, which in families:
             if not words:
@@ -179,8 +202,6 @@ class Diagram:
             ids.append(seen)
         if ids[0] != ids[1]:
             raise DiagramError(f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}")
-        # the ids are unique, and where they are numbered in a-word order the
-        # a-words hold long sorted runs, which the sort merges quickly
         return tuple(sorted(chain.from_iterable(self.a_words.values())))
 
     def _build_map(self):
@@ -224,25 +245,38 @@ class Diagram:
         return sum(parent[i] == i for i in range(1, len(parent))) == 1
 
     def _trace_faces(self) -> None:
-        """The face tables: faces numbered by least dart, each orbit from it."""
+        """The face tables: faces numbered by least dart, each kept as that dart and its offset."""
         phi = self._phi
         face_of = [-1] * len(phi)
-        orbit: list[int] = []
-        push = orbit.append
-        face_start, start = [0], 0
-        # a `for` loop: its backward jump has CPython 3.11 specialize this in the first call
-        for i in range(len(phi)):
-            if len(orbit) == len(phi):
-                break
-            start = face_of.index(-1, start)  # face i's least dart, found at C speed
-            face_of[start], d = i, phi[start]
-            push(start)
-            while d != start:  # until the orbit closes
-                face_of[d] = i
-                push(d)
-                d = phi[d]
-            face_start.append(len(orbit))
-        self._face_start, self._face_darts, self._face_of_dart = face_start, orbit, face_of
+        lead: list[int] = []
+        face_start, size, start = [0], 0, 0
+        try:  # until `index` finds no dart left
+            # a `for` loop: its backward jump has CPython 3.11 specialize this in the first call
+            for i in range(len(phi)):
+                start = face_of.index(-1, start)  # face i's least dart, found at C speed
+                face_of[start], d = i, phi[start]
+                lead.append(start)
+                size += 1
+                while d != start:  # until the orbit closes
+                    face_of[d] = i
+                    d = phi[d]
+                    size += 1
+                face_start.append(size)
+        except ValueError:
+            pass
+        self._face_start, self._face_lead, self._face_of_dart = face_start, lead, face_of
+
+    def _orbit(self, f: int) -> list[int]:
+        """Face `f`'s darts in order round it, from its least, walking `_phi`."""
+        darts = [self._face_lead[f]]
+        for _ in range(self._face_start[f + 1] - self._face_start[f] - 1):
+            darts.append(self._phi[darts[-1]])
+        return darts
+
+    @cached_property
+    def _face_darts(self) -> list[int]:
+        """Every orbit, face after face, for the `faces` view and the tests."""
+        return list(chain.from_iterable(map(self._orbit, range(len(self._face_lead)))))
 
     # -- basic queries -----------------------------------------------------
 
@@ -311,8 +345,8 @@ class Diagram:
         return d
 
     def _remove_bigon(self, face: int) -> "Diagram":
-        start, ids = self._face_start, self._crossing_ids
-        corners = {ids[p // 4] for p in self._face_darts[start[face]:start[face + 1]]}
+        ids = self._crossing_ids
+        corners = {ids[p // 4] for p in self._orbit(face)}
         if len(corners) != 2:
             raise DiagramError("degenerate bigon with identified corners")
         x, y = sorted(corners)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .criteria import (
     NOTE_DRC,
@@ -33,16 +32,21 @@ FORMAT_VERSION = 1
 _SIGNED = re.compile(r"[A-Za-z0-9_]+[+-](?: [A-Za-z0-9_]+[+-])*")
 _BARE = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*")
 _SIGN = {"+": PLUS, "-": MINUS}
+# translation tables of a signed word's text: the one deletes its signs, the
+# other every ASCII character but the signs and the spaces
+_UNSIGNED = dict.fromkeys(map(ord, "+-"))
+_SIGNS_ONLY = dict.fromkeys(i for i in range(128) if chr(i) not in "+- ")
 
 
-def _reads_back(word, pattern) -> bool:
-    """Whether every token of `word` is a `str` of `pattern`'s token form:
-    one match of the joined word, whose only spaces are the joins."""
+def _reads_back(word, pattern) -> str | None:
+    """`word` joined by single spaces if every token is a `str` of `pattern`'s
+    token form: one match of the joined word, whose only spaces are the joins;
+    else None.  A match is never empty."""
     try:
         text = " ".join(word)
     except TypeError:
-        return False
-    return pattern.fullmatch(text) is not None and text.count(" ") == len(word) - 1
+        return None
+    return text if pattern.fullmatch(text) and text.count(" ") == len(word) - 1 else None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -78,17 +82,19 @@ def parse_diagram(text: str) -> Diagram:
     if not isinstance(second, dict) or not second:
         raise DiagramError("dstar_curves must be a non-empty mapping")
 
+    a_words, signs = {}, {}
     for words, pattern, what in ((d_curves, _SIGNED, "signed token"), (second, _BARE, "token")):
         for curve, word in words.items():
             if not isinstance(word, list) or not word:
                 raise DiagramError(f"curve {curve}: word must be a non-empty list")
-            if not _reads_back(word, pattern):
+            text = _reads_back(word, pattern)
+            if text is None:
                 tok = next(t for t in word if not _reads_back([t], pattern))
                 raise DiagramError(f"curve {curve}: bad {what} {tok!r}")
-    a_words = {c: tuple(map(itemgetter(slice(None, -1)), w)) for c, w in d_curves.items()}
-    signs = {}
-    for ids, word in zip(a_words.values(), d_curves.values()):
-        signs.update(zip(ids, map(_SIGN.__getitem__, map(itemgetter(-1), word))))
+            if words is d_curves:  # the ids are the text less the signs, the signs the rest
+                a_words[curve] = ids = text.translate(_UNSIGNED).split(" ")
+                signs.update(zip(ids, map(_SIGN.__getitem__,
+                                          text.translate(_SIGNS_ONLY).split(" "))))
     return Diagram(a_words, second, signs)
 
 

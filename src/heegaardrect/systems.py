@@ -131,9 +131,8 @@ def validate_components(
     # a bigon has a dart on each family (dart d's is d & 1); its entry names the
     # first family's curve first, in curve index order, which crossing ids do not touch
     names = (tuple(diagram.a_words), tuple(diagram.b_words))
-    start, orbit, curve = diagram._face_start, diagram._face_darts, diagram._dart_curve
-    darts = (sorted(orbit[start[f]:start[f] + 2], key=lambda d: d & 1)
-             for f in diagram.bigon_faces())
+    curve = diagram._dart_curve
+    darts = (sorted(diagram._orbit(f), key=lambda d: d & 1) for f in diagram.bigon_faces())
     for i, j in sorted((curve[d], curve[e]) for d, e in darts):
         report.add("bigon", f"bigon between {names[0][i - 1]} and {names[1][j - 1]}")
 

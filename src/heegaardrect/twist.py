@@ -163,15 +163,15 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     tails = [f"{a}_{r}" for a in base.b_words[GAMMA] for r in range(abs(spec.power))]
     heads = [f"t{len(str(x))}_{x}_" for word in base.a_words.values() for x in word]
     names = [head + tail for head in heads for tail in tails]
-    return _with_genus_of(base, _named(twisted, names.__getitem__).reduce_bigons())
+    return _with_genus_of(base, Diagram(*_named(twisted, names.__getitem__)).reduce_bigons())
 
 
-def _named(twisted: tuple[dict, dict, dict], name) -> Diagram:
-    """The diagram of a splice whose key k is named ``name(k)``."""
+def _named(twisted: tuple[dict, dict, dict], name) -> tuple[dict, dict, dict]:
+    """The words and signs of a splice whose key k is named ``name(k)``."""
     a_words, f_words, signs = twisted
-    return Diagram({c: tuple(map(name, w)) for c, w in a_words.items()},
-                   {c: tuple(map(name, w)) for c, w in f_words.items()},
-                   dict(zip(map(name, signs), signs.values())))
+    return ({c: tuple(map(name, w)) for c, w in a_words.items()},
+            {c: tuple(map(name, w)) for c, w in f_words.items()},
+            dict(zip(map(name, signs), signs.values())))
 
 
 def _check_base(base: Diagram):
@@ -310,7 +310,9 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     # x001, x002, ...: the digit strings of the names' width, in counting order
     digits = ["0123456789"] * len(str(len(order)))
     name = dict(zip(order, map("".join, islice(product("x", *digits), 1, None)))).__getitem__
-    out = _with_genus_of(base, _named(twisted, name))
+    named = _named(twisted, name)
+    del twisted, order, name  # the keys are not kept through the map build
+    out = _with_genus_of(base, Diagram(*named))
     report = validate_disk_systems(out)
     if not report.passed:
         raise DiagramError(f"generated diagram fails validation: {report.entries}")

@@ -178,6 +178,8 @@ UNORDERED = "curve and crossing ids must be hashable and mutually ordered"
     ({"a": ["x", 1]}, {"b": ["x", 1]}, UNORDERED),
     ({"a": ["x"], 1: ["y"]}, {"b": ["x", "y"]}, UNORDERED),
     ({"a": [["x"]]}, {"b": [["x"]]}, UNORDERED),
+    # every token in place, one word of the second family empty
+    ({"a": ["x"]}, {"b": ["x"], "c": []}, "curve c has an empty word"),
 ])
 def test_word_check_messages(a_words, b_words, message):
     """Each malformed pair of families is named by its own exact message;
@@ -233,7 +235,11 @@ def _input_mutants(count: int, seed: int):
     dropped token, a token repeated within or across curves, an empty word,
     an unhashable or unorderable token in one family or both, one to three
     deleted signs, or signs of 0, 2, True or 1.0), and some keep it sound (a
-    rotated word, or an unused sign)."""
+    rotated word, or an unused sign).  Some faults keep every token count:
+    a word emptied into another curve, a token replaced by a fresh id or by
+    another token of its family (one id repeated, one missing), a curve given
+    an id of the other family, or a token of the second family replaced by
+    an `int`."""
     rng = random.Random(seed)
     corpus = [*(example_diagram(g, l) for g, l in SWEEP), *random_twisted_diagrams(40)]
     for _ in range(count):
@@ -246,13 +252,16 @@ def _input_mutants(count: int, seed: int):
         curve = rng.choice(sorted(family))
         word = family[curve]
         k = rng.randrange(len(word))
-        kind = rng.randrange(9)
+        kind = rng.randrange(13)
         if kind == 0:
             del word[k]
         elif kind in (1, 2):  # within the curve, or into another of its family
             into = word if kind == 1 else family[rng.choice(sorted(set(family) - {curve}))]
             into.insert(rng.randrange(len(into) + 1), word[k])
-        elif kind == 3:
+        elif kind == 3:  # its tokens dropped, or moved to another curve of its family
+            others = sorted(set(family) - {curve})
+            if others and rng.randrange(2):
+                family[rng.choice(others)] += word
             word.clear()
         elif kind == 4:
             token = rng.choice((["x"], {"x"}, 7, None))
@@ -267,16 +276,25 @@ def _input_mutants(count: int, seed: int):
                 signs[x] = rng.choice((0, 2, True, 1.0))
         elif kind == 7:
             family[curve] = word[k:] + word[:k]
-        else:
+        elif kind == 8:
             signs["unused"] = 1
+        elif kind == 9:
+            word[k] = "fresh"
+        elif kind == 10:
+            word[k] = rng.choice([x for w in family.values() for x in w if x != word[k]])
+        elif kind == 11:
+            family[rng.choice(sorted(words[1 - which]))] = family.pop(curve)
+        else:
+            b_word = rng.choice(list(words[1].values()))
+            b_word[rng.randrange(len(b_word))] = 7
         yield (*words, signs)
 
 
 def test_input_checks_match_the_scan_oracle():
-    """On 500 seeded mutants of valid inputs, `Diagram` raises exactly the
+    """On 1,000 seeded mutants of valid inputs, `Diagram` raises exactly the
     message of the per-token scan oracle, or builds where it finds no fault."""
     built = 0
-    for a_words, b_words, signs in _input_mutants(500, 20261019):
+    for a_words, b_words, signs in _input_mutants(1000, 20261019):
         expected = input_fault(a_words, b_words, signs)
         try:
             Diagram(a_words, b_words, signs)
@@ -285,7 +303,33 @@ def test_input_checks_match_the_scan_oracle():
         else:
             assert expected is None
             built += 1
-    assert 0 < built < 500
+    assert 0 < built < 1000
+
+
+def test_sound_words_skip_the_scan(monkeypatch):
+    """The size checks pass every sound input without the per-token scan,
+    and hand every faulty one to it, which names the fault."""
+    def scan(self):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(Diagram, "_check_words", scan)
+    for d in (example_diagram(3, 2), *random_twisted_diagrams(20)):
+        Diagram(d.a_words, d.b_words, d.signs)
+    faulty = [({"a": ("x", "y")}, {"b": ("x", "x")}), ({"a": ("x", "x")}, {"b": ("x", "y")}),
+              ({"a": ("x", "y")}, {"b": ("x", "z")}), ({"a": ("x",)}, {"a": ("x",)}),
+              ({"a": ("x", "y")}, {"b": ("x", 7)}), ({"a": ("x",), "c": ()}, {"b": ("x",)})]
+    for a_words, b_words in faulty:
+        with pytest.raises(AssertionError, match="scanned"):
+            Diagram(a_words, b_words, {"x": 1, "y": 1, "z": 1})
+
+
+def test_a_check_builds_no_orbit_table():
+    """Faces are kept by their least darts: generating and checking a
+    diagram never builds the table of every face's orbit."""
+    d = example_diagram(3, 32)
+    build_report(d)
+    assert "_face_darts" not in d.__dict__
+    assert len(d._face_darts) == 4 * d.num_crossings  # built on first read
 
 
 ALL_FIXTURES = [
@@ -465,7 +509,8 @@ def test_numbering_ignores_word_order(example_22, example_32, example_32_maximal
                    ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
                   for words in (d.a_words, d.b_words)]
         r = Diagram(*turned, dict(reversed(d.signs.items())))
-        for table in ("_crossing_ids", "_face_start", "_face_darts", "_face_of_dart"):
+        for table in ("_crossing_ids", "_face_start", "_face_lead", "_face_darts",
+                      "_face_of_dart"):
             assert getattr(r, table) == getattr(d, table), table
         assert report_to_json(build_report(r)) == report_to_json(build_report(d))
 
