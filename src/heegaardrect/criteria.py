@@ -19,19 +19,18 @@ each block simultaneously and asks nothing else.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import and_, sub
+from operator import and_
 from typing import Optional, Sequence
 
 from .diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _union,
     side_str,
 )
-from .systems import ValidationReport, _component, validate_components
+from .systems import _component, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
@@ -282,8 +281,7 @@ def _class_table(surface: Diagram) -> tuple:
     and None for any other face; and the faces of degree above 4, the only
     ones with sides beyond their key.
     """
-    start, curve, phi = surface._face_start, surface._dart_curve, surface._phi
-    degrees = list(map(sub, start[1:], start))
+    degrees, curve, phi = surface._face_degree, surface._dart_curve, surface._phi
     # the first four darts of every orbit, from its least, each the face
     # successor `phi` of the last, so a bigon repeats its two
     darts = [surface._face_lead]
@@ -402,15 +400,15 @@ class CriteriaContext:
     it explains.
 
     The two orientations are two views of one surface: `swapped`, the view
-    with the families exchanged, is built on first use by the same
+    with the families exchanged, is built once, on first use, by the same
     `_analyse` from this view's cuts and class table, read with the families
     exchanged, and keeps this diagram's face numbers.  Both
     views share one pair of cuts, whose pieces (the k and l of the
     witnesses) are numbered by their least boundary circle, as in a context
     of `swap_roles()`: the swap keeps every circle (see the `diagram` module).
-    The swapped view builds its `diagram` and `validation` only when read.
-    Its own `swapped` is this context while this context is alive; it
-    refers back weakly, so the two form no reference cycle.
+    A context built from a diagram keeps it as `diagram`, with its
+    `validation`; the swapped view has neither, shares the failed checks,
+    and holds no reference back.
     """
 
     def __init__(self, diagram: Diagram):
@@ -420,7 +418,9 @@ class CriteriaContext:
         piece_a, piece_b = cuts[FAMILY_A][2], cuts[FAMILY_B][2]
         classes = {i: (types, (piece_a[a[0]], piece_b[b[0]]))
                    for i, (types, (a, b)) in classes.items()}
+        self.diagram = diagram
         self._analyse(diagram, FAMILY_A, (cuts, face_class, classes))
+        self.validation = validate_components(diagram, self.comps_a, self.comps_b)
         self._failed_checks = ", ".join(dict.fromkeys(code for code, _ in self.validation))
 
     def _analyse(self, surface: Diagram, first: str, table: tuple) -> None:
@@ -441,7 +441,6 @@ class CriteriaContext:
         self._plus = 2 * self.n + 2  # the tag of H_d's plus block
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
         self._component_adjs: dict = {}  # (k, tag) -> G_k's adjacency, tagged
-        self._swapped = None  # a callable that returns the swapped context, or None
 
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
         # in A*_l (a face's sides are boundary circles of its piece)
@@ -490,29 +489,11 @@ class CriteriaContext:
             self._composed_at.setdefault(axis, []).append((end_minus, end_plus, by_l))
 
     @cached_property
-    def diagram(self) -> Diagram:
-        """The diagram of this orientation; the swapped view builds it on first read."""
-        return self._surface if self._first == FAMILY_A else self._surface.swap_roles()
-
-    @cached_property
-    def validation(self) -> ValidationReport:
-        """The disk-system checks of this orientation, on its own cut components."""
-        return validate_components(self.diagram, self.comps_a, self.comps_b)
-
-    @property
     def swapped(self) -> "CriteriaContext":
-        """The view with the families exchanged, built once by `_analyse`.
-
-        This context holds it strongly and it refers back weakly; when the
-        context it refers back to is gone, a new one is built.
-        """
-        ctx = None if self._swapped is None else self._swapped()
-        if ctx is None:
-            ctx = CriteriaContext.__new__(CriteriaContext)
-            ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._table)
-            ctx._failed_checks = self._failed_checks
-            ctx._swapped = weakref.ref(self)
-            self._swapped = lambda: ctx
+        """The view with the families exchanged, analysed once from this view's table."""
+        ctx = CriteriaContext.__new__(CriteriaContext)
+        ctx._analyse(self._surface, OTHER_FAMILY[self._first], self._table)
+        ctx._failed_checks = self._failed_checks
         return ctx
 
     def a_set(self, k: int) -> frozenset:
@@ -533,10 +514,6 @@ class CriteriaContext:
         if side not in (MINUS, PLUS):
             raise DiagramError("side must be +1 or -1")
         return self._piece_a[_node((disk, side))]
-
-    def lambda_of(self, disk: int, side: int) -> frozenset:
-        """The punctured label set A_k minus (disk, side), k = `k_of(disk, side)`."""
-        return self.a_set(self.k_of(disk, side)) - {(disk, side)}
 
     # -- graph builders ----------------------------------------------------
 
@@ -580,19 +557,6 @@ class CriteriaContext:
             self._component_adjs[k, tag] = adj
         return self._component_adjs[k, tag]
 
-    def cross_detail_graph(self, l: int, disk: int, end_minus: Vertex,
-                           end_plus: Vertex) -> CriteriaGraph:
-        entry = self._cross_entry(disk, end_minus, end_plus)
-        return _labelled(entry.get(l, ()), self.a_star_set(l))
-
-    def _cross_entry(self, disk: int, end_minus: Vertex, end_plus: Vertex) -> dict:
-        """The `composed_index` entry of ends in Lambda_{d,-} and Lambda_{d,+}."""
-        self._check_valid()
-        for end, side in ((end_minus, MINUS), (end_plus, PLUS)):
-            if end == (disk, side) or end not in self.a_set(self.k_of(disk, side)):
-                raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
-        return self.composed_index.get((disk, _node(end_minus), _node(end_plus)), {})
-
     def disk_graph(self, disk: int) -> CriteriaGraph:
         """H_d as a `CriteriaGraph`, for export and inspection: the graph of
         `_disk_adjacency`, with its two blocks as the partition."""
@@ -623,15 +587,6 @@ class CriteriaContext:
         return adj, block_minus, block_plus
 
     # -- pair verdicts -----------------------------------------------------
-
-    def first_failing_l_detail(self, k: int, p: Vertex, q: Vertex) -> Optional[int]:
-        """First l whose detail graph G(k, l, p, q) is not 2-connected, or None."""
-        return (self._failure(self._detail_entry(k, p, q)) or (None,))[0]
-
-    def first_failing_l_cross(self, disk: int, end_minus: Vertex,
-                              end_plus: Vertex) -> Optional[int]:
-        """First l whose composed-rectangle detail graph is not 2-connected, or None."""
-        return (self._failure(self._cross_entry(disk, end_minus, end_plus)) or (None,))[0]
 
     def _failure(self, edges_by_l: dict) -> Optional[tuple[int, Optional[Vertex]]]:
         """(l, v) for the first l whose detail graph, the nodes of A*_l with

@@ -39,15 +39,15 @@ Conventions (fixed once, everything else follows):
   ``sigma_inv[d] = _phi[_alpha[d]]``.
 
 * Faces and crossings are flat integer tables, and every command reads
-  only those: face ``i`` is its least dart ``_face_lead[i]`` and its offset
-  ``_face_start[i]``, and `_orbit` walks ``_phi`` round it from that dart;
+  only those: face ``i`` is its least dart ``_face_lead[i]`` and its degree
+  ``_face_degree[i]``, and `_orbit` walks ``_phi`` round it from that dart;
   ``_dart_curve[d]`` is dart ``d``'s 1-based curve index in its family
   ``d & 1``, its side ``1 - (d & 2)``; ``_signs`` follows the sorted
-  crossing ids, and `signs` maps each id to its sign.  `bigon_faces` gives
-  face indices.  The orbit list ``_face_darts`` and the read-only views
-  `faces` and `crossings`, of `Face`, `FaceSide` and `Crossing` objects,
-  are built on first read for the tests and the benchmark replay; no
-  command builds them.
+  crossing ids, crossing ``i`` owning darts ``4i`` to ``4i + 3``, and
+  `signs` maps each id to its sign.  `bigon_faces` gives face indices.
+  The read-only views `faces` and `crossings`, of `Face`, `FaceSide` and
+  `Crossing` objects, are built on first read for the tests and the
+  benchmark replay; no command builds them.
 """
 
 from __future__ import annotations
@@ -145,12 +145,14 @@ class Diagram:
             self.a_words, self.b_words = ({c: tuple(w) for c, w in sorted(words.items())}
                                           for words in (a_words, b_words))
             try:
-                ids = self._sized_ids()
+                dart0 = self._sized_ids()
             except TypeError:
-                ids = None
-            ids = ids or self._check_words()  # no ids or a fault: the scan names it
+                dart0 = None
+            if not dart0:  # no ids or a fault: the scan names it
+                self._check_words()
         except TypeError:
             raise DiagramError("curve and crossing ids must be hashable and mutually ordered") from None
+        ids = tuple(dart0)
         if not all(map(signs.__contains__, ids)):
             raise DiagramError(f"crossing {next(x for x in ids if x not in signs)} has no sign")
         self._crossing_ids: tuple[str, ...] = ids
@@ -158,30 +160,30 @@ class Diagram:
         if not (set(map(type, values)) == {int} and set(values) <= {MINUS, PLUS}):
             bad = (x for x, s in zip(ids, values) if type(s) is not int or s not in (MINUS, PLUS))
             raise DiagramError(f"crossing {next(bad)}: sign must be +1 or -1")
-        self._build_map()
+        self._build_map(dart0)
 
     # -- construction ------------------------------------------------------
 
-    def _sized_ids(self) -> tuple[str, ...] | None:
-        """The sorted ids, numbered in `_dart0` (id -> dart 0), where the sizes
-        show a sound input, else None: no word is empty, no curve id is in
-        both families, and the n tokens of the second family reach n distinct
-        darts of the n of the first.  The sort merges the long sorted runs of
-        ids numbered in a-word order."""
+    def _sized_ids(self) -> dict[str, int] | None:
+        """Each sorted id -> its dart 0, where the sizes show a sound input,
+        else None: no word is empty, no curve id is in both families, and the
+        n tokens of the second family reach n distinct darts of the n of the
+        first.  The sort merges the long sorted runs of ids numbered in
+        a-word order."""
         a, b = self.a_words, self.b_words
         if not (all(a.values()) and all(b.values()) and a.keys().isdisjoint(b)):
             return None
-        ids = tuple(sorted(chain.from_iterable(a.values())))
-        self._dart0 = dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))
+        ids = sorted(chain.from_iterable(a.values()))
+        dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))
         darts = set(map(dart0.get, chain.from_iterable(b.values())))
         if len(ids) == len(darts) == sum(map(len, b.values())) and None not in darts:
-            return ids
+            return dart0
         return None
 
-    def _check_words(self) -> tuple[str, ...]:
-        """The crossing ids, sorted, checked token by token to occur once in
-        each family; it names the first fault, and runs only where the size
-        checks of `_sized_ids` fail."""
+    def _check_words(self) -> None:
+        """Name the first fault of a scan, token by token, of each crossing id
+        occurring once in each family.  It runs where the size checks of
+        `_sized_ids` fail, so words that pass it failed there on unsortable ids."""
         families = ((self.a_words, "first"), (self.b_words, "second"))
         for words, which in families:
             if not words:
@@ -202,9 +204,9 @@ class Diagram:
             ids.append(seen)
         if ids[0] != ids[1]:
             raise DiagramError(f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}")
-        return tuple(sorted(chain.from_iterable(self.a_words.values())))
+        raise TypeError
 
-    def _build_map(self):
+    def _build_map(self, dart0: dict[str, int]):
         n = len(self._crossing_ids)
         nd = 4 * n
         # sigma_inv turns each dart to the next clockwise at its crossing,
@@ -213,7 +215,7 @@ class Diagram:
         sigma_inv = []
         for b, sign in zip(range(0, nd, 4), self._signs):
             sigma_inv += (b + 3, b, b + 1, b + 2) if sign == PLUS else (b + 1, b + 2, b + 3, b)
-        alpha, dart_curve, dart0 = [0] * nd, [0] * nd, self._dart0
+        alpha, dart_curve = [0] * nd, [0] * nd
         for (out_port, in_port), words in zip(PORTS.values(), (self.a_words, self.b_words)):
             for curve, word in enumerate(words.values(), 1):
                 darts = list(map(dart0.__getitem__, word))
@@ -229,7 +231,7 @@ class Diagram:
 
         self._phi = list(map(sigma_inv.__getitem__, alpha))  # the next dart round a face
         self._trace_faces()
-        v, e, f = n, 2 * n, len(self._face_start) - 1
+        v, e, f = n, 2 * n, len(self._face_degree)
         chi = v - e + f
         if chi % 2 != 0 or chi > 2:
             raise DiagramError(f"corrupted map: Euler characteristic {chi}")
@@ -245,38 +247,34 @@ class Diagram:
         return sum(parent[i] == i for i in range(1, len(parent))) == 1
 
     def _trace_faces(self) -> None:
-        """The face tables: faces numbered by least dart, each kept as that dart and its offset."""
+        """The face tables: faces numbered by least dart, each kept as that dart and its degree."""
         phi = self._phi
         face_of = [-1] * len(phi)
         lead: list[int] = []
-        face_start, size, start = [0], 0, 0
+        degree: list[int] = []
+        start = 0
         try:  # until `index` finds no dart left
             # a `for` loop: its backward jump has CPython 3.11 specialize this in the first call
             for i in range(len(phi)):
                 start = face_of.index(-1, start)  # face i's least dart, found at C speed
                 face_of[start], d = i, phi[start]
                 lead.append(start)
-                size += 1
+                size = 1
                 while d != start:  # until the orbit closes
                     face_of[d] = i
                     d = phi[d]
                     size += 1
-                face_start.append(size)
+                degree.append(size)
         except ValueError:
             pass
-        self._face_start, self._face_lead, self._face_of_dart = face_start, lead, face_of
+        self._face_degree, self._face_lead, self._face_of_dart = degree, lead, face_of
 
     def _orbit(self, f: int) -> list[int]:
         """Face `f`'s darts in order round it, from its least, walking `_phi`."""
         darts = [self._face_lead[f]]
-        for _ in range(self._face_start[f + 1] - self._face_start[f] - 1):
+        for _ in range(self._face_degree[f] - 1):
             darts.append(self._phi[darts[-1]])
         return darts
-
-    @cached_property
-    def _face_darts(self) -> list[int]:
-        """Every orbit, face after face, for the `faces` view and the tests."""
-        return list(chain.from_iterable(map(self._orbit, range(len(self._face_lead)))))
 
     # -- basic queries -----------------------------------------------------
 
@@ -289,10 +287,10 @@ class Diagram:
         families = ((FAMILY_A, self.a_curve_ids()), (FAMILY_B, self.b_curve_ids())) * 2
         side_of = [[None] + [FaceSide(f, c, 1 - (p & 2)) for c in ids]  # [port][curve index]
                    for p, (f, ids) in enumerate(families)]
-        start, orbit, curve = self._face_start, self._face_darts, self._dart_curve
-        darts = (tuple(orbit[i:j]) for i, j in zip(start, start[1:]))
+        curve = self._dart_curve
+        orbits = (tuple(self._orbit(f)) for f in range(len(self._face_lead)))
         return tuple(Face(i, ds, tuple(side_of[d & 3][curve[d]] for d in ds))
-                     for i, ds in enumerate(darts))
+                     for i, ds in enumerate(orbits))
 
     @cached_property
     def crossings(self) -> dict[str, Crossing]:
@@ -317,8 +315,7 @@ class Diagram:
 
     def bigon_faces(self) -> tuple[int, ...]:
         """The indices of the faces of degree two."""
-        start = self._face_start
-        return tuple(i for i in range(len(start) - 1) if start[i + 1] - start[i] == 2)
+        return tuple(f for f, degree in enumerate(self._face_degree) if degree == 2)
 
     def is_bigon_free(self) -> bool:
         return not self.bigon_faces()

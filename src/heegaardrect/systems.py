@@ -53,9 +53,9 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
 
     # union the faces across the other family's edges, each crossing starting
     # one at its out port; every root is its group's least face
-    start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
+    fod, alpha = diagram._face_of_dart, diagram._alpha
     out = PORTS[other][0]
-    parent = _union(list(range(len(start) - 1)),
+    parent = _union(list(range(len(diagram._face_degree))),
                     zip(fod[out::4], map(fod.__getitem__, alpha[out::4])))
 
     # one pass in face order points every face at its root
@@ -68,9 +68,9 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     # its out dart (plus) or in dart (minus) at any of its crossings
     out_port, in_port = PORTS[family]
     words = diagram.a_words if family == FAMILY_A else diagram.b_words
+    crossing = dict(zip(diagram._dart_curve[out_port::4], range(0, len(alpha), 4)))
     circles: dict[int, list] = {root: [] for root in groups}
-    for i, word in enumerate(words.values(), 1):
-        d = diagram._dart0[word[0]]
+    for i, d in sorted(crossing.items()):
         circles[parent[fod[d + in_port]]].append((i, MINUS))
         circles[parent[fod[d + out_port]]].append((i, PLUS))
 

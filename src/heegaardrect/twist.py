@@ -163,7 +163,9 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     tails = [f"{a}_{r}" for a in base.b_words[GAMMA] for r in range(abs(spec.power))]
     heads = [f"t{len(str(x))}_{x}_" for word in base.a_words.values() for x in word]
     names = [head + tail for head in heads for tail in tails]
-    return _with_genus_of(base, Diagram(*_named(twisted, names.__getitem__)).reduce_bigons())
+    named = _named(twisted, names.__getitem__)
+    del twisted, names  # the keys are not kept through the map builds
+    return _with_genus_of(base, Diagram(*named).reduce_bigons())
 
 
 def _named(twisted: tuple[dict, dict, dict], name) -> tuple[dict, dict, dict]:

@@ -5,14 +5,18 @@ relabeling, curve reversal, restriction to sub-families, stabilization, an
 isomorphism test by canonical certificate, edges and intersection numbers
 read off the words, a face trace through the dart queries, and the rectangle
 and composed rectangle types face by face and edge by edge, the oracle of
-the criteria's class table, and the criteria's nodes and rectangle indexes
-read back as (curve index, side) labels.  None of it is on the check or generate path
-of the package.
+the criteria's class table, the criteria's nodes and rectangle indexes
+read back as (curve index, side) labels, and a context's punctured label
+sets, detail graphs of composed rectangles and first failing l of a pair.
+None of it is on the check or generate path of the package.
 """
 
+from bisect import bisect_left
+
+from heegaardrect.criteria import CriteriaGraph, _labelled, _node
 from heegaardrect.diagram import (
     A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError,
-    MINUS, PLUS,
+    MINUS, PLUS, side_str,
 )
 
 
@@ -72,7 +76,8 @@ def crossing_ids(d: Diagram) -> tuple:
 
 
 def dart_of(d: Diagram, crossing, port: int) -> int:
-    return d._dart0[crossing] + port
+    """Dart `port` of `crossing`, an id of `d`, found among the sorted ids."""
+    return 4 * bisect_left(crossing_ids(d), crossing) + port
 
 
 def mate_of(d: Diagram, e: int) -> int:
@@ -308,14 +313,14 @@ def _side_types(diagram: Diagram) -> dict[str, list]:
     of a rectangle's orbit lie on one family and darts 1 and 3 on the other.
     Each distinct pair is one tuple, shared by all its faces.
     """
-    start, orbit, curve = diagram._face_start, diagram._face_darts, diagram._dart_curve
-    a_types, b_types = [None] * (len(start) - 1), [None] * (len(start) - 1)
+    curve, degrees = diagram._dart_curve, diagram._face_degree
+    a_types, b_types = [None] * len(degrees), [None] * len(degrees)
     by_parity = (a_types, b_types), (b_types, a_types)
     pairs: dict = {}
-    for i, (s, e) in enumerate(zip(start, start[1:])):
-        if e - s != 4:
+    for i, degree in enumerate(degrees):
+        if degree != 4:
             continue
-        d0, d1, d2, d3 = orbit[s:e]
+        d0, d1, d2, d3 = diagram._orbit(i)
         p, q = (curve[d0], 1 - (d0 & 2)), (curve[d2], 1 - (d2 & 2))
         u, v = (curve[d1], 1 - (d1 & 2)), (curve[d3], 1 - (d3 & 2))
         own, other = by_parity[d0 & 1]
@@ -336,13 +341,12 @@ def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
     out_port = PORTS[axis_family][0]
     words = diagram.a_words if axis_family == FAMILY_A else diagram.b_words
     axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
-    start, fod, alpha = diagram._face_start, diagram._face_of_dart, diagram._alpha
-    across = [fod[alpha[e]] for e in diagram._face_darts]  # the face across each orbit arc
+    fod, alpha = diagram._face_of_dart, diagram._alpha
 
     for axis, word in enumerate(words.values(), 1):
         minus, plus = (axis, MINUS), (axis, PLUS)
         # walk the curve by its out darts: the next is its mate's out port, alpha[d] ^ 2
-        d = diagram._dart0[word[0]] + out_port
+        d = dart_of(diagram, word[0], out_port)
         for _ in word:
             # the face left of the forward arc is on the plus side of the edge
             f_plus, f_minus = fod[d], fod[alpha[d]]
@@ -350,8 +354,8 @@ def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
             sides_minus, sides_plus = axis_types[f_minus], axis_types[f_plus]
             if f_plus == f_minus or sides_minus is None or sides_plus is None:
                 continue
-            k = start[f_minus]
-            if across[k:k + 4].count(f_plus) != 1:  # glued along more than this edge
+            across = [fod[alpha[e]] for e in diagram._orbit(f_minus)]  # the face across each arc
+            if across.count(f_plus) != 1:  # glued along more than this edge
                 continue
             # the outer side of each end: the one that is not its axis side (the
             # minus face holds the edge's in dart, the plus face its out dart)
@@ -383,3 +387,36 @@ def decoded_indexes(view) -> tuple[dict, dict]:
     composed = {(axis, node_label(p), node_label(q)): by_l(e)
                 for (axis, p, q), e in view.composed_index.items()}
     return rect, composed
+
+
+# -- context accessors -------------------------------------------------------------
+
+
+def lambda_of(ctx, disk: int, side: int) -> frozenset:
+    """The punctured label set A_k minus (disk, side), k = `ctx.k_of(disk, side)`."""
+    return ctx.a_set(ctx.k_of(disk, side)) - {(disk, side)}
+
+
+def first_failing_l_detail(ctx, k: int, p: tuple, q: tuple):
+    """First l whose detail graph G(k, l, p, q) is not 2-connected, or None."""
+    return (ctx._failure(ctx._detail_entry(k, p, q)) or (None,))[0]
+
+
+def _cross_entry(ctx, disk: int, end_minus: tuple, end_plus: tuple) -> dict:
+    """The `composed_index` entry of ends in Lambda_{d,-} and Lambda_{d,+}."""
+    ctx._check_valid()
+    for end, side in ((end_minus, MINUS), (end_plus, PLUS)):
+        if end == (disk, side) or end not in ctx.a_set(ctx.k_of(disk, side)):
+            raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
+    return ctx.composed_index.get((disk, _node(end_minus), _node(end_plus)), {})
+
+
+def cross_detail_graph(ctx, l: int, disk: int, end_minus: tuple,
+                       end_plus: tuple) -> CriteriaGraph:
+    """The detail graph at l of the composed rectangles with these ends and axis `disk`."""
+    return _labelled(_cross_entry(ctx, disk, end_minus, end_plus).get(l, ()), ctx.a_star_set(l))
+
+
+def first_failing_l_cross(ctx, disk: int, end_minus: tuple, end_plus: tuple):
+    """First l whose composed-rectangle detail graph is not 2-connected, or None."""
+    return (ctx._failure(_cross_entry(ctx, disk, end_minus, end_plus)) or (None,))[0]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heegaardrect.diagram import Diagram, DiagramError
-from heegaardrect.diagramio import build_report, report_to_json
+from heegaardrect.criteria import CriteriaContext
+from heegaardrect.diagramio import build_report, parse_diagram, report_to_json, serialize_diagram
 from heegaardrect.twist import example_diagram
 
 from conftest import (
@@ -323,13 +324,24 @@ def test_sound_words_skip_the_scan(monkeypatch):
             Diagram(a_words, b_words, {"x": 1, "y": 1, "z": 1})
 
 
-def test_a_check_builds_no_orbit_table():
-    """Faces are kept by their least darts: generating and checking a
-    diagram never builds the table of every face's orbit."""
-    d = example_diagram(3, 32)
-    build_report(d)
-    assert "_face_darts" not in d.__dict__
-    assert len(d._face_darts) == 4 * d.num_crossings  # built on first read
+def test_a_check_keeps_only_what_it_reads(monkeypatch):
+    """A check of a file keeps on the diagram no id -> dart numbering, face
+    offsets or orbit table, and on its contexts one cached swapped view,
+    which has no diagram or validation of its own."""
+    contexts = []
+    analyse = CriteriaContext._analyse
+
+    def recording(ctx, *args):
+        contexts.append(ctx)
+        return analyse(ctx, *args)
+
+    monkeypatch.setattr(CriteriaContext, "_analyse", recording)
+    report = build_report(parse_diagram(serialize_diagram(example_diagram(3, 32))))
+    assert report["rc"]["holds"] and len(contexts) == 2
+    ctx, swapped = contexts
+    assert not {"_dart0", "_face_start", "_face_darts"} & vars(ctx.diagram).keys()
+    assert ctx.swapped is ctx.swapped is swapped
+    assert not hasattr(swapped, "diagram") and not hasattr(swapped, "validation")
 
 
 ALL_FIXTURES = [
@@ -509,8 +521,7 @@ def test_numbering_ignores_word_order(example_22, example_32, example_32_maximal
                    ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
                   for words in (d.a_words, d.b_words)]
         r = Diagram(*turned, dict(reversed(d.signs.items())))
-        for table in ("_crossing_ids", "_face_start", "_face_lead", "_face_darts",
-                      "_face_of_dart"):
+        for table in ("_crossing_ids", "_face_degree", "_face_lead", "_face_of_dart"):
             assert getattr(r, table) == getattr(d, table), table
         assert report_to_json(build_report(r)) == report_to_json(build_report(d))
 

@@ -13,7 +13,7 @@ from conftest import (
     split_components_diagram, torus_one, torus_two,
 )
 from map_oracles import (
-    _composed, _side_types, dart_of, decoded_indexes, edges, face_of_dart, mate_of,
+    _composed, _side_types, dart_of, decoded_indexes, edges, face_of_dart, lambda_of, mate_of,
     reverse_curve,
 )
 
@@ -70,8 +70,8 @@ def test_composed_rectangles_share_cross_sides(example_32):
 def test_composed_axis_ends_in_punctured_sets(example_32):
     ctx = CriteriaContext(example_32)
     for axis, end_minus, end_plus, *_ in composed(example_32, FAMILY_A):
-        assert end_minus in ctx.lambda_of(axis, MINUS)
-        assert end_plus in ctx.lambda_of(axis, PLUS)
+        assert end_minus in lambda_of(ctx, axis, MINUS)
+        assert end_plus in lambda_of(ctx, axis, PLUS)
 
 
 @pytest.mark.parametrize(

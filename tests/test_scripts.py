@@ -6,6 +6,8 @@ import importlib.util
 import types
 from pathlib import Path
 
+import map_oracles
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -47,19 +49,23 @@ def test_digests_name_the_members_that_moved():
     assert not moved, f"{len(moved)} members moved: {moved}"
 
 
+# counted by the benchmark's trace but moved to the test oracles, as no
+# command calls it; the trace counts it 0 and lists it as absent
+MOVED_TO_ORACLES = {"criteria.CriteriaContext.cross_detail_graph": "cross_detail_graph"}
+
+
 def test_benchmark_traces_only_functions_the_package_has():
     """Every dotted path the benchmark's trace counts or replays resolves to
     an attribute of the package, so a refactor cannot drop a traced stage
-    unnoticed.  The module is run from its source, so nothing is written
-    beside it."""
+    unnoticed; the one counted function moved to `tests/map_oracles.py`
+    resolves there and not in the package.  The module is run from its
+    source, so nothing is written beside it."""
     path = ROOT / "perfbench" / "replay.py"
     replay = types.ModuleType("replay")
     exec(compile(path.read_text(), str(path), "exec"), replay.__dict__)
     paths = [*replay.COUNTED.values(), *replay.STAGED_REPORT]
     assert len(paths) >= 12
     for dotted in paths:
-        module, _, rest = dotted.partition(".")
-        obj = importlib.import_module(f"heegaardrect.{module}")
-        for part in rest.split("."):
-            assert hasattr(obj, part), dotted
-            obj = getattr(obj, part)
+        assert (replay.find(dotted) is None) == (dotted in MOVED_TO_ORACLES), dotted
+    for name in MOVED_TO_ORACLES.values():
+        assert callable(getattr(map_oracles, name)), name

@@ -20,7 +20,7 @@ from conftest import (
     torus_one,
     torus_two,
 )
-from map_oracles import crossing_ids, dart_of, edges, face_of_dart, mate_of
+from map_oracles import crossing_ids, dart_of, edges, face_of_dart, lambda_of, mate_of
 
 
 def test_torus_cut_is_annulus():
@@ -140,7 +140,7 @@ def test_cut_components_bad_family():
 
 def test_lambda_set_minimal(example_32):
     ctx = CriteriaContext(example_32)
-    k, lam = ctx.k_of(1, MINUS), ctx.lambda_of(1, MINUS)
+    k, lam = ctx.k_of(1, MINUS), lambda_of(ctx, 1, MINUS)
     assert k == 1
     assert len(lam) == 5
     assert (1, MINUS) not in lam and (1, PLUS) in lam
@@ -148,18 +148,18 @@ def test_lambda_set_minimal(example_32):
 
 def test_lambda_set_split_fixture():
     d = split_components_diagram()
-    lam = CriteriaContext(d).lambda_of(3, MINUS)
+    lam = lambda_of(CriteriaContext(d), 3, MINUS)
     assert lam == frozenset({(1, MINUS), (2, PLUS), (3, PLUS)})
 
 
 def test_lambda_set_out_of_range(example_32):
     ctx = CriteriaContext(example_32)
     with pytest.raises(DiagramError, match="out of range"):
-        ctx.lambda_of(99, MINUS)
+        lambda_of(ctx, 99, MINUS)
     with pytest.raises(DiagramError, match="out of range"):
-        ctx.lambda_of(0, PLUS)
+        lambda_of(ctx, 0, PLUS)
     with pytest.raises(DiagramError, match="side"):
-        ctx.lambda_of(1, 0)
+        lambda_of(ctx, 1, 0)
 
 
 def test_validation_rejects_low_genus():
