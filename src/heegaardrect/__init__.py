@@ -14,7 +14,6 @@ from .criteria import (
     Verdict,
     Witness,
     double_rectangle_condition,
-    is_two_connected,
     rectangle_condition,
 )
 from .diagram import (
@@ -54,9 +53,9 @@ __all__ = [
     "DiagramError", "Face", "FaceSide", "MINUS", "PLUS", "TwistSpec",
     "ValidationReport", "Verdict", "Witness", "build_report", "chain_base",
     "cut_components", "dehn_twist", "double_rectangle_condition",
-    "example_diagram", "graph_to_dot", "is_two_connected", "maximal_chain_base",
-    "multicurve_map", "parse_diagram", "rectangle_condition", "report_to_json",
-    "report_to_text", "serialize_diagram", "validate_disk_systems",
+    "example_diagram", "graph_to_dot", "maximal_chain_base", "multicurve_map",
+    "parse_diagram", "rectangle_condition", "report_to_json", "report_to_text",
+    "serialize_diagram", "validate_disk_systems",
 ]
 
 __version__ = "0.1.0"

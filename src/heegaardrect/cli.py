@@ -173,6 +173,9 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -66,9 +66,6 @@ class CriteriaGraph:
             if lo & hi or (lo | hi) != self.vertices:
                 raise DiagramError("partition blocks must be disjoint and cover")
 
-    def neighbors(self) -> dict:
-        return _adjacency(self.vertices, self.edges)
-
 
 def graph_from_edges(edges: Sequence[Edge], vertices=(), partition=None) -> CriteriaGraph:
     vs = set(vertices)
@@ -131,15 +128,6 @@ def _components(adj: dict) -> tuple[list, set]:
     return parts, points
 
 
-def is_two_connected(graph: CriteriaGraph) -> bool:
-    """Connected, and still connected after deleting any single vertex.
-
-    Implemented through articulation points (iterative lowlink); graphs on
-    at most one vertex are 2-connected under this reading.
-    """
-    return _two_connected_failure(graph.neighbors()) is None
-
-
 def _two_connected_failure(adj: dict) -> Optional[tuple]:
     """None if 2-connected, else ('disconnected',) or ('cut-vertex', v)."""
     parts, points = _components(adj)
@@ -154,7 +142,7 @@ def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex,
     the search `double_rectangle_condition` runs on each H_d."""
     if graph.partition is None:
         raise DiagramError("doubly-2-connected test needs a partition")
-    return _pair_witness(graph.neighbors(), *graph.partition)
+    return _pair_witness(_adjacency(graph.vertices, graph.edges), *graph.partition)
 
 
 def _pair_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
@@ -395,9 +383,10 @@ class CriteriaContext:
     once, whichever pairs share it.  The criteria graphs ask for the verdicts
     of index keys only: every cut piece of a disk system has at least three
     labels, so a pair with no key has disconnected detail graphs and fails.
-    Each G_k is kept as an adjacency, and a disk graph takes its block edges
-    from it.  The missing-type search reads the records of the absent edges
-    it explains.
+    Each G_k is one adjacency, built once per piece; H_d is built straight
+    from the G_k of its two sides and the entry of axis d of `composed_index`,
+    which is grouped by axis as it is filled.  The missing-type search reads
+    the records of the absent edges it explains.
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built once, on first use, by the same
@@ -440,7 +429,7 @@ class CriteriaContext:
         self.n, self.n_star = counts[::-1] if flip else counts
         self._plus = 2 * self.n + 2  # the tag of H_d's plus block
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
-        self._component_adjs: dict = {}  # (k, tag) -> G_k's adjacency, tagged
+        self._component_adjs: dict = {}  # k -> G_k's adjacency
 
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
         # in A*_l (a face's sides are boundary circles of its piece)
@@ -451,8 +440,8 @@ class CriteriaContext:
                 self.rect_index.setdefault(a_sides, {}).setdefault(
                     pieces[1 - flip], set()).add(b_sides)
 
-        # (axis, end_minus, end_plus) -> l -> set of b-side pairs that are not
-        # loops, for each pair of distinct rectangles in piece l glued along
+        # axis -> (end_minus, end_plus) -> l -> set of b-side pairs that are
+        # not loops, for each pair of distinct rectangles in piece l glued along
         # exactly one edge of an axis curve; the two share their cross sides,
         # as at each end of the edge they lie on one side of the cross curve
         self.composed_index: dict = {}
@@ -481,12 +470,9 @@ class CriteriaContext:
                         count(), map((axis, minus, plus).__eq__,
                                      _axis_edges(surface, first, face_class))))):
                 continue
-            self.composed_index.setdefault((axis, end_minus, end_plus), {}).setdefault(
+            by_ends = self.composed_index.setdefault(axis, {})
+            by_ends.setdefault((end_minus, end_plus), {}).setdefault(
                 pieces[1 - flip], set()).add(b_sides)
-        # axis -> its (end_minus, end_plus, edges by l), for the disk graphs
-        self._composed_at: dict = {}
-        for (axis, end_minus, end_plus), by_l in self.composed_index.items():
-            self._composed_at.setdefault(axis, []).append((end_minus, end_plus, by_l))
 
     @cached_property
     def swapped(self) -> "CriteriaContext":
@@ -538,24 +524,20 @@ class CriteriaContext:
         adj = self._component_adjacency(k)
         return _labelled([(u, v) for u in adj for v in adj[u]], self.a_set(k))
 
-    def _component_adjacency(self, k: int, tag: int = 0) -> dict:
-        """G_k as node -> its neighbours, every node plus `tag`; built once
-        per k from the `rect_index` keys, and once per tag from that."""
-        if (k, tag) not in self._component_adjs:
-            if tag:
-                adj = {v + tag: {w + tag for w in nbrs}
-                       for v, nbrs in self._component_adjacency(k).items()}
-            else:
-                self._check_valid()
-                self.a_set(k)
-                a_k = self._nodes_a[k - 1]
-                adj = {v: set() for v in a_k}
-                for (p, q), by_l in self.rect_index.items():
-                    if p != q and p in a_k and q in a_k and self._failure(by_l) is None:
-                        adj[p].add(q)
-                        adj[q].add(p)
-            self._component_adjs[k, tag] = adj
-        return self._component_adjs[k, tag]
+    def _component_adjacency(self, k: int) -> dict:
+        """G_k as node -> its neighbours, built once per k from the
+        `rect_index` keys."""
+        if k not in self._component_adjs:
+            self._check_valid()
+            self.a_set(k)
+            a_k = self._nodes_a[k - 1]
+            adj = {v: set() for v in a_k}
+            for (p, q), by_l in self.rect_index.items():
+                if p != q and p in a_k and q in a_k and self._failure(by_l) is None:
+                    adj[p].add(q)
+                    adj[q].add(p)
+            self._component_adjs[k] = adj
+        return self._component_adjs[k]
 
     def disk_graph(self, disk: int) -> CriteriaGraph:
         """H_d as a `CriteriaGraph`, for export and inspection: the graph of
@@ -572,15 +554,18 @@ class CriteriaContext:
         The edges inside a block are the edges of G_k on Lambda_{d,kappa},
         k = `k_of(d, kappa)`.  A cross edge p-q holds when every
         composed-rectangle detail graph of (d, p, q) is 2-connected; only the
-        `composed_index` keys with axis d are tested (see the class docstring).
+        `composed_index` entry of axis d is tested (see the class docstring).
         """
-        own = {2 * disk, 2 * disk + 1 + self._plus}  # the vertices (-; d, -) and (+; d, +)
-        lo, hi = (self._component_adjacency(self.k_of(disk, side), tag)
-                  for side, tag in ((MINUS, 0), (PLUS, self._plus)))
-        adj = {v: nbrs - own for gk in (lo, hi) for v, nbrs in gk.items() if v not in own}
-        block_minus, block_plus = frozenset(lo).difference(own), frozenset(hi).difference(own)
-        for p, q, by_l in self._composed_at.get(disk, ()):
-            q += self._plus
+        plus, own_minus, own_plus = self._plus, 2 * disk, 2 * disk + 1  # (d, -) and (d, +)
+        lo = self._component_adjacency(self.k_of(disk, MINUS))
+        hi = self._component_adjacency(self.k_of(disk, PLUS))
+        adj = {v: nbrs - {own_minus} for v, nbrs in lo.items() if v != own_minus}
+        block_minus = frozenset(adj)
+        adj.update((v + plus, {w + plus for w in nbrs if w != own_plus})  # tagged as copied
+                   for v, nbrs in hi.items() if v != own_plus)
+        block_plus = frozenset(adj).difference(block_minus)
+        for (p, q), by_l in self.composed_index.get(disk, {}).items():
+            q += plus
             if p in block_minus and q in block_plus and self._failure(by_l) is None:
                 adj[p].add(q)
                 adj[q].add(p)
@@ -734,7 +719,7 @@ def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
     plus, (em, ep) = ctx._plus, sorted((u, v))
     if (em < plus) == (ep < plus):  # one block; `% plus` drops its tag
         return _missing_rectangle(ctx, em % plus, ep % plus)
-    failure = ctx._failure(ctx.composed_index.get((disk, em, ep - plus), {}))
+    failure = ctx._failure(ctx.composed_index.get(disk, {}).get((em, ep - plus), {}))
     return MissingType("composed-rectangle", (_label(em), disk, _label(ep - plus)), *failure)
 
 

@@ -6,14 +6,17 @@ isomorphism test by canonical certificate, edges and intersection numbers
 read off the words, a face trace through the dart queries, and the rectangle
 and composed rectangle types face by face and edge by edge, the oracle of
 the criteria's class table, the criteria's nodes and rectangle indexes
-read back as (curve index, side) labels, and a context's punctured label
-sets, detail graphs of composed rectangles and first failing l of a pair.
-None of it is on the check or generate path of the package.
+read back as (curve index, side) labels, a context's punctured label
+sets, detail graphs of composed rectangles and first failing l of a pair,
+and a `CriteriaGraph`'s adjacency and 2-connectivity predicate.  None of it
+is on the check or generate path of the package.
 """
 
 from bisect import bisect_left
 
-from heegaardrect.criteria import CriteriaGraph, _labelled, _node
+from heegaardrect.criteria import (
+    CriteriaGraph, _adjacency, _labelled, _node, _two_connected_failure,
+)
 from heegaardrect.diagram import (
     A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError,
     MINUS, PLUS, side_str,
@@ -378,14 +381,16 @@ def node_label(node: int, n: int = 0) -> tuple:
 def decoded_indexes(view) -> tuple[dict, dict]:
     """A context view's `rect_index` and `composed_index` with every node read
     back as its (curve index, side) label (`node_label`), so they compare with
-    the oracles' indexes."""
+    the oracles' indexes; the composed index, grouped by axis, comes back
+    keyed by (axis, end_minus, end_plus)."""
     def by_l(edges_by_l):
         return {l: {(node_label(u), node_label(v)) for u, v in edges}
                 for l, edges in edges_by_l.items()}
 
     rect = {(node_label(p), node_label(q)): by_l(e) for (p, q), e in view.rect_index.items()}
     composed = {(axis, node_label(p), node_label(q)): by_l(e)
-                for (axis, p, q), e in view.composed_index.items()}
+                for axis, by_ends in view.composed_index.items()
+                for (p, q), e in by_ends.items()}
     return rect, composed
 
 
@@ -408,7 +413,7 @@ def _cross_entry(ctx, disk: int, end_minus: tuple, end_plus: tuple) -> dict:
     for end, side in ((end_minus, MINUS), (end_plus, PLUS)):
         if end == (disk, side) or end not in ctx.a_set(ctx.k_of(disk, side)):
             raise DiagramError(f"{end} is not in Lambda_({disk},{side_str(side)})")
-    return ctx.composed_index.get((disk, _node(end_minus), _node(end_plus)), {})
+    return ctx.composed_index.get(disk, {}).get((_node(end_minus), _node(end_plus)), {})
 
 
 def cross_detail_graph(ctx, l: int, disk: int, end_minus: tuple,
@@ -420,3 +425,20 @@ def cross_detail_graph(ctx, l: int, disk: int, end_minus: tuple,
 def first_failing_l_cross(ctx, disk: int, end_minus: tuple, end_plus: tuple):
     """First l whose composed-rectangle detail graph is not 2-connected, or None."""
     return (ctx._failure(_cross_entry(ctx, disk, end_minus, end_plus)) or (None,))[0]
+
+
+# -- criteria graphs ---------------------------------------------------------------
+
+
+def neighbors(graph: CriteriaGraph) -> dict:
+    """The vertex -> neighbours adjacency of `graph`."""
+    return _adjacency(graph.vertices, graph.edges)
+
+
+def is_two_connected(graph: CriteriaGraph) -> bool:
+    """Connected, and still connected after deleting any single vertex.
+
+    Implemented through articulation points (iterative lowlink); graphs on
+    at most one vertex are 2-connected under this reading.
+    """
+    return _two_connected_failure(neighbors(graph)) is None

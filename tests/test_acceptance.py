@@ -14,7 +14,6 @@ from heegaardrect.criteria import (
     double_rectangle_condition,
     graph_from_edges,
     doubly_two_connected_witness,
-    is_two_connected,
     rectangle_condition,
 )
 from heegaardrect.diagram import FAMILY_A, MINUS, PLUS
@@ -23,7 +22,9 @@ from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagram, maximal_chain_base
 
 from conftest import hexagon_diagram, random_twisted_diagrams, split_components_diagram
-from map_oracles import intersection_number, is_isomorphic, reverse_curve, stabilized
+from map_oracles import (
+    intersection_number, is_isomorphic, is_two_connected, neighbors, reverse_curve, stabilized,
+)
 from shear_oracle import oracle_intersections
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,7 +165,7 @@ def test_criterion_07_connectivity_oracle():
             if rng.random() < p
         ]
         graph = graph_from_edges(edges, vertices=vertices)
-        adj = graph.neighbors()
+        adj = neighbors(graph)
         brute_two = brute_connected(adj, set()) and all(
             brute_connected(adj, {v}) for v in vertices
         )

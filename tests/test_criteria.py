@@ -21,7 +21,6 @@ from heegaardrect.criteria import (
     double_rectangle_condition,
     doubly_two_connected_witness,
     graph_from_edges,
-    is_two_connected,
     rectangle_condition,
 )
 from heegaardrect.diagram import (
@@ -37,8 +36,8 @@ from conftest import (
 )
 from map_oracles import (
     _composed, _side_types, cross_detail_graph, crossing_ids, decoded_indexes, face_of_dart,
-    first_failing_l_cross, first_failing_l_detail, lambda_of, node_label, relabel_crossings,
-    reverse_curve, stabilized,
+    first_failing_l_cross, first_failing_l_detail, is_two_connected, lambda_of, neighbors,
+    node_label, relabel_crossings, reverse_curve, stabilized,
 )
 
 
@@ -116,7 +115,7 @@ def test_no_loops_or_stray_edges():
 
 
 def _brute_connected_after(graph: CriteriaGraph, removed) -> bool:
-    adj = graph.neighbors()
+    adj = neighbors(graph)
     nodes = [v for v in adj if v not in removed]
     if not nodes:
         return True
@@ -132,7 +131,7 @@ def _brute_connected_after(graph: CriteriaGraph, removed) -> bool:
 
 
 def _brute_two_connected(graph: CriteriaGraph) -> bool:
-    adj = graph.neighbors()
+    adj = neighbors(graph)
 
     def connected_after(removed):
         nodes = [v for v in adj if v not in removed]
@@ -253,7 +252,7 @@ def _scan_doubly_witness(graph: CriteriaGraph):
     """
     if graph.partition is None:
         raise DiagramError("doubly-2-connected test needs a partition")
-    adj = graph.neighbors()
+    adj = neighbors(graph)
     lo, hi = graph.partition
     hi_sorted = sorted(hi)
     for a in sorted(lo):
@@ -346,7 +345,7 @@ def test_articulation_points_match_networkx(data):
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
     g.add_edges_from(graph.edges)
-    parts, points = _components(graph.neighbors())
+    parts, points = _components(neighbors(graph))
     assert parts == sorted(nx.connected_components(g), key=min)
     assert points == set(nx.articulation_points(g))
 
@@ -527,7 +526,8 @@ def test_verdicts_are_computed_only_for_index_keys(monkeypatch):
     kinds = []
     for ctx, edges_by_l in asked:
         detail = any(edges_by_l is by_l for by_l in ctx.rect_index.values())
-        cross = any(edges_by_l is by_l for by_l in ctx.composed_index.values())
+        cross = any(edges_by_l is by_l for by_ends in ctx.composed_index.values()
+                    for by_l in by_ends.values())
         assert detail or cross
         kinds.append("detail" if detail else "cross")
     assert set(kinds) == {"detail", "cross"}
@@ -878,7 +878,7 @@ def test_node_witnesses_match_the_exported_disk_graphs():
                 graph = view.disk_graph(disk)
                 label = {v: node_label(v, view.n) for v in adj}
                 assert {label[v]: {label[w] for w in nbrs} for v, nbrs in adj.items()} == (
-                    graph.neighbors())
+                    neighbors(graph))
                 assert (frozenset(map(label.get, block_minus)),
                         frozenset(map(label.get, block_plus))) == graph.partition
                 pair = _pair_witness(adj, block_minus, block_plus)

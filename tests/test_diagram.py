@@ -327,7 +327,9 @@ def test_sound_words_skip_the_scan(monkeypatch):
 def test_a_check_keeps_only_what_it_reads(monkeypatch):
     """A check of a file keeps on the diagram no id -> dart numbering, face
     offsets or orbit table, and on its contexts one cached swapped view,
-    which has no diagram or validation of its own."""
+    which has no diagram or validation of its own.  Each view keeps one G_k
+    adjacency per piece, on that piece's own nodes with no tagged copy, and
+    one composed index, grouped by axis, with no regrouped copy."""
     contexts = []
     analyse = CriteriaContext._analyse
 
@@ -342,6 +344,13 @@ def test_a_check_keeps_only_what_it_reads(monkeypatch):
     assert not {"_dart0", "_face_start", "_face_darts"} & vars(ctx.diagram).keys()
     assert ctx.swapped is ctx.swapped is swapped
     assert not hasattr(swapped, "diagram") and not hasattr(swapped, "validation")
+    for view in contexts:
+        assert view._component_adjs.keys() == set(range(1, view.m + 1))
+        for k, adj in view._component_adjs.items():
+            assert adj.keys() == view._nodes_a[k - 1]
+        assert not hasattr(view, "_composed_at")
+        assert all(isinstance(axis, int) and all(len(ends) == 2 for ends in by_ends)
+                   for axis, by_ends in view.composed_index.items())
 
 
 ALL_FIXTURES = [

@@ -657,6 +657,25 @@ def test_cli_non_ascii_ids_under_an_ascii_locale(tmp_path):
     assert codes["snowman"] == codes["ascii"] == [2, 2, 1]
 
 
+@pytest.mark.parametrize("genus, power", [("3", "99999999999999999999"), ("99999999", "2")])
+def test_cli_out_of_memory_is_one_error_line(genus, power):
+    """A generate too large for memory, run in a child whose address space is
+    capped at 1 GiB, exits 2 with one `error:` line, not a traceback."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+
+    def cap():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(heegaardrect.__file__).parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "heegaardrect.cli", "generate", "--genus", genus, "--power", power],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120, preexec_fn=cap)
+    assert run.returncode == 2
+    assert run.stderr == b"error: out of memory\n"
+
+
 def test_cli_lone_surrogate_id(tmp_path, capsys):
     """A JSON curve id that is no valid text is escaped on stdout, and a file
     that cannot hold it is an error, not a traceback."""

@@ -50,15 +50,16 @@ def test_digests_name_the_members_that_moved():
 
 
 # counted by the benchmark's trace but moved to the test oracles, as no
-# command calls it; the trace counts it 0 and lists it as absent
-MOVED_TO_ORACLES = {"criteria.CriteriaContext.cross_detail_graph": "cross_detail_graph"}
+# command calls them; the trace counts them 0 and lists them as absent
+MOVED_TO_ORACLES = {"criteria.CriteriaContext.cross_detail_graph": "cross_detail_graph",
+                    "criteria.is_two_connected": "is_two_connected"}
 
 
 def test_benchmark_traces_only_functions_the_package_has():
     """Every dotted path the benchmark's trace counts or replays resolves to
     an attribute of the package, so a refactor cannot drop a traced stage
-    unnoticed; the one counted function moved to `tests/map_oracles.py`
-    resolves there and not in the package.  The module is run from its
+    unnoticed; the counted functions moved to `tests/map_oracles.py`
+    resolve there and not in the package.  The module is run from its
     source, so nothing is written beside it."""
     path = ROOT / "perfbench" / "replay.py"
     replay = types.ModuleType("replay")
