@@ -8,6 +8,7 @@ Output is plain text (nothing to disable for NO_COLOR).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -39,12 +40,31 @@ def _write(text: str, output: Optional[str]) -> None:
     one, backslash-escaping what stdout cannot encode."""
     if not output:
         encoding = sys.stdout.encoding or "utf-8"
-        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+        try:
+            sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+            sys.stdout.flush()
+        except OSError as exc:
+            _drop_buffered_stdout()
+            raise DiagramError(f"cannot write standard output: {exc}") from exc
         return
     try:
         Path(output).write_bytes(text.encode("utf-8"))
     except (OSError, UnicodeEncodeError) as exc:
         raise DiagramError(f"cannot write {output}: {exc}") from exc
+
+
+def _drop_buffered_stdout() -> None:
+    """Flush what a failed write left in stdout's buffer to the null device, then
+    give fd 1 back, so nothing fails again at exit and a later write still tries."""
+    fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+    saved = os.dup(fd)
+    try:
+        os.dup2(null, fd)
+        sys.stdout.flush()
+    finally:
+        os.dup2(saved, fd)
+        os.close(saved)
+        os.close(null)
 
 
 def cmd_check(args) -> int:

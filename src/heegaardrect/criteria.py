@@ -627,7 +627,7 @@ class Witness:
     """One failure record of a criterion."""
 
     kind: str  # "rc" | "drc"
-    swapped: bool  # True when the families were exchanged for this check
+    swapped: bool  # the orientation of the view that found it: True when exchanged
     index: int  # failing component index k, or disk index d
     reason: str  # "disconnected" | "cut-vertex" | "pair"
     vertices: tuple
@@ -674,8 +674,8 @@ NOTE_DRC = "the Goeritz group of the Heegaard splitting is finite"
 def rectangle_condition(
     diagram: Optional[Diagram], ctx: Optional[CriteriaContext] = None
 ) -> Verdict:
-    """Holds iff the component graph G_k is 2-connected for every k; `diagram`
-    is read only when no `ctx` is given, so `ctx` may be a swapped view."""
+    """Holds iff every component graph G_k is 2-connected.  `diagram` is read
+    only when no `ctx` is given; `ctx` may be a swapped view, as its witnesses say."""
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
     for k in range(1, ctx.m + 1):
@@ -685,7 +685,8 @@ def rectangle_condition(
             continue
         reason, verts = failure[0], failure[1:]  # ("disconnected",) or ("cut-vertex", v)
         missing = _missing_types(adj, verts, lambda p, q: _missing_rectangle(ctx, p, q))
-        witnesses.append(Witness("rc", False, k, reason, tuple(map(_label, verts)), missing))
+        witnesses.append(Witness("rc", ctx._first != FAMILY_A, k, reason,
+                                 tuple(map(_label, verts)), missing))
     holds = not witnesses
     return Verdict(holds, tuple(witnesses), NOTE_RC if holds else "")
 
@@ -728,18 +729,17 @@ def double_rectangle_condition(
 ) -> Verdict:
     """Holds iff every disk graph H_d is doubly 2-connected, both ways round.
 
-    The condition is checked on the diagram as given and on the diagram with
-    the families exchanged; witnesses record which direction failed.
-    `diagram` is read only when no `ctx` is given; the exchanged direction
-    uses `ctx.swapped`, so a caller that also checks RC on both sides
-    analyses each orientation once.  Each H_d is searched as the adjacency
-    `_disk_adjacency` builds, with no `CriteriaGraph`.  Each block of an H_d
-    has at least two labels, so a disconnected H_d always has a witness pair.
+    The condition is checked on `ctx`, then on `ctx.swapped`, the view with
+    the families exchanged; each witness takes the orientation of the view
+    that found it.  `diagram` is read only when no `ctx` is given, so a
+    caller that also checks RC on both sides analyses each orientation once.
+    Each H_d is searched as the adjacency `_disk_adjacency` builds, with no
+    `CriteriaGraph`.  Each block of an H_d has at least two labels, so a
+    disconnected H_d always has a witness pair.
     """
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []
-    for swapped in (False, True):
-        octx = ctx.swapped if swapped else ctx  # the exchanged view, built once per context
+    for octx in (ctx, ctx.swapped):  # the exchanged view is built once per context
         for disk in range(1, octx.n + 1):
             adj, block_minus, block_plus = octx._disk_adjacency(disk)
             pair = _pair_witness(adj, block_minus, block_plus)
@@ -748,6 +748,6 @@ def double_rectangle_condition(
                     adj, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
                 )
                 pair = tuple(_label(v, octx._plus) for v in pair)
-                witnesses.append(Witness("drc", swapped, disk, "pair", pair, missing))
+                witnesses.append(Witness("drc", octx._first != FAMILY_A, disk, "pair", pair, missing))
     holds = not witnesses
     return Verdict(holds, tuple(witnesses), NOTE_DRC if holds else "")

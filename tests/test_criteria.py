@@ -571,8 +571,8 @@ def test_each_distinct_set_of_detail_graphs_is_tested_once(monkeypatch):
 
 
 def test_report_contexts_die_without_the_cycle_collector(example_32, monkeypatch):
-    """The swapped context refers back weakly, so a report's two contexts are
-    freed by reference counting alone."""
+    """The swapped context holds no reference back to the context it came
+    from, so a report's two contexts are freed by reference counting alone."""
     refs = []
     analyse = CriteriaContext._analyse
 
@@ -674,6 +674,43 @@ def test_disk_graph_out_of_range(example_32):
 def test_cross_detail_precondition(example_32):
     with pytest.raises(DiagramError, match="Lambda"):
         cross_detail_graph(CriteriaContext(example_32), 1, 1, (1, MINUS), (2, MINUS))
+
+
+def _all_pants(ctx) -> bool:
+    return all(len(c.a_set) == 3 and c.planar for c in (*ctx.comps_a, *ctx.comps_b))
+
+
+def _pants_rule(view, first_types, second_types) -> bool:
+    """Casson and Gordon's rectangle condition on pants: every pair of pieces
+    (k, l) of `view` has all 9 rectangle types, each a pair of two of the
+    three circles of k with two of the three circles of l.  `first_types`
+    and `second_types` are `_side_types` of the view's first and second
+    family."""
+    k_of = {side: c.index for c in view.comps_a for side in c.a_set}
+    l_of = {side: c.index for c in view.comps_b for side in c.a_set}
+    found = {}
+    for p, q in zip(first_types, second_types):
+        if p is not None and p[0] != p[1] and q[0] != q[1]:
+            found.setdefault((k_of[p[0]], l_of[q[0]]), set()).add((p, q))
+    return all(len(found.get((k, l), ())) == 9
+               for k in range(1, view.m + 1) for l in range(1, view.m_star + 1))
+
+
+def test_rc_on_pants_is_the_flat_rule():
+    """When every piece of both cuts is a pair of pants, RC holds in a view
+    exactly when every pair of pieces has all 9 rectangle types.  Checked in
+    both views on the maximal example at four powers and on the sub-systems
+    whose pieces are all pants; every one of them holds RC."""
+    maximal = [example_diagram(3, p, maximal=True) for p in (2, 3, -2, -3)]
+    subsystems = [d for d in _passing(maximal_subsystems(200)) if _all_pants(CriteriaContext(d))]
+    assert len(subsystems) == 14
+    for d in [*maximal, *subsystems]:
+        ctx = CriteriaContext(d)
+        assert ctx.validation.passed and _all_pants(ctx)
+        types = _side_types(d)
+        for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
+            rule = _pants_rule(view, types[first], types[OTHER_FAMILY[first]])
+            assert rectangle_condition(None, view).holds == rule
 
 
 def test_minimal_case_matches_flat_definitions(example_32, example_22):
@@ -855,13 +892,57 @@ def test_drc_decides_the_examples_on_the_skeleton(monkeypatch, genus):
     assert double_rectangle_condition(d) == want
 
 
-def _digest_corpus():
-    """The members of `tests/golden/digests.txt`, from `scripts/make_golden.py`."""
+def _digest_members():
+    """(name, diagram) for each member of `tests/golden/digests.txt`, from
+    `scripts/make_golden.py`."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
     spec = importlib.util.spec_from_file_location("make_golden", path)
     make_golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_golden)
-    return [d for _, d in make_golden.contract_members()]
+    return make_golden.contract_members()
+
+
+def _digest_corpus():
+    """The members of `tests/golden/digests.txt`."""
+    return [d for _, d in _digest_members()]
+
+
+def test_rc_swapped_witnesses_say_they_are_swapped():
+    """Each witness of `rc_swapped` describes the view with the families
+    exchanged, and says so; each witness of `rc` says it is not swapped.
+    Taken over the first 20 random digest members with an `rc_swapped`
+    witness."""
+    members = 0
+    for name, d in _digest_members():
+        if not name.startswith("random:"):
+            continue
+        report = build_report(d)
+        swapped = report.get("rc_swapped", {}).get("witnesses")
+        if not swapped:
+            continue
+        for w in swapped:
+            assert w["families_swapped"] is True, name
+            assert w["description"].startswith("after switching the families, "), name
+        for w in report["rc"]["witnesses"]:
+            assert w["families_swapped"] is False, name
+            assert not w["description"].startswith("after switching"), name
+        members += 1
+        if members == 20:
+            return
+    pytest.fail(f"only {members} random members have an rc_swapped witness")
+
+
+def test_drc_witnesses_take_the_orientation_of_their_view(example_32_maximal):
+    """DRC searches `ctx` and then `ctx.swapped`, and each witness is flagged
+    with the orientation of the view it was found in: called on the exchanged
+    view, DRC gives that view's three witnesses, flagged swapped, before the
+    original orientation's three, flagged not swapped."""
+    ctx = CriteriaContext(example_32_maximal)
+    given = double_rectangle_condition(None, ctx).witnesses
+    exchanged = double_rectangle_condition(None, ctx.swapped).witnesses
+    assert [w.swapped for w in given] == [False] * 3 + [True] * 3
+    assert [w.swapped for w in exchanged] == [True] * 3 + [False] * 3
+    assert exchanged == given[3:] + given[:3]
 
 
 def test_node_witnesses_match_the_exported_disk_graphs():

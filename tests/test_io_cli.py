@@ -676,6 +676,44 @@ def test_cli_out_of_memory_is_one_error_line(genus, power):
     assert run.stderr == b"error: out of memory\n"
 
 
+FULL_STDOUT = [("generate", "--genus", "3", "--power", "2"), ("check", "e.json"),
+               ("validate", "e.json"), ("export-graph", "e.json", "--which", "Hd:1")]
+NO_SPACE = b"error: cannot write standard output: [Errno 28] No space left on device\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this platform")
+
+
+def _on_full_stdout(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """Run `python argv` in `tmp_path`, beside `e.json`, with stdout on /dev/full."""
+    (tmp_path / "e.json").write_text(serialize_diagram(example_diagram(3, 2)))
+    src = str(Path(heegaardrect.__file__).parent.parent)
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, *argv], cwd=tmp_path, stdout=full,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                              timeout=120)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", FULL_STDOUT, ids=[argv[0] for argv in FULL_STDOUT])
+def test_cli_full_stdout_is_one_error_line(tmp_path, argv):
+    """A command whose stdout cannot be written exits 2 with one `error:`
+    line: no traceback, and no second failure at exit from what stayed
+    buffered."""
+    run = _on_full_stdout(tmp_path, "-m", "heegaardrect.cli", *argv)
+    assert run.returncode == 2
+    assert run.stderr == NO_SPACE
+
+
+@needs_dev_full
+def test_cli_full_stdout_fails_each_call_in_one_process(tmp_path):
+    """After a failed write, `main` runs again in the same process and fails
+    the same way, for the bytes are dropped and stdout is left as it was."""
+    run = _on_full_stdout(tmp_path, "-c", "import sys\nfrom heegaardrect.cli import main\n"
+                          "print([main(['check', 'e.json']) for _ in range(3)], file=sys.stderr)")
+    assert run.returncode == 0
+    assert run.stderr == NO_SPACE * 3 + b"[2, 2, 2]\n"
+
+
 def test_cli_lone_surrogate_id(tmp_path, capsys):
     """A JSON curve id that is no valid text is escaped on stdout, and a file
     that cannot hold it is an error, not a traceback."""
