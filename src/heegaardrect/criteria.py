@@ -22,13 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import and_
+from itertools import compress, count
 from typing import Optional, Sequence
 
 from .diagram import (
-    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _union,
-    side_str,
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _gather,
+    _union, side_str,
 )
 from .systems import _component, validate_components
 
@@ -256,37 +255,39 @@ def _skeleton_witness(adj, lo, hi, node, skeleton, on_chain) -> Optional[tuple[V
 def _class_table(surface: Diagram) -> tuple:
     """The faces of `surface` sorted into classes, each class decoded once.
 
-    A face's class is its key: its degree and the curve and port of the first
-    four darts of its orbit.  Faces of one class have the same sides, and most
-    faces of a large diagram fall into a few classes, so the keys are
-    deduplicated at C speed and only the distinct ones are read.  A face's
-    darts alternate the two families, so darts 0 and 2 of its orbit lie on
-    one family and darts 1 and 3 on the other; the sorted pair of their
-    sides, as nodes, is the class's pair on that family, each distinct
-    pair one tuple.  Returns each face's class, numbered by its first
-    face; class -> ((a-type, b-type), (a-pair, b-pair)), a type being the
-    pair of a rectangle (a face of degree 4, whose pairs are all its sides)
-    and None for any other face; and the faces of degree above 4, the only
-    ones with sides beyond their key.
+    A face's class is its key: its degree and the codes (``4 * curve +
+    port``, `Diagram._dart_code`) of the first four darts of its orbit, five
+    fields from four gathers.  Faces of one class have the same sides, and
+    most faces of a large diagram fall into a few classes, so the keys are
+    gathered and deduplicated at C speed and only the distinct ones are
+    decoded.  A face's darts alternate the two families, so darts 0 and 2 of
+    its orbit lie on one family and darts 1 and 3 on the other; the sorted
+    pair of their sides, as nodes (``(code >> 1) ^ 1``), is the class's pair
+    on that family, each distinct pair one tuple.  Returns each face's
+    class, numbered by its first face; class -> ((a-type, b-type), (a-pair,
+    b-pair)), a type being the pair of a rectangle (a face of degree 4,
+    whose pairs are all its sides) and None for any other face; and the
+    faces of degree above 4, the only ones with sides beyond their key.
     """
-    degrees, curve, phi = surface._face_degree, surface._dart_curve, surface._phi
-    # the first four darts of every orbit, from its least, each the face
-    # successor `phi` of the last, so a bigon repeats its two
-    darts = [surface._face_lead]
+    degrees, code, phi = surface._face_degree, surface._dart_code, surface._phi
+    # the codes of the first four darts of every orbit, from its least, each
+    # dart the face successor `phi` of the last, so a bigon repeats its two;
+    # only the last darts are kept, as tuples, which `_gather` does not copy
+    darts, columns = tuple(surface._face_lead), []
     for _ in range(3):
-        darts.append(list(map(phi.__getitem__, darts[-1])))
-    keys = zip(degrees, *(m for ds in darts
-                          for m in (map(curve.__getitem__, ds), map(and_, ds, repeat(3)))))
+        columns.append(_gather(code, darts))
+        darts = _gather(phi, darts)
+    columns.append(_gather(code, darts))
     classes: dict = {}
-    face_class = list(map(classes.setdefault, keys, count()))
+    face_class = list(map(classes.setdefault, zip(degrees, *columns), count()))
 
     decoded, pairs = {}, {}
-    for (degree, c0, p0, c1, p1, c2, p2, c3, p3), i in classes.items():
-        p, q = 2 * c0 + (not p0 & 2), 2 * c2 + (not p2 & 2)
-        u, v = 2 * c1 + (not p1 & 2), 2 * c3 + (not p3 & 2)
+    for (degree, c0, c1, c2, c3), i in classes.items():
+        p, q = (c0 >> 1) ^ 1, (c2 >> 1) ^ 1
+        u, v = (c1 >> 1) ^ 1, (c3 >> 1) ^ 1
         own, other = (p, q) if p <= q else (q, p), (u, v) if u <= v else (v, u)
         sides = pairs.setdefault(own, own), pairs.setdefault(other, other)
-        if p0 & 1:  # dart 0 is on the second family
+        if c0 & 1:  # dart 0 is on the second family
             sides = sides[::-1]
         decoded[i] = (sides if degree == 4 else (None, None)), sides
     return face_class, decoded, list(compress(count(), map((4).__lt__, degrees)))
@@ -304,7 +305,7 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
     (curve index, side), minus before plus, which the crossing ids do not
     touch.
     """
-    curve = surface._dart_curve
+    code = surface._dart_code
     every = tuple(range(len(face_class)))  # the face numbers, shared by every piece
     cuts = {}
     for bit, (family, words) in enumerate(((FAMILY_A, surface.a_words),
@@ -313,7 +314,7 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
         joins = pairs[:]
         for f in big:  # its darts on this family, every other one from the first
             orbit = surface._orbit(f)
-            nodes = [2 * curve[d] + (not d & 2) for d in orbit[bit ^ orbit[0] & 1::2]]
+            nodes = [(code[d] >> 1) ^ 1 for d in orbit[bit ^ orbit[0] & 1::2]]
             joins += zip(nodes, nodes[1:])
         parent = _union(list(range(2 * len(words) + 2)), joins)
 
@@ -342,15 +343,16 @@ def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -
 
 
 def _axis_edges(surface: Diagram, family: str, face_class: list):
-    """(axis, minus class, plus class) of each edge of a `family` curve, by
-    crossing: the edge that leaves it along that family.  The face left of
-    the out dart is on the plus side of the edge, the face of its mate on
-    the minus side."""
+    """(axis code, minus class, plus class) of each edge of a `family` curve,
+    by crossing: the edge that leaves it along that family, and the code of
+    its out dart, ``4 * axis`` plus the out port.  The face left of the out
+    dart is on the plus side of the edge, the face of its mate on the minus
+    side."""
     out = PORTS[family][0]
-    fod, in_class = surface._face_of_dart, face_class.__getitem__
-    return zip(surface._dart_curve[out::4],
-               map(in_class, map(fod.__getitem__, surface._alpha[out::4])),
-               map(in_class, fod[out::4]))
+    fod = surface._face_of_dart
+    return zip(surface._dart_code[out::4],
+               _gather(face_class, _gather(fod, surface._alpha[out::4])),
+               _gather(face_class, fod[out::4]))
 
 
 def _glued_once(surface: Diagram, family: str, x: int) -> bool:
@@ -417,8 +419,9 @@ class CriteriaContext:
         from `table`: the cuts keyed by family (as `_cut_classes` gives them),
         each face's class, and class -> (its types as `_class_table` gives
         them, its (a-piece, b-piece) by index in the cut).  Each class is read
-        once for `rect_index`, and each distinct (axis, minus class, plus
-        class) of an edge of a `first` curve once for `composed_index`."""
+        once for `rect_index`, and each distinct (axis code, minus class, plus
+        class) of an edge of a `first` curve (`_axis_edges`) once for
+        `composed_index`."""
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
         self._surface, self._first, self._table = surface, first, table
         cuts, face_class, classes = table
@@ -445,9 +448,10 @@ class CriteriaContext:
         # exactly one edge of an axis curve; the two share their cross sides,
         # as at each end of the edge they lie on one side of the cross curve
         self.composed_index: dict = {}
-        edges: dict = {}  # (axis, minus class, plus class) -> its first edge's crossing
+        edges: dict = {}  # (axis code, minus class, plus class) -> its first edge's crossing
         deque(map(edges.setdefault, _axis_edges(surface, first, face_class), count()), 0)
-        for (axis, minus, plus), x in edges.items():
+        for (code, minus, plus), x in edges.items():
+            axis = code >> 2  # decoded once per distinct edge triple
             (types, pieces), sides_plus = classes[minus], classes[plus][0][flip]
             sides_minus, b_sides = types[flip], types[1 - flip]
             if sides_minus is None or sides_plus is None or b_sides[0] == b_sides[1]:
@@ -467,7 +471,7 @@ class CriteriaContext:
             if (end_plus == end_minus ^ 1
                     and not _glued_once(surface, first, x)
                     and not any(_glued_once(surface, first, y) for y in compress(
-                        count(), map((axis, minus, plus).__eq__,
+                        count(), map((code, minus, plus).__eq__,
                                      _axis_edges(surface, first, face_class))))):
                 continue
             by_ends = self.composed_index.setdefault(axis, {})

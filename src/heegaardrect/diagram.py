@@ -41,10 +41,13 @@ Conventions (fixed once, everything else follows):
 * Faces and crossings are flat integer tables, and every command reads
   only those: face ``i`` is its least dart ``_face_lead[i]`` and its degree
   ``_face_degree[i]``, and `_orbit` walks ``_phi`` round it from that dart;
-  ``_dart_curve[d]`` is dart ``d``'s 1-based curve index in its family
-  ``d & 1``, its side ``1 - (d & 2)``; ``_signs`` follows the sorted
-  crossing ids, crossing ``i`` owning darts ``4i`` to ``4i + 3``, and
-  `signs` maps each id to its sign.  `bigon_faces` gives face indices.
+  ``_dart_code[d]`` is ``4 * curve + (d & 3)``, ``curve`` being dart ``d``'s
+  1-based curve index in its family ``d & 1``, its side ``1 - (d & 2)``,
+  so ``code >> 2`` is the curve and ``(code >> 1) ^ 1`` the (curve, side)
+  node; ``_signs`` follows the sorted crossing ids, crossing ``i`` owning
+  darts ``4i`` to ``4i + 3``, and `signs` maps each id to its sign.  The
+  gathered tables, ``_phi`` and ``_signs``, are tuples (`_gather`).
+  `bigon_faces` gives face indices.
   The read-only views `faces` and `crossings`, of `Face`, `FaceSide` and
   `Crossing` objects, are built on first read for the tests and the
   benchmark replay; no command builds them.
@@ -55,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -77,6 +81,16 @@ class DiagramError(ValueError):
 
 def side_str(side: int) -> str:
     return "+" if side > 0 else "-"
+
+
+def _gather(seq, idx) -> tuple:
+    """``tuple(seq[i] for i in idx)`` for a sized `idx`, gathered by one
+    `itemgetter` call at C speed (the call copies a list `idx` into its
+    argument tuple, a tuple it does not); with one index `itemgetter` gives
+    the bare item, so fewer than two are gathered one by one."""
+    if len(idx) < 2:
+        return tuple(seq[i] for i in idx)
+    return itemgetter(*idx)(seq)
 
 
 def _union(parent: list, pairs) -> list:
@@ -156,7 +170,7 @@ class Diagram:
         if not all(map(signs.__contains__, ids)):
             raise DiagramError(f"crossing {next(x for x in ids if x not in signs)} has no sign")
         self._crossing_ids: tuple[str, ...] = ids
-        self._signs = values = list(map(signs.__getitem__, ids))
+        self._signs = values = _gather(signs, ids)
         if not (set(map(type, values)) == {int} and set(values) <= {MINUS, PLUS}):
             bad = (x for x, s in zip(ids, values) if type(s) is not int or s not in (MINUS, PLUS))
             raise DiagramError(f"crossing {next(bad)}: sign must be +1 or -1")
@@ -215,21 +229,23 @@ class Diagram:
         sigma_inv = []
         for b, sign in zip(range(0, nd, 4), self._signs):
             sigma_inv += (b + 3, b, b + 1, b + 2) if sign == PLUS else (b + 1, b + 2, b + 3, b)
-        alpha, dart_curve = [0] * nd, [0] * nd
+        alpha, dart_code = [0] * nd, [0] * nd
         for (out_port, in_port), words in zip(PORTS.values(), (self.a_words, self.b_words)):
             for curve, word in enumerate(words.values(), 1):
-                darts = list(map(dart0.__getitem__, word))
+                darts = _gather(dart0, word)
+                out_code, in_code = 4 * curve + out_port, 4 * curve + in_port
                 for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
                     alpha[s + out_port] = t + in_port
                     alpha[t + in_port] = s + out_port
-                    dart_curve[s + out_port] = dart_curve[s + in_port] = curve
+                    dart_code[s + out_port], dart_code[s + in_port] = out_code, in_code
+        dart0.clear()  # the numbering is not kept: its memory goes before `_phi` is gathered
         self._alpha = alpha
-        self._dart_curve = dart_curve
+        self._dart_code = dart_code
 
         if not self._connected():
             raise DiagramError("disconnected diagram unsupported")
 
-        self._phi = list(map(sigma_inv.__getitem__, alpha))  # the next dart round a face
+        self._phi = _gather(sigma_inv, alpha)  # the next dart round a face
         self._trace_faces()
         v, e, f = n, 2 * n, len(self._face_degree)
         chi = v - e + f
@@ -241,9 +257,10 @@ class Diagram:
         # sigma joins the four darts of a crossing and alpha runs along each
         # curve, so the map is connected iff the curves are, joined at the
         # crossings they share; b-curve j is node n + j after the n a-curves
-        n, curve = len(self.a_words), self._dart_curve
-        pairs = set(zip(curve[A_OUT::4], curve[B_OUT::4]))
-        parent = _union(list(range(n + len(self.b_words) + 1)), [(a, n + b) for a, b in pairs])
+        n, code = len(self.a_words), self._dart_code
+        pairs = set(zip(code[A_OUT::4], code[B_OUT::4]))  # each pair of codes decoded once
+        parent = _union(list(range(n + len(self.b_words) + 1)),
+                        [(a >> 2, n + (b >> 2)) for a, b in pairs])
         return sum(parent[i] == i for i in range(1, len(parent))) == 1
 
     def _trace_faces(self) -> None:
@@ -285,18 +302,18 @@ class Diagram:
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         families = ((FAMILY_A, self.a_curve_ids()), (FAMILY_B, self.b_curve_ids())) * 2
-        side_of = [[None] + [FaceSide(f, c, 1 - (p & 2)) for c in ids]  # [port][curve index]
-                   for p, (f, ids) in enumerate(families)]
-        curve = self._dart_curve
+        side_of = {4 * i + p: FaceSide(f, c, 1 - (p & 2))  # dart code -> its side
+                   for p, (f, ids) in enumerate(families) for i, c in enumerate(ids, 1)}
+        code = self._dart_code
         orbits = (tuple(self._orbit(f)) for f in range(len(self._face_lead)))
-        return tuple(Face(i, ds, tuple(side_of[d & 3][curve[d]] for d in ds))
+        return tuple(Face(i, ds, tuple(side_of[code[d]] for d in ds))
                      for i, ds in enumerate(orbits))
 
     @cached_property
     def crossings(self) -> dict[str, Crossing]:
-        ids, curve = (tuple(self.a_words), tuple(self.b_words)), self._dart_curve
-        return {x: Crossing(x, ids[0][curve[d] - 1], ids[1][curve[d + 1] - 1], sign)
-                for x, d, sign in zip(self._crossing_ids, range(0, len(curve), 4), self._signs)}
+        ids, code = (tuple(self.a_words), tuple(self.b_words)), self._dart_code
+        return {x: Crossing(x, ids[0][(code[d] >> 2) - 1], ids[1][(code[d + 1] >> 2) - 1], sign)
+                for x, d, sign in zip(self._crossing_ids, range(0, len(code), 4), self._signs)}
 
     @cached_property
     def signs(self) -> Mapping[str, int]:

@@ -24,7 +24,7 @@ from .criteria import (
     double_rectangle_condition,
     rectangle_condition,
 )
-from .diagram import Diagram, DiagramError, MINUS, PLUS
+from .diagram import Diagram, DiagramError, MINUS, PLUS, _gather
 
 FORMAT_VERSION = 1
 
@@ -116,7 +116,7 @@ def serialize_diagram(d: Diagram) -> str:
         raise DiagramError(f"crossing id {bad!r} is not [A-Za-z0-9_]+")
     signed = {x: x + ("+" if s == PLUS else "-") for x, s in zip(ids, d._signs)}
     doc = {"format_version": FORMAT_VERSION, "d_curves": {
-        curve: _rotate_min(list(map(signed.__getitem__, word))) for curve, word in d.a_words.items()
+        curve: _rotate_min(list(_gather(signed, word))) for curve, word in d.a_words.items()
     }, "dstar_curves": {
         curve: _rotate_min(list(word)) for curve, word in d.b_words.items()
     }}

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import (
-    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _union,
+    FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _gather,
+    _union,
 )
 
 
@@ -56,7 +57,7 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     fod, alpha = diagram._face_of_dart, diagram._alpha
     out = PORTS[other][0]
     parent = _union(list(range(len(diagram._face_degree))),
-                    zip(fod[out::4], map(fod.__getitem__, alpha[out::4])))
+                    zip(fod[out::4], _gather(fod, alpha[out::4])))
 
     # one pass in face order points every face at its root
     groups: dict[int, list] = {}
@@ -68,9 +69,10 @@ def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutCompone
     # its out dart (plus) or in dart (minus) at any of its crossings
     out_port, in_port = PORTS[family]
     words = diagram.a_words if family == FAMILY_A else diagram.b_words
-    crossing = dict(zip(diagram._dart_curve[out_port::4], range(0, len(alpha), 4)))
+    crossing = dict(zip(diagram._dart_code[out_port::4], range(0, len(alpha), 4)))
     circles: dict[int, list] = {root: [] for root in groups}
-    for i, d in sorted(crossing.items()):
+    for code, d in sorted(crossing.items()):
+        i = code >> 2
         circles[parent[fod[d + in_port]]].append((i, MINUS))
         circles[parent[fod[d + out_port]]].append((i, PLUS))
 
@@ -131,9 +133,9 @@ def validate_components(
     # a bigon has a dart on each family (dart d's is d & 1); its entry names the
     # first family's curve first, in curve index order, which crossing ids do not touch
     names = (tuple(diagram.a_words), tuple(diagram.b_words))
-    curve = diagram._dart_curve
+    code = diagram._dart_code
     darts = (sorted(diagram._orbit(f), key=lambda d: d & 1) for f in diagram.bigon_faces())
-    for i, j in sorted((curve[d], curve[e]) for d, e in darts):
+    for i, j in sorted((code[d] >> 2, code[e] >> 2) for d, e in darts):
         report.add("bigon", f"bigon between {names[0][i - 1]} and {names[1][j - 1]}")
 
     for family, words, comps in ((FAMILY_A, names[0], comps_a), (FAMILY_B, names[1], comps_b)):

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
-from .diagram import Diagram, DiagramError, MINUS, PLUS
+from .diagram import Diagram, DiagramError, MINUS, PLUS, _gather
 from .systems import validate_disk_systems
 
 GAMMA = "gamma"
@@ -163,17 +163,18 @@ def dehn_twist(base: Diagram, spec: TwistSpec) -> Diagram:
     tails = [f"{a}_{r}" for a in base.b_words[GAMMA] for r in range(abs(spec.power))]
     heads = [f"t{len(str(x))}_{x}_" for word in base.a_words.values() for x in word]
     names = [head + tail for head in heads for tail in tails]
-    named = _named(twisted, names.__getitem__)
+    named = _named(twisted, names)
     del twisted, names  # the keys are not kept through the map builds
     return _with_genus_of(base, Diagram(*named).reduce_bigons())
 
 
-def _named(twisted: tuple[dict, dict, dict], name) -> tuple[dict, dict, dict]:
-    """The words and signs of a splice whose key k is named ``name(k)``."""
+def _named(twisted: tuple[dict, dict, dict], names) -> tuple[dict, dict, dict]:
+    """The words and signs of a splice whose key k is named ``names[k]``,
+    `names` a list or a dict."""
     a_words, f_words, signs = twisted
-    return ({c: tuple(map(name, w)) for c, w in a_words.items()},
-            {c: tuple(map(name, w)) for c, w in f_words.items()},
-            dict(zip(map(name, signs), signs.values())))
+    return ({c: _gather(names, w) for c, w in a_words.items()},
+            {c: _gather(names, w) for c, w in f_words.items()},
+            dict(zip(_gather(names, signs), signs.values())))
 
 
 def _check_base(base: Diagram):
@@ -311,9 +312,9 @@ def example_diagram(genus: int, power: int, maximal: bool = False) -> Diagram:
     order = [k for curve in sorted(twisted[0]) for k in twisted[0][curve]]
     # x001, x002, ...: the digit strings of the names' width, in counting order
     digits = ["0123456789"] * len(str(len(order)))
-    name = dict(zip(order, map("".join, islice(product("x", *digits), 1, None)))).__getitem__
-    named = _named(twisted, name)
-    del twisted, order, name  # the keys are not kept through the map build
+    names = dict(zip(order, map("".join, islice(product("x", *digits), 1, None))))
+    named = _named(twisted, names)
+    del twisted, order, names  # the keys are not kept through the map build
     out = _with_genus_of(base, Diagram(*named))
     report = validate_disk_systems(out)
     if not report.passed:

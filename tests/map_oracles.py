@@ -316,7 +316,7 @@ def _side_types(diagram: Diagram) -> dict[str, list]:
     of a rectangle's orbit lie on one family and darts 1 and 3 on the other.
     Each distinct pair is one tuple, shared by all its faces.
     """
-    curve, degrees = diagram._dart_curve, diagram._face_degree
+    code, degrees = diagram._dart_code, diagram._face_degree
     a_types, b_types = [None] * len(degrees), [None] * len(degrees)
     by_parity = (a_types, b_types), (b_types, a_types)
     pairs: dict = {}
@@ -324,14 +324,31 @@ def _side_types(diagram: Diagram) -> dict[str, list]:
         if degree != 4:
             continue
         d0, d1, d2, d3 = diagram._orbit(i)
-        p, q = (curve[d0], 1 - (d0 & 2)), (curve[d2], 1 - (d2 & 2))
-        u, v = (curve[d1], 1 - (d1 & 2)), (curve[d3], 1 - (d3 & 2))
+        p, q = (code[d0] >> 2, 1 - (d0 & 2)), (code[d2] >> 2, 1 - (d2 & 2))
+        u, v = (code[d1] >> 2, 1 - (d1 & 2)), (code[d3] >> 2, 1 - (d3 & 2))
         own, other = by_parity[d0 & 1]
         pair = (p, q) if p <= q else (q, p)
         own[i] = pairs.setdefault(pair, pair)
         pair = (u, v) if u <= v else (v, u)
         other[i] = pairs.setdefault(pair, pair)
     return {FAMILY_A: a_types, FAMILY_B: b_types}
+
+
+def face_classes(diagram: Diagram) -> list:
+    """Each face's class, the index of its first face, face by face: a face is
+    keyed on its degree and the (curve index, port) of the first four darts
+    of its orbit, a bigon's two darts repeated, each curve index read off the
+    words by the dart's crossing and family."""
+    ids = crossing_ids(diagram)
+    curve_of = [{x: i for i, word in enumerate(words.values(), 1) for x in word}
+                for words in (diagram.a_words, diagram.b_words)]
+    classes: dict = {}
+    numbers = []
+    for f, degree in enumerate(diagram._face_degree):
+        darts = (diagram._orbit(f) * 2)[:4]
+        key = (degree, *((curve_of[d & 1][ids[d // 4]], d & 3) for d in darts))
+        numbers.append(classes.setdefault(key, f))
+    return numbers
 
 
 def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):

@@ -15,6 +15,7 @@ from heegaardrect.criteria import (
     CriteriaGraph,
     Verdict,
     Witness,
+    _class_table,
     _components,
     _fmt_vertex,
     _pair_witness,
@@ -35,8 +36,8 @@ from conftest import (
     random_multicurve_map, random_twisted_diagrams, torus_one,
 )
 from map_oracles import (
-    _composed, _side_types, cross_detail_graph, crossing_ids, decoded_indexes, face_of_dart,
-    first_failing_l_cross, first_failing_l_detail, is_two_connected, lambda_of, neighbors,
+    _composed, _side_types, cross_detail_graph, crossing_ids, decoded_indexes, face_classes,
+    face_of_dart, first_failing_l_cross, first_failing_l_detail, is_two_connected, lambda_of, neighbors,
     node_label, relabel_crossings, reverse_curve, stabilized,
 )
 
@@ -711,6 +712,16 @@ def test_rc_on_pants_is_the_flat_rule():
         for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
             rule = _pants_rule(view, types[first], types[OTHER_FAMILY[first]])
             assert rectangle_condition(None, view).holds == rule
+
+
+def test_class_table_matches_the_word_oracle(example_32_maximal):
+    """The class table's face classes, keyed on dart codes, are the classes
+    keyed face by face on (curve index, port) read off the words, with the
+    same numbering, on the sweep, the maximal example and random members."""
+    corpus = [example_32_maximal, *(example_diagram(g, l) for g, l in SWEEP),
+              *random_twisted_diagrams(50)]
+    for d in corpus:
+        assert _class_table(d)[0] == face_classes(d)
 
 
 def test_minimal_case_matches_flat_definitions(example_32, example_22):

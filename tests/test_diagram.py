@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heegaardrect.diagram import Diagram, DiagramError
+from heegaardrect.diagram import Diagram, DiagramError, _gather
 from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagramio import build_report, parse_diagram, report_to_json, serialize_diagram
 from heegaardrect.twist import example_diagram
@@ -324,6 +324,20 @@ def test_sound_words_skip_the_scan(monkeypatch):
             Diagram(a_words, b_words, {"x": 1, "y": 1, "z": 1})
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 5])
+def test_gather_gives_a_tuple_of_the_items(size):
+    """`_gather` gives the items at the indices as a tuple whatever their
+    count, one index included, over a list, a tuple and a dict; a missing
+    index or key still raises."""
+    items = [f"v{i}" for i in range(8)]
+    idx = [7, 0, 3, 3, 5][:size]
+    for seq in (items, tuple(items), {i: v for i, v in enumerate(items)}):
+        got = _gather(seq, idx)
+        assert type(got) is tuple and got == tuple(seq[i] for i in idx)
+        with pytest.raises(KeyError if isinstance(seq, dict) else IndexError):
+            _gather(seq, idx + [8])
+
+
 def test_a_check_keeps_only_what_it_reads(monkeypatch):
     """A check of a file keeps on the diagram no id -> dart numbering, face
     offsets or orbit table, and on its contexts one cached swapped view,
@@ -530,7 +544,8 @@ def test_numbering_ignores_word_order(example_22, example_32, example_32_maximal
                    ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
                   for words in (d.a_words, d.b_words)]
         r = Diagram(*turned, dict(reversed(d.signs.items())))
-        for table in ("_crossing_ids", "_face_degree", "_face_lead", "_face_of_dart"):
+        for table in ("_crossing_ids", "_dart_code", "_phi", "_face_degree", "_face_lead",
+                      "_face_of_dart"):
             assert getattr(r, table) == getattr(d, table), table
         assert report_to_json(build_report(r)) == report_to_json(build_report(d))
 
