@@ -5,10 +5,10 @@ and composed-rectangle types.  Vertices of the detail graphs are boundary
 circle labels (curve index, side) of a cut component of the second family;
 vertices of the per-disk graphs are labels of the first family, tagged by
 the side of the distinguished disk when both sides are in play.  Inside
-this module circle (i, side) is the node 2i + (side is plus), and H_d's
-vertex (kappa, i, side) is that node plus 2(n + 1) when kappa is plus, so
-nodes sort as the tuples do.  Tuples (`_label`) come back only in the
-witnesses, the `CriteriaGraph` exports and the public accessors.
+this module, as in `systems`, circle (i, side) is the node 2i + (side is
+plus), and H_d's vertex (kappa, i, side) is that node plus 2(n + 1) when
+kappa is plus, so nodes sort as the tuples do.  Tuples (`_label`,
+`_vertex`) come back only in witnesses, graph exports and accessors.
 
 Connectivity conventions are exactly the ones the criteria quantify over,
 which differ from textbook biconnectivity in the small cases: the empty
@@ -27,23 +27,17 @@ from typing import Optional, Sequence
 
 from .diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _gather,
-    _union, side_str,
+    side_str,
 )
-from .systems import _component, validate_components
+from .systems import _cut, _label, _node, validate_components
 
 Vertex = tuple
 Edge = tuple[Vertex, Vertex]
 
 
-def _node(circle: Vertex) -> int:
-    return 2 * circle[0] + (circle[1] == PLUS)
-
-
-def _label(node: int, plus: int = 0) -> Vertex:
-    """The circle of `node`, or with H_d's plus tag `plus` = 2(n + 1), its vertex."""
-    if plus:
-        return (PLUS,) + _label(node - plus) if node >= plus else (MINUS,) + _label(node)
-    return (node >> 1, PLUS if node & 1 else MINUS)
+def _vertex(node: int, plus: int) -> Vertex:
+    """H_d's vertex of `node`, `plus` = 2(n + 1) being the tag of its plus block."""
+    return (PLUS,) + _label(node - plus) if node >= plus else (MINUS,) + _label(node)
 
 
 @dataclass(frozen=True)
@@ -293,55 +287,6 @@ def _class_table(surface: Diagram) -> tuple:
     return face_class, decoded, list(compress(count(), map((4).__lt__, degrees)))
 
 
-def _cut_classes(surface: Diagram, face_class: list, classes: dict, big: list) -> dict:
-    """Each family's cut from what `_class_table` returns: its components,
-    equal to `cut_components`, each piece's node set and node -> piece index.
-
-    A face's circles of the cut family lie in its piece, and two faces
-    across an uncut edge share the circle at either end of it, so the pieces
-    are the circles joined within each face: both of a class's pair, and
-    every circle of a face of degree above 4.  A class's piece is that of its
-    pair.  The pieces are numbered from 1 by their least boundary circle
-    (curve index, side), minus before plus, which the crossing ids do not
-    touch.
-    """
-    code = surface._dart_code
-    every = tuple(range(len(face_class)))  # the face numbers, shared by every piece
-    cuts = {}
-    for bit, (family, words) in enumerate(((FAMILY_A, surface.a_words),
-                                           (FAMILY_B, surface.b_words))):
-        pairs = [sides[bit] for _, sides in classes.values()]
-        joins = pairs[:]
-        for f in big:  # its darts on this family, every other one from the first
-            orbit = surface._orbit(f)
-            nodes = [(code[d] >> 1) ^ 1 for d in orbit[bit ^ orbit[0] & 1::2]]
-            joins += zip(nodes, nodes[1:])
-        parent = _union(list(range(2 * len(words) + 2)), joins)
-
-        # one pass in increasing order points every node at its root, its
-        # piece's least circle, and meets the roots in the order of the pieces
-        piece = [0, 0]  # node -> piece index from 1; nodes 0 and 1 are no circle
-        nodes: list = []
-        for x in range(2, len(parent)):
-            parent[x] = root = parent[parent[x]]
-            if root == x:
-                nodes.append([])
-            piece.append(piece[root] if root < x else len(nodes))
-            nodes[piece[x] - 1].append(x)
-        if len(nodes) == 1:
-            faces = [every]
-        else:
-            held: list = [set() for _ in nodes]
-            for c, (p, _) in zip(classes, pairs):
-                held[piece[p] - 1].add(c)
-            faces = [compress(every, map(h.__contains__, face_class)) for h in held]
-        lengths = [len(word) for word in words.values()]
-        comps = tuple(_component(k, fs, list(map(_label, ns)), lengths)
-                      for k, (fs, ns) in enumerate(zip(faces, nodes), 1))
-        cuts[family] = comps, tuple(map(frozenset, nodes)), piece
-    return cuts
-
-
 def _axis_edges(surface: Diagram, family: str, face_class: list):
     """(axis code, minus class, plus class) of each edge of a `family` curve,
     by crossing: the edge that leaves it along that family, and the code of
@@ -367,11 +312,12 @@ class CriteriaContext:
     """The analysis of one orientation of a diagram, shared by every criterion.
 
     It sorts the faces into classes once (`_class_table`) and cuts each
-    family from those classes (`_cut_classes`); the disk-system
-    `validation`, the rectangle indexes and the pair verdicts are all
-    derived from those.  The criteria are
-    stated for disk systems, so each graph and pair verdict of a diagram
-    that fails `validation` raises, naming the failed checks.
+    family by `systems._cut`, joining the circles within each class, where
+    `cut_components` joins them along the other family's edges; the
+    disk-system `validation`, the rectangle indexes and the pair verdicts
+    are all derived from those.  The criteria are stated for disk systems,
+    so each graph and pair verdict of a diagram that fails `validation`
+    raises, naming the failed checks.
 
     The indexes, G_k and H_d hold nodes (see the module docstring); the
     accessors and the graph exports take and give (curve index, side) tuples.
@@ -393,10 +339,10 @@ class CriteriaContext:
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built once, on first use, by the same
     `_analyse` from this view's cuts and class table, read with the families
-    exchanged, and keeps this diagram's face numbers.  Both
-    views share one pair of cuts, whose pieces (the k and l of the
-    witnesses) are numbered by their least boundary circle, as in a context
-    of `swap_roles()`: the swap keeps every circle (see the `diagram` module).
+    exchanged, and keeps this diagram's face numbers.  Both views share one
+    pair of cuts, whose pieces (the k and l of the witnesses) are numbered
+    by their least boundary circle, as in a context of `swap_roles()`: the
+    swap keeps every circle (see the `diagram` module).
     A context built from a diagram keeps it as `diagram`, with its
     `validation`; the swapped view has neither, shares the failed checks,
     and holds no reference back.
@@ -404,7 +350,16 @@ class CriteriaContext:
 
     def __init__(self, diagram: Diagram):
         face_class, classes, big = _class_table(diagram)
-        cuts = _cut_classes(diagram, face_class, classes, big)
+        # a face's circles on a family lie in one piece of its cut: a class's
+        # pair, and round a face of degree above 4 every other dart's circle
+        dart_code, cuts = diagram._dart_code, {}
+        for bit, family in enumerate((FAMILY_A, FAMILY_B)):
+            joins = [sides[bit] for _, sides in classes.values()]
+            for f in big:
+                orbit = diagram._orbit(f)
+                circles = [(dart_code[d] >> 1) ^ 1 for d in orbit[bit ^ orbit[0] & 1::2]]
+                joins += zip(circles, circles[1:])
+            cuts[family] = _cut(diagram, family, joins)
         # each class's piece in each cut: the piece of a circle of its pair
         piece_a, piece_b = cuts[FAMILY_A][2], cuts[FAMILY_B][2]
         classes = {i: (types, (piece_a[a[0]], piece_b[b[0]]))
@@ -416,7 +371,7 @@ class CriteriaContext:
 
     def _analyse(self, surface: Diagram, first: str, table: tuple) -> None:
         """Indexes of the view of `surface` whose first family is `first`,
-        from `table`: the cuts keyed by family (as `_cut_classes` gives them),
+        from `table`: the cuts keyed by family (as `systems._cut` gives them),
         each face's class, and class -> (its types as `_class_table` gives
         them, its (a-piece, b-piece) by index in the cut).  Each class is read
         once for `rect_index`, and each distinct (axis code, minus class, plus
@@ -547,7 +502,7 @@ class CriteriaContext:
         """H_d as a `CriteriaGraph`, for export and inspection: the graph of
         `_disk_adjacency`, with its two blocks as the partition."""
         adj, *blocks = self._disk_adjacency(disk)
-        label = {v: _label(v, self._plus) for v in adj}
+        label = {v: _vertex(v, self._plus) for v in adj}
         return graph_from_edges([(label[u], label[v]) for u in adj for v in adj[u]], label.values(),
                                 tuple(frozenset(map(label.get, block)) for block in blocks))
 
@@ -673,6 +628,7 @@ class Verdict:
 
 NOTE_RC = "the Heegaard splitting is strongly irreducible"
 NOTE_DRC = "the Goeritz group of the Heegaard splitting is finite"
+MISSING_TYPES_CAP = 6  # the most missing types a witness lists
 
 
 def rectangle_condition(
@@ -695,7 +651,7 @@ def rectangle_condition(
     return Verdict(holds, tuple(witnesses), NOTE_RC if holds else "")
 
 
-def _missing_types(adj: dict, deleted, explain, cap=6) -> tuple:
+def _missing_types(adj: dict, deleted, explain) -> tuple:
     """Absent edges between the parts of the graph `adj` minus `deleted` that
     would reconnect it, each explained by `explain(u, v)` as a `MissingType`."""
     adj = {v: nbrs.difference(deleted) for v, nbrs in adj.items() if v not in deleted}
@@ -706,7 +662,7 @@ def _missing_types(adj: dict, deleted, explain, cap=6) -> tuple:
             for u in sorted(part):
                 for v in sorted(other):
                     missing.append(explain(u, v))
-                    if len(missing) >= cap:
+                    if len(missing) >= MISSING_TYPES_CAP:
                         return tuple(missing)
     return tuple(missing)
 
@@ -751,7 +707,7 @@ def double_rectangle_condition(
                 missing = _missing_types(
                     adj, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)
                 )
-                pair = tuple(_label(v, octx._plus) for v in pair)
+                pair = tuple(_vertex(v, octx._plus) for v in pair)
                 witnesses.append(Witness("drc", octx._first != FAMILY_A, disk, "pair", pair, missing))
     holds = not witnesses
     return Verdict(holds, tuple(witnesses), NOTE_DRC if holds else "")

@@ -3,12 +3,15 @@
 Cutting the surface along all curves of one family leaves a compact surface
 whose components correspond to the complementary pieces of the disk family
 in its handlebody.  Each component carries the set of boundary circle
-labels (curve index, side) that the criteria modules quantify over.
+labels (curve index, side) that the criteria modules quantify over.  `_cut`
+joins the circles into pieces along the other family's edges
+(`cut_components`) or within each face class of a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _gather,
@@ -23,8 +26,8 @@ class CutComponent:
     `a_set` lists the boundary circles as (curve index, side) pairs, indices
     1-based within the cut family, and `index` numbers the components of a
     cut from 1 in the order of their least circle.  `euler` is the Euler
-    characteristic of the compact component, read off its faces (see
-    `cut_components`); it is planar iff ``euler == 2 - len(a_set)``.
+    characteristic of the compact component, read off its face count and
+    the crossings on its circles; it is planar iff ``euler == 2 - len(a_set)``.
     """
 
     index: int
@@ -34,62 +37,81 @@ class CutComponent:
     planar: bool
 
 
+def _node(circle: tuple[int, int]) -> int:
+    """Circle (curve index, side) as the node 2i + (side is plus), so nodes sort as circles do."""
+    return 2 * circle[0] + (circle[1] == PLUS)
+
+
+def _label(node: int) -> tuple[int, int]:
+    """The circle (curve index, side) of `node`."""
+    return (node >> 1, PLUS if node & 1 else MINUS)
+
+
+@lru_cache(maxsize=1)
+def _face_numbers(count: int) -> tuple[int, ...]:
+    """0 to `count` - 1, one tuple shared by both one-piece cuts of a diagram."""
+    return tuple(range(count))
+
+
 def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutComponent, ...]:
     """Components of the surface cut along `family`, ordered by their least
     boundary circle (curve index, side), minus before plus.
 
-    Faces belong to the same component iff they are connected across edges
-    of the *other* family (those edges are not cut); the boundary circles
-    are the cut family's sides of those faces.  Faces alternate the two
-    families, so a face of degree f accounts for f/2 split crossings (each
-    corner is shared by two faces), f/4 interior edges and f/2 boundary
-    arcs, and a component's Euler characteristic is the sum of (4 - f)/4
-    over its faces (`_component` reads it off the crossings on its
-    circles).  A check cuts both families from the face classes it already
-    holds (`criteria._cut_classes`) instead of running this face union.
+    An edge of the other family is not cut, so the circles at its two ends,
+    read off the cut family's darts that follow it round the faces on
+    either side, lie in one piece; `_cut` joins them, each distinct pair of
+    dart codes decoded once.  A check joins the circles within its face
+    classes instead (`criteria.CriteriaContext`).
     """
     if family not in OTHER_FAMILY:
         raise DiagramError(f"unknown family {family!r}")
-    other = OTHER_FAMILY[family]
+    out = PORTS[OTHER_FAMILY[family]][0]
+    code, phi = diagram._dart_code, diagram._phi
+    # the edge from out dart d ends at the crossings of phi[alpha[d]] and phi[d]
+    ends = set(zip(_gather(code, _gather(phi, diagram._alpha[out::4])),
+                   _gather(code, phi[out::4])))
+    return _cut(diagram, family, [((c >> 1) ^ 1, (e >> 1) ^ 1) for c, e in ends])[0]
 
-    # union the faces across the other family's edges, each crossing starting
-    # one at its out port; every root is its group's least face
-    fod, alpha = diagram._face_of_dart, diagram._alpha
-    out = PORTS[other][0]
-    parent = _union(list(range(len(diagram._face_degree))),
-                    zip(fod[out::4], _gather(fod, alpha[out::4])))
 
-    # one pass in face order points every face at its root
-    groups: dict[int, list] = {}
-    for f in range(len(parent)):
-        parent[f] = root = parent[parent[f]]
-        groups.setdefault(root, []).append(f)
+def _cut(surface: Diagram, family: str, joins) -> tuple:
+    """The cut of `surface` along `family` whose pieces are the circles
+    joined by the node pairs `joins`: its components, each piece's node set
+    and node -> piece index.  The pieces are numbered from 1 by their least
+    circle, minus before plus, which the crossing ids do not touch, and a
+    face lies in the piece of its circle on the cut family: on its lead
+    dart, or on the next dart round it when the lead is on the other family.
+    """
+    bit, words = (0, surface.a_words) if family == FAMILY_A else (1, surface.b_words)
+    parent = _union(list(range(2 * len(words) + 2)), joins)
 
-    # each side of a cut curve is one boundary circle, on the face left of
-    # its out dart (plus) or in dart (minus) at any of its crossings
-    out_port, in_port = PORTS[family]
-    words = diagram.a_words if family == FAMILY_A else diagram.b_words
-    crossing = dict(zip(diagram._dart_code[out_port::4], range(0, len(alpha), 4)))
-    circles: dict[int, list] = {root: [] for root in groups}
-    for code, d in sorted(crossing.items()):
-        i = code >> 2
-        circles[parent[fod[d + in_port]]].append((i, MINUS))
-        circles[parent[fod[d + out_port]]].append((i, PLUS))
-
+    # one pass in increasing order points every node at its root, its
+    # piece's least circle, and meets the roots in the order of the pieces
+    piece = [0, 0]  # node -> piece index from 1; nodes 0 and 1 are no circle
+    nodes: list = []
+    for x in range(2, len(parent)):
+        parent[x] = root = parent[parent[x]]
+        if root == x:
+            nodes.append([])
+        piece.append(piece[root] if root < x else len(nodes))
+        nodes[piece[x] - 1].append(x)
+    if len(nodes) == 1:
+        faces = [_face_numbers(len(surface._face_lead))]
+    else:
+        code, phi = surface._dart_code, surface._phi
+        faces = [[] for _ in nodes]
+        for f, d in enumerate(surface._face_lead):
+            if d & 1 != bit:
+                d = phi[d]
+            faces[piece[(code[d] >> 1) ^ 1] - 1].append(f)
+    # a piece's boundary arcs are the arcs of its circles, so its face degrees
+    # sum to twice the crossings on them, which gives its Euler characteristic
     lengths = [len(word) for word in words.values()]
-    roots = sorted(groups, key=lambda root: min(circles[root]))
-    return tuple(_component(k, groups[root], circles[root], lengths)
-                 for k, root in enumerate(roots, 1))
-
-
-def _component(index: int, faces, circles: list, lengths: list) -> CutComponent:
-    """The cut component with these faces and boundary circles, (curve index,
-    side) pairs, `lengths` giving each cut curve's crossing count by index.
-    Its boundary arcs are the arcs of its circles, so its face degrees sum to
-    twice the crossings on them, which gives its Euler characteristic."""
-    faces = tuple(faces)
-    euler = (4 * len(faces) - 2 * sum(lengths[i - 1] for i, _ in circles)) // 4
-    return CutComponent(index, faces, frozenset(circles), euler, euler == 2 - len(circles))
+    comps = []
+    for k, (fs, ns) in enumerate(zip(faces, nodes), 1):
+        circles = frozenset(map(_label, ns))
+        euler = (4 * len(fs) - 2 * sum(lengths[i - 1] for i, _ in circles)) // 4
+        comps.append(CutComponent(k, tuple(fs), circles, euler, euler == 2 - len(circles)))
+    return tuple(comps), tuple(map(frozenset, nodes)), piece
 
 
 @dataclass

@@ -184,6 +184,8 @@ def _check_base(base: Diagram):
     if not base.is_bigon_free():
         raise DiagramError("gamma does not meet the disks essentially: bigon present")
     for disk in base.a_words:
+        if not isinstance(disk, str):  # a twisted curve is named after its disk
+            raise DiagramError(f"disk id {disk!r} is not a str")
         if _dual_name(disk) in base.a_words:
             raise DiagramError(f"disk {_dual_name(disk)} has the name of the "
                                f"twisted curve of disk {disk}")

@@ -3,24 +3,24 @@
 The input checks as one per-token scan, the dart queries, crossing
 relabeling, curve reversal, restriction to sub-families, stabilization, an
 isomorphism test by canonical certificate, edges and intersection numbers
-read off the words, a face trace through the dart queries, and the rectangle
-and composed rectangle types face by face and edge by edge, the oracle of
-the criteria's class table, the criteria's nodes and rectangle indexes
-read back as (curve index, side) labels, a context's punctured label
-sets, detail graphs of composed rectangles and first failing l of a pair,
-and a `CriteriaGraph`'s adjacency and 2-connectivity predicate.  None of it
-is on the check or generate path of the package.
+read off the words, a face trace through the dart queries, the cut
+components by a union of faces, the rectangle and composed rectangle types
+face by face and edge by edge, the oracle of the criteria's class table,
+the criteria's nodes and rectangle indexes read back as (curve index, side)
+labels, a context's punctured label sets, detail graphs of composed
+rectangles and first failing l of a pair, and a `CriteriaGraph`'s adjacency
+and 2-connectivity predicate.  None of it is on the check or generate path
+of the package.
 """
 
 from bisect import bisect_left
 
-from heegaardrect.criteria import (
-    CriteriaGraph, _adjacency, _labelled, _node, _two_connected_failure,
-)
+from heegaardrect.criteria import CriteriaGraph, _adjacency, _labelled, _two_connected_failure
 from heegaardrect.diagram import (
     A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError,
     MINUS, PLUS, side_str,
 )
+from heegaardrect.systems import CutComponent, _node
 
 
 # -- input checks ------------------------------------------------------------------
@@ -304,6 +304,43 @@ def traced_faces(d: Diagram) -> tuple[list, dict]:
             dart = clockwise(mate_of(d, dart))
         faces.append((len(faces), tuple(darts), tuple(side(e) for e in darts)))
     return faces, face_of
+
+
+# -- cut components -------------------------------------------------------------
+
+
+def face_union_components(d: Diagram, family: str) -> tuple:
+    """`cut_components` by a union of faces: two faces lie in one component
+    iff a chain of edges of the other family, which are not cut, joins them.
+    A component's boundary circles are the cut family's sides of its faces,
+    and the components are numbered from 1 by their least circle.  Faces
+    alternate the two families, so a face of degree f accounts for f/2
+    split crossings (each corner is shared by two faces), f/4 interior
+    edges and f/2 boundary arcs, and a component's Euler characteristic is
+    the sum of (4 - f)/4 over its faces.
+    """
+    parent = list(range(len(d.faces)))
+
+    def root(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    other = 0 if family == FAMILY_B else 1  # the parity of the other family's darts
+    for e in range(other, 4 * d.num_crossings, 2):
+        parent[root(face_of_dart(d, e))] = root(face_of_dart(d, mate_of(d, e)))
+    groups = {}
+    for face in d.faces:
+        groups.setdefault(root(face.index), []).append(face)
+    ids = d.a_curve_ids() if family == FAMILY_A else d.b_curve_ids()
+    comps = []
+    for faces in groups.values():
+        circles = frozenset((ids.index(s.curve) + 1, s.side)
+                            for face in faces for s in face.sides if s.family == family)
+        euler = sum(4 - face.degree for face in faces) // 4
+        comps.append((min(circles), tuple(face.index for face in faces), circles, euler))
+    return tuple(CutComponent(k, faces, circles, euler, euler == 2 - len(circles))
+                 for k, (_, faces, circles, euler) in enumerate(sorted(comps), 1))
 
 
 # -- rectangle types ------------------------------------------------------------

@@ -37,8 +37,9 @@ from conftest import (
 )
 from map_oracles import (
     _composed, _side_types, cross_detail_graph, crossing_ids, decoded_indexes, face_classes,
-    face_of_dart, first_failing_l_cross, first_failing_l_detail, is_two_connected, lambda_of, neighbors,
-    node_label, relabel_crossings, reverse_curve, stabilized,
+    face_of_dart, face_union_components, first_failing_l_cross, first_failing_l_detail,
+    is_two_connected, lambda_of, neighbors, node_label, relabel_crossings, reverse_curve,
+    stabilized,
 )
 
 
@@ -1085,14 +1086,17 @@ def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
 def test_pieces_are_numbered_by_least_boundary_circle(example_32_maximal):
     """Every cut numbers its pieces from 1 by their least boundary circle
     (curve index, side), minus before plus: `cut_components` of either family
-    and both views of a context, which share one pair of cuts.  Each piece's
-    circles are read here off the sides of its faces."""
+    and both views of a context, which share one pair of cuts, each equal to
+    the face union oracle.  Each piece's circles are read here off the
+    sides of its faces."""
     for d in _cut_corpora(example_32_maximal):
         ctx = CriteriaContext(d)
         assert ctx.swapped.comps_a is ctx.comps_b and ctx.swapped.comps_b is ctx.comps_a
         for family, ids in ((FAMILY_A, d.a_curve_ids()), (FAMILY_B, d.b_curve_ids())):
+            oracle = face_union_components(d, family)
             for comps in (cut_components(d, family), ctx.comps_a if family == FAMILY_A
                           else ctx.comps_b):
+                assert comps == oracle
                 circles = [{(ids.index(s.curve) + 1, s.side) for f in c.faces
                             for s in d.faces[f].sides if s.family == family} for c in comps]
                 assert [c.a_set for c in comps] == circles
@@ -1104,12 +1108,14 @@ def test_pieces_are_numbered_by_least_boundary_circle(example_32_maximal):
 def _cut_corpora(maximal: Diagram):
     """The fixtures, the face oracle cases (example(13, 2) has faces of
     degree above 4), the sub-systems of the maximal example, valid or not and
-    of several pieces, and the multicurve maps."""
+    of several pieces, the multicurve maps, and 300 more random twisted
+    diagrams, drawn at a seed of their own."""
     yield from fixture_cases(maximal)
     yield from face_oracle_cases()
     yield from maximal_subsystems(50)
     yield from (chain_base(g) for g in range(2, 6))
     yield maximal_chain_base()
+    yield from random_twisted_diagrams(300, seed=20261020)
 
 
 def test_swapped_context_matches_a_fresh_build(example_32_maximal):
@@ -1117,21 +1123,22 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
     the context built from scratch on the swap is the oracle.  The view keeps
     this diagram's face numbers, so only those are mapped, through d -> d ^ 1
     (see `test_swap_maps_every_face_through_the_port_involution`).  A context
-    cuts both families from its face classes; in both orientations the face
-    union `cut_components` is the oracle of its cut components, field for
-    field, and `validate_disk_systems` of its validation."""
+    joins the circles within its face classes and `cut_components` along
+    edges, both through one cut; in both orientations the face union oracle
+    is the oracle of both, field for field, and `validate_disk_systems` of
+    the context's validation."""
     seen = 0
     for d in _cut_corpora(example_32_maximal):
         ctx = CriteriaContext(d)
-        assert ctx.comps_a == cut_components(d, FAMILY_A)
-        assert ctx.comps_b == cut_components(d, FAMILY_B)
+        for family, comps in ((FAMILY_A, ctx.comps_a), (FAMILY_B, ctx.comps_b)):
+            assert comps == cut_components(d, family) == face_union_components(d, family)
         seen += 1
         swap = d.swap_roles()
         fresh = CriteriaContext(swap)
         swapped = ctx.swapped
         assert ctx.validation.entries == validate_disk_systems(d).entries
-        assert fresh.comps_a == cut_components(swap, FAMILY_A)
-        assert fresh.comps_b == cut_components(swap, FAMILY_B)
+        for family, comps in ((FAMILY_A, fresh.comps_a), (FAMILY_B, fresh.comps_b)):
+            assert comps == cut_components(swap, family) == face_union_components(swap, family)
         assert fresh.validation.entries == validate_disk_systems(swap).entries
         perm = [face_of_dart(swap, f.darts[0] ^ 1) for f in d.faces]
         for attr in ("comps_a", "comps_b"):
@@ -1146,4 +1153,4 @@ def test_swapped_context_matches_a_fresh_build(example_32_maximal):
         for attr in ("m", "m_star", "n", "n_star"):
             assert getattr(swapped, attr) == getattr(fresh, attr), attr
         assert decoded_indexes(swapped) == decoded_indexes(fresh)
-    assert seen == 324
+    assert seen == 624

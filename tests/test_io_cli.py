@@ -245,14 +245,15 @@ def test_report_builds_one_context_per_orientation(example_32, monkeypatch):
     _count_calls(monkeypatch, counts, heegaardrect.criteria, "_class_table")
     build_report(example_32, "both")
     # the faces are classed once, and both families are cut from those
-    # classes, not by the face union; the swapped orientation reads that
+    # classes, not along edges; the swapped orientation reads that
     # analysis with the families exchanged and builds no swapped diagram
     assert counts == {"contexts": 2, "swaps": 0, "cut_components": 0, "_class_table": 1}
 
 
-def test_validation_alone_cuts_by_the_face_union(example_32, monkeypatch):
+def test_validation_builds_no_class_table_and_cuts_each_family_once(example_32, monkeypatch):
     """`validate_disk_systems` (the `validate` and `generate` commands) holds
-    no face classes, so it cuts each family by the face union."""
+    no face classes and builds none: it cuts each family once, joining its
+    circles along the other family's edges (`cut_components`)."""
     counts = {"cut_components": 0, "_class_table": 0}
     _count_calls(monkeypatch, counts, heegaardrect, "cut_components")
     _count_calls(monkeypatch, counts, heegaardrect.criteria, "_class_table")

@@ -101,6 +101,16 @@ def test_disk_named_like_a_twisted_curve_rejected(first, second):
         dehn_twist(renamed, TwistSpec(2))
 
 
+def test_disk_ids_must_be_strings():
+    """A `Diagram` takes any sortable curve ids, but a twisted curve is named
+    after its disk, so the twist refuses a disk id that is not a str."""
+    base = chain_base(2)
+    keyed = multicurve_map(dict(enumerate(base.a_words.values(), 1)), base.b_words["gamma"],
+                           dict(base.signs))
+    with pytest.raises(DiagramError, match="^disk id 1 is not a str$"):
+        dehn_twist(keyed, TwistSpec(2))
+
+
 def test_disjoint_disk_is_unrepresentable():
     """A disk missing gamma leaves the union disconnected at construction."""
     with pytest.raises(DiagramError, match="empty|disconnected"):
