@@ -22,6 +22,7 @@ from .diagramio import (
     report_to_json,
     report_to_text,
     serialize_diagram,
+    validation_lines,
 )
 from .systems import validate_disk_systems
 from .twist import example_diagram
@@ -85,9 +86,7 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     validation = validate_disk_systems(_load(args.file))
-    lines = [f"validation: {'passed' if validation.passed else 'FAILED'}\n"]
-    lines += (f"  - [{code}] {detail}\n" for code, detail in validation)
-    _write("".join(lines), None)
+    _write("\n".join(validation_lines(validation.passed, validation)) + "\n", None)
     return 0 if validation.passed else 1
 
 

@@ -473,8 +473,8 @@ class CriteriaContext:
         """The `rect_index` entry of the labels p and q, which must lie in A_k."""
         self._check_valid()
         a_k = self.a_set(k)
-        if p not in a_k or q not in a_k:
-            raise DiagramError(f"{p} or {q} is not in A_{k}")
+        if p not in a_k or q not in a_k:  # name the first label outside A_k
+            raise DiagramError(f"{_fmt_vertex(q if p in a_k else p)} is not in A_{k}")
         return self.rect_index.get(tuple(sorted(map(_node, (p, q)))), {})
 
     def component_graph(self, k: int) -> CriteriaGraph:

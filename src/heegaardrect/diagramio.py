@@ -243,6 +243,15 @@ def report_to_json(report: dict) -> str:
     return _dumps(report) + "\n"
 
 
+def validation_lines(passed: bool, entries) -> list[str]:
+    """The validation block of a text report: the verdict, then a line per
+    (code, detail) entry, its line breaks read as spaces, so a curve id in a
+    detail cannot start a line of its own."""
+    lines = [f"validation: {'passed' if passed else 'FAILED'}"]
+    lines += (" ".join(f"  - [{code}] {detail}".splitlines()) for code, detail in entries)
+    return lines
+
+
 def report_to_text(report: dict) -> str:
     """Human-readable report mirroring the k / l / A_k vocabulary."""
     lines = []
@@ -252,12 +261,7 @@ def report_to_text(report: dict) -> str:
         f"m={inp['m']}, m*={inp['m_star']}, {inp['crossings']} crossings"
     )
     val = report["validation"]
-    if val["passed"]:
-        lines.append("validation: passed")
-    else:
-        lines.append("validation: FAILED")
-        for e in val["entries"]:
-            lines.append(f"  - [{e['code']}] {e['detail']}")
+    lines += validation_lines(val["passed"], ((e["code"], e["detail"]) for e in val["entries"]))
     for key, label in (("rc", "rectangle condition"),
                        ("drc", "double rectangle condition")):
         if key not in report:

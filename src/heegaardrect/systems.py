@@ -11,7 +11,6 @@ joins the circles into pieces along the other family's edges
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _gather,
@@ -27,14 +26,17 @@ class CutComponent:
     1-based within the cut family, and `index` numbers the components of a
     cut from 1 in the order of their least circle.  `euler` is the Euler
     characteristic of the compact component, read off its face count and
-    the crossings on its circles; it is planar iff ``euler == 2 - len(a_set)``.
+    the crossings on its circles.
     """
 
     index: int
-    faces: tuple[int, ...]
     a_set: frozenset[tuple[int, int]]
     euler: int
-    planar: bool
+
+    @property
+    def planar(self) -> bool:
+        """Whether it is a sphere with one hole per circle: ``euler == 2 - len(a_set)``."""
+        return self.euler == 2 - len(self.a_set)
 
 
 def _node(circle: tuple[int, int]) -> int:
@@ -45,12 +47,6 @@ def _node(circle: tuple[int, int]) -> int:
 def _label(node: int) -> tuple[int, int]:
     """The circle (curve index, side) of `node`."""
     return (node >> 1, PLUS if node & 1 else MINUS)
-
-
-@lru_cache(maxsize=1)
-def _face_numbers(count: int) -> tuple[int, ...]:
-    """0 to `count` - 1, one tuple shared by both one-piece cuts of a diagram."""
-    return tuple(range(count))
 
 
 def cut_components(diagram: Diagram, family: str = FAMILY_A) -> tuple[CutComponent, ...]:
@@ -78,8 +74,9 @@ def _cut(surface: Diagram, family: str, joins) -> tuple:
     joined by the node pairs `joins`: its components, each piece's node set
     and node -> piece index.  The pieces are numbered from 1 by their least
     circle, minus before plus, which the crossing ids do not touch, and a
-    face lies in the piece of its circle on the cut family: on its lead
-    dart, or on the next dart round it when the lead is on the other family.
+    face counts towards the piece of its circle on the cut family: on its
+    lead dart, or on the next dart round it when the lead is on the other
+    family.
     """
     bit, words = (0, surface.a_words) if family == FAMILY_A else (1, surface.b_words)
     parent = _union(list(range(2 * len(words) + 2)), joins)
@@ -94,23 +91,22 @@ def _cut(surface: Diagram, family: str, joins) -> tuple:
             nodes.append([])
         piece.append(piece[root] if root < x else len(nodes))
         nodes[piece[x] - 1].append(x)
-    if len(nodes) == 1:
-        faces = [_face_numbers(len(surface._face_lead))]
-    else:
+    faces = [len(surface._face_lead)]  # each piece's face count
+    if len(nodes) > 1:
         code, phi = surface._dart_code, surface._phi
-        faces = [[] for _ in nodes]
-        for f, d in enumerate(surface._face_lead):
+        faces = [0] * len(nodes)
+        for d in surface._face_lead:
             if d & 1 != bit:
                 d = phi[d]
-            faces[piece[(code[d] >> 1) ^ 1] - 1].append(f)
+            faces[piece[(code[d] >> 1) ^ 1] - 1] += 1
     # a piece's boundary arcs are the arcs of its circles, so its face degrees
     # sum to twice the crossings on them, which gives its Euler characteristic
     lengths = [len(word) for word in words.values()]
     comps = []
-    for k, (fs, ns) in enumerate(zip(faces, nodes), 1):
+    for k, (f, ns) in enumerate(zip(faces, nodes), 1):
         circles = frozenset(map(_label, ns))
-        euler = (4 * len(fs) - 2 * sum(lengths[i - 1] for i, _ in circles)) // 4
-        comps.append(CutComponent(k, tuple(fs), circles, euler, euler == 2 - len(circles)))
+        euler = (4 * f - 2 * sum(lengths[i - 1] for i, _ in circles)) // 4
+        comps.append(CutComponent(k, circles, euler))
     return tuple(comps), tuple(map(frozenset, nodes)), piece
 
 

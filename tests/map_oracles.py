@@ -319,6 +319,16 @@ def face_union_components(d: Diagram, family: str) -> tuple:
     edges and f/2 boundary arcs, and a component's Euler characteristic is
     the sum of (4 - f)/4 over its faces.
     """
+    return _face_union(d, family)[0]
+
+
+def face_union_pieces(d: Diagram, family: str) -> list[int]:
+    """Face index -> the index of its component in `face_union_components`."""
+    return _face_union(d, family)[1]
+
+
+def _face_union(d: Diagram, family: str) -> tuple:
+    """`face_union_components` and `face_union_pieces` of one union."""
     parent = list(range(len(d.faces)))
 
     def root(f):
@@ -338,9 +348,14 @@ def face_union_components(d: Diagram, family: str) -> tuple:
         circles = frozenset((ids.index(s.curve) + 1, s.side)
                             for face in faces for s in face.sides if s.family == family)
         euler = sum(4 - face.degree for face in faces) // 4
-        comps.append((min(circles), tuple(face.index for face in faces), circles, euler))
-    return tuple(CutComponent(k, faces, circles, euler, euler == 2 - len(circles))
-                 for k, (_, faces, circles, euler) in enumerate(sorted(comps), 1))
+        comps.append((min(circles), circles, euler, faces))
+    comps.sort(key=lambda comp: comp[0])
+    piece = [0] * len(d.faces)
+    for k, (_, _, _, faces) in enumerate(comps, 1):
+        for face in faces:
+            piece[face.index] = k
+    return tuple(CutComponent(k, circles, euler)
+                 for k, (_, circles, euler, _) in enumerate(comps, 1)), piece
 
 
 # -- rectangle types ------------------------------------------------------------

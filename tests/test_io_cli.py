@@ -483,6 +483,25 @@ def test_cli_validate(tmp_path, capsys):
     assert "FAILED" in out
 
 
+def test_line_break_in_a_curve_id_forges_no_report_line(tmp_path, capsys):
+    """A curve id named in a validation entry keeps the entry on one line in
+    `check`'s text report and in `validate`'s output, its line breaks read as
+    spaces; the JSON report keeps the id as it is."""
+    forged = "rectangle condition: holds"
+    f = _bigons_file(tmp_path / "d.json", f"a\n{forged}", "b")
+    assert run_cli("check", str(f)) == 2
+    check = capsys.readouterr().out.splitlines()
+    assert run_cli("validate", str(f)) == 1
+    validate = capsys.readouterr().out.splitlines()
+    assert validate == check[1:]
+    assert validate[0] == "validation: FAILED"
+    assert all(line.startswith("  - [") for line in validate[1:])
+    assert f"  - [bigon] bigon between a {forged} and b" in validate
+    assert run_cli("check", str(f), "--structured") == 2
+    details = [e["detail"] for e in json.loads(capsys.readouterr().out)["validation"]["entries"]]
+    assert f"bigon between a\n{forged} and b" in details
+
+
 def test_cli_generate_bad_parameters(capsys):
     assert run_cli("generate", "--genus", "3", "--power", "1") == 2
     assert run_cli("generate", "--genus", "1", "--power", "2") == 2
@@ -530,6 +549,18 @@ def test_cli_export_graph_rejects_invalid_diagram(tmp_path, capsys, make, code):
         assert captured.out == ""
         assert captured.err.startswith("error: diagram fails validation: ")
         assert captured.err.count("\n") == 1 and code in captured.err
+
+
+def test_cli_export_graph_names_the_label_outside_a_k(tmp_path, capsys):
+    """A `Gdetail` label outside A_k is named, the first of the two, as the
+    reports write labels; A_1 of the maximal example is (1,-), (3,+), (5,+)."""
+    f = tmp_path / "m.json"
+    run_cli("generate", "--genus", "3", "--power", "2", "--maximal", "-o", str(f))
+    for which, label in (("1,2,1,+,2,-", "(1,+)"), ("1,2,1,-,2,-", "(2,-)")):
+        assert run_cli("export-graph", str(f), "--which", f"Gdetail:{which}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {label} is not in A_1\n"
 
 
 def test_cli_export_graph_bad_selector(tmp_path, capsys):

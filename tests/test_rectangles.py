@@ -13,8 +13,8 @@ from conftest import (
     split_components_diagram, torus_one, torus_two,
 )
 from map_oracles import (
-    _composed, _side_types, dart_of, decoded_indexes, edges, face_of_dart, lambda_of, mate_of,
-    reverse_curve,
+    _composed, _side_types, dart_of, decoded_indexes, edges, face_of_dart, face_union_pieces,
+    lambda_of, mate_of, reverse_curve,
 )
 
 
@@ -205,7 +205,7 @@ def test_index_invariants_hold_in_both_views(example_32_maximal):
         ctx, types = CriteriaContext(d), _side_types(d)
         for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
             second = OTHER_FAMILY[first]
-            piece = {f: comp.index for comp in view.comps_b for f in comp.faces}
+            piece = face_union_pieces(d, second)
             for f, b_sides in enumerate(types[second]):
                 if b_sides is not None:
                     assert set(b_sides) <= view.a_star_set(piece[f])
@@ -220,13 +220,13 @@ def test_index_invariants_hold_in_both_views(example_32_maximal):
                         assert {v for edge in edges for v in edge} <= view.a_star_set(l)
 
 
-def _oracle_indexes(d: Diagram, first: str, comps_b: tuple) -> tuple[dict, dict]:
+def _oracle_indexes(d: Diagram, first: str) -> tuple[dict, dict]:
     """`rect_index` and `composed_index` of the view of `d` whose first family
     is `first`, built face by face and edge by edge from the oracles: no loop
-    b-sides, and a composed rectangle filed under the piece of its minus face;
-    `comps_b` numbers the pieces."""
+    b-sides, and a composed rectangle filed under the piece of its minus face,
+    as the face union oracle numbers the pieces."""
     second, types = OTHER_FAMILY[first], _side_types(d)
-    piece = {f: comp.index for comp in comps_b for f in comp.faces}
+    piece = face_union_pieces(d, second)
     rect: dict = {}
     for f, (a_sides, b_sides) in enumerate(zip(types[first], types[second])):
         if a_sides is not None and b_sides[0] != b_sides[1]:
@@ -258,7 +258,7 @@ def test_indexes_match_the_oracles_in_both_views(example_32_maximal, monkeypatch
         for d in cases:
             ctx = CriteriaContext(d)
             for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
-                rect, composed = _oracle_indexes(d, first, view.comps_b)
+                rect, composed = _oracle_indexes(d, first)
                 rect_index, composed_index = decoded_indexes(view)
                 assert rect_index == rect
                 assert composed_index == composed

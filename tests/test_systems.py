@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import heegaardrect
 from heegaardrect.criteria import CriteriaContext
 from heegaardrect.diagram import (
     DiagramError, FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS,
 )
+from heegaardrect.diagramio import serialize_diagram
 from heegaardrect.systems import cut_components, validate_disk_systems
-from heegaardrect.twist import chain_base
+from heegaardrect.twist import chain_base, example_diagram
 
 from conftest import (
     fixture_cases,
@@ -20,7 +26,9 @@ from conftest import (
     torus_one,
     torus_two,
 )
-from map_oracles import crossing_ids, dart_of, edges, face_of_dart, lambda_of, mate_of
+from map_oracles import (
+    crossing_ids, dart_of, edges, face_of_dart, face_union_pieces, lambda_of, mate_of,
+)
 
 
 def test_torus_cut_is_annulus():
@@ -92,11 +100,11 @@ def _euler_from_darts(d, family):
 
     One split vertex per crossing and side of the cut strand, one interior
     edge per other-family edge and two boundary arcs per cut-family edge;
-    each cell goes to the piece holding the face of its dart.
+    each cell goes to the piece holding the face of its dart, as the face
+    union oracle numbers the pieces.
     """
-    comps = cut_components(d, family)
-    piece = {fi: c.index for c in comps for fi in c.faces}
-    chi = Counter({c.index: len(c.faces) for c in comps})
+    piece = face_union_pieces(d, family)
+    chi = Counter(piece)
     other = OTHER_FAMILY[family]
     for x in crossing_ids(d):
         for port in PORTS[family]:
@@ -194,3 +202,36 @@ def test_validation_curve_count_bounds():
     report = validate_disk_systems(chain_base(2))
     assert [code for code, _ in report] == ["count", "nonplanar"]
     assert report.entries[0][1] == "family B has 1 curve, outside [2, 3]"
+
+
+# parses the diagram file argv[1] and prints the bytes still allocated once a
+# validation of it and its report are dropped
+_LEFT_BEHIND = """
+import gc, sys, tracemalloc
+from pathlib import Path
+from heegaardrect.diagramio import parse_diagram
+from heegaardrect.systems import validate_disk_systems
+d = parse_diagram(Path(sys.argv[1]).read_text())
+gc.collect()
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+report = validate_disk_systems(d)
+assert report.passed
+del report
+gc.collect()
+print(tracemalloc.get_traced_memory()[0] - base)
+"""
+
+
+def test_validation_leaves_no_memory_behind(tmp_path):
+    """Once a validation's report is dropped, its cut pieces and every table
+    they were counted from are freed, within a few KB.  A fresh interpreter
+    parses example(13, 2) without validating it, so no earlier validation
+    holds anything of its size."""
+    f = tmp_path / "e.json"
+    f.write_text(serialize_diagram(example_diagram(13, 2)))
+    env = {**os.environ, "PYTHONPATH": str(Path(heegaardrect.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", _LEFT_BEHIND, str(f)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 4096
