@@ -8,6 +8,7 @@ Output is plain text (nothing to disable for NO_COLOR).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -182,9 +183,14 @@ def main(argv=None) -> int:
     """Run one command; `argv` defaults to `sys.argv[1:]`.
 
     It may be called any number of times in one process: each call parses
-    with `_PARSER` and carries nothing over to the next.
+    with `_PARSER` and carries nothing over to the next.  The command runs
+    with the automatic cycle collector off, since it leaves no cyclic garbage
+    and a collection would only walk its fresh tables; the collector's state
+    is restored on every exit.
     """
     args = _PARSER.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except DiagramError as exc:
@@ -195,6 +201,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -26,12 +26,19 @@ Conventions (fixed once, everything else follows):
   port lies on the plus side of the strand, and on the minus side for an
   "in" port.
 
+* Crossing ``i`` is the i-th token of the first family's words, read curve
+  by curve in sorted curve id order, and owns darts ``4i`` to ``4i + 3``,
+  dart ``4i + p`` being its port ``p``.  So a first-family curve's crossings
+  are consecutive, and only the second family's edges are looked up by id.
+
 * Exchanging the families keeps the surface: the ports are renamed by
-  a_out <-> b_out, a_in <-> b_in (dart ``d`` becomes ``d ^ 1``), every sign
-  flips, and each face stays a face, its darts ``d ^ 1`` in the same cyclic
-  order with the same (curve, side) sides; only the family of each side and
-  the numbering by least dart change.  The criteria analyse both orientations
-  as two views of one map; `Diagram.swap_roles` builds the swap on its own.
+  a_out <-> b_out, a_in <-> b_in (dart (x, p) of crossing x becomes
+  (x, p ^ 1)), every sign flips, and each face stays a face, its darts so
+  renamed in the same cyclic order with the same (curve, side) sides; only
+  the family of each side and the numbering change, as the swap numbers
+  its crossings in its own first family's word order.  The criteria analyse
+  both orientations as two views of one map; `Diagram.swap_roles` builds the
+  swap on its own.
 
 * One table of turns is kept, ``_phi``: the next dart round a face, along
   the edge ``_alpha`` and then one turn clockwise at the crossing reached.
@@ -44,9 +51,9 @@ Conventions (fixed once, everything else follows):
   ``_dart_code[d]`` is ``4 * curve + (d & 3)``, ``curve`` being dart ``d``'s
   1-based curve index in its family ``d & 1``, its side ``1 - (d & 2)``,
   so ``code >> 2`` is the curve and ``(code >> 1) ^ 1`` the (curve, side)
-  node; ``_signs`` follows the sorted crossing ids, crossing ``i`` owning
-  darts ``4i`` to ``4i + 3``, and `signs` maps each id to its sign.  The
-  gathered tables, ``_phi`` and ``_signs``, are tuples (`_gather`).
+  node; ``_crossing_ids`` and ``_signs`` follow the crossing numbering,
+  and `signs` maps each id to its sign in sorted id order, built on first
+  read.  The gathered tables, ``_phi`` and ``_signs``, are tuples (`_gather`).
   `bigon_faces` gives face indices.
   The read-only views `faces` and `crossings`, of `Face`, `FaceSide` and
   `Crossing` objects, are built on first read for the tests and the
@@ -168,26 +175,30 @@ class Diagram:
             raise DiagramError("curve and crossing ids must be hashable and mutually ordered") from None
         ids = tuple(dart0)
         if not all(map(signs.__contains__, ids)):
-            raise DiagramError(f"crossing {next(x for x in ids if x not in signs)} has no sign")
+            raise DiagramError(f"crossing {min(x for x in ids if x not in signs)} has no sign")
         self._crossing_ids: tuple[str, ...] = ids
         self._signs = values = _gather(signs, ids)
         if not (set(map(type, values)) == {int} and set(values) <= {MINUS, PLUS}):
             bad = (x for x, s in zip(ids, values) if type(s) is not int or s not in (MINUS, PLUS))
-            raise DiagramError(f"crossing {next(bad)}: sign must be +1 or -1")
+            raise DiagramError(f"crossing {min(bad)}: sign must be +1 or -1")
         self._build_map(dart0)
 
     # -- construction ------------------------------------------------------
 
     def _sized_ids(self) -> dict[str, int] | None:
-        """Each sorted id -> its dart 0, where the sizes show a sound input,
-        else None: no word is empty, no curve id is in both families, and the
-        n tokens of the second family reach n distinct darts of the n of the
-        first.  The sort merges the long sorted runs of ids numbered in
-        a-word order."""
+        """Each id -> its dart 0, in first-family word order, where the sizes
+        show a sound input, else None: no word is empty, no curve id is in both
+        families, and the n tokens of the second family reach n distinct darts
+        of the n of the first.  Ids that are not all `str` are sorted once, so
+        ids that cannot be ordered fail as they would in a sort."""
         a, b = self.a_words, self.b_words
         if not (all(a.values()) and all(b.values()) and a.keys().isdisjoint(b)):
             return None
-        ids = sorted(chain.from_iterable(a.values()))
+        ids = tuple(chain.from_iterable(a.values()))
+        try:
+            "".join(ids)  # raises TypeError unless every id is a str, at C speed
+        except TypeError:
+            sorted(ids)  # ids of other types must still be mutually ordered
         dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))
         darts = set(map(dart0.get, chain.from_iterable(b.values())))
         if len(ids) == len(darts) == sum(map(len, b.values())) and None not in darts:
@@ -230,14 +241,21 @@ class Diagram:
         for b, sign in zip(range(0, nd, 4), self._signs):
             sigma_inv += (b + 3, b, b + 1, b + 2) if sign == PLUS else (b + 1, b + 2, b + 3, b)
         alpha, dart_code = [0] * nd, [0] * nd
-        for (out_port, in_port), words in zip(PORTS.values(), (self.a_words, self.b_words)):
-            for curve, word in enumerate(words.values(), 1):
-                darts = _gather(dart0, word)
-                out_code, in_code = 4 * curve + out_port, 4 * curve + in_port
-                for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
-                    alpha[s + out_port] = t + in_port
-                    alpha[t + in_port] = s + out_port
-                    dart_code[s + out_port], dart_code[s + in_port] = out_code, in_code
+        # a first-family curve's crossings are consecutive: its edge i -> i + 1
+        # joins a_out of i to a_in of i + 1, its last edge closing the word
+        e = 0
+        for curve, word in enumerate(self.a_words.values(), 1):
+            s, e = e, e + 4 * len(word)
+            alpha[s:e:4] = [*range(s + 4 + A_IN, e, 4), s + A_IN]
+            alpha[s + A_IN:e:4] = [e - 4, *range(s, e - 4, 4)]
+            dart_code[s:e:2] = (4 * curve + A_OUT, 4 * curve + A_IN) * len(word)
+        for curve, word in enumerate(self.b_words.values(), 1):
+            darts = _gather(dart0, word)
+            out_code, in_code = 4 * curve + B_OUT, 4 * curve + B_IN
+            for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
+                alpha[s + B_OUT] = t + B_IN
+                alpha[t + B_IN] = s + B_OUT
+                dart_code[s + B_OUT], dart_code[s + B_IN] = out_code, in_code
         dart0.clear()  # the numbering is not kept: its memory goes before `_phi` is gathered
         self._alpha = alpha
         self._dart_code = dart_code
@@ -264,24 +282,30 @@ class Diagram:
         return sum(parent[i] == i for i in range(1, len(parent))) == 1
 
     def _trace_faces(self) -> None:
-        """The face tables: faces numbered by least dart, each kept as that dart and its degree."""
+        """The face tables: faces numbered by least dart, each kept as that dart and its degree.
+        A `_phi` that is not a permutation raises `DiagramError`: no orbit walk
+        goes on past the dart count."""
         phi = self._phi
         face_of = [-1] * len(phi)
         lead: list[int] = []
         degree: list[int] = []
-        start = 0
+        start, sizes = 0, range(1, len(phi) + 1)
         try:  # until `index` finds no dart left
-            # a `for` loop: its backward jump has CPython 3.11 specialize this in the first call
+            # `for` loops: their backward jumps have CPython 3.11 specialize this in the first call
             for i in range(len(phi)):
                 start = face_of.index(-1, start)  # face i's least dart, found at C speed
                 face_of[start], d = i, phi[start]
                 lead.append(start)
-                size = 1
-                while d != start:  # until the orbit closes
+                for size in sizes:  # until the orbit closes, within one step per dart
+                    if d == start:
+                        break
                     face_of[d] = i
                     d = phi[d]
-                    size += 1
+                else:
+                    raise DiagramError("corrupted map: the face turns are not a permutation")
                 degree.append(size)
+        except DiagramError:  # a ValueError too, but not the one that ends the trace
+            raise
         except ValueError:
             pass
         self._face_degree, self._face_lead, self._face_of_dart = degree, lead, face_of
@@ -318,7 +342,7 @@ class Diagram:
     @cached_property
     def signs(self) -> Mapping[str, int]:
         """Crossing id -> sign, read-only, in sorted id order."""
-        return MappingProxyType(dict(zip(self._crossing_ids, self._signs)))
+        return MappingProxyType(dict(sorted(zip(self._crossing_ids, self._signs))))
 
     @property
     def num_crossings(self) -> int:
@@ -349,14 +373,21 @@ class Diagram:
     def reduce_bigons(self) -> "Diagram":
         """Remove bigon faces one at a time until none remain.
 
-        Always reduces the bigon with the smallest face index first, so the
-        result is deterministic.  Genus is preserved at every step; a curve
-        whose word would become empty signals a non-essential configuration.
+        Always reduces first the bigon whose least (crossing id, port) over
+        its darts is least, so the result depends on the words and signs
+        alone, not on how the darts are numbered.  Genus is preserved at every
+        step; a curve whose word would become empty signals a non-essential
+        configuration.
         """
         d = self
         while bigons := d.bigon_faces():
-            d = d._remove_bigon(bigons[0])
+            d = d._remove_bigon(min(bigons, key=d._least_corner))
         return d
+
+    def _least_corner(self, face: int) -> tuple:
+        """The least (crossing id, port) over the darts of `face`."""
+        ids = self._crossing_ids
+        return min((ids[e >> 2], e & 3) for e in self._orbit(face))
 
     def _remove_bigon(self, face: int) -> "Diagram":
         ids = self._crossing_ids

@@ -112,7 +112,7 @@ def serialize_diagram(d: Diagram) -> str:
     ids = d._crossing_ids
     # word by word (each id is in one): a match's backtracking stack grows per token
     if not all(_reads_back(word, _BARE) for word in d.a_words.values()):
-        bad = next(x for x in ids if not _reads_back([x], _BARE))
+        bad = min(x for x in ids if not _reads_back([x], _BARE))
         raise DiagramError(f"crossing id {bad!r} is not [A-Za-z0-9_]+")
     signed = {x: x + ("+" if s == PLUS else "-") for x, s in zip(ids, d._signs)}
     doc = {"format_version": FORMAT_VERSION, "d_curves": {

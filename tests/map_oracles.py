@@ -13,7 +13,7 @@ and 2-connectivity predicate.  None of it is on the check or generate path
 of the package.
 """
 
-from bisect import bisect_left
+from weakref import WeakKeyDictionary
 
 from heegaardrect.criteria import CriteriaGraph, _adjacency, _labelled, _two_connected_failure
 from heegaardrect.diagram import (
@@ -74,13 +74,20 @@ def input_fault(a_words, b_words, signs):
 
 
 def crossing_ids(d: Diagram) -> tuple:
-    """The sorted crossing ids: crossing i owns darts 4i to 4i + 3."""
-    return d._crossing_ids
+    """The crossing ids in first-family word order, curve by curve in sorted
+    curve id order, read off the words: crossing i owns darts 4i to 4i + 3."""
+    return tuple(x for curve in sorted(d.a_words) for x in d.a_words[curve])
+
+
+_NUMBERS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def dart_of(d: Diagram, crossing, port: int) -> int:
-    """Dart `port` of `crossing`, an id of `d`, found among the sorted ids."""
-    return 4 * bisect_left(crossing_ids(d), crossing) + port
+    """Dart `port` of `crossing`, an id of `d`, at its index in `crossing_ids`."""
+    number = _NUMBERS.get(d)
+    if number is None:
+        number = _NUMBERS[d] = {x: i for i, x in enumerate(crossing_ids(d))}
+    return 4 * number[crossing] + port
 
 
 def mate_of(d: Diagram, e: int) -> int:

@@ -35,8 +35,8 @@ from conftest import (
     random_multicurve_map, random_twisted_diagrams, torus_one,
 )
 from map_oracles import (
-    _composed, _side_types, cross_detail_graph, crossing_ids, decoded_indexes, face_classes,
-    face_of_dart, face_union_components, face_union_pieces, first_failing_l_cross,
+    _composed, _side_types, cross_detail_graph, crossing_ids, dart_of, decoded_indexes,
+    face_classes, face_of_dart, face_union_components, face_union_pieces, first_failing_l_cross,
     first_failing_l_detail, is_two_connected, lambda_of, neighbors, node_label,
     relabel_crossings, reverse_curve, stabilized,
 )
@@ -1068,15 +1068,22 @@ def test_verdict_invariant():
 
 
 def test_swap_maps_every_face_through_the_port_involution(example_32_maximal):
+    """Dart (x, p) of a diagram is dart (x, p ^ 1) of its swap, x a crossing
+    id: each face maps onto a face, its darts in the same cyclic order with
+    the same (curve, side) sides, each side of the other family."""
     for d in fixture_cases(example_32_maximal):
-        swapped = d.swap_roles()
-        perm = [face_of_dart(swapped, f.darts[0] ^ 1) for f in d.faces]
+        swapped, ids = d.swap_roles(), crossing_ids(d)
+
+        def image(dart):
+            return dart_of(swapped, ids[dart >> 2], (dart & 3) ^ 1)
+
+        perm = [face_of_dart(swapped, image(f.darts[0])) for f in d.faces]
         assert sorted(perm) == list(range(len(swapped.faces)))
         for f in d.faces:
-            image = swapped.faces[perm[f.index]]
-            start = image.darts.index(f.darts[0] ^ 1)
-            assert image.darts[start:] + image.darts[:start] == tuple(p ^ 1 for p in f.darts)
-            sides = image.sides[start:] + image.sides[:start]
+            face = swapped.faces[perm[f.index]]
+            start = face.darts.index(image(f.darts[0]))
+            assert face.darts[start:] + face.darts[:start] == tuple(map(image, f.darts))
+            sides = face.sides[start:] + face.sides[:start]
             assert [(s.family, s.curve, s.side) for s in sides] == [
                 (OTHER_FAMILY[s.family], s.curve, s.side) for s in f.sides
             ]

@@ -532,22 +532,90 @@ def test_word_rotation_gives_same_diagram(i, j):
     assert is_isomorphic(hexagon_diagram(), d2)
 
 
-def test_numbering_ignores_word_order(example_22, example_32, example_32_maximal):
-    """Each word rotated by a seeded amount and both curve dicts and the signs
-    given in reverse order: the crossing numbering, the face tables and the
-    report are unchanged."""
+def _turned(d: Diagram, rng: random.Random) -> Diagram:
+    """`d` with each word rotated by a seeded amount, and both curve dicts and
+    the signs given in reverse order."""
+    turned = [{c: w[k:] + w[:k] for c, w, k in
+               ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
+              for words in (d.a_words, d.b_words)]
+    return Diagram(*turned, dict(reversed(d.signs.items())))
+
+
+def _by_id(d: Diagram) -> tuple:
+    """The dart codes and the faces, each dart named by its (crossing id, port);
+    each face rotated to start at its least dart so named, the faces sorted."""
+    ids = d._crossing_ids
+    name = [(ids[e >> 2], e & 3) for e in range(4 * len(ids))]
+    faces = []
+    for f in range(len(d._face_lead)):
+        orbit = [name[e] for e in d._orbit(f)]
+        k = orbit.index(min(orbit))
+        faces.append(tuple(orbit[k:] + orbit[:k]))
+    return dict(zip(name, d._dart_code)), sorted(faces)
+
+
+def test_numbering_follows_first_family_word_order(example_22, example_32, example_32_maximal):
+    """Crossing i is the i-th token of the first family's words, read curve by
+    curve in sorted curve id order, and owns darts 4i to 4i + 3.  Each word
+    rotated and both curve dicts and the signs given in reverse order: the
+    numbering follows the rotated words, and by (crossing id, port) the dart
+    codes and the faces are unchanged, and so is the report."""
     rng = random.Random(20261019)
     corpus = [example_22, example_32, example_32_maximal,
               *(example_diagram(g, l) for g, l in SWEEP), *random_twisted_diagrams(50)]
     for d in corpus:
-        turned = [{c: w[k:] + w[:k] for c, w, k in
-                   ((c, w, rng.randrange(len(w))) for c, w in reversed(words.items()))}
-                  for words in (d.a_words, d.b_words)]
-        r = Diagram(*turned, dict(reversed(d.signs.items())))
-        for table in ("_crossing_ids", "_dart_code", "_phi", "_face_degree", "_face_lead",
-                      "_face_of_dart"):
-            assert getattr(r, table) == getattr(d, table), table
+        r = _turned(d, rng)
+        for m in (d, r):
+            assert m._crossing_ids == tuple(x for c in sorted(m.a_words) for x in m.a_words[c])
+            assert list(m.signs) == sorted(m.signs)
+        assert r.signs == d.signs
+        assert _by_id(r) == _by_id(d)
         assert report_to_json(build_report(r)) == report_to_json(build_report(d))
+
+
+def test_bigon_order_ignores_the_numbering(monkeypatch):
+    """`reduce_bigons` first takes the bigon whose least (crossing id, port)
+    is least, so each word rotated and both curve dicts reversed give the same
+    reduced diagram, or the same error: on the random bases and the raw
+    splices of `dehn_twist` that `random_twisted_diagrams` reduces, turned
+    four ways where there are several bigons to order."""
+    raw = []
+    reduce = Diagram.reduce_bigons
+
+    def recording(d):
+        raw.append(d)
+        return reduce(d)
+
+    monkeypatch.setattr(Diagram, "reduce_bigons", recording)
+    for _ in random_twisted_diagrams(100):
+        pass
+    monkeypatch.undo()
+
+    def outcome(d):
+        try:
+            return serialize_diagram(d.reduce_bigons())
+        except DiagramError as exc:
+            return str(exc)
+
+    rng = random.Random(20261021)
+    assert sum(len(d.bigon_faces()) > 1 for d in raw) >= 50
+    for d in raw:
+        for _ in range(4 if len(d.bigon_faces()) > 1 else 1):
+            assert outcome(_turned(d, rng)) == outcome(d)
+
+
+def test_face_trace_ends_on_turns_that_are_not_a_permutation():
+    """A `_phi` that sends two darts to one ends the face trace in a
+    `DiagramError`: no orbit walk goes on past the dart count."""
+    d = example_diagram(3, 2)
+    phi = d._phi
+    message = "^corrupted map: the face turns are not a permutation$"
+    for a, b in ((0, 1), (0, 5), (7, 2), (len(phi) - 1, 0)):
+        turns = list(phi)
+        turns[a] = turns[b]
+        d._phi = tuple(turns)
+        with pytest.raises(DiagramError, match=message):
+            d._trace_faces()
 
 
 def test_intersection_number():

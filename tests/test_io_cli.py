@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -578,6 +579,48 @@ def test_cli_export_graph_bad_selector(tmp_path, capsys):
     for index in ("1_0", "\u0661", "+1", " 1"):
         assert run_cli("export-graph", str(f), "--which", f"Gk:{index}", "--dot") == 2
         assert capsys.readouterr().err == f"error: bad index {index!r} in the selector\n"
+
+
+@pytest.fixture
+def collector_state():
+    """Leave the cycle collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, collector_state):
+    """Each command, its exit-2 paths too, leaves nothing for the cycle
+    collector: with the collector off, a collection after it finds nothing.
+    `main` runs the command with the collector off and leaves it as it found it."""
+    e, bad, torus = tmp_path / "e.json", tmp_path / "bad.json", tmp_path / "t.json"
+    assert run_cli("generate", "--genus", "3", "--power", "2", "-o", str(e)) == 0
+    bad.write_text("{not json")
+    torus.write_text(serialize_diagram(torus_one()))
+    runs = [
+        (0, "check", e), (0, "check", e, "--structured"), (0, "validate", e),
+        (0, "export-graph", e, "--which", "Gk:1"), (0, "export-graph", e, "--which", "Hd:1"),
+        (0, "export-graph", e, "--which", "Gdetail:1,1,1,+,2,-"),
+        (0, "generate", "--genus", "3", "--power", "2"),
+        (0, "generate", "--genus", "3", "--power", "2", "--maximal"),
+        (2, "check", tmp_path / "missing.json"), (2, "check", bad), (2, "check", torus),
+        (2, "check", torus, "--structured"), (2, "export-graph", torus, "--which", "Gk:1"),
+        (2, "export-graph", e, "--which", "Zz:1"), (2, "export-graph", e, "--which", "Gk:x"),
+    ]
+    for enabled in (False, True):
+        for code, *argv in runs:
+            gc.disable()
+            gc.collect()
+            if enabled:
+                gc.enable()
+            assert run_cli(*map(str, argv)) == code, argv
+            assert gc.isenabled() is enabled, argv
+            gc.disable()
+            assert gc.collect() == 0, argv
+    capsys.readouterr()
 
 
 def test_cli_output_is_plain_text(tmp_path, capsys):

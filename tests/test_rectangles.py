@@ -82,7 +82,7 @@ def test_composed_axis_ends_in_punctured_sets(example_32):
         (torus_two, FAMILY_A, []),
         (torus_two, FAMILY_B, []),
         (split_components_diagram, FAMILY_A,
-         [(2, (1, PLUS), (3, PLUS), ((1, PLUS), (2, MINUS)), 2, 1)]),
+         [(2, (1, PLUS), (3, PLUS), ((1, PLUS), (2, MINUS)), 0, 3)]),
         (split_components_diagram, FAMILY_B, []),
     ],
 )
