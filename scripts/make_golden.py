@@ -20,14 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from heegaardrect.cli import export_graph
 from heegaardrect.criteria import CriteriaContext, double_rectangle_condition, rectangle_condition
-from heegaardrect.diagramio import (
-    build_report,
-    graph_to_dot,
-    report_to_json,
-    report_to_text,
-    serialize_diagram,
-)
+from heegaardrect.diagramio import build_report, report_to_json, report_to_text, serialize_diagram
 from heegaardrect.systems import validate_disk_systems
 from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
@@ -65,8 +60,8 @@ def digest_line(name: str, d) -> str:
     graphs = []
     if report["validation"]["passed"]:
         ctx = CriteriaContext(d)
-        graphs += (graph_to_dot(ctx.component_graph(k), f"Gk:{k}") for k in range(1, ctx.m + 1))
-        graphs += (graph_to_dot(ctx.disk_graph(i), f"Hd:{i}") for i in range(1, ctx.n + 1))
+        graphs += (export_graph(ctx, f"Gk:{k}") for k in range(1, ctx.m + 1))
+        graphs += (export_graph(ctx, f"Hd:{i}") for i in range(1, ctx.n + 1))
     return " ".join((name, _digest(report_to_json(report), report_to_text(report)),
                      _digest(validation), _digest(*graphs)))
 
@@ -114,10 +109,9 @@ def main(out: Path = GOLDEN):
     (out / "report_split_invalid.json").write_text(report_to_json(invalid))
 
     ctx = CriteriaContext(d32)
-    (out / "gk1.dot").write_text(graph_to_dot(ctx.component_graph(1), "Gk:1"))
-    (out / "hd1.dot").write_text(graph_to_dot(ctx.disk_graph(1), "Hd:1"))
-    gk1_maximal = CriteriaContext(dm).component_graph(1)
-    (out / "gk1_maximal.dot").write_text(graph_to_dot(gk1_maximal, "Gk:1"))
+    (out / "gk1.dot").write_text(export_graph(ctx, "Gk:1"))
+    (out / "hd1.dot").write_text(export_graph(ctx, "Hd:1"))
+    (out / "gk1_maximal.dot").write_text(export_graph(CriteriaContext(dm), "Gk:1"))
 
     lines = (digest_line(name, d) + "\n" for name, d in contract_members())
     (out / "digests.txt").write_text("".join(lines))

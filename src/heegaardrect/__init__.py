@@ -10,7 +10,6 @@ Dehn twisting a standard disk system along a transversal curve.
 
 from .criteria import (
     CriteriaContext,
-    CriteriaGraph,
     Verdict,
     Witness,
     double_rectangle_condition,
@@ -49,7 +48,7 @@ from .twist import (
 )
 
 __all__ = [
-    "Crossing", "CriteriaContext", "CriteriaGraph", "CutComponent", "Diagram",
+    "Crossing", "CriteriaContext", "CutComponent", "Diagram",
     "DiagramError", "Face", "FaceSide", "MINUS", "PLUS", "TwistSpec",
     "ValidationReport", "Verdict", "Witness", "build_report", "chain_base",
     "cut_components", "dehn_twist", "double_rectangle_condition",

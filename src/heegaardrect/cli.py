@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .criteria import CriteriaContext
+from .criteria import CriteriaContext, _adjacency, _vertex
 from .diagram import Diagram, DiagramError, MINUS, PLUS
 from .diagramio import (
     build_report,
@@ -25,7 +25,7 @@ from .diagramio import (
     serialize_diagram,
     validation_lines,
 )
-from .systems import validate_disk_systems
+from .systems import _label, validate_disk_systems
 from .twist import example_diagram
 
 
@@ -109,13 +109,17 @@ def _parse_side(s: str) -> int:
     raise DiagramError(f"bad side label {s!r} (use + or -)")
 
 
-def cmd_export_graph(args) -> int:
-    ctx = CriteriaContext(_load(args.file))
-    kind, _, rest = args.which.partition(":")
+def export_graph(ctx: CriteriaContext, which: str) -> str:
+    """DOT text of the graph of `ctx` that the selector `which` names, drawn
+    from the node adjacency the criteria search: Gk:K, Hd:D or
+    Gdetail:K,L,I,EPS,J,DELTA."""
+    kind, _, rest = which.partition(":")
+    label, blocks = _label, None
     if kind == "Gk":
-        graph = ctx.component_graph(_parse_index(rest))
+        adj = ctx._component_adjacency(_parse_index(rest))
     elif kind == "Hd":
-        graph = ctx.disk_graph(_parse_index(rest))
+        adj, *blocks = ctx._disk_adjacency(_parse_index(rest))
+        label = lambda v: _vertex(v, ctx._plus)
     elif kind == "Gdetail":
         parts = rest.split(",")
         if len(parts) != 6:
@@ -123,10 +127,16 @@ def cmd_export_graph(args) -> int:
         k, l, i, j = (_parse_index(parts[t]) for t in (0, 1, 2, 4))
         p = (i, _parse_side(parts[3]))
         q = (j, _parse_side(parts[5]))
-        graph = ctx.detail_graph(k, l, p, q)
+        edges = ctx._detail_entry(k, p, q).get(l, ())
+        ctx.a_star_set(l)  # the range check of l, after the pair's
+        adj = _adjacency(ctx._nodes_b[l - 1], edges)
     else:
         raise DiagramError(f"unknown selector kind {kind!r}")
-    _write(graph_to_dot(graph, name=args.which), args.output)
+    return graph_to_dot(adj, label, blocks, which)
+
+
+def cmd_export_graph(args) -> int:
+    _write(export_graph(CriteriaContext(_load(args.file)), args.which), args.output)
     return 0
 
 

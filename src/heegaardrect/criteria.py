@@ -7,8 +7,10 @@ vertices of the per-disk graphs are labels of the first family, tagged by
 the side of the distinguished disk when both sides are in play.  Inside
 this module, as in `systems`, circle (i, side) is the node 2i + (side is
 plus), and H_d's vertex (kappa, i, side) is that node plus 2(n + 1) when
-kappa is plus, so nodes sort as the tuples do.  Tuples (`_label`,
-`_vertex`) come back only in witnesses, graph exports and accessors.
+kappa is plus, so nodes sort as the tuples do.  Every graph is one node
+adjacency, which the checks search and `diagramio.graph_to_dot` writes;
+tuples (`_label`, `_vertex`) come back only in witnesses, accessors and
+the exported text.
 
 Connectivity conventions are exactly the ones the criteria quantify over,
 which differ from textbook biconnectivity in the small cases: the empty
@@ -23,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
-from typing import Optional, Sequence
+from typing import Optional
 
 from .diagram import (
     FAMILY_A, FAMILY_B, MINUS, OTHER_FAMILY, PLUS, PORTS, Diagram, DiagramError, _gather,
@@ -32,44 +34,11 @@ from .diagram import (
 from .systems import _cut, _label, _node, validate_components
 
 Vertex = tuple
-Edge = tuple[Vertex, Vertex]
 
 
 def _vertex(node: int, plus: int) -> Vertex:
     """H_d's vertex of `node`, `plus` = 2(n + 1) being the tag of its plus block."""
     return (PLUS,) + _label(node - plus) if node >= plus else (MINUS,) + _label(node)
-
-
-@dataclass(frozen=True)
-class CriteriaGraph:
-    """Finite simple graph on tuple-labeled vertices, optionally 2-blocked."""
-
-    vertices: frozenset
-    edges: frozenset
-    partition: Optional[tuple[frozenset, frozenset]] = None
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise DiagramError(f"loop edge at {u}")
-            if u not in self.vertices or v not in self.vertices:
-                raise DiagramError(f"edge ({u},{v}) leaves the vertex set")
-        if self.partition is not None:
-            lo, hi = self.partition
-            if lo & hi or (lo | hi) != self.vertices:
-                raise DiagramError("partition blocks must be disjoint and cover")
-
-
-def graph_from_edges(edges: Sequence[Edge], vertices=(), partition=None) -> CriteriaGraph:
-    vs = set(vertices)
-    es = set()
-    for u, v in edges:
-        if u == v:
-            continue
-        vs.add(u)
-        vs.add(v)
-        es.add((u, v) if u <= v else (v, u))
-    return CriteriaGraph(frozenset(vs), frozenset(es), partition)
 
 
 def _adjacency(vertices, edges) -> dict:
@@ -129,17 +98,9 @@ def _two_connected_failure(adj: dict) -> Optional[tuple]:
     return ("cut-vertex", min(points)) if points else None
 
 
-def doubly_two_connected_witness(graph: CriteriaGraph) -> Optional[tuple[Vertex, Vertex]]:
-    """First vertex pair (one per block) whose deletion disconnects, if any,
-    ordered by the first block's vertex, then the second's: `_pair_witness`,
-    the search `double_rectangle_condition` runs on each H_d."""
-    if graph.partition is None:
-        raise DiagramError("doubly-2-connected test needs a partition")
-    return _pair_witness(_adjacency(graph.vertices, graph.edges), *graph.partition)
-
-
 def _pair_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
-    """`doubly_two_connected_witness` of the adjacency `adj` with blocks `lo`, `hi`.
+    """The first pair (a in `lo`, b in `hi`) whose deletion disconnects the
+    graph `adj`, ordered by a, then b, or None when it is doubly 2-connected.
 
     A graph on three or more vertices of minimum degree 2 and its skeleton K
     subdivide one multigraph (a chain with one end gives K a degree-1 node, a
@@ -154,7 +115,7 @@ def _pair_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Ver
 
 
 def _scan_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
-    """`doubly_two_connected_witness` by one scan of G - a per a in `lo`.
+    """`_pair_witness` by one scan of G - a per a in `lo`.
 
     If G - a is connected, (a, b) disconnects exactly when b is a cut point
     of G - a.  If G - a is disconnected, every b keeps it disconnected
@@ -211,7 +172,7 @@ def _skeleton(adj: dict) -> tuple[dict, dict, dict]:
 
 
 def _skeleton_witness(adj, lo, hi, node, skeleton, on_chain) -> Optional[tuple[Vertex, Vertex]]:
-    """`doubly_two_connected_witness` of a 2-connected graph on >= 3 vertices,
+    """`_pair_witness` of a 2-connected graph on >= 3 vertices,
     from its `_skeleton` K, which is 2-connected too.  Deleting a and b
     disconnects the graph exactly when
 
@@ -320,7 +281,7 @@ class CriteriaContext:
     raises, naming the failed checks.
 
     The indexes, G_k and H_d hold nodes (see the module docstring); the
-    accessors and the graph exports take and give (curve index, side) tuples.
+    accessors take and give (curve index, side) tuples.
 
     A pair verdict says whether the detail graph is 2-connected for every
     l, so it depends only on the pair's edge sets: the sets (l, edges at l)
@@ -462,9 +423,6 @@ class CriteriaContext:
 
     # -- graph builders ----------------------------------------------------
 
-    def detail_graph(self, k: int, l: int, p: Vertex, q: Vertex) -> CriteriaGraph:
-        return _labelled(self._detail_entry(k, p, q).get(l, ()), self.a_star_set(l))
-
     def _check_valid(self) -> None:
         if self._failed_checks:
             raise DiagramError(f"diagram fails validation: {self._failed_checks}")
@@ -476,12 +434,6 @@ class CriteriaContext:
         if p not in a_k or q not in a_k:  # name the first label outside A_k
             raise DiagramError(f"{_fmt_vertex(q if p in a_k else p)} is not in A_{k}")
         return self.rect_index.get(tuple(sorted(map(_node, (p, q)))), {})
-
-    def component_graph(self, k: int) -> CriteriaGraph:
-        """G_k: the labels A_k, with p-q an edge when every detail graph
-        G(k, l, p, q) is 2-connected, as a `CriteriaGraph` for export."""
-        adj = self._component_adjacency(k)
-        return _labelled([(u, v) for u in adj for v in adj[u]], self.a_set(k))
 
     def _component_adjacency(self, k: int) -> dict:
         """G_k as node -> its neighbours, built once per k from the
@@ -497,14 +449,6 @@ class CriteriaContext:
                     adj[q].add(p)
             self._component_adjs[k] = adj
         return self._component_adjs[k]
-
-    def disk_graph(self, disk: int) -> CriteriaGraph:
-        """H_d as a `CriteriaGraph`, for export and inspection: the graph of
-        `_disk_adjacency`, with its two blocks as the partition."""
-        adj, *blocks = self._disk_adjacency(disk)
-        label = {v: _vertex(v, self._plus) for v in adj}
-        return graph_from_edges([(label[u], label[v]) for u in adj for v in adj[u]], label.values(),
-                                tuple(frozenset(map(label.get, block)) for block in blocks))
 
     def _disk_adjacency(self, disk: int) -> tuple[dict, frozenset, frozenset]:
         """H_d as (adjacency, minus block, plus block): the labels of
@@ -546,11 +490,6 @@ class CriteriaContext:
                     self._failures[key] = (l, _label(failure[1]) if len(failure) > 1 else None)
                     break
         return self._failures[key]
-
-
-def _labelled(edges, vertices) -> CriteriaGraph:
-    """The graph on the labels `vertices` with the node pairs `edges`."""
-    return graph_from_edges([(_label(u), _label(v)) for u, v in edges], vertices=vertices)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -693,9 +632,9 @@ def double_rectangle_condition(
     the families exchanged; each witness takes the orientation of the view
     that found it.  `diagram` is read only when no `ctx` is given, so a
     caller that also checks RC on both sides analyses each orientation once.
-    Each H_d is searched as the adjacency `_disk_adjacency` builds, with no
-    `CriteriaGraph`.  Each block of an H_d has at least two labels, so a
-    disconnected H_d always has a witness pair.
+    Each H_d is searched as the adjacency `_disk_adjacency` builds.  Each
+    block of an H_d has at least two labels, so a disconnected H_d always
+    has a witness pair.
     """
     ctx = ctx or CriteriaContext(diagram)
     witnesses = []

@@ -6,6 +6,9 @@ crossing signs as a trailing ``+`` or ``-`` on each token; the second
 family's words list the bare tokens.  Serialization is canonical: curves
 sorted by id, each word rotated to start at its lexicographically smallest
 token, so re-serializing an unchanged diagram is byte-identical.
+
+A criteria graph is exported as DOT text straight from the node adjacency
+that the criteria search, its nodes written as their labels.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .criteria import (
     NOTE_DRC,
     NOTE_RC,
     CriteriaContext,
-    CriteriaGraph,
     Verdict,
     _fmt_vertex,
     double_rectangle_condition,
@@ -286,20 +288,20 @@ def report_to_text(report: dict) -> str:
 # -- graph export ---------------------------------------------------------------
 
 
-def graph_to_dot(graph: CriteriaGraph, name: str = "G") -> str:
-    """DOT text for a criteria graph; partition blocks become clusters."""
+def graph_to_dot(adj: dict, label, blocks=None, name: str = "G") -> str:
+    """DOT text for a criteria graph given as node -> neighbours, each node
+    written as its label `label(node)`; the (minus, plus) `blocks`, if given,
+    become clusters.  Nodes and edges are listed in node order, which is
+    the order of their labels."""
+    text = {v: f'"{_fmt_vertex(label(v))}"' for v in adj}
     lines = [f'graph "{name}" {{']
-    if graph.partition is not None:
-        for tag, block in zip(("minus", "plus"), graph.partition):
-            lines.append(f"  subgraph cluster_{tag} {{")
-            lines.append(f'    label="{tag} block";')
-            for v in sorted(block):
-                lines.append(f'    "{_fmt_vertex(v)}";')
+    if blocks is not None:
+        for tag, block in zip(("minus", "plus"), blocks):
+            lines += (f"  subgraph cluster_{tag} {{", f'    label="{tag} block";')
+            lines += (f"    {text[v]};" for v in sorted(block))
             lines.append("  }")
     else:
-        for v in sorted(graph.vertices):
-            lines.append(f'  "{_fmt_vertex(v)}";')
-    for u, v in sorted(graph.edges):
-        lines.append(f'  "{_fmt_vertex(u)}" -- "{_fmt_vertex(v)}";')
+        lines += (f"  {text[v]};" for v in sorted(adj))
+    lines += (f"  {text[u]} -- {text[v]};" for u in sorted(adj) for v in sorted(adj[u]) if u < v)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,20 +7,23 @@ read off the words, a face trace through the dart queries, the cut
 components by a union of faces, the rectangle and composed rectangle types
 face by face and edge by edge, the oracle of the criteria's class table,
 the criteria's nodes and rectangle indexes read back as (curve index, side)
-labels, a context's punctured label sets, detail graphs of composed
-rectangles and first failing l of a pair, and a `CriteriaGraph`'s adjacency
-and 2-connectivity predicate.  None of it is on the check or generate path
-of the package.
+labels, a context's punctured label sets and first failing l of a pair,
+and the criteria graphs as label graphs: G_k, H_d and the detail graphs
+read off a context's node adjacencies, with an adjacency, a 2-connectivity
+predicate and the pair witness of such a graph.  None of it is on the
+check or generate path of the package, which keeps every graph as a node
+adjacency only.
 """
 
+from typing import NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
-from heegaardrect.criteria import CriteriaGraph, _adjacency, _labelled, _two_connected_failure
+from heegaardrect.criteria import _adjacency, _pair_witness, _two_connected_failure, _vertex
 from heegaardrect.diagram import (
     A_IN, A_OUT, B_IN, B_OUT, FAMILY_A, FAMILY_B, OTHER_FAMILY, PORTS, Diagram, DiagramError,
     MINUS, PLUS, side_str,
 )
-from heegaardrect.systems import CutComponent, _node
+from heegaardrect.systems import CutComponent, _label, _node
 
 
 # -- input checks ------------------------------------------------------------------
@@ -492,10 +495,9 @@ def _cross_entry(ctx, disk: int, end_minus: tuple, end_plus: tuple) -> dict:
     return ctx.composed_index.get(disk, {}).get((_node(end_minus), _node(end_plus)), {})
 
 
-def cross_detail_graph(ctx, l: int, disk: int, end_minus: tuple,
-                       end_plus: tuple) -> CriteriaGraph:
+def cross_detail_graph(ctx, l: int, disk: int, end_minus: tuple, end_plus: tuple) -> "Graph":
     """The detail graph at l of the composed rectangles with these ends and axis `disk`."""
-    return _labelled(_cross_entry(ctx, disk, end_minus, end_plus).get(l, ()), ctx.a_star_set(l))
+    return _detail(ctx, l, _cross_entry(ctx, disk, end_minus, end_plus))
 
 
 def first_failing_l_cross(ctx, disk: int, end_minus: tuple, end_plus: tuple):
@@ -506,12 +508,72 @@ def first_failing_l_cross(ctx, disk: int, end_minus: tuple, end_plus: tuple):
 # -- criteria graphs ---------------------------------------------------------------
 
 
-def neighbors(graph: CriteriaGraph) -> dict:
+class Graph(NamedTuple):
+    """A finite simple graph on labels, each edge a sorted pair, with its
+    (minus, plus) blocks when it has two."""
+
+    vertices: frozenset
+    edges: frozenset
+    partition: Optional[tuple] = None
+
+
+def graph_from_edges(edges, vertices=(), partition=None) -> Graph:
+    """The graph on `vertices` and the ends of `edges`, loops dropped."""
+    vs = set(vertices)
+    es = set()
+    for u, v in edges:
+        if u == v:
+            continue
+        vs.add(u)
+        vs.add(v)
+        es.add((u, v) if u <= v else (v, u))
+    return Graph(frozenset(vs), frozenset(es), partition)
+
+
+def _labelled(adj: dict, label, blocks=None) -> Graph:
+    """The graph of the node adjacency `adj`, each node read as `label(node)`."""
+    partition = None if blocks is None else tuple(frozenset(map(label, b)) for b in blocks)
+    return graph_from_edges([(label(u), label(v)) for u in adj for v in adj[u]],
+                            map(label, adj), partition)
+
+
+def component_graph(ctx, k: int) -> Graph:
+    """G_k of `ctx`, on the labels A_k."""
+    return _labelled(ctx._component_adjacency(k), _label)
+
+
+def disk_graph(ctx, disk: int) -> Graph:
+    """H_d of `ctx`, on tagged labels, blocked by the side of D_d."""
+    adj, *blocks = ctx._disk_adjacency(disk)
+    return _labelled(adj, lambda v: _vertex(v, ctx._plus), blocks)
+
+
+def detail_graph(ctx, k: int, l: int, p: tuple, q: tuple) -> Graph:
+    """G(k, l, p, q) of `ctx`: the rectangles of the labels p and q of A_k, at l."""
+    return _detail(ctx, l, ctx._detail_entry(k, p, q))
+
+
+def _detail(ctx, l: int, edges_by_l: dict) -> Graph:
+    """The detail graph at l of a pair's index entry (l -> node edges): the
+    labels A*_l, range-checked after the pair, with the edges at l."""
+    edges = [(_label(u), _label(v)) for u, v in edges_by_l.get(l, ())]
+    return graph_from_edges(edges, ctx.a_star_set(l))
+
+
+def doubly_two_connected_witness(graph: Graph):
+    """`criteria._pair_witness`, the search DRC runs on each H_d, of `graph`
+    and its blocks."""
+    if graph.partition is None:
+        raise DiagramError("doubly-2-connected test needs a partition")
+    return _pair_witness(neighbors(graph), *graph.partition)
+
+
+def neighbors(graph: Graph) -> dict:
     """The vertex -> neighbours adjacency of `graph`."""
     return _adjacency(graph.vertices, graph.edges)
 
 
-def is_two_connected(graph: CriteriaGraph) -> bool:
+def is_two_connected(graph: Graph) -> bool:
     """Connected, and still connected after deleting any single vertex.
 
     Implemented through articulation points (iterative lowlink); graphs on

@@ -9,13 +9,7 @@ import time
 from pathlib import Path
 
 from heegaardrect.cli import main as cli_main
-from heegaardrect.criteria import (
-    CriteriaGraph,
-    double_rectangle_condition,
-    graph_from_edges,
-    doubly_two_connected_witness,
-    rectangle_condition,
-)
+from heegaardrect.criteria import double_rectangle_condition, rectangle_condition
 from heegaardrect.diagram import FAMILY_A, MINUS, PLUS
 from heegaardrect.diagramio import serialize_diagram
 from heegaardrect.systems import cut_components, validate_disk_systems
@@ -23,7 +17,8 @@ from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagra
 
 from conftest import hexagon_diagram, random_twisted_diagrams, split_components_diagram
 from map_oracles import (
-    intersection_number, is_isomorphic, is_two_connected, neighbors, reverse_curve, stabilized,
+    Graph, doubly_two_connected_witness, graph_from_edges, intersection_number, is_isomorphic,
+    is_two_connected, neighbors, reverse_curve, stabilized,
 )
 from shear_oracle import oracle_intersections
 
@@ -116,10 +111,10 @@ def test_criterion_05_calibration_graph():
     """Both published partition verdicts on the six-vertex test graph."""
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 5), (2, 4)]
     g = graph_from_edges(edges, vertices=range(1, 7))
-    bad = CriteriaGraph(g.vertices, g.edges,
-                        (frozenset({1, 2, 3}), frozenset({4, 5, 6})))
-    good = CriteriaGraph(g.vertices, g.edges,
-                         (frozenset({1, 2, 4, 5}), frozenset({3, 6})))
+    bad = Graph(g.vertices, g.edges,
+                (frozenset({1, 2, 3}), frozenset({4, 5, 6})))
+    good = Graph(g.vertices, g.edges,
+                 (frozenset({1, 2, 4, 5}), frozenset({3, 6})))
     assert doubly_two_connected_witness(bad) is not None
     assert doubly_two_connected_witness(good) is None
     _ok(5, "calibration graph: not doubly 2-connected for ({1,2,3},{4,5,6}), "
@@ -172,7 +167,7 @@ def test_criterion_07_connectivity_oracle():
         if is_two_connected(graph) != brute_two:
             mismatches += 1
         cut = rng.randrange(0, n + 1)
-        blocked = CriteriaGraph(
+        blocked = Graph(
             graph.vertices, graph.edges,
             (frozenset(vertices[:cut]), frozenset(vertices[cut:])),
         )

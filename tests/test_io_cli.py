@@ -18,7 +18,7 @@ import heegaardrect
 from heegaardrect import cli
 from heegaardrect.cli import main
 from heegaardrect.criteria import (
-    CriteriaContext, CriteriaGraph, double_rectangle_condition, rectangle_condition,
+    CriteriaContext, double_rectangle_condition, rectangle_condition,
 )
 from heegaardrect.diagram import Crossing, Diagram, DiagramError, Face, FaceSide
 from heegaardrect.diagramio import (
@@ -295,20 +295,18 @@ def test_check_builds_no_face_or_crossing_object(example_32_maximal, tmp_path, c
     assert counts == {"Face": 0, "FaceSide": 0, "Crossing": 0}
 
 
-def test_report_builds_no_criteria_graph(example_32, example_32_maximal, monkeypatch):
-    """A check searches G_k and H_d as node adjacencies: `build_report` builds
-    no `CriteriaGraph`, where both conditions hold and where DRC fails with
-    witnesses and missing types, and neither do the criteria on their own."""
-    counts = _count_constructions(monkeypatch, CriteriaGraph)
+def test_report_builds_no_criteria_graph(example_32, example_32_maximal):
+    """A check searches G_k and H_d as node adjacencies, the only form of a
+    graph the package has: `build_report` decides where both conditions hold
+    and where DRC fails with witnesses and missing types, and the package
+    has no graph class."""
     diagrams = (example_32, example_32_maximal, *random_twisted_diagrams(20))
     reports = [build_report(d) for d in diagrams]
     assert {r["drc"]["holds"] for r in reports} == {True, False}
     assert any(w["missing_types"] for r in reports for w in r["drc"]["witnesses"])
     rectangle_condition(example_32_maximal)
     double_rectangle_condition(example_32_maximal)
-    assert counts == {"CriteriaGraph": 0}
-    CriteriaContext(example_32).component_graph(1)
-    assert counts == {"CriteriaGraph": 1}
+    assert not hasattr(heegaardrect.criteria, "CriteriaGraph")
 
 
 def test_bigon_entries_build_only_the_bigon_faces(monkeypatch):
@@ -522,7 +520,22 @@ def test_cli_export_graph(tmp_path, capsys):
     assert run_cli(
         "export-graph", str(f), "--which", "Gdetail:1,1,1,+,2,-", "--dot"
     ) == 0
-    assert "--" in capsys.readouterr().out
+    assert capsys.readouterr().out == "".join(line + "\n" for line in (
+        'graph "Gdetail:1,1,1,+,2,-" {',
+        '  "(1,-)";',
+        '  "(1,+)";',
+        '  "(2,-)";',
+        '  "(2,+)";',
+        '  "(3,-)";',
+        '  "(3,+)";',
+        '  "(1,-)" -- "(1,+)";',
+        '  "(1,-)" -- "(3,+)";',
+        '  "(1,+)" -- "(2,-)";',
+        '  "(2,-)" -- "(2,+)";',
+        '  "(2,+)" -- "(3,-)";',
+        '  "(3,-)" -- "(3,+)";',
+        "}",
+    ))
 
 
 def test_cli_exports_a_piece_of_the_maximal_example(tmp_path, capsys):
@@ -575,6 +588,13 @@ def test_cli_export_graph_bad_selector(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     # the last one passes the pair check and fails on its piece l
     assert err == "error: component index 99 out of range 1..1\n"
+    # each index is range-checked, l = 0 too, which must not read the last piece
+    for which, message in (("Gk:0", "component index 0 out of range 1..1"),
+                           ("Hd:0", "disk index 0 out of range 1..2"),
+                           ("Hd:99", "disk index 99 out of range 1..2"),
+                           ("Gdetail:1,0,1,+,2,-", "component index 0 out of range 1..1")):
+        assert run_cli("export-graph", str(f), "--which", which, "--dot") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     # an index is ASCII digits only, with no sign, space or digit separator
     for index in ("1_0", "\u0661", "+1", " 1"):
         assert run_cli("export-graph", str(f), "--which", f"Gk:{index}", "--dot") == 2

@@ -49,10 +49,15 @@ def test_digests_name_the_members_that_moved():
     assert not moved, f"{len(moved)} members moved: {moved}"
 
 
-# counted by the benchmark's trace but moved to the test oracles, as no
-# command calls them; the trace counts them 0 and lists them as absent
+# counted or replayed by the benchmark's trace but moved to the test oracles,
+# as no command calls them; the trace counts them 0 and lists them as absent,
+# and without `disk_graph` and the witness it replays each condition whole
 MOVED_TO_ORACLES = {"criteria.CriteriaContext.cross_detail_graph": "cross_detail_graph",
-                    "criteria.is_two_connected": "is_two_connected"}
+                    "criteria.is_two_connected": "is_two_connected",
+                    "criteria.CriteriaContext.detail_graph": "detail_graph",
+                    "criteria.graph_from_edges": "graph_from_edges",
+                    "criteria.CriteriaContext.disk_graph": "disk_graph",
+                    "criteria.doubly_two_connected_witness": "doubly_two_connected_witness"}
 
 
 def test_benchmark_traces_only_functions_the_package_has():
