@@ -60,7 +60,7 @@ def search_minimal(genus, power):
                 base = build_base(genus, seq, orders)
             except DiagramError:
                 continue
-            if base.genus != genus or not base.is_bigon_free():
+            if base.genus != genus or base.bigon_faces():
                 continue
             embeddable += 1
             try:
@@ -105,7 +105,7 @@ def search_maximal(power):
                     base = multicurve_map(words, gamma, signs)
                 except DiagramError:
                     continue
-                if base.genus != 3 or not base.is_bigon_free():
+                if base.genus != 3 or base.bigon_faces():
                     continue
                 comps = cut_components(base, "A")
                 if len(comps) != 4 or not all(c.planar for c in comps):

@@ -306,7 +306,8 @@ class CriteriaContext:
     swap keeps every circle (see the `diagram` module).
     A context built from a diagram keeps it as `diagram`, with its
     `validation`; the swapped view has neither, shares the failed checks,
-    and holds no reference back.
+    and holds no reference back.  `build_report` passes a context to both
+    verdict functions and its `swapped` view to RC: one analysis each.
     """
 
     def __init__(self, diagram: Diagram):
@@ -554,15 +555,15 @@ def _fmt_vertex(v: tuple) -> str:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Boolean outcome plus machine-readable witnesses."""
+    """The witnesses of a criterion, which holds when there are none, and
+    the note of what it then implies."""
 
-    holds: bool
     witnesses: tuple[Witness, ...]
     note: str = ""
 
-    def __post_init__(self):
-        if self.holds != (not self.witnesses):
-            raise DiagramError("verdict boolean must match witness emptiness")
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 NOTE_RC = "the Heegaard splitting is strongly irreducible"
@@ -570,12 +571,10 @@ NOTE_DRC = "the Goeritz group of the Heegaard splitting is finite"
 MISSING_TYPES_CAP = 6  # the most missing types a witness lists
 
 
-def rectangle_condition(
-    diagram: Optional[Diagram], ctx: Optional[CriteriaContext] = None
-) -> Verdict:
-    """Holds iff every component graph G_k is 2-connected.  `diagram` is read
-    only when no `ctx` is given; `ctx` may be a swapped view, as its witnesses say."""
-    ctx = ctx or CriteriaContext(diagram)
+def rectangle_condition(view: CriteriaContext | Diagram) -> Verdict:
+    """Holds iff every component graph G_k of `view` is 2-connected: a context
+    of either orientation, as its witnesses say, or a diagram, analysed here."""
+    ctx = view if isinstance(view, CriteriaContext) else CriteriaContext(view)
     witnesses = []
     for k in range(1, ctx.m + 1):
         adj = ctx._component_adjacency(k)
@@ -586,8 +585,7 @@ def rectangle_condition(
         missing = _missing_types(adj, verts, lambda p, q: _missing_rectangle(ctx, p, q))
         witnesses.append(Witness("rc", ctx._first != FAMILY_A, k, reason,
                                  tuple(map(_label, verts)), missing))
-    holds = not witnesses
-    return Verdict(holds, tuple(witnesses), NOTE_RC if holds else "")
+    return Verdict(tuple(witnesses), "" if witnesses else NOTE_RC)
 
 
 def _missing_types(adj: dict, deleted, explain) -> tuple:
@@ -623,20 +621,17 @@ def _missing_disk_edge(ctx, disk, u, v) -> MissingType:
     return MissingType("composed-rectangle", (_label(em), disk, _label(ep - plus)), *failure)
 
 
-def double_rectangle_condition(
-    diagram: Optional[Diagram], ctx: Optional[CriteriaContext] = None
-) -> Verdict:
+def double_rectangle_condition(view: CriteriaContext | Diagram) -> Verdict:
     """Holds iff every disk graph H_d is doubly 2-connected, both ways round.
 
-    The condition is checked on `ctx`, then on `ctx.swapped`, the view with
-    the families exchanged; each witness takes the orientation of the view
-    that found it.  `diagram` is read only when no `ctx` is given, so a
-    caller that also checks RC on both sides analyses each orientation once.
+    The condition is checked on the context `view`, or on a context of the
+    diagram `view`, then on its `swapped` view, the one with the families
+    exchanged; each witness takes the orientation of the view that found it.
     Each H_d is searched as the adjacency `_disk_adjacency` builds.  Each
     block of an H_d has at least two labels, so a disconnected H_d always
     has a witness pair.
     """
-    ctx = ctx or CriteriaContext(diagram)
+    ctx = view if isinstance(view, CriteriaContext) else CriteriaContext(view)
     witnesses = []
     for octx in (ctx, ctx.swapped):  # the exchanged view is built once per context
         for disk in range(1, octx.n + 1):
@@ -648,5 +643,4 @@ def double_rectangle_condition(
                 )
                 pair = tuple(_vertex(v, octx._plus) for v in pair)
                 witnesses.append(Witness("drc", octx._first != FAMILY_A, disk, "pair", pair, missing))
-    holds = not witnesses
-    return Verdict(holds, tuple(witnesses), NOTE_DRC if holds else "")
+    return Verdict(tuple(witnesses), "" if witnesses else NOTE_DRC)

@@ -29,7 +29,8 @@ Conventions (fixed once, everything else follows):
 * Crossing ``i`` is the i-th token of the first family's words, read curve
   by curve in sorted curve id order, and owns darts ``4i`` to ``4i + 3``,
   dart ``4i + p`` being its port ``p``.  So a first-family curve's crossings
-  are consecutive, and only the second family's edges are looked up by id.
+  are consecutive, and only the second family's ids are looked up, once,
+  by the size check that also gives the map build their darts.
 
 * Exchanging the families keeps the surface: the ports are renamed by
   a_out <-> b_out, a_in <-> b_in (dart (x, p) of crossing x becomes
@@ -166,14 +167,13 @@ class Diagram:
             self.a_words, self.b_words = ({c: tuple(w) for c, w in sorted(words.items())}
                                           for words in (a_words, b_words))
             try:
-                dart0 = self._sized_ids()
+                ids, b_darts = self._sized_ids()
             except TypeError:
-                dart0 = None
-            if not dart0:  # no ids or a fault: the scan names it
+                ids = ()
+            if not ids:  # no ids or a fault: the scan names it
                 self._check_words()
         except TypeError:
             raise DiagramError("curve and crossing ids must be hashable and mutually ordered") from None
-        ids = tuple(dart0)
         if not all(map(signs.__contains__, ids)):
             raise DiagramError(f"crossing {min(x for x in ids if x not in signs)} has no sign")
         self._crossing_ids: tuple[str, ...] = ids
@@ -181,29 +181,31 @@ class Diagram:
         if not (set(map(type, values)) == {int} and set(values) <= {MINUS, PLUS}):
             bad = (x for x, s in zip(ids, values) if type(s) is not int or s not in (MINUS, PLUS))
             raise DiagramError(f"crossing {min(bad)}: sign must be +1 or -1")
-        self._build_map(dart0)
+        self._build_map(b_darts)
 
     # -- construction ------------------------------------------------------
 
-    def _sized_ids(self) -> dict[str, int] | None:
-        """Each id -> its dart 0, in first-family word order, where the sizes
-        show a sound input, else None: no word is empty, no curve id is in both
+    def _sized_ids(self) -> tuple[tuple, list]:
+        """The crossing ids in first-family word order and each second-family
+        word as a tuple of darts, its ids' darts 0, where the sizes show a
+        sound input, else no ids: no word is empty, no curve id is in both
         families, and the n tokens of the second family reach n distinct darts
         of the n of the first.  Ids that are not all `str` are sorted once, so
         ids that cannot be ordered fail as they would in a sort."""
         a, b = self.a_words, self.b_words
         if not (all(a.values()) and all(b.values()) and a.keys().isdisjoint(b)):
-            return None
+            return (), []
         ids = tuple(chain.from_iterable(a.values()))
         try:
             "".join(ids)  # raises TypeError unless every id is a str, at C speed
         except TypeError:
             sorted(ids)  # ids of other types must still be mutually ordered
         dart0 = dict(zip(ids, range(0, 4 * len(ids), 4)))
-        darts = set(map(dart0.get, chain.from_iterable(b.values())))
-        if len(ids) == len(darts) == sum(map(len, b.values())) and None not in darts:
-            return dart0
-        return None
+        b_darts = [tuple(map(dart0.get, word)) for word in b.values()]
+        darts = set(chain.from_iterable(b_darts))
+        if len(ids) == len(darts) == sum(map(len, b_darts)) and None not in darts:
+            return ids, b_darts
+        return (), []
 
     def _check_words(self) -> None:
         """Name the first fault of a scan, token by token, of each crossing id
@@ -231,7 +233,7 @@ class Diagram:
             raise DiagramError(f"crossing occurrences do not match up: {sorted(ids[0] ^ ids[1])}")
         raise TypeError
 
-    def _build_map(self, dart0: dict[str, int]):
+    def _build_map(self, b_darts: list[tuple[int, ...]]):
         n = len(self._crossing_ids)
         nd = 4 * n
         # sigma_inv turns each dart to the next clockwise at its crossing,
@@ -249,14 +251,13 @@ class Diagram:
             alpha[s:e:4] = [*range(s + 4 + A_IN, e, 4), s + A_IN]
             alpha[s + A_IN:e:4] = [e - 4, *range(s, e - 4, 4)]
             dart_code[s:e:2] = (4 * curve + A_OUT, 4 * curve + A_IN) * len(word)
-        for curve, word in enumerate(self.b_words.values(), 1):
-            darts = _gather(dart0, word)
+        for curve, darts in enumerate(b_darts, 1):
             out_code, in_code = 4 * curve + B_OUT, 4 * curve + B_IN
             for s, t in zip(darts, darts[1:] + darts[:1]):  # the edge s -> t
                 alpha[s + B_OUT] = t + B_IN
                 alpha[t + B_IN] = s + B_OUT
                 dart_code[s + B_OUT], dart_code[s + B_IN] = out_code, in_code
-        dart0.clear()  # the numbering is not kept: its memory goes before `_phi` is gathered
+        b_darts.clear()  # the darts are not kept: their memory goes before `_phi` is gathered
         self._alpha = alpha
         self._dart_code = dart_code
 
@@ -325,7 +326,7 @@ class Diagram:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        families = ((FAMILY_A, self.a_curve_ids()), (FAMILY_B, self.b_curve_ids())) * 2
+        families = ((FAMILY_A, tuple(self.a_words)), (FAMILY_B, tuple(self.b_words))) * 2
         side_of = {4 * i + p: FaceSide(f, c, 1 - (p & 2))  # dart code -> its side
                    for p, (f, ids) in enumerate(families) for i, c in enumerate(ids, 1)}
         code = self._dart_code
@@ -348,18 +349,9 @@ class Diagram:
     def num_crossings(self) -> int:
         return len(self._crossing_ids)
 
-    def a_curve_ids(self) -> tuple[str, ...]:
-        return tuple(self.a_words)
-
-    def b_curve_ids(self) -> tuple[str, ...]:
-        return tuple(self.b_words)
-
     def bigon_faces(self) -> tuple[int, ...]:
         """The indices of the faces of degree two."""
         return tuple(f for f, degree in enumerate(self._face_degree) if degree == 2)
-
-    def is_bigon_free(self) -> bool:
-        return not self.bigon_faces()
 
     # -- transformations ---------------------------------------------------
 

@@ -18,8 +18,6 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .criteria import (
-    NOTE_DRC,
-    NOTE_RC,
     CriteriaContext,
     Verdict,
     _fmt_vertex,
@@ -205,6 +203,8 @@ def build_report(diagram: Diagram, condition: str = "both") -> dict:
     A diagram that fails validation gets no verdicts: its report gives the
     failing checks, with m and m* left null.
     """
+    if condition not in ("rc", "drc", "both"):
+        raise DiagramError(f"unknown condition {condition!r}: expected rc, drc or both")
     ctx = CriteriaContext(diagram)
     validation = ctx.validation
     report = {
@@ -225,17 +225,17 @@ def build_report(diagram: Diagram, condition: str = "both") -> dict:
         report["annotations"] = []
         return report
     if condition in ("rc", "both"):
-        report["rc"] = _verdict_json(rectangle_condition(diagram, ctx))
-        report["rc_swapped"] = _verdict_json(rectangle_condition(None, ctx.swapped))
+        report["rc"] = _verdict_json(rectangle_condition(ctx))
+        report["rc_swapped"] = _verdict_json(rectangle_condition(ctx.swapped))
         report["rc_swapped"]["note"] = (
             "informational: the rectangle condition after switching the families; "
             "whether the general condition is symmetric is not asserted"
         )
     if condition in ("drc", "both"):
-        report["drc"] = _verdict_json(double_rectangle_condition(diagram, ctx))
+        report["drc"] = _verdict_json(double_rectangle_condition(ctx))
     report["annotations"] = [
-        f"{name} condition holds: {note}"
-        for key, name, note in (("rc", "rectangle", NOTE_RC), ("drc", "double rectangle", NOTE_DRC))
+        f"{name} condition holds: {report[key]['note']}"
+        for key, name in (("rc", "rectangle"), ("drc", "double rectangle"))
         if report.get(key, {}).get("holds")
     ]
     return report

@@ -181,7 +181,7 @@ def _check_base(base: Diagram):
     """The disks and their twisted curves will share one diagram."""
     if tuple(base.b_words) != (GAMMA,):
         raise DiagramError("twisting needs a multicurve map with an auxiliary curve")
-    if not base.is_bigon_free():
+    if base.bigon_faces():
         raise DiagramError("gamma does not meet the disks essentially: bigon present")
     for disk in base.a_words:
         if not isinstance(disk, str):  # a twisted curve is named after its disk
@@ -257,7 +257,7 @@ def maximal_chain_base() -> Diagram:
     one that embeds with genus 3 and planar complementary pieces.
     """
     base = chain_base(3)
-    disk_words = {c: base.a_words[c] for c in base.a_curve_ids()}
+    disk_words = dict(base.a_words)
     # gamma word of chain_base(3), with the separating-disk crossings
     # inserted along the loop-back arcs they meet
     g1 = base.a_words["d1"]  # crossings c0 c1 c2 | c7 in gamma order

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from heegaardrect.diagram import Diagram, DiagramError
+from heegaardrect.diagramio import serialize_diagram
 from heegaardrect.twist import (
     TwistSpec,
     dehn_twist,
@@ -105,18 +106,19 @@ SWEEP = [(g, l) for g in (2, 3, 4) for l in (2, 3, -2)]
 
 def fixture_cases(maximal: Diagram):
     """The seven small fixtures, the nine sweep members, the maximal example
-    `maximal` and 200 random twisted diagrams."""
+    `maximal` and 200 distinct random twisted diagrams."""
     yield from (make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
                                     hexagon_diagram, split_components_diagram,
                                     mixed_gluing_diagram))
     yield from (example_diagram(g, l) for g, l in SWEEP)
     yield maximal
-    yield from random_twisted_diagrams(200)
+    yield from distinct_twisted_diagrams(200)
 
 
 def face_oracle_cases():
-    """50 random twisted diagrams, example(13, 2) and the maximal example."""
-    yield from random_twisted_diagrams(50)
+    """50 distinct random twisted diagrams, drawn at a seed of their own,
+    example(13, 2) and the maximal example."""
+    yield from distinct_twisted_diagrams(50, seed=20261021)
     yield example_diagram(13, 2)
     yield example_diagram(3, 2, maximal=True)
 
@@ -195,3 +197,18 @@ def random_twisted_diagrams(count: int, seed: int = 20240809):
             continue
         produced += 1
         yield diagram
+
+
+def distinct_twisted_diagrams(count: int, seed: int = 20240809):
+    """The first `count` pairwise distinct diagrams of
+    `random_twisted_diagrams` at `seed`: a diagram whose `serialize_diagram`
+    text was already yielded is skipped."""
+    seen = set()
+    for diagram in random_twisted_diagrams(2 * count, seed):
+        text = serialize_diagram(diagram)
+        if text not in seen:
+            seen.add(text)
+            yield diagram
+            if len(seen) == count:
+                return
+    raise RuntimeError("distinct diagram yield collapsed")

@@ -230,9 +230,9 @@ def _rooted_certificate(maps: tuple, root: int, colours: list) -> tuple:
 
 
 def is_isomorphic(d: Diagram, other: Diagram) -> bool:
-    if d.a_curve_ids() != other.a_curve_ids():
+    if tuple(d.a_words) != tuple(other.a_words):
         return False
-    if d.b_curve_ids() != other.b_curve_ids():
+    if tuple(d.b_words) != tuple(other.b_words):
         return False
     if d.num_crossings != other.num_crossings:
         return False
@@ -352,7 +352,7 @@ def _face_union(d: Diagram, family: str) -> tuple:
     groups = {}
     for face in d.faces:
         groups.setdefault(root(face.index), []).append(face)
-    ids = d.a_curve_ids() if family == FAMILY_A else d.b_curve_ids()
+    ids = tuple(d.a_words) if family == FAMILY_A else tuple(d.b_words)
     comps = []
     for faces in groups.values():
         circles = frozenset((ids.index(s.curve) + 1, s.side)

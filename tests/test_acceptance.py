@@ -78,7 +78,7 @@ def test_criterion_03_family_sweep():
         d = example_diagram(g, l)
         assert d.genus == g
         assert len(d.a_words) == len(d.b_words) == g
-        assert d.is_bigon_free()
+        assert not d.bigon_faces()
         assert validate_disk_systems(d).passed
         assert rectangle_condition(d).holds
         drc = double_rectangle_condition(d).holds
@@ -190,7 +190,7 @@ def test_criterion_08_orientation_invariance(example_32, example_32_maximal,
     for d in (example_22, example_32, hexagon_diagram(), example_32_maximal):
         rc = rectangle_condition(d).holds
         drc = double_rectangle_condition(d).holds
-        for curve in d.a_curve_ids() + d.b_curve_ids():
+        for curve in (*d.a_words, *d.b_words):
             r = reverse_curve(d, curve)
             assert rectangle_condition(r).holds == rc
             assert double_rectangle_condition(r).holds == drc
@@ -216,7 +216,7 @@ def test_criterion_09_structural_invariants(example_32, example_32_maximal,
                 fams[i] != fams[(i + 1) % len(fams)] for i in range(len(fams))
             ), name
         reduced = d.reduce_bigons()
-        assert reduced.is_bigon_free() and reduced.genus == d.genus, name
+        assert not reduced.bigon_faces() and reduced.genus == d.genus, name
         swapped_twice = d.swap_roles().swap_roles()
         assert is_isomorphic(swapped_twice, d), name
     for name, d in diagrams.items():
@@ -242,8 +242,8 @@ def test_criterion_10_intersection_oracle():
         d = dehn_twist(base, TwistSpec(power))
         got = {
             f"{a}:{b}": intersection_number(d, a, b)
-            for a in d.a_curve_ids()
-            for b in d.b_curve_ids()
+            for a in d.a_words
+            for b in d.b_words
         }
         oracle, removed = oracle_intersections(base, power)
         assert removed == 0

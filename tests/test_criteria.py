@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib.util
 import itertools
@@ -11,8 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from heegaardrect import criteria
 from heegaardrect.criteria import (
     CriteriaContext,
-    Verdict,
-    Witness,
     _class_table,
     _components,
     _fmt_vertex,
@@ -28,8 +27,8 @@ from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
 from conftest import (
-    SWEEP, face_oracle_cases, fixture_cases, hexagon_diagram, maximal_subsystems,
-    random_multicurve_map, random_twisted_diagrams, torus_one,
+    SWEEP, distinct_twisted_diagrams, face_oracle_cases, fixture_cases, hexagon_diagram,
+    maximal_subsystems, random_multicurve_map, random_twisted_diagrams, torus_one,
 )
 from map_oracles import (
     Graph, _composed, _side_types, component_graph, cross_detail_graph, crossing_ids, dart_of,
@@ -393,10 +392,10 @@ def test_missing_types_match_definition():
     vertices = 0
     for d in _passing([*random_twisted_diagrams(100), *maximal_subsystems(50)]):
         ctx = CriteriaContext(d)
-        found = [(ctx, w) for w in rectangle_condition(d, ctx).witnesses]
-        found += [(ctx.swapped, w) for w in rectangle_condition(None, ctx.swapped).witnesses]
+        found = [(ctx, w) for w in rectangle_condition(ctx).witnesses]
+        found += [(ctx.swapped, w) for w in rectangle_condition(ctx.swapped).witnesses]
         found += [(ctx.swapped if w.swapped else ctx, w)
-                  for w in double_rectangle_condition(d, ctx).witnesses]
+                  for w in double_rectangle_condition(ctx).witnesses]
         for c, w in found:
             for mt in w.missing:
                 if mt.kind == "rectangle":
@@ -441,11 +440,11 @@ def test_criteria_refuse_a_diagram_that_fails_validation():
         assert ctx.validation.entries == validate_disk_systems(d).entries != []
         codes = ", ".join(dict.fromkeys(code for code, _ in ctx.validation))
         assert (codes == "nonplanar") == (d in nonplanar)
-        assert (codes == "count, nonplanar") == (d.b_curve_ids() == ("gamma",))
+        assert (codes == "count, nonplanar") == (tuple(d.b_words) == ("gamma",))
         for c in (ctx, ctx.swapped):
             asks = [
-                lambda: rectangle_condition(None, c),
-                lambda: double_rectangle_condition(None, c),
+                lambda: rectangle_condition(c),
+                lambda: double_rectangle_condition(c),
                 lambda: component_graph(c, 1),
                 lambda: disk_graph(c, 1),
                 lambda: detail_graph(c, 1, 1, (1, MINUS), (1, PLUS)),
@@ -582,6 +581,39 @@ def test_report_contexts_die_without_the_cycle_collector(example_32, monkeypatch
     assert alive == [False, False]
 
 
+def test_verdicts_of_a_view_build_no_context(example_32, example_32_maximal, monkeypatch):
+    """Given a context, both verdict functions run `CriteriaContext.__init__`
+    0 times, and their verdicts equal those of the diagram passed directly:
+    RC and DRC of `ctx` those of `d`, and RC of `ctx.swapped` that of
+    `d.swap_roles()`, each witness flagged swapped.  A verdict holds exactly
+    when it has no witness, and only then carries its note."""
+    diagrams = [example_32, example_32_maximal, hexagon_diagram(),
+                *random_twisted_diagrams(20)]
+    direct = [(rectangle_condition(d), double_rectangle_condition(d),
+               rectangle_condition(d.swap_roles())) for d in diagrams]
+    contexts = [CriteriaContext(d) for d in diagrams]
+    built = []
+    init = CriteriaContext.__init__
+
+    def counting(ctx, diagram):
+        built.append(diagram)
+        init(ctx, diagram)
+
+    monkeypatch.setattr(CriteriaContext, "__init__", counting)
+    given = [(rectangle_condition(ctx), double_rectangle_condition(ctx),
+              rectangle_condition(ctx.swapped)) for ctx in contexts]
+    assert built == []
+    for (rc, drc, rc_swap), (rc_ctx, drc_ctx, rc_view) in zip(direct, given):
+        assert rc_ctx == rc and drc_ctx == drc
+        assert rc_view.note == rc_swap.note
+        assert rc_view.witnesses == tuple(dataclasses.replace(w, swapped=True)
+                                          for w in rc_swap.witnesses)
+    verdicts = [v for triple in direct for v in triple]
+    assert {v.holds for v in verdicts} == {True, False}
+    for v in verdicts:
+        assert v.holds == (not v.witnesses) == bool(v.note)
+
+
 HEXAGON = [
     ((1, MINUS), (1, PLUS)), ((1, PLUS), (2, MINUS)), ((2, MINUS), (2, PLUS)),
     ((2, PLUS), (3, MINUS)), ((3, MINUS), (3, PLUS)), ((1, MINUS), (3, PLUS)),
@@ -702,7 +734,7 @@ def test_rc_on_pants_is_the_flat_rule():
         types = _side_types(d)
         for view, first in ((ctx, FAMILY_A), (ctx.swapped, FAMILY_B)):
             rule = _pants_rule(view, types[first], types[OTHER_FAMILY[first]])
-            assert rectangle_condition(None, view).holds == rule
+            assert rectangle_condition(view).holds == rule
 
 
 def test_class_table_matches_the_word_oracle(example_32_maximal):
@@ -940,8 +972,8 @@ def test_drc_witnesses_take_the_orientation_of_their_view(example_32_maximal):
     view, DRC gives that view's three witnesses, flagged swapped, before the
     original orientation's three, flagged not swapped."""
     ctx = CriteriaContext(example_32_maximal)
-    given = double_rectangle_condition(None, ctx).witnesses
-    exchanged = double_rectangle_condition(None, ctx.swapped).witnesses
+    given = double_rectangle_condition(ctx).witnesses
+    exchanged = double_rectangle_condition(ctx.swapped).witnesses
     assert [w.swapped for w in given] == [False] * 3 + [True] * 3
     assert [w.swapped for w in exchanged] == [True] * 3 + [False] * 3
     assert exchanged == given[3:] + given[:3]
@@ -983,7 +1015,7 @@ def test_drc_pairs_match_brute_force():
     for d in _passing(corpus):
         ctx = CriteriaContext(d)
         reported = {(w.swapped, w.index): w.vertices
-                    for w in double_rectangle_condition(None, ctx).witnesses}
+                    for w in double_rectangle_condition(ctx).witnesses}
         for swapped, view in ((False, ctx), (True, ctx.swapped)):
             for disk in range(1, view.n + 1):
                 assert reported.get((swapped, disk)) == _brute_doubly_witness(
@@ -1023,9 +1055,9 @@ def test_stabilized_diagrams_fail_both_conditions(example_32_maximal):
                 ctx = CriteriaContext(s)
                 assert s.genus == d.genus + 1
                 assert ctx.validation.passed, (i, family, signs)
-                assert not rectangle_condition(None, ctx).holds
-                assert not rectangle_condition(None, ctx.swapped).holds
-                assert not double_rectangle_condition(None, ctx).holds
+                assert not rectangle_condition(ctx).holds
+                assert not rectangle_condition(ctx.swapped).holds
+                assert not double_rectangle_condition(ctx).holds
 
 
 def test_stabilized_s3_diagrams_fail_both_conditions():
@@ -1043,16 +1075,11 @@ def test_stabilized_s3_diagrams_fail_both_conditions():
             ctx = CriteriaContext(s)
             assert s.genus == genus
             assert ctx.validation.passed, (genus, family, signs)
-            assert not rectangle_condition(None, ctx).holds
-            assert not rectangle_condition(None, ctx.swapped).holds
-            assert not double_rectangle_condition(None, ctx).holds
+            assert not rectangle_condition(ctx).holds
+            assert not rectangle_condition(ctx.swapped).holds
+            assert not double_rectangle_condition(ctx).holds
             seen += 1
     assert seen == 32
-
-
-def test_verdict_invariant():
-    with pytest.raises(DiagramError, match="witness"):
-        Verdict(True, (Witness("rc", False, 1, "disconnected", ()),))
 
 
 # -- the swapped orientation ----------------------------------------------------
@@ -1089,7 +1116,7 @@ def test_pieces_are_numbered_by_least_boundary_circle(example_32_maximal):
     for d in _cut_corpora(example_32_maximal):
         ctx = CriteriaContext(d)
         assert ctx.swapped.comps_a is ctx.comps_b and ctx.swapped.comps_b is ctx.comps_a
-        for family, ids in ((FAMILY_A, d.a_curve_ids()), (FAMILY_B, d.b_curve_ids())):
+        for family, ids in ((FAMILY_A, tuple(d.a_words)), (FAMILY_B, tuple(d.b_words))):
             oracle, piece = face_union_components(d, family), face_union_pieces(d, family)
             for comps in (cut_components(d, family), ctx.comps_a if family == FAMILY_A
                           else ctx.comps_b):
@@ -1107,13 +1134,13 @@ def _cut_corpora(maximal: Diagram):
     """The fixtures, the face oracle cases (example(13, 2) has faces of
     degree above 4), the sub-systems of the maximal example, valid or not and
     of several pieces, the multicurve maps, and 300 more random twisted
-    diagrams, drawn at a seed of their own."""
+    distinct diagrams, drawn at a seed of their own."""
     yield from fixture_cases(maximal)
     yield from face_oracle_cases()
     yield from maximal_subsystems(50)
     yield from (chain_base(g) for g in range(2, 6))
     yield maximal_chain_base()
-    yield from random_twisted_diagrams(300, seed=20261020)
+    yield from distinct_twisted_diagrams(300, seed=20261020)
 
 
 def test_swapped_context_matches_a_fresh_build(example_32_maximal):

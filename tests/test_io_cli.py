@@ -66,7 +66,7 @@ def test_round_trip_multicurve():
     text = serialize_diagram(base)
     assert list(json.loads(text)) == ["format_version", "d_curves", "dstar_curves"]
     r = parse_diagram(text)
-    assert r.b_curve_ids() == ("gamma",)
+    assert tuple(r.b_words) == ("gamma",)
     assert is_isomorphic(r, base)
 
 
@@ -159,6 +159,15 @@ def test_report_structure(example_32):
     text = report_to_text(report)
     assert "rectangle condition: holds" in text
     assert "double rectangle condition: holds" in text
+
+
+def test_report_refuses_an_unknown_condition(example_32):
+    """`build_report` decides "rc", "drc" or "both"; any other condition is
+    refused with one line, where a report with no verdict was given."""
+    for condition in ("RC", "Both", "", "rc,drc", None):
+        with pytest.raises(DiagramError) as err:
+            build_report(example_32, condition)
+        assert str(err.value) == f"unknown condition {condition!r}: expected rc, drc or both"
 
 
 def test_report_matches_golden(example_32):
@@ -286,7 +295,7 @@ def test_check_builds_no_face_or_crossing_object(example_32_maximal, tmp_path, c
     for text in texts:
         build_report(parse_diagram(text))
     assert [code for code, _ in validate_disk_systems(reducible_torus())].count("bigon") == 2
-    assert reducible_torus().reduce_bigons().is_bigon_free()
+    assert not reducible_torus().reduce_bigons().bigon_faces()
     serialize_diagram(dehn_twist(chain_base(3), TwistSpec(2)))
     serialize_diagram(example_diagram(3, 2))
     assert run_cli("validate", str(bigons)) == 1

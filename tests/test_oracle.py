@@ -38,8 +38,8 @@ def _main_counts(base, power):
     d = dehn_twist(base, TwistSpec(power))
     return {
         (a, b): intersection_number(d, a, b)
-        for a in d.a_curve_ids()
-        for b in d.b_curve_ids()
+        for a in d.a_words
+        for b in d.b_words
     }
 
 

@@ -149,7 +149,7 @@ def _composed_by_edges(diagram: Diagram, axis_family: str, types: dict[str, dict
     glued edges with a generator.  It gives the same plain tuples (axis,
     end_minus, end_plus, b_sides, face_minus, face_plus)."""
     out_port = PORTS[axis_family][0]
-    axis_ids = diagram.a_curve_ids() if axis_family == FAMILY_A else diagram.b_curve_ids()
+    axis_ids = tuple(diagram.a_words) if axis_family == FAMILY_A else tuple(diagram.b_words)
     axis_index = {c: i + 1 for i, c in enumerate(axis_ids)}
     axis_types, cross_types = types[axis_family], types[OTHER_FAMILY[axis_family]]
     faces = diagram.faces
