@@ -50,6 +50,11 @@ def _adjacency(vertices, edges) -> dict:
     return adj
 
 
+def _shifted(adj: dict, by: int) -> dict:
+    """A copy of the node adjacency `adj` with every node raised by `by`."""
+    return {v + by: {w + by for w in nbrs} for v, nbrs in adj.items()}
+
+
 def _components(adj: dict) -> tuple[list, set]:
     """The vertex sets of the components of `adj`, by least vertex, and its
     cut points, in one pass of iterative DFS lowlink."""
@@ -98,7 +103,8 @@ def _two_connected_failure(adj: dict) -> Optional[tuple]:
     return ("cut-vertex", min(points)) if points else None
 
 
-def _pair_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Vertex, Vertex]]:
+def _pair_witness(adj: dict, lo: frozenset, hi: frozenset,
+                  shapes: dict) -> Optional[tuple[Vertex, Vertex]]:
     """The first pair (a in `lo`, b in `hi`) whose deletion disconnects the
     graph `adj`, ordered by a, then b, or None when it is doubly 2-connected.
 
@@ -106,11 +112,19 @@ def _pair_witness(adj: dict, lo: frozenset, hi: frozenset) -> Optional[tuple[Ver
     subdivide one multigraph (a chain with one end gives K a degree-1 node, a
     lone cycle an isolated one), so K decides whether the graph is 2-connected,
     and then one pass over K finds the pair; any other graph is scanned.
+    What K decides depends only on K's shape, its adjacency node by node, so
+    `shapes` keeps for each shape met None when K is not 2-connected, else
+    the cut points of K - x found so far (node x -> set): the graphs searched
+    with one `shapes`, as the H_d of one diagram, whose skeletons mostly
+    share a shape, test each shape and each K - x once.
     """
     if len(adj) >= 3 and min(map(len, adj.values())) >= 2:
-        skeleton = _skeleton(adj)
-        if _two_connected_failure(skeleton[1]) is None:
-            return _skeleton_witness(adj, lo, hi, *skeleton)
+        node, skeleton, on_chain = _skeleton(adj)
+        shape = tuple(map(frozenset, skeleton.values()))  # K's nodes are 0, 1, ... in order
+        if shape not in shapes:
+            shapes[shape] = {} if _two_connected_failure(skeleton) is None else None
+        if shapes[shape] is not None:
+            return _skeleton_witness(adj, lo, hi, node, skeleton, on_chain, shapes[shape])
     return _scan_witness(adj, lo, hi)
 
 
@@ -171,9 +185,11 @@ def _skeleton(adj: dict) -> tuple[dict, dict, dict]:
     return node, skeleton, on_chain
 
 
-def _skeleton_witness(adj, lo, hi, node, skeleton, on_chain) -> Optional[tuple[Vertex, Vertex]]:
+def _skeleton_witness(adj, lo, hi, node, skeleton, on_chain,
+                      cuts: dict) -> Optional[tuple[Vertex, Vertex]]:
     """`_pair_witness` of a 2-connected graph on >= 3 vertices,
-    from its `_skeleton` K, which is 2-connected too.  Deleting a and b
+    from its `_skeleton` K, which is 2-connected too, and `cuts`, node x ->
+    the cut points of K - x, which it fills as it needs them.  Deleting a and b
     disconnects the graph exactly when
 
     - a and b are not adjacent and lie on one chain (inside it or at its
@@ -181,22 +197,34 @@ def _skeleton_witness(adj, lo, hi, node, skeleton, on_chain) -> Optional[tuple[V
     - a and b lie on different nodes x, y of K and y is a cut point of K - x.
 
     So every pair is decided on the nodes of K, once per node, plus a look
-    at the first few vertices of `hi` on each chain that a lies on.
+    at the first few vertices of `hi` on each chain that a lies on.  The
+    `hi` vertices are listed only for the chains that hold one, and the
+    chains through a node or beside it among those once per node.
     """
     least_hi: dict = {}  # K node -> its least vertex in `hi`
     for b in sorted(hi, reverse=True):
         least_hi[node[b]] = b
-    hi_on = {c: sorted(vs & hi) for c, vs in on_chain.items()}
-    cut_least: dict = {}  # K node x -> least `hi` vertex on a cut point of K - x
+    hi_on = {}  # chain node -> its vertices in `hi`, sorted, for chains that hold one
+    for c, vs in on_chain.items():
+        if on := vs & hi:
+            hi_on[c] = sorted(on)
+    # K node x -> (the least `hi` vertex on a cut point of K - x, or None;
+    # the `hi_on` lists of the chains through x or beside it)
+    near: dict = {}
     for a in sorted(lo):
         x = node[a]
-        if x not in cut_least:
-            rest = {y: nbrs - {x} for y, nbrs in skeleton.items() if y != x}
-            cut_least[x] = min((least_hi[y] for y in _components(rest)[1]
-                                if y in least_hi), default=None)
-        found = [] if cut_least[x] is None else [cut_least[x]]
-        for c in (x,) if x in on_chain else (y for y in skeleton[x] if y in on_chain):
-            b = next((b for b in hi_on[c] if b not in adj[a]), None)
+        if x not in near:
+            if x not in cuts:
+                cuts[x] = _components({y: nbrs - {x} for y, nbrs in skeleton.items()
+                                       if y != x})[1]
+            near[x] = (min((least_hi[y] for y in cuts[x] if y in least_hi),
+                           default=None),
+                       [hi_on[c] for c in ((x,) if x in on_chain else skeleton[x])
+                        if c in hi_on])
+        least, chains = near[x]
+        found = [] if least is None else [least]
+        for bs in chains:
+            b = next((b for b in bs if b not in adj[a]), None)
             if b is not None:
                 found.append(b)
         if found:
@@ -263,10 +291,19 @@ def _axis_edges(surface: Diagram, family: str, face_class: list):
 
 def _glued_once(surface: Diagram, family: str, x: int) -> bool:
     """Whether the two faces on the `family` edge that leaves crossing index
-    x share no other edge: one arc of the minus face has the plus face across."""
-    fod, alpha = surface._face_of_dart, surface._alpha
+    x share no other edge: one arc of the minus face has the plus face across.
+
+    One walk round the minus face, along `_phi` from the edge's own dart
+    ``alpha[d]`` (whose mate d is on the plus face), looks across each
+    other arc and stops at the first that has the plus face there."""
+    fod, alpha, phi = surface._face_of_dart, surface._alpha, surface._phi
     d = 4 * x + PORTS[family][0]
-    return [fod[alpha[e]] for e in surface._orbit(fod[alpha[d]])].count(fod[d]) == 1
+    plus, e = fod[d], alpha[d]
+    for _ in range(surface._face_degree[fod[e]] - 1):
+        e = phi[e]
+        if fod[alpha[e]] == plus:
+            return False
+    return True
 
 
 class CriteriaContext:
@@ -292,10 +329,11 @@ class CriteriaContext:
     once, whichever pairs share it.  The criteria graphs ask for the verdicts
     of index keys only: every cut piece of a disk system has at least three
     labels, so a pair with no key has disconnected detail graphs and fails.
-    Each G_k is one adjacency, built once per piece; H_d is built straight
-    from the G_k of its two sides and the entry of axis d of `composed_index`,
-    which is grouped by axis as it is filled.  The missing-type search reads
-    the records of the absent edges it explains.
+    Each G_k is one adjacency, built once per piece and view, and so is its
+    copy with every node tagged plus; H_d is built straight from the G_k of
+    its minus side, the tagged copy of its plus side and the entry of axis
+    d of `composed_index`, which is grouped by axis as it is filled.  The
+    missing-type search reads the records of the absent edges it explains.
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built once, on first use, by the same
@@ -336,9 +374,10 @@ class CriteriaContext:
         from `table`: the cuts keyed by family (as `systems._cut` gives them),
         each face's class, and class -> (its types as `_class_table` gives
         them, its (a-piece, b-piece) by index in the cut).  Each class is read
-        once for `rect_index`, and each distinct (axis code, minus class, plus
-        class) of an edge of a `first` curve (`_axis_edges`) once for
-        `composed_index`."""
+        once, in the pass that fills `rect_index` and records the sides of the
+        rectangle classes, and each distinct (axis code, minus class, plus
+        class) of an edge of a `first` curve (`_axis_edges`) takes two dict
+        reads of that record for `composed_index`."""
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
         self._surface, self._first, self._table = surface, first, table
         cuts, face_class, classes = table
@@ -350,13 +389,21 @@ class CriteriaContext:
         self._plus = 2 * self.n + 2  # the tag of H_d's plus block
         self._failures: dict = {}  # frozen (l, edges) sets -> failure record
         self._component_adjs: dict = {}  # k -> G_k's adjacency
+        self._plus_adjs: dict = {}  # k -> G_k's adjacency with every node tagged plus
 
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
-        # in A*_l (a face's sides are boundary circles of its piece)
+        # in A*_l (a face's sides are boundary circles of its piece); each
+        # class is decoded here once, also for the edge loop below
         self.rect_index: dict = {}
-        for types, pieces in classes.values():
+        rect_sides: dict = {}  # rectangle class -> its first-family sides
+        glued: dict = {}  # rectangle class, no loop -> (sides, cross sides, piece l)
+        for i, (types, pieces) in classes.items():
             a_sides, b_sides = types[flip], types[1 - flip]
-            if a_sides is not None and b_sides[0] != b_sides[1]:  # a rectangle, not a loop
+            if a_sides is None:
+                continue
+            rect_sides[i] = a_sides
+            if b_sides[0] != b_sides[1]:  # a rectangle, not a loop
+                glued[i] = a_sides, b_sides, pieces[1 - flip]
                 self.rect_index.setdefault(a_sides, {}).setdefault(
                     pieces[1 - flip], set()).add(b_sides)
 
@@ -368,14 +415,14 @@ class CriteriaContext:
         edges: dict = {}  # (axis code, minus class, plus class) -> its first edge's crossing
         deque(map(edges.setdefault, _axis_edges(surface, first, face_class), count()), 0)
         for (code, minus, plus), x in edges.items():
-            axis = code >> 2  # decoded once per distinct edge triple
-            (types, pieces), sides_plus = classes[minus], classes[plus][0][flip]
-            sides_minus, b_sides = types[flip], types[1 - flip]
-            if sides_minus is None or sides_plus is None or b_sides[0] == b_sides[1]:
+            entry, sides_plus = glued.get(minus), rect_sides.get(plus)
+            if entry is None or sides_plus is None:
                 continue
+            axis = code >> 2  # decoded once per distinct edge triple
             # the outer side of each end: the one that is not its axis side (the
             # minus face holds the edge's in dart, the plus face its out dart)
-            (s, t), (u, v) = sides_minus, sides_plus
+            (s, t), b_sides, l = entry
+            u, v = sides_plus
             end_minus = t if s == 2 * axis else s
             end_plus = v if u == 2 * axis + 1 else u
             # two faces that share a second edge have complementary ends (one
@@ -392,8 +439,7 @@ class CriteriaContext:
                                      _axis_edges(surface, first, face_class))))):
                 continue
             by_ends = self.composed_index.setdefault(axis, {})
-            by_ends.setdefault((end_minus, end_plus), {}).setdefault(
-                pieces[1 - flip], set()).add(b_sides)
+            by_ends.setdefault((end_minus, end_plus), {}).setdefault(l, set()).add(b_sides)
 
     @cached_property
     def swapped(self) -> "CriteriaContext":
@@ -456,17 +502,23 @@ class CriteriaContext:
         Lambda_{d,-} and Lambda_{d,+}, each tagged by its side of D_d.
 
         The edges inside a block are the edges of G_k on Lambda_{d,kappa},
-        k = `k_of(d, kappa)`.  A cross edge p-q holds when every
-        composed-rectangle detail graph of (d, p, q) is 2-connected; only the
-        `composed_index` entry of axis d is tested (see the class docstring).
+        k = `k_of(d, kappa)`: the minus block from G_k, the plus block from
+        its tagged copy (`_shifted`, made on first use and kept), each less
+        (d, kappa) by one set difference per vertex.  A cross edge p-q holds
+        when every composed-rectangle detail graph of (d, p, q) is
+        2-connected; only the `composed_index` entry of axis d is tested (see
+        the class docstring).
         """
-        plus, own_minus, own_plus = self._plus, 2 * disk, 2 * disk + 1  # (d, -) and (d, +)
+        plus = self._plus
+        own_minus, own_plus = 2 * disk, 2 * disk + 1 + plus  # (d, -) and the tagged (d, +)
         lo = self._component_adjacency(self.k_of(disk, MINUS))
-        hi = self._component_adjacency(self.k_of(disk, PLUS))
+        k = self.k_of(disk, PLUS)
+        hi = self._plus_adjs.get(k)
+        if hi is None:
+            hi = self._plus_adjs[k] = _shifted(self._component_adjacency(k), plus)
         adj = {v: nbrs - {own_minus} for v, nbrs in lo.items() if v != own_minus}
         block_minus = frozenset(adj)
-        adj.update((v + plus, {w + plus for w in nbrs if w != own_plus})  # tagged as copied
-                   for v, nbrs in hi.items() if v != own_plus)
+        adj.update((v, nbrs - {own_plus}) for v, nbrs in hi.items() if v != own_plus)
         block_plus = frozenset(adj).difference(block_minus)
         for (p, q), by_l in self.composed_index.get(disk, {}).items():
             q += plus
@@ -627,16 +679,17 @@ def double_rectangle_condition(view: CriteriaContext | Diagram) -> Verdict:
     The condition is checked on the context `view`, or on a context of the
     diagram `view`, then on its `swapped` view, the one with the families
     exchanged; each witness takes the orientation of the view that found it.
-    Each H_d is searched as the adjacency `_disk_adjacency` builds.  Each
+    Each H_d is searched as the adjacency `_disk_adjacency` builds, all of
+    them with one record of skeleton shapes (`_pair_witness`).  Each
     block of an H_d has at least two labels, so a disconnected H_d always
     has a witness pair.
     """
     ctx = view if isinstance(view, CriteriaContext) else CriteriaContext(view)
-    witnesses = []
+    witnesses, shapes = [], {}
     for octx in (ctx, ctx.swapped):  # the exchanged view is built once per context
         for disk in range(1, octx.n + 1):
             adj, block_minus, block_plus = octx._disk_adjacency(disk)
-            pair = _pair_witness(adj, block_minus, block_plus)
+            pair = _pair_witness(adj, block_minus, block_plus, shapes)
             if pair is not None:
                 missing = _missing_types(
                     adj, pair, lambda u, v: _missing_disk_edge(octx, disk, u, v)

@@ -351,6 +351,8 @@ class Diagram:
 
     def bigon_faces(self) -> tuple[int, ...]:
         """The indices of the faces of degree two."""
+        if 2 not in self._face_degree:  # at C speed, before the per-face scan
+            return ()
         return tuple(f for f, degree in enumerate(self._face_degree) if degree == 2)
 
     # -- transformations ---------------------------------------------------

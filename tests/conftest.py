@@ -199,16 +199,24 @@ def random_twisted_diagrams(count: int, seed: int = 20240809):
         yield diagram
 
 
-def distinct_twisted_diagrams(count: int, seed: int = 20240809):
+def distinct_twisted_diagrams(count: int, seed: int = 20240809, seen=None):
     """The first `count` pairwise distinct diagrams of
     `random_twisted_diagrams` at `seed`: a diagram whose `serialize_diagram`
-    text was already yielded is skipped."""
-    seen = set()
-    for diagram in random_twisted_diagrams(2 * count, seed):
+    text was already yielded, or is in the set `seen`, is skipped (`unseen`)."""
+    yielded, seen = 0, set() if seen is None else seen
+    for diagram in unseen(random_twisted_diagrams(2 * count, seed), seen):
+        yield diagram
+        yielded += 1
+        if yielded == count:
+            return
+    raise RuntimeError("distinct diagram yield collapsed")
+
+
+def unseen(diagrams, seen: set):
+    """The `diagrams` whose `serialize_diagram` text is not in `seen`, each
+    once: the text of each one yielded is added to `seen`."""
+    for diagram in diagrams:
         text = serialize_diagram(diagram)
         if text not in seen:
             seen.add(text)
             yield diagram
-            if len(seen) == count:
-                return
-    raise RuntimeError("distinct diagram yield collapsed")

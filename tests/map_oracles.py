@@ -5,14 +5,15 @@ relabeling, curve reversal, restriction to sub-families, stabilization, an
 isomorphism test by canonical certificate, edges and intersection numbers
 read off the words, a face trace through the dart queries, the cut
 components by a union of faces, the rectangle and composed rectangle types
-face by face and edge by edge, the oracle of the criteria's class table,
-the criteria's nodes and rectangle indexes read back as (curve index, side)
-labels, a context's punctured label sets and first failing l of a pair,
-and the criteria graphs as label graphs: G_k, H_d and the detail graphs
-read off a context's node adjacencies, with an adjacency, a 2-connectivity
-predicate and the pair witness of such a graph.  None of it is on the
-check or generate path of the package, which keeps every graph as a node
-adjacency only.
+face by face and edge by edge, the gluing test and the bigon list by their
+definitions, the oracle of the criteria's class table, the criteria's nodes
+and rectangle indexes read back as (curve index, side) labels, a context's
+punctured label sets and first failing l of a pair, and the criteria graphs
+as label graphs: G_k, H_d and the detail graphs read off a context's node
+adjacencies, H_d assembled disk by disk, with an adjacency, a
+2-connectivity predicate and the pair witness of such a graph.  None of it
+is on the check or generate path of the package, which keeps every graph as
+a node adjacency only.
 """
 
 from typing import NamedTuple, Optional
@@ -447,6 +448,20 @@ def _composed(diagram: Diagram, axis_family: str, types: dict[str, list]):
             yield axis, end_minus, end_plus, cross_types[f_minus], f_minus, f_plus
 
 
+def glued_once(diagram: Diagram, family: str, x: int) -> bool:
+    """`criteria._glued_once` by its definition: of the faces across the arcs
+    of the minus face of the `family` edge that leaves crossing index x, the
+    plus face is exactly one."""
+    fod, alpha = diagram._face_of_dart, diagram._alpha
+    dart = 4 * x + PORTS[family][0]
+    return [fod[alpha[e]] for e in diagram._orbit(fod[alpha[dart]])].count(fod[dart]) == 1
+
+
+def bigon_faces(diagram: Diagram) -> tuple:
+    """`Diagram.bigon_faces` by its definition: the faces of degree two."""
+    return tuple(f for f, g in enumerate(diagram._face_degree) if g == 2)
+
+
 def node_label(node: int, n: int = 0) -> tuple:
     """The label of a node of the criteria: circle (i, side) is the node
     2i + (side is plus); with `n`, the first family's curve count, H_d's
@@ -548,6 +563,26 @@ def disk_graph(ctx, disk: int) -> Graph:
     return _labelled(adj, lambda v: _vertex(v, ctx._plus), blocks)
 
 
+def disk_adjacency(ctx, disk: int) -> tuple[dict, frozenset, frozenset]:
+    """`CriteriaContext._disk_adjacency` built disk by disk: the plus block
+    is relabelled from G_k on the spot, each node tagged by ``ctx._plus``,
+    with (d, +) dropped as it is copied."""
+    plus, own_minus, own_plus = ctx._plus, 2 * disk, 2 * disk + 1
+    lo = ctx._component_adjacency(ctx.k_of(disk, MINUS))
+    hi = ctx._component_adjacency(ctx.k_of(disk, PLUS))
+    adj = {v: nbrs - {own_minus} for v, nbrs in lo.items() if v != own_minus}
+    block_minus = frozenset(adj)
+    adj.update((v + plus, {w + plus for w in nbrs if w != own_plus})
+               for v, nbrs in hi.items() if v != own_plus)
+    block_plus = frozenset(adj).difference(block_minus)
+    for (p, q), by_l in ctx.composed_index.get(disk, {}).items():
+        q += plus
+        if p in block_minus and q in block_plus and ctx._failure(by_l) is None:
+            adj[p].add(q)
+            adj[q].add(p)
+    return adj, block_minus, block_plus
+
+
 def detail_graph(ctx, k: int, l: int, p: tuple, q: tuple) -> Graph:
     """G(k, l, p, q) of `ctx`: the rectangles of the labels p and q of A_k, at l."""
     return _detail(ctx, l, ctx._detail_entry(k, p, q))
@@ -565,7 +600,7 @@ def doubly_two_connected_witness(graph: Graph):
     and its blocks."""
     if graph.partition is None:
         raise DiagramError("doubly-2-connected test needs a partition")
-    return _pair_witness(neighbors(graph), *graph.partition)
+    return _pair_witness(neighbors(graph), *graph.partition, {})
 
 
 def neighbors(graph: Graph) -> dict:

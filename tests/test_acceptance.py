@@ -15,7 +15,7 @@ from heegaardrect.diagramio import serialize_diagram
 from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagram, maximal_chain_base
 
-from conftest import hexagon_diagram, random_twisted_diagrams, split_components_diagram
+from conftest import distinct_twisted_diagrams, hexagon_diagram, split_components_diagram
 from map_oracles import (
     Graph, doubly_two_connected_witness, graph_from_edges, intersection_number, is_isomorphic,
     is_two_connected, neighbors, reverse_curve, stabilized,
@@ -99,7 +99,7 @@ def test_criterion_04_implication_property(example_32, example_32_maximal):
         if double_rectangle_condition(d).holds:
             assert rectangle_condition(d).holds
         checked += 1
-    for d in random_twisted_diagrams(100):
+    for d in distinct_twisted_diagrams(100):
         if double_rectangle_condition(d).holds:
             assert rectangle_condition(d).holds
         checked += 1

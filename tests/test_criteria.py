@@ -28,14 +28,16 @@ from heegaardrect.twist import chain_base, example_diagram, maximal_chain_base
 
 from conftest import (
     SWEEP, distinct_twisted_diagrams, face_oracle_cases, fixture_cases, hexagon_diagram,
-    maximal_subsystems, random_multicurve_map, random_twisted_diagrams, torus_one,
+    maximal_subsystems, mixed_gluing_diagram, random_multicurve_map, reducible_torus,
+    sphere_bigons, split_components_diagram, torus_one, torus_two, unseen,
 )
 from map_oracles import (
-    Graph, _composed, _side_types, component_graph, cross_detail_graph, crossing_ids, dart_of,
-    decoded_indexes, detail_graph, disk_graph, doubly_two_connected_witness, face_classes,
-    face_of_dart, face_union_components, face_union_pieces, first_failing_l_cross,
-    first_failing_l_detail, graph_from_edges, is_two_connected, lambda_of, neighbors,
-    node_label, relabel_crossings, reverse_curve, stabilized,
+    Graph, _composed, _side_types, bigon_faces, component_graph, cross_detail_graph,
+    crossing_ids, dart_of, decoded_indexes, detail_graph, disk_adjacency, disk_graph,
+    doubly_two_connected_witness, face_classes, face_of_dart, face_union_components,
+    face_union_pieces, first_failing_l_cross, first_failing_l_detail, glued_once,
+    graph_from_edges, is_two_connected, lambda_of, neighbors, node_label, relabel_crossings,
+    reverse_curve, stabilized,
 )
 
 
@@ -357,7 +359,7 @@ def test_pair_verdicts_match_definition(example_32_maximal):
     """The verdict of each index key is the first l whose detail graph is
     not 2-connected, so None exactly when all of them are."""
     verdicts = set()
-    for d in _passing([*random_twisted_diagrams(100), example_32_maximal,
+    for d in _passing([*distinct_twisted_diagrams(100), example_32_maximal,
                        *maximal_subsystems(50)]):
         ctx = CriteriaContext(d)
         for c in (ctx, ctx.swapped):
@@ -390,7 +392,7 @@ def test_missing_types_match_definition():
     detail graph is not 2-connected, and that graph's least cut vertex, or
     None when the graph is disconnected."""
     vertices = 0
-    for d in _passing([*random_twisted_diagrams(100), *maximal_subsystems(50)]):
+    for d in _passing([*distinct_twisted_diagrams(100), *maximal_subsystems(50)]):
         ctx = CriteriaContext(d)
         found = [(ctx, w) for w in rectangle_condition(ctx).witnesses]
         found += [(ctx.swapped, w) for w in rectangle_condition(ctx.swapped).witnesses]
@@ -588,7 +590,7 @@ def test_verdicts_of_a_view_build_no_context(example_32, example_32_maximal, mon
     `d.swap_roles()`, each witness flagged swapped.  A verdict holds exactly
     when it has no witness, and only then carries its note."""
     diagrams = [example_32, example_32_maximal, hexagon_diagram(),
-                *random_twisted_diagrams(20)]
+                *distinct_twisted_diagrams(20)]
     direct = [(rectangle_condition(d), double_rectangle_condition(d),
                rectangle_condition(d.swap_roles())) for d in diagrams]
     contexts = [CriteriaContext(d) for d in diagrams]
@@ -742,7 +744,7 @@ def test_class_table_matches_the_word_oracle(example_32_maximal):
     keyed face by face on (curve index, port) read off the words, with the
     same numbering, on the sweep, the maximal example and random members."""
     corpus = [example_32_maximal, *(example_diagram(g, l) for g, l in SWEEP),
-              *random_twisted_diagrams(50)]
+              *distinct_twisted_diagrams(50)]
     for d in corpus:
         assert _class_table(d)[0] == face_classes(d)
 
@@ -856,7 +858,7 @@ def test_reports_do_not_depend_on_crossing_names():
     rng = random.Random(20261019)
     bigon_maps = _bigon_maps(300, 5)
     assert len(bigon_maps) > 150
-    for corpus, times in ((random_twisted_diagrams(300), 5), (bigon_maps, 5),
+    for corpus, times in ((distinct_twisted_diagrams(300), 5), (bigon_maps, 5),
                           (maximal_subsystems(50), 10)):
         for d in corpus:
             report = report_to_json(build_report(d))
@@ -926,6 +928,27 @@ def test_drc_decides_the_examples_on_the_skeleton(monkeypatch, genus):
     assert double_rectangle_condition(d) == want
 
 
+def test_drc_tests_each_skeleton_shape_once(monkeypatch):
+    """The 26 H_d of example(13, 2), over both views, have skeletons of one
+    shape, so one `double_rectangle_condition` tests that skeleton's
+    2-connectivity once and each K - x once: every H_d's search reads the
+    one record of cut points, which holds at most one entry per node of K."""
+    ctx = CriteriaContext(example_diagram(13, 2))
+    searched = []
+    skeleton_witness = criteria._skeleton_witness
+
+    def recording(adj, lo, hi, node, skeleton, on_chain, cuts):
+        searched.append((len(skeleton), cuts))
+        return skeleton_witness(adj, lo, hi, node, skeleton, on_chain, cuts)
+
+    monkeypatch.setattr(criteria, "_skeleton_witness", recording)
+    assert double_rectangle_condition(ctx).holds
+    assert len(searched) == 26
+    size, cuts = searched[0]
+    assert all(record is cuts for _, record in searched)
+    assert 0 < len(cuts) <= size
+
+
 def _digest_members():
     """(name, diagram) for each member of `tests/golden/digests.txt`, from
     `scripts/make_golden.py`."""
@@ -983,10 +1006,12 @@ def test_node_witnesses_match_the_exported_disk_graphs():
     """For every view and disk of the digest corpus, H_d as DRC searches it,
     a node adjacency, read back as labels is the label graph `disk_graph`, and
     the pair `_pair_witness` finds on it, read back, is the witness
-    `doubly_two_connected_witness` finds on that graph."""
+    `doubly_two_connected_witness` finds on that graph.  Each diagram's H_d
+    are searched with one record of skeleton shapes, as DRC keeps it, and the
+    oracle searches each label graph with a fresh one."""
     disks = pairs = 0
     for d in _passing(_digest_corpus()):
-        ctx = CriteriaContext(d)
+        ctx, shapes = CriteriaContext(d), {}
         for view in (ctx, ctx.swapped):
             for disk in range(1, view.n + 1):
                 adj, block_minus, block_plus = view._disk_adjacency(disk)
@@ -996,12 +1021,83 @@ def test_node_witnesses_match_the_exported_disk_graphs():
                     neighbors(graph))
                 assert (frozenset(map(label.get, block_minus)),
                         frozenset(map(label.get, block_plus))) == graph.partition
-                pair = _pair_witness(adj, block_minus, block_plus)
+                pair = _pair_witness(adj, block_minus, block_plus, shapes)
                 want = doubly_two_connected_witness(graph)
                 assert (None if pair is None else tuple(map(label.get, pair))) == want
                 disks += 1
                 pairs += want is not None
     assert disks >= 1900 and 1000 < pairs < disks
+
+
+def test_disk_graphs_match_the_disk_by_disk_build(monkeypatch):
+    """H_d takes its plus block from one relabelled copy of G_k per plus-side
+    piece and view: for every view and disk of the digest corpus, the maximal
+    example among it, `_disk_adjacency` equals the oracle that relabels G_k
+    disk by disk, also for the later disks that reuse a copy.  One
+    `double_rectangle_condition` makes exactly one copy (`_shifted`) per
+    view and plus-side piece, and keeps it on the view."""
+    made = []
+    shifted = criteria._shifted
+
+    def counting(adj, by):
+        made.append(by)
+        return shifted(adj, by)
+
+    monkeypatch.setattr(criteria, "_shifted", counting)
+    disks = reused = several = 0
+    for d in _passing(_digest_corpus()):
+        ctx = CriteriaContext(d)
+        made.clear()
+        double_rectangle_condition(ctx)
+        pieces = 0
+        for view in (ctx, ctx.swapped):
+            plus_pieces = {view.k_of(disk, PLUS) for disk in range(1, view.n + 1)}
+            assert view._plus_adjs.keys() == plus_pieces
+            pieces += len(plus_pieces)
+            reused += view.n > len(plus_pieces)
+            several += len(plus_pieces) > 1
+            for disk in range(1, view.n + 1):
+                assert view._disk_adjacency(disk) == disk_adjacency(view, disk), disk
+                disks += 1
+        assert len(made) == pieces
+    assert disks >= 1900 and reused > 0 and several > 0
+
+
+def test_gluing_walk_matches_the_orbit_count():
+    """`_glued_once` walks the minus face once; it equals the count of the
+    plus face among the faces across the minus face's arcs, for the edge
+    leaving every crossing along both families, over the digest corpus and
+    the gluing fixtures of `test_indexes_match_the_oracles_in_both_views`,
+    with both outcomes reached."""
+    outcomes = set()
+    fixtures = [torus_one(), torus_two(), split_components_diagram(), mixed_gluing_diagram()]
+    for d in [*_digest_corpus(), *fixtures]:
+        for family in (FAMILY_A, FAMILY_B):
+            for x in range(d.num_crossings):
+                want = glued_once(d, family, x)
+                assert criteria._glued_once(d, family, x) == want, (family, x)
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_bigon_faces_match_the_face_degrees():
+    """`bigon_faces` lists the faces of degree two, with bigons and without
+    (when it returns before its scan): on the bigon fixtures, on random
+    multicurve maps before their bigons are reduced, and on the digest
+    corpus, which has none."""
+    rng = random.Random(20261022)
+    maps = []
+    for _ in range(300):
+        try:
+            maps.append(random_multicurve_map(rng))
+        except DiagramError:
+            continue
+    with_bigons = 0
+    for d in [sphere_bigons(), reducible_torus(), *maps, *_digest_corpus()]:
+        want = bigon_faces(d)
+        assert d.bigon_faces() == want
+        with_bigons += bool(want)
+    assert with_bigons > 150
 
 
 def test_drc_pairs_match_brute_force():
@@ -1011,7 +1107,7 @@ def test_drc_pairs_match_brute_force():
     own path to the oracle.  The sweep is among the examples."""
     examples = sorted({(g, p) for g in range(2, 9) for p in (2, -2, 3)} | set(SWEEP))
     corpus = [*(example_diagram(g, p) for g, p in examples), *maximal_subsystems(50),
-              *random_twisted_diagrams(100)]
+              *distinct_twisted_diagrams(100)]
     for d in _passing(corpus):
         ctx = CriteriaContext(d)
         reported = {(w.swapped, w.index): w.vertices
@@ -1042,7 +1138,7 @@ def test_stabilized_diagrams_fail_both_conditions(example_32_maximal):
     group is infinite, so adding a handle whose new curves meet once makes
     RC fail in both views and DRC fail, on a diagram that passes validation,
     whether the handle's second crossing goes into an a-curve or a b-curve."""
-    bases = [*random_twisted_diagrams(60),
+    bases = [*distinct_twisted_diagrams(60),
              *(example_diagram(g, p) for g in (2, 3, 4, 5) for p in (2, -3)),
              *(example_diagram(g, l) for g, l in SWEEP),
              example_32_maximal,
@@ -1131,16 +1227,16 @@ def test_pieces_are_numbered_by_least_boundary_circle(example_32_maximal):
 
 
 def _cut_corpora(maximal: Diagram):
-    """The fixtures, the face oracle cases (example(13, 2) has faces of
-    degree above 4), the sub-systems of the maximal example, valid or not and
-    of several pieces, the multicurve maps, and 300 more random twisted
-    distinct diagrams, drawn at a seed of their own."""
-    yield from fixture_cases(maximal)
-    yield from face_oracle_cases()
-    yield from maximal_subsystems(50)
-    yield from (chain_base(g) for g in range(2, 6))
-    yield maximal_chain_base()
-    yield from distinct_twisted_diagrams(300, seed=20261020)
+    """624 distinct diagrams: the fixtures, the face oracle cases (example(13,
+    2) has faces of degree above 4), the sub-systems of the maximal example,
+    valid or not and of several pieces, the multicurve maps, and random
+    twisted diagrams drawn at a seed of their own until the corpus is full.
+    A member whose `serialize_diagram` text an earlier one had is skipped."""
+    seen: set = set()
+    yield from unseen(itertools.chain(
+        fixture_cases(maximal), face_oracle_cases(), maximal_subsystems(50),
+        (chain_base(g) for g in range(2, 6)), [maximal_chain_base()]), seen)
+    yield from distinct_twisted_diagrams(624 - len(seen), seed=20261020, seen=seen)
 
 
 def test_swapped_context_matches_a_fresh_build(example_32_maximal):

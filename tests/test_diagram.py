@@ -11,6 +11,7 @@ from heegaardrect.twist import example_diagram
 
 from conftest import (
     SWEEP,
+    distinct_twisted_diagrams,
     face_oracle_cases,
     fixture_cases,
     hexagon_diagram,
@@ -244,7 +245,7 @@ def _input_mutants(count: int, seed: int):
     an id of the other family, or a token of the second family replaced by
     an `int`."""
     rng = random.Random(seed)
-    corpus = [*(example_diagram(g, l) for g, l in SWEEP), *random_twisted_diagrams(40)]
+    corpus = [*(example_diagram(g, l) for g, l in SWEEP), *distinct_twisted_diagrams(40)]
     for _ in range(count):
         d = rng.choice(corpus)
         words = [{c: list(w) for c, w in d.a_words.items()},
@@ -316,7 +317,7 @@ def test_sound_words_skip_the_scan(monkeypatch):
         raise AssertionError("scanned")
 
     monkeypatch.setattr(Diagram, "_check_words", scan)
-    for d in (example_diagram(3, 2), *random_twisted_diagrams(20)):
+    for d in (example_diagram(3, 2), *distinct_twisted_diagrams(20)):
         Diagram(d.a_words, d.b_words, d.signs)
     faulty = [({"a": ("x", "y")}, {"b": ("x", "x")}), ({"a": ("x", "x")}, {"b": ("x", "y")}),
               ({"a": ("x", "y")}, {"b": ("x", "z")}), ({"a": ("x",)}, {"a": ("x",)}),
@@ -502,7 +503,7 @@ def test_certificate_on_random_diagrams():
     changes it."""
     rng = random.Random(7)
     changed = 0
-    for d in random_twisted_diagrams(50):
+    for d in distinct_twisted_diagrams(50):
         ids = list(d.crossings)
         shuffled = rng.sample(ids, len(ids))
         cert = canonical_certificate(d)
@@ -564,7 +565,7 @@ def test_numbering_follows_first_family_word_order(example_22, example_32, examp
     codes and the faces are unchanged, and so is the report."""
     rng = random.Random(20261019)
     corpus = [example_22, example_32, example_32_maximal,
-              *(example_diagram(g, l) for g, l in SWEEP), *random_twisted_diagrams(50)]
+              *(example_diagram(g, l) for g, l in SWEEP), *distinct_twisted_diagrams(50)]
     for d in corpus:
         r = _turned(d, rng)
         for m in (d, r):

@@ -34,8 +34,8 @@ from heegaardrect.twist import TwistSpec, chain_base, dehn_twist, example_diagra
 
 from conftest import (
     SWEEP,
+    distinct_twisted_diagrams,
     hexagon_diagram,
-    random_twisted_diagrams,
     reducible_torus,
     split_components_diagram,
     sphere_bigons,
@@ -215,7 +215,7 @@ def test_writer_rejects_other_types(x):
 
 
 def test_report_json_is_the_standard_librarys(example_32_maximal):
-    diagrams = [*random_twisted_diagrams(400), *(example_diagram(g, l) for g, l in SWEEP),
+    diagrams = [*distinct_twisted_diagrams(400), *(example_diagram(g, l) for g, l in SWEEP),
                 example_32_maximal]
     for d in diagrams:
         report = build_report(d)
@@ -309,7 +309,7 @@ def test_report_builds_no_criteria_graph(example_32, example_32_maximal):
     graph the package has: `build_report` decides where both conditions hold
     and where DRC fails with witnesses and missing types, and the package
     has no graph class."""
-    diagrams = (example_32, example_32_maximal, *random_twisted_diagrams(20))
+    diagrams = (example_32, example_32_maximal, *distinct_twisted_diagrams(20))
     reports = [build_report(d) for d in diagrams]
     assert {r["drc"]["holds"] for r in reports} == {True, False}
     assert any(w["missing_types"] for r in reports for w in r["drc"]["witnesses"])

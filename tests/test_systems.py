@@ -16,10 +16,10 @@ from heegaardrect.systems import cut_components, validate_disk_systems
 from heegaardrect.twist import chain_base, example_diagram
 
 from conftest import (
+    distinct_twisted_diagrams,
     fixture_cases,
     hexagon_diagram,
     maximal_subsystems,
-    random_twisted_diagrams,
     reducible_torus,
     split_components_diagram,
     sphere_bigons,
@@ -122,7 +122,7 @@ def test_component_euler_matches_cell_count(example_32, example_32_maximal):
     """Each piece's Euler characteristic, read off face degrees, is V - E + F."""
     fixtures = [make() for make in (torus_one, torus_two, sphere_bigons, reducible_torus,
                                     hexagon_diagram, split_components_diagram)]
-    for d in fixtures + [example_32, example_32_maximal] + list(random_twisted_diagrams(200)):
+    for d in fixtures + [example_32, example_32_maximal] + list(distinct_twisted_diagrams(200)):
         for family in (FAMILY_A, FAMILY_B):
             expected = _euler_from_darts(d, family)
             assert {c.index: c.euler for c in cut_components(d, family)} == expected
