@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Optional
 
 from .diagram import (
@@ -66,32 +66,31 @@ def _components(adj: dict) -> tuple[list, set]:
         if root in disc:
             continue
         root_children = 0
-        part = {root}
+        start = disc[root] = low[root] = len(disc)
         stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = len(disc)
         while stack:
             u, parent, it = stack[-1]
             for w in it:
                 if w == parent:
                     continue
-                if w in disc:
-                    low[u] = min(low[u], disc[w])
-                else:
+                if w not in disc:
                     disc[w] = low[w] = len(disc)
-                    part.add(w)
                     stack.append((w, u, iter(adj[w])))
                     break
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
             else:  # u is done
                 stack.pop()
                 if parent is not None:
-                    low[parent] = min(low[parent], low[u])
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
                     if parent == root:
                         root_children += 1
                     elif low[u] >= disc[parent]:
                         points.add(parent)
         if root_children > 1:
             points.add(root)
-        parts.append(part)
+        parts.append(set(islice(disc, start, None)))  # the vertices found from root
     return parts, points
 
 
@@ -247,10 +246,10 @@ def _class_table(surface: Diagram) -> tuple:
     its orbit lie on one family and darts 1 and 3 on the other; the sorted
     pair of their sides, as nodes (``(code >> 1) ^ 1``), is the class's pair
     on that family, each distinct pair one tuple.  Returns each face's
-    class, numbered by its first face; class -> ((a-type, b-type), (a-pair,
-    b-pair)), a type being the pair of a rectangle (a face of degree 4,
-    whose pairs are all its sides) and None for any other face; and the
-    faces of degree above 4, the only ones with sides beyond their key.
+    class, numbered by its first face; class -> (whether it is a rectangle,
+    a face of degree 4, whose pairs are all its sides; (a-pair, b-pair));
+    and the faces of degree above 4, the only ones with sides beyond their
+    key.
     """
     degrees, code, phi = surface._face_degree, surface._dart_code, surface._phi
     # the codes of the first four darts of every orbit, from its least, each
@@ -272,7 +271,7 @@ def _class_table(surface: Diagram) -> tuple:
         sides = pairs.setdefault(own, own), pairs.setdefault(other, other)
         if c0 & 1:  # dart 0 is on the second family
             sides = sides[::-1]
-        decoded[i] = (sides if degree == 4 else (None, None)), sides
+        decoded[i] = degree == 4, sides
     return face_class, decoded, list(compress(count(), map((4).__lt__, degrees)))
 
 
@@ -311,7 +310,8 @@ class CriteriaContext:
 
     It sorts the faces into classes once (`_class_table`) and cuts each
     family by `systems._cut`, joining the circles within each class, where
-    `cut_components` joins them along the other family's edges; the
+    `cut_components` joins them along the other family's edges; then it
+    keeps only the rectangle classes, each with its piece in each cut.  The
     disk-system `validation`, the rectangle indexes and the pair verdicts
     are all derived from those.  The criteria are stated for disk systems,
     so each graph and pair verdict of a diagram that fails `validation`
@@ -337,11 +337,11 @@ class CriteriaContext:
 
     The two orientations are two views of one surface: `swapped`, the view
     with the families exchanged, is built once, on first use, by the same
-    `_analyse` from this view's cuts and class table, read with the families
-    exchanged, and keeps this diagram's face numbers.  Both views share one
-    pair of cuts, whose pieces (the k and l of the witnesses) are numbered
-    by their least boundary circle, as in a context of `swap_roles()`: the
-    swap keeps every circle (see the `diagram` module).
+    `_analyse` from this view's cuts and rectangle classes, read with the
+    families exchanged, and keeps this diagram's face numbers.  Both views
+    share one pair of cuts, whose pieces (the k and l of the witnesses) are
+    numbered by their least boundary circle, as in a context of
+    `swap_roles()`: the swap keeps every circle (see the `diagram` module).
     A context built from a diagram keeps it as `diagram`, with its
     `validation`; the swapped view has neither, shares the failed checks,
     and holds no reference back.  `build_report` passes a context to both
@@ -360,10 +360,11 @@ class CriteriaContext:
                 circles = [(dart_code[d] >> 1) ^ 1 for d in orbit[bit ^ orbit[0] & 1::2]]
                 joins += zip(circles, circles[1:])
             cuts[family] = _cut(diagram, family, joins)
-        # each class's piece in each cut: the piece of a circle of its pair
+        # the rectangle classes, each with its piece in each cut: that of a
+        # circle of its pair
         piece_a, piece_b = cuts[FAMILY_A][2], cuts[FAMILY_B][2]
-        classes = {i: (types, (piece_a[a[0]], piece_b[b[0]]))
-                   for i, (types, (a, b)) in classes.items()}
+        classes = {i: ((a, b), (piece_a[a[0]], piece_b[b[0]]))
+                   for i, (rectangle, (a, b)) in classes.items() if rectangle}
         self.diagram = diagram
         self._analyse(diagram, FAMILY_A, (cuts, face_class, classes))
         self.validation = validate_components(diagram, self.comps_a, self.comps_b)
@@ -372,12 +373,12 @@ class CriteriaContext:
     def _analyse(self, surface: Diagram, first: str, table: tuple) -> None:
         """Indexes of the view of `surface` whose first family is `first`,
         from `table`: the cuts keyed by family (as `systems._cut` gives them),
-        each face's class, and class -> (its types as `_class_table` gives
-        them, its (a-piece, b-piece) by index in the cut).  Each class is read
-        once, in the pass that fills `rect_index` and records the sides of the
-        rectangle classes, and each distinct (axis code, minus class, plus
-        class) of an edge of a `first` curve (`_axis_edges`) takes two dict
-        reads of that record for `composed_index`."""
+        each face's class, and rectangle class -> ((a-pair, b-pair), its
+        (a-piece, b-piece) by index in the cut).  Each rectangle class is
+        read once, into one record of this view that feeds both `rect_index`
+        and, by two dict reads per distinct (axis code, minus class, plus
+        class) of an edge of a `first` curve (`_axis_edges`),
+        `composed_index`; loop classes are skipped where they are read."""
         second, flip = OTHER_FAMILY[first], int(first != FAMILY_A)
         self._surface, self._first, self._table = surface, first, table
         cuts, face_class, classes = table
@@ -391,21 +392,15 @@ class CriteriaContext:
         self._component_adjs: dict = {}  # k -> G_k's adjacency
         self._plus_adjs: dict = {}  # k -> G_k's adjacency with every node tagged plus
 
+        # rectangle class -> (first-family sides, second-family sides, piece l)
+        records = {i: (sides[flip], sides[1 - flip], pieces[1 - flip])
+                   for i, (sides, pieces) in classes.items()}
         # a-side pair -> l -> set of b-side pairs that are not loops, which lie
-        # in A*_l (a face's sides are boundary circles of its piece); each
-        # class is decoded here once, also for the edge loop below
+        # in A*_l (a face's sides are boundary circles of its piece)
         self.rect_index: dict = {}
-        rect_sides: dict = {}  # rectangle class -> its first-family sides
-        glued: dict = {}  # rectangle class, no loop -> (sides, cross sides, piece l)
-        for i, (types, pieces) in classes.items():
-            a_sides, b_sides = types[flip], types[1 - flip]
-            if a_sides is None:
-                continue
-            rect_sides[i] = a_sides
-            if b_sides[0] != b_sides[1]:  # a rectangle, not a loop
-                glued[i] = a_sides, b_sides, pieces[1 - flip]
-                self.rect_index.setdefault(a_sides, {}).setdefault(
-                    pieces[1 - flip], set()).add(b_sides)
+        for a_sides, b_sides, l in records.values():
+            if b_sides[0] != b_sides[1]:  # not a loop
+                self.rect_index.setdefault(a_sides, {}).setdefault(l, set()).add(b_sides)
 
         # axis -> (end_minus, end_plus) -> l -> set of b-side pairs that are
         # not loops, for each pair of distinct rectangles in piece l glued along
@@ -415,14 +410,16 @@ class CriteriaContext:
         edges: dict = {}  # (axis code, minus class, plus class) -> its first edge's crossing
         deque(map(edges.setdefault, _axis_edges(surface, first, face_class), count()), 0)
         for (code, minus, plus), x in edges.items():
-            entry, sides_plus = glued.get(minus), rect_sides.get(plus)
-            if entry is None or sides_plus is None:
+            entry, entry_plus = records.get(minus), records.get(plus)
+            if entry is None or entry_plus is None:  # a face that is not a rectangle
+                continue
+            (s, t), b_sides, l = entry
+            if b_sides[0] == b_sides[1]:  # a loop
                 continue
             axis = code >> 2  # decoded once per distinct edge triple
             # the outer side of each end: the one that is not its axis side (the
             # minus face holds the edge's in dart, the plus face its out dart)
-            (s, t), b_sides, l = entry
-            u, v = sides_plus
+            u, v = entry_plus[0]
             end_minus = t if s == 2 * axis else s
             end_plus = v if u == 2 * axis + 1 else u
             # two faces that share a second edge have complementary ends (one
@@ -600,9 +597,7 @@ class Witness:
 def _fmt_vertex(v: tuple) -> str:
     if len(v) == 2:
         return f"({v[0]},{side_str(v[1])})"
-    if len(v) == 3:
-        return f"({side_str(v[0])};{v[1]},{side_str(v[2])})"
-    return str(v)
+    return f"({side_str(v[0])};{v[1]},{side_str(v[2])})"
 
 
 @dataclass(frozen=True)

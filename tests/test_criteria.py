@@ -330,9 +330,15 @@ def test_witness_matches_the_scan(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(near_cycle_graphs(), random_graphs()))
+@example(_blocked([], 0, []))  # no vertex, no part
+@example(_blocked([], 3, []))  # three parts of one vertex each
+# a subdivided theta, renumbered so that DFS from 0 finds 3 before 1 and 2
+@example(_split(_subdivided("theta", [0, 1, 2, 2], order=[0, 1, 5, 4, 3, 2]), []))
 def test_articulation_points_match_networkx(data):
     """Both halves of `_components`: the parts, ordered by least vertex, and
-    the cut points."""
+    the cut points.  Each part is the run of the DFS order that its root
+    discovered, so the examples pin a graph with no part, one of one-vertex
+    parts, and one whose DFS finds higher vertices before lower ones."""
     nx = pytest.importorskip("networkx")
     graph, _ = data
     g = nx.Graph()
@@ -742,11 +748,23 @@ def test_rc_on_pants_is_the_flat_rule():
 def test_class_table_matches_the_word_oracle(example_32_maximal):
     """The class table's face classes, keyed on dart codes, are the classes
     keyed face by face on (curve index, port) read off the words, with the
-    same numbering, on the sweep, the maximal example and random members."""
+    same numbering, on the sweep, the maximal example and random members.
+    Each face's class record agrees with the face's own types
+    (`_side_types`): it is a rectangle exactly when the face has degree 4,
+    and a rectangle's sides are the face's (first-family, second-family)
+    types."""
     corpus = [example_32_maximal, *(example_diagram(g, l) for g, l in SWEEP),
               *distinct_twisted_diagrams(50)]
     for d in corpus:
-        assert _class_table(d)[0] == face_classes(d)
+        face_class, classes, _ = _class_table(d)
+        assert face_class == face_classes(d)
+        types = _side_types(d)
+        for f, degree in enumerate(d._face_degree):
+            rectangle, sides = classes[face_class[f]]
+            assert rectangle == (degree == 4)
+            if rectangle:
+                labels = tuple(tuple(map(node_label, pair)) for pair in sides)
+                assert labels == (types[FAMILY_A][f], types[FAMILY_B][f])
 
 
 def test_minimal_case_matches_flat_definitions(example_32, example_22):
